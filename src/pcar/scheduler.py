@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 
@@ -22,6 +23,9 @@ WINDOW_START_MINUTE = 8 * 60
 WINDOW_END_MINUTE = 21 * 60
 WINDOW_MINUTES = WINDOW_END_MINUTE - WINDOW_START_MINUTE  # 780
 TICK_MINUTES = 5
+# the 5-minute decision grid, in minutes after midnight; eligible_ticks is
+# the one place that walks it
+SERVICE_TICKS = range(WINDOW_START_MINUTE, WINDOW_END_MINUTE, TICK_MINUTES)
 GAP_CAP_MINUTES = 780.0  # normalization cap for "minutes since last"
 N_FEATURES = 10
 
@@ -66,6 +70,20 @@ def eligible(budget: BudgetState, now: datetime) -> bool:
         if gap < budget.min_gap_minutes:
             return False
     return True
+
+
+def eligible_ticks(day: date, budget: BudgetState) -> Iterator[datetime]:
+    """Start the budget's day and yield each grid tick of ``day`` at which
+    the hard rules allow a contact. Each tick is checked only when the walk
+    reaches it, so a ``record_delivery`` the caller makes for one tick
+    blocks the ticks that follow."""
+    budget.start_day()
+    now = datetime.combine(day, time()) + timedelta(minutes=SERVICE_TICKS.start)
+    step = timedelta(minutes=SERVICE_TICKS.step)
+    for _ in SERVICE_TICKS:
+        if eligible(budget, now):
+            yield now
+        now += step
 
 
 def features(now: datetime, budget: BudgetState) -> np.ndarray:
@@ -177,10 +195,11 @@ def score(model: TimingModel, x: np.ndarray) -> float:
 
 
 def _unpack_history(history):
-    """History rows are (features, label, day index) for each eligible
+    """History rows are (features, label, day key) for each eligible
     tick. The label is 1/0 engagement feedback for ticks where a contact
     went out and None for the rest; unlabeled ticks still count toward the
-    expected-daily-triggers budget term."""
+    expected-daily-triggers budget term. Day keys become a dense index in
+    sorted key order."""
     if not history:
         raise ValueError("history is empty")
     xs, ys, days = [], [], []
@@ -193,22 +212,29 @@ def _unpack_history(history):
     labeled = ~np.isnan(y)
     if not labeled.any():
         raise ValueError("history has no labeled rows")
-    return X, y, labeled, days
+    day_of = {d: i for i, d in enumerate(sorted(set(days)))}
+    day_idx = np.asarray([day_of[d] for d in days])
+    return X, y, labeled, day_idx
+
+
+def _mean_day_sum(p: np.ndarray, day_idx: np.ndarray) -> float:
+    """Sum ``p`` within each day, then average over the days."""
+    return float(np.bincount(day_idx, weights=p).mean())
+
+
+def _probabilities(model: TimingModel, X: np.ndarray) -> np.ndarray:
+    z = _standardized(model, X) @ model.weights + model.bias
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def composite_loss(model: TimingModel, history, daily_budget: float) -> float:
     """mean squared error over labeled rows + budget_penalty * (mean
     expected daily triggers - allowance)^2, where a day's expected triggers
     is the sum of its ticks' probabilities."""
-    X, y, labeled, days = _unpack_history(history)
-    z = _standardized(model, X) @ model.weights + model.bias
-    p = 1.0 / (1.0 + np.exp(-z))
+    X, y, labeled, day_idx = _unpack_history(history)
+    p = _probabilities(model, X)
     mse = float(np.mean((p[labeled] - y[labeled]) ** 2))
-    uniq = sorted(set(days))
-    day_sum = {d: 0.0 for d in uniq}
-    for pi, d in zip(p, days):
-        day_sum[d] += pi
-    mean_triggers = float(np.mean([day_sum[d] for d in uniq]))
+    mean_triggers = _mean_day_sum(p, day_idx)
     return mse + model.budget_penalty * (mean_triggers - daily_budget) ** 2
 
 
@@ -223,7 +249,7 @@ def train(
     standardized over the history first (per feature axis, like the
     sensing pipeline's preprocessing); the fitted transform ships inside
     the returned model. Deterministic; leaves the input untouched."""
-    X, y, labeled, days = _unpack_history(history)
+    X, y, labeled, day_idx = _unpack_history(history)
     if model.feature_mean is None:
         mean = X.mean(axis=0)
         scale = X.std(axis=0)
@@ -234,10 +260,7 @@ def train(
     w = model.weights.astype(float).copy()
     b = model.bias
     n_labeled = int(labeled.sum())
-    uniq = sorted(set(days))
-    n_days = len(uniq)
-    day_of = {d: i for i, d in enumerate(uniq)}
-    day_idx = np.asarray([day_of[d] for d in days])
+    n_days = int(day_idx.max()) + 1
     y_fit = np.where(labeled, y, 0.0)
 
     for _ in range(epochs):
@@ -249,8 +272,8 @@ def train(
         grad_w = X.T @ g
         grad_b = float(np.sum(g))
         # budget-pressure term over every eligible tick
-        day_sums = np.bincount(day_idx, weights=p, minlength=n_days)
-        pressure = 2.0 * model.budget_penalty * (day_sums.mean() - daily_budget)
+        pressure = 2.0 * model.budget_penalty * (
+            _mean_day_sum(p, day_idx) - daily_budget)
         gb = pressure * sig_grad / n_days
         grad_w += X.T @ gb
         grad_b += float(np.sum(gb))
@@ -260,38 +283,28 @@ def train(
 
 
 def expected_daily_triggers(model: TimingModel, history) -> float:
-    X, _, _, days = _unpack_history(history)
-    z = _standardized(model, X) @ model.weights + model.bias
-    p = 1.0 / (1.0 + np.exp(-z))
-    uniq = sorted(set(days))
-    totals = {d: 0.0 for d in uniq}
-    for pi, d in zip(p, days):
-        totals[d] += pi
-    return float(np.mean([totals[d] for d in uniq]))
+    X, _, _, day_idx = _unpack_history(history)
+    return _mean_day_sum(_probabilities(model, X), day_idx)
 
 
 def calibrate_threshold(
     model: TimingModel, daily_budget: int = 3, iterations: int = 40
 ) -> TimingModel:
-    """Post-processor step: pick the decision threshold by walking the
-    real decide loop over synthetic weekdays (scores evolve with the
-    budget state as triggers fire) and bisecting until the realized
-    trigger count per day reaches the allowance."""
-    week = [datetime(2024, 1, 1) + timedelta(days=i) for i in range(5)]
+    """Post-processor step: pick the decision threshold by bisection so
+    that, on five synthetic weekdays, the realized triggers per day reach
+    the allowance. Each pass walks the days with ``eligible_ticks`` and
+    fires where the score clears the candidate threshold; scores evolve
+    with the budget state as triggers fire, as they do in a study."""
+    week = [date(2024, 1, 1) + timedelta(days=i) for i in range(5)]
 
     def triggers_per_day(theta: float) -> float:
         total = 0
         for day in week:
             budget = BudgetState(max_per_day=daily_budget)
-            budget.start_day()
-            minute = budget.window_start_minute
-            while minute < budget.window_end_minute:
-                now = day.replace(hour=minute // 60, minute=minute % 60)
-                if eligible(budget, now):
-                    if score(model, features(now, budget)) >= theta:
-                        budget.record_delivery(now)
-                        total += 1
-                minute += TICK_MINUTES
+            for now in eligible_ticks(day, budget):
+                if score(model, features(now, budget)) >= theta:
+                    budget.record_delivery(now)
+                    total += 1
         return total / len(week)
 
     lo, hi = 0.0, 1.0

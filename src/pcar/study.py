@@ -20,8 +20,9 @@ import hashlib
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .agent import (
     plan_oracle,
     random_policy,
 )
-from .catalog import Catalog, load_catalog, load_starter_catalog
+from .catalog import load_catalog, load_starter_catalog, resolve
 from .cohort import (
     EngagementParams,
     ParticipantModel,
@@ -51,20 +52,22 @@ from .cohort import (
 )
 from .lsd import LsdState, advance, initial_state
 from .scheduler import (
+    SERVICE_TICKS,
+    TICK_MINUTES,
+    WINDOW_END_MINUTE,
+    WINDOW_START_MINUTE,
     BudgetState,
     TimingModel,
     calibrate_threshold,
-    decide,
-    eligible,
+    eligible_ticks,
     features,
+    score,
     train,
 )
 from .stats import SummaryRow, mean_of_means, welch_t, write_summary_csv
 
 SCHEMA_VERSION = 1
 STUDY_START = date(2024, 1, 1)  # a Monday; weeks align with calendar weeks
-TICK_MINUTES = 5
-DAY_TICKS = tuple(range(8 * 60, 21 * 60, TICK_MINUTES))
 POST_EMA_DELAY_MINUTES = 10
 
 DEFAULT_CONFIG: dict = {
@@ -152,10 +155,31 @@ def _merge(defaults: dict, user: dict) -> dict:
     return out
 
 
+def _check_int(value, name: str, minimum: int | None = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+
+
+def _hhmm(minute: int) -> str:
+    return f"{minute // 60:02d}:{minute % 60:02d}"
+
+
+def _parse_hhmm(text, name: str = "time") -> int:
+    """Minutes after midnight of a 24-hour ``hh:mm`` string."""
+    match = isinstance(text, str) and re.fullmatch(r"([0-9]{2}):([0-9]{2})", text)
+    if not match or int(match[1]) > 23 or int(match[2]) > 59:
+        raise ConfigError(f"{name} must be an 'hh:mm' time, got {text!r}")
+    return int(match[1]) * 60 + int(match[2])
+
+
 def load_config(source: dict | str | Path) -> dict:
     """Validate a config mapping (or JSON file) against the documented
-    schema: unknown keys are rejected, allocations must sum to one, and
-    referenced files must exist."""
+    schema: unknown keys are rejected, study-shape and budget counts must
+    be integers, the delivery window must lie inside the scheduler's
+    08:00-21:00 grid, allocations must sum to one, and referenced files
+    must exist."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             user = json.load(fh)
@@ -169,10 +193,20 @@ def load_config(source: dict | str | Path) -> dict:
         raise ConfigError(
             f"config schema_version {cfg['schema_version']} != {SCHEMA_VERSION}"
         )
-    if cfg["n_participants"] < 1:
-        raise ConfigError("n_participants must be >= 1")
-    if cfg["weeks_per_phase"] < 1:
-        raise ConfigError("weeks_per_phase must be >= 1")
+    _check_int(cfg["seed"], "seed")
+    _check_int(cfg["n_participants"], "n_participants", 1)
+    _check_int(cfg["weeks_per_phase"], "weeks_per_phase", 1)
+    bcfg = cfg["budget"]
+    _check_int(bcfg["max_per_day"], "budget.max_per_day", 1)
+    _check_int(bcfg["min_gap_minutes"], "budget.min_gap_minutes", 0)
+    start = _parse_hhmm(bcfg["window_start"], "budget.window_start")
+    end = _parse_hhmm(bcfg["window_end"], "budget.window_end")
+    if not WINDOW_START_MINUTE <= start < end <= WINDOW_END_MINUTE:
+        raise ConfigError(
+            f"budget window {_hhmm(start)}-{_hhmm(end)} must satisfy "
+            f"{_hhmm(WINDOW_START_MINUTE)} <= start < end <= "
+            f"{_hhmm(WINDOW_END_MINUTE)}"
+        )
     for name in ("phase1_allocation", "phase2_allocation"):
         total = sum(cfg[name].values())
         if abs(total - 1.0) > 1e-9:
@@ -355,11 +389,6 @@ def _date_of_day(day_idx: int) -> date:
     return STUDY_START + timedelta(days=week * 7 + dow)
 
 
-def _parse_hhmm(text: str) -> int:
-    h, m = text.split(":")
-    return int(h) * 60 + int(m)
-
-
 def run_study(cfg: dict | str | Path) -> StudyLog:
     """Simulate the full two-phase study described by the config."""
     cfg = load_config(cfg)  # idempotent for already-validated configs
@@ -523,26 +552,19 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
 
         for pid in pids:
             st = states[pid]
-            st.budget.start_day()
             p = st.model
-            for minute in DAY_TICKS:
-                now = datetime.combine(day_date, time(minute // 60, minute % 60))
+            for now in eligible_ticks(day_date, st.budget):
                 if model_mode:
-                    if not eligible(st.budget, now):
-                        continue
                     x = features(now, st.budget)
-                    fire = decide(timing_model, st.budget, now)
-                    label = None
+                    fire = score(timing_model, x) >= timing_model.threshold
                 else:
-                    if not eligible(st.budget, now):
-                        continue
                     fire = st.rng.random() < scfg["trigger_rate"]
                 if not fire:
                     if model_mode:
                         timing_history.append((x, None, day_idx))
                     continue
                 st.budget.record_delivery(now)
-                hour = minute // 60
+                hour = now.hour
                 engaged = accept(p, hour, st.rng, engagement=st.engagement)
                 if model_mode:
                     timing_history.append((x, 1.0 if engaged else 0.0, day_idx))
@@ -578,7 +600,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                     action = random_policy(schema, st.rng)
                 idx = schema.validate_vector(action)
                 taus = tuple(st.clocks[a].taus[i] for a, i in enumerate(idx))
-                entry = _resolve_entry(catalog, action, st.rng)
+                entry = resolve(catalog, action, st.rng)
                 completed = st.rng.random() < p.completion_rate
                 post = reward = None
                 if completed:
@@ -661,12 +683,6 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
     log = StudyLog(records=records, meta=meta, schema=schema)
     _assert_budget_safety(log)
     return log
-
-
-def _resolve_entry(catalog: Catalog, action: tuple[str, ...], rng):
-    from .catalog import resolve
-
-    return resolve(catalog, action, rng)
 
 
 def _assert_budget_safety(log: StudyLog) -> None:
@@ -978,10 +994,6 @@ class TimingComparison:
     p: float
 
 
-def _timing_day_dates(n_days: int, start_day: int = 0):
-    return [_date_of_day(start_day + d) for d in range(n_days)]
-
-
 def timing_comparison(
     seeds: int = 20,
     n_participants: int = 20,
@@ -1011,20 +1023,13 @@ def timing_comparison(
             rows, hits, n = [], 0, 0
             for pi, participant in enumerate(cohort):
                 for d in range(days):
-                    day_date = _date_of_day(day0 + d)
                     budget = BudgetState()
-                    budget.start_day()
-                    for minute in DAY_TICKS:
-                        now = datetime.combine(
-                            day_date, time(minute // 60, minute % 60)
-                        )
-                        if not eligible(budget, now):
-                            continue
+                    for now in eligible_ticks(_date_of_day(day0 + d), budget):
                         x = features(now, budget)
                         label = None
                         if rng.random() < q:
                             budget.record_delivery(now)
-                            ok = accept(participant, minute // 60, rng)
+                            ok = accept(participant, now.hour, rng)
                             label = 1.0 if ok else 0.0
                             hits += ok
                             n += 1
@@ -1044,14 +1049,11 @@ def timing_comparison(
         hits = n = 0
         for participant in cohort:
             for d in range(eval_days):
-                day_date = _date_of_day(history_days + d)
                 budget = BudgetState()
-                budget.start_day()
-                for minute in DAY_TICKS:
-                    now = datetime.combine(day_date, time(minute // 60, minute % 60))
-                    if decide(model, budget, now):
+                for now in eligible_ticks(_date_of_day(history_days + d), budget):
+                    if score(model, features(now, budget)) >= model.threshold:
                         budget.record_delivery(now)
-                        ok = accept(participant, minute // 60, rng)
+                        ok = accept(participant, now.hour, rng)
                         hits += ok
                         n += 1
         t_acc = hits / n if n else 0.0
@@ -1062,7 +1064,7 @@ def timing_comparison(
         # uniform baseline matched to the trained policy's realized budget;
         # the 1.2 factor offsets truncation by the daily cap
         blocked = 120 / TICK_MINUTES
-        q_matched = 1.2 * t_rate / max(len(DAY_TICKS) - blocked * t_rate, 1.0)
+        q_matched = 1.2 * t_rate / max(len(SERVICE_TICKS) - blocked * t_rate, 1.0)
         _, u_acc, u_rate = run_uniform(
             eval_days, q_matched, False, history_days + eval_days
         )

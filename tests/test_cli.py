@@ -54,6 +54,27 @@ def test_bad_config_fails_with_json_error(tmp_path, capsys):
     assert "bogus_key" in doc["error"]
 
 
+@pytest.mark.parametrize("user", [
+    {"n_participants": "28"},
+    {"budget": {"max_per_day": "3"}},
+    {"budget": {"window_start": "8am"}},
+    {"budget": {"window_start": "07:00"}},
+    {"budget": {"window_end": "22:00"}},
+])
+def test_bad_config_values_fail_before_simulating(tmp_path, capsys, user):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(user))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json")])
     assert code != 0

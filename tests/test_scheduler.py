@@ -1,8 +1,10 @@
 import math
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcar.scheduler import (
     N_FEATURES,
@@ -12,6 +14,7 @@ from pcar.scheduler import (
     composite_loss,
     decide,
     eligible,
+    eligible_ticks,
     expected_daily_triggers,
     features,
     score,
@@ -52,6 +55,74 @@ def test_eligible_daily_cap():
 def test_eligible_gap_spans_days():
     b = BudgetState(delivered_today=2, last_delivery=at(MONDAY, 7, 50))
     assert eligible(b, at(TUESDAY, 10))
+
+
+def _walk(ticks, budget, deliver_at):
+    """Drive a tick iterator like a study does: deliver at the yielded
+    ticks whose positions are in ``deliver_at``."""
+    out = []
+    for i, now in enumerate(ticks):
+        out.append(now)
+        if i in deliver_at:
+            budget.record_delivery(now)
+    return out
+
+
+def _plain_ticks(day, budget):
+    """Reference walk, written out: every 5 minutes from 08:00 to 20:55."""
+    budget.start_day()
+    minute = 8 * 60
+    while minute < 21 * 60:
+        now = datetime(day.year, day.month, day.day, minute // 60, minute % 60)
+        if eligible(budget, now):
+            yield now
+        minute += 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    max_per_day=st.integers(0, 5),
+    min_gap=st.integers(0, 300),
+    window=st.tuples(st.integers(8 * 60, 21 * 60), st.integers(8 * 60, 21 * 60))
+    .filter(lambda w: w[0] < w[1]),
+    weekday=st.integers(0, 6),
+    weekdays_only=st.booleans(),
+    last_evening=st.one_of(st.none(), st.integers(17 * 60, 24 * 60 - 1)),
+    deliver_at=st.sets(st.integers(0, 160), max_size=8),
+)
+def test_eligible_ticks_matches_plain_loop(max_per_day, min_gap, window, weekday,
+                                           weekdays_only, last_evening, deliver_at):
+    day = date(2024, 1, 1) + timedelta(days=weekday)
+
+    def budget():
+        last = (None if last_evening is None else
+                datetime.combine(day, datetime.min.time())
+                - timedelta(days=1) + timedelta(minutes=last_evening))
+        # yesterday's count: both walks must reset it
+        return BudgetState(delivered_today=max_per_day, last_delivery=last,
+                           max_per_day=max_per_day, min_gap_minutes=min_gap,
+                           window_start_minute=window[0],
+                           window_end_minute=window[1],
+                           weekdays_only=weekdays_only)
+
+    a, b = budget(), budget()
+    got = _walk(eligible_ticks(day, a), a, deliver_at)
+    want = _walk(_plain_ticks(day, b), b, deliver_at)
+    assert got == want
+    assert a == b
+
+
+def test_eligible_ticks_delivery_blocks_two_hours_and_cap_ends_day():
+    b = BudgetState()
+    assert len(list(eligible_ticks(TUESDAY.date(), b))) == 156
+    assert len(list(eligible_ticks(SATURDAY.date(), b))) == 0
+    seen = _walk(eligible_ticks(TUESDAY.date(), b), b, {0, 1, 2})
+    assert seen == [at(TUESDAY, 8), at(TUESDAY, 10), at(TUESDAY, 12)]
+    assert b.delivered_today == 3
+    ticks = eligible_ticks(TUESDAY.date(), b)  # a new day resets the count
+    assert next(ticks) == at(TUESDAY, 14)  # but the gap still counts
+    b.record_delivery(at(TUESDAY, 14))
+    assert next(ticks) == at(TUESDAY, 16)
 
 
 def test_features_fresh_morning():
@@ -145,6 +216,26 @@ def test_train_loss_non_increasing_per_epoch():
         m = train(m, rows, daily_budget=3.0, epochs=1, step=0.05)
         losses.append(composite_loss(m, rows, 3.0))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def test_day_sums_equal_plain_loop_on_unsorted_keys():
+    rng = np.random.default_rng(3)
+    keys = [(pid, d) for pid in (2, 0, 1) for d in (3, 1, 2)]  # unsorted
+    rows = [(rng.normal(size=N_FEATURES),
+             float(rng.random() < 0.5) if i % 3 == 0 else None,
+             keys[rng.integers(len(keys))]) for i in range(200)]
+    m = TimingModel(weights=rng.normal(size=N_FEATURES) * 0.3, bias=-1.0,
+                    budget_penalty=0.2)
+    X = np.vstack([x for x, _, _ in rows])
+    p = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias)))
+    totals = {}
+    for pi, (_, _, day) in zip(p, rows):
+        totals[day] = totals.get(day, 0.0) + pi
+    want = float(np.mean([totals[d] for d in sorted(totals)]))
+    assert expected_daily_triggers(m, rows) == want
+    y = np.asarray([np.nan if lab is None else lab for _, lab, _ in rows])
+    mse = float(np.mean((p[~np.isnan(y)] - y[~np.isnan(y)]) ** 2))
+    assert composite_loss(m, rows, 3.0) == mse + 0.2 * (want - 3.0) ** 2
 
 
 def test_train_empty_history_rejected():

@@ -48,6 +48,35 @@ def test_load_config_rejects_bad_allocations():
         load_config({"phase1_allocation": {"control": 0.5, "random": 0.2}})
 
 
+BAD_CONFIGS = [
+    ({"n_participants": "28"}, "n_participants must be an integer"),
+    ({"weeks_per_phase": 1.5}, "weeks_per_phase must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"n_participants": 0}, "n_participants must be >= 1"),
+    ({"budget": {"max_per_day": "3"}}, "budget.max_per_day must be an integer"),
+    ({"budget": {"max_per_day": 0}}, "budget.max_per_day must be >= 1"),
+    ({"budget": {"min_gap_minutes": -5}}, "budget.min_gap_minutes must be >= 0"),
+    ({"budget": {"window_start": "8am"}}, "budget.window_start must be an 'hh:mm'"),
+    ({"budget": {"window_end": "21:60"}}, "budget.window_end must be an 'hh:mm'"),
+    ({"budget": {"window_end": 2100}}, "budget.window_end must be an 'hh:mm'"),
+    ({"budget": {"window_start": "07:00"}}, "08:00 <= start < end <= 21:00"),
+    ({"budget": {"window_end": "22:00"}}, "08:00 <= start < end <= 21:00"),
+    ({"budget": {"window_start": "12:00", "window_end": "12:00"}},
+     "08:00 <= start < end <= 21:00"),
+]
+
+
+@pytest.mark.parametrize("user,message", BAD_CONFIGS)
+def test_load_config_rejects_bad_types_and_windows(user, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(user)
+
+
+def test_load_config_accepts_window_inside_grid():
+    cfg = load_config({"budget": {"window_start": "09:30", "window_end": "21:00"}})
+    assert cfg["budget"]["window_start"] == "09:30"
+
+
 def test_load_config_rejects_missing_catalog():
     with pytest.raises(ConfigError, match="catalog"):
         load_config({"catalog_path": "/nonexistent/cat.tsv"})
