@@ -7,6 +7,12 @@ how likely a contact at the current 5-minute tick is to be engaged with.
 It is fit by full-batch gradient descent on a squared-error term plus a
 budget-pressure term that pulls the expected number of daily triggers
 toward the allowance.
+
+Training merges identical (features, label) history rows into one row
+with a count, so a night's refit costs as much as its distinct rows. In a
+study every participant shares one model and fires deterministically, so
+the cohort walks few distinct budget states. Scores are cached the same
+way: ``score_cache`` scores each budget state once per model.
 """
 
 from __future__ import annotations
@@ -198,28 +204,32 @@ def _unpack_history(history):
     """History rows are (features, label, day key) for each eligible
     tick. The label is 1/0 engagement feedback for ticks where a contact
     went out and None for the rest; unlabeled ticks still count toward the
-    expected-daily-triggers budget term. Day keys become a dense index in
-    sorted key order."""
+    expected-daily-triggers budget term. Identical (features, label) rows
+    merge into one row with a count. Returns the distinct feature rows,
+    their labels (NaN for unlabeled), the labeled mask, the counts and the
+    number of distinct day keys."""
     if not history:
         raise ValueError("history is empty")
-    xs, ys, days = [], [], []
+    index: dict = {}
+    xs, ys, counts = [], [], []
+    days = set()
     for x, y, day in history:
-        xs.append(np.asarray(x, dtype=float))
-        ys.append(np.nan if y is None else float(y))
-        days.append(day)
-    X = np.vstack(xs)
+        x = np.asarray(x, dtype=float)
+        key = (x.tobytes(), y)
+        i = index.get(key)
+        if i is None:
+            index[key] = len(xs)
+            xs.append(x)
+            ys.append(np.nan if y is None else float(y))
+            counts.append(1)
+        else:
+            counts[i] += 1
+        days.add(day)
     y = np.asarray(ys)
     labeled = ~np.isnan(y)
     if not labeled.any():
         raise ValueError("history has no labeled rows")
-    day_of = {d: i for i, d in enumerate(sorted(set(days)))}
-    day_idx = np.asarray([day_of[d] for d in days])
-    return X, y, labeled, day_idx
-
-
-def _mean_day_sum(p: np.ndarray, day_idx: np.ndarray) -> float:
-    """Sum ``p`` within each day, then average over the days."""
-    return float(np.bincount(day_idx, weights=p).mean())
+    return np.vstack(xs), y, labeled, np.asarray(counts, dtype=float), len(days)
 
 
 def _probabilities(model: TimingModel, X: np.ndarray) -> np.ndarray:
@@ -231,10 +241,11 @@ def composite_loss(model: TimingModel, history, daily_budget: float) -> float:
     """mean squared error over labeled rows + budget_penalty * (mean
     expected daily triggers - allowance)^2, where a day's expected triggers
     is the sum of its ticks' probabilities."""
-    X, y, labeled, day_idx = _unpack_history(history)
+    X, y, labeled, counts, n_days = _unpack_history(history)
     p = _probabilities(model, X)
-    mse = float(np.mean((p[labeled] - y[labeled]) ** 2))
-    mean_triggers = _mean_day_sum(p, day_idx)
+    c = counts[labeled]
+    mse = float(c @ (p[labeled] - y[labeled]) ** 2 / c.sum())
+    mean_triggers = float(counts @ p) / n_days
     return mse + model.budget_penalty * (mean_triggers - daily_budget) ** 2
 
 
@@ -248,19 +259,24 @@ def train(
     """Full-batch gradient descent on the composite loss. Features are
     standardized over the history first (per feature axis, like the
     sensing pipeline's preprocessing); the fitted transform ships inside
-    the returned model. Deterministic; leaves the input untouched."""
-    X, y, labeled, day_idx = _unpack_history(history)
+    the returned model. Deterministic; leaves the input untouched.
+
+    Each epoch costs as much as the distinct (features, label) rows: a
+    merged row is weighted by its count. The budget term averages the
+    expected triggers over the distinct day keys of the history, so a
+    study keys its rows by participant-day."""
+    X, y, labeled, counts, n_days = _unpack_history(history)
+    n_rows = counts.sum()
     if model.feature_mean is None:
-        mean = X.mean(axis=0)
-        scale = X.std(axis=0)
+        mean = counts @ X / n_rows
+        scale = np.sqrt(counts @ (X - mean) ** 2 / n_rows)
         scale[scale < 1e-9] = 1.0
     else:
         mean, scale = model.feature_mean, model.feature_scale
     X = (X - mean) / scale
     w = model.weights.astype(float).copy()
     b = model.bias
-    n_labeled = int(labeled.sum())
-    n_days = int(day_idx.max()) + 1
+    n_labeled = counts[labeled].sum()
     y_fit = np.where(labeled, y, 0.0)
 
     for _ in range(epochs):
@@ -269,22 +285,42 @@ def train(
         sig_grad = p * (1.0 - p)
         # classification term over labeled rows
         g = np.where(labeled, 2.0 * (p - y_fit) * sig_grad / n_labeled, 0.0)
-        grad_w = X.T @ g
-        grad_b = float(np.sum(g))
         # budget-pressure term over every eligible tick
         pressure = 2.0 * model.budget_penalty * (
-            _mean_day_sum(p, day_idx) - daily_budget)
-        gb = pressure * sig_grad / n_days
-        grad_w += X.T @ gb
-        grad_b += float(np.sum(gb))
-        w -= step * grad_w
-        b -= step * grad_b
+            float(counts @ p) / n_days - daily_budget)
+        g += pressure * sig_grad / n_days
+        g *= counts
+        w -= step * (X.T @ g)
+        b -= step * float(np.sum(g))
     return replace(model, weights=w, bias=b, feature_mean=mean, feature_scale=scale)
 
 
 def expected_daily_triggers(model: TimingModel, history) -> float:
-    X, _, _, day_idx = _unpack_history(history)
-    return _mean_day_sum(_probabilities(model, X), day_idx)
+    X, _, _, counts, n_days = _unpack_history(history)
+    return float(counts @ _probabilities(model, X)) / n_days
+
+
+def score_cache(model: TimingModel):
+    """Return ``scored(now, budget) -> (features, score)`` for ``model``.
+
+    Features, and so the score, depend only on the tick and the budget
+    state (last delivery, contacts today) and shape (allowance, window
+    end), so each such state is featurized and scored once. Callers that
+    walk the same states -- the bisection passes of a calibration, the
+    participants of a study sharing one model -- share the work. The
+    returned feature arrays are shared; do not modify them."""
+    memo: dict = {}
+
+    def scored(now: datetime, budget: BudgetState) -> tuple[np.ndarray, float]:
+        key = (now, budget.last_delivery, budget.delivered_today,
+               budget.max_per_day, budget.window_end_minute)
+        hit = memo.get(key)
+        if hit is None:
+            x = features(now, budget)
+            hit = memo[key] = (x, score(model, x))
+        return hit
+
+    return scored
 
 
 def calibrate_threshold(
@@ -294,15 +330,17 @@ def calibrate_threshold(
     that, on five synthetic weekdays, the realized triggers per day reach
     the allowance. Each pass walks the days with ``eligible_ticks`` and
     fires where the score clears the candidate threshold; scores evolve
-    with the budget state as triggers fire, as they do in a study."""
+    with the budget state as triggers fire, as they do in a study. The
+    passes share one ``score_cache``."""
     week = [date(2024, 1, 1) + timedelta(days=i) for i in range(5)]
+    scored = score_cache(model)
 
     def triggers_per_day(theta: float) -> float:
         total = 0
         for day in week:
             budget = BudgetState(max_per_day=daily_budget)
             for now in eligible_ticks(day, budget):
-                if score(model, features(now, budget)) >= theta:
+                if scored(now, budget)[1] >= theta:
                     budget.record_delivery(now)
                     total += 1
         return total / len(week)

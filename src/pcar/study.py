@@ -61,7 +61,7 @@ from .scheduler import (
     calibrate_threshold,
     eligible_ticks,
     features,
-    score,
+    score_cache,
     train,
 )
 from .stats import SummaryRow, mean_of_means, welch_t, write_summary_csv
@@ -485,6 +485,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         timing_model = calibrate_threshold(
             timing_model, daily_budget=bcfg["max_per_day"]
         )
+    # every participant shares the model, so each budget state is scored once
+    scored = score_cache(timing_model)
     timing_history: list = []
 
     records: list[InterventionRecord] = []
@@ -555,8 +557,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             p = st.model
             for now in eligible_ticks(day_date, st.budget):
                 if model_mode:
-                    x = features(now, st.budget)
-                    fire = score(timing_model, x) >= timing_model.threshold
+                    x, likelihood = scored(now, st.budget)
+                    fire = likelihood >= timing_model.threshold
                 else:
                     fire = st.rng.random() < scfg["trigger_rate"]
                 if not fire:
@@ -666,6 +668,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 timing_model = calibrate_threshold(
                     timing_model, daily_budget=bcfg["max_per_day"]
                 )
+                scored = score_cache(timing_model)
 
     records.sort(key=lambda r: (r.pid, r.day, r.timestamp))
     meta = {
@@ -1046,12 +1049,14 @@ def timing_comparison(
         )
         model = calibrate_threshold(model, daily_budget=daily_budget)
 
+        # the trained policy walks the same states for every participant
+        scored = score_cache(model)
         hits = n = 0
         for participant in cohort:
             for d in range(eval_days):
                 budget = BudgetState()
                 for now in eligible_ticks(_date_of_day(history_days + d), budget):
-                    if score(model, features(now, budget)) >= model.threshold:
+                    if scored(now, budget)[1] >= model.threshold:
                         budget.record_delivery(now)
                         ok = accept(participant, now.hour, rng)
                         hits += ok

@@ -18,6 +18,7 @@ from pcar.scheduler import (
     expected_daily_triggers,
     features,
     score,
+    score_cache,
     train,
 )
 
@@ -236,6 +237,139 @@ def test_day_sums_equal_plain_loop_on_unsorted_keys():
     y = np.asarray([np.nan if lab is None else lab for _, lab, _ in rows])
     mse = float(np.mean((p[~np.isnan(y)] - y[~np.isnan(y)]) ** 2))
     assert composite_loss(m, rows, 3.0) == mse + 0.2 * (want - 3.0) ** 2
+
+
+def _reference_unpack(rows):
+    """Per-row arrays of a history, one row per tick, no merging."""
+    X = np.vstack([np.asarray(x, dtype=float) for x, _, _ in rows])
+    y = np.asarray([np.nan if lab is None else lab for _, lab, _ in rows])
+    return X, y, ~np.isnan(y), [day for _, _, day in rows]
+
+
+def _reference_day_mean(p, days):
+    totals = {}
+    for pi, day in zip(p, days):
+        totals[day] = totals.get(day, 0.0) + pi
+    return sum(totals.values()) / len(totals)
+
+
+def _reference_loss(model, rows, daily_budget):
+    X, y, labeled, days = _reference_unpack(rows)
+    p = 1.0 / (1.0 + np.exp(-(X @ model.weights + model.bias)))
+    mse = float(np.mean((p[labeled] - y[labeled]) ** 2))
+    return mse + model.budget_penalty * (_reference_day_mean(p, days)
+                                         - daily_budget) ** 2
+
+
+def _reference_train(model, rows, daily_budget, epochs, step):
+    """The composite-loss gradient descent, one term per history row."""
+    X, y, labeled, days = _reference_unpack(rows)
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale[scale < 1e-9] = 1.0
+    X = (X - mean) / scale
+    w, b = model.weights.copy(), model.bias
+    n_days = len(set(days))
+    for _ in range(epochs):
+        p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
+        pressure = 2.0 * model.budget_penalty * (
+            _reference_day_mean(p, days) - daily_budget)
+        grad_w, grad_b = np.zeros_like(w), 0.0
+        for xi, pi, yi, li in zip(X, p, y, labeled):
+            g = pressure * pi * (1.0 - pi) / n_days
+            if li:
+                g += 2.0 * (pi - yi) * pi * (1.0 - pi) / labeled.sum()
+            grad_w += g * xi
+            grad_b += g
+        w, b = w - step * grad_w, b - step * grad_b
+    return w, b, mean, scale
+
+
+def _duplicated_history():
+    """Few distinct rows, each repeated, with unlabeled duplicates and
+    tuple (participant, day) keys in no particular order."""
+    rng = np.random.default_rng(7)
+    distinct = [(rng.normal(size=N_FEATURES), lab)
+                for lab in (None, None, None, 1.0, 0.0, 1.0)]
+    keys = [(pid, d) for pid in (3, 0, 2) for d in (4, 1)]
+    return [(distinct[i][0].copy(), distinct[i][1], keys[rng.integers(len(keys))])
+            for i in rng.integers(len(distinct), size=300)]
+
+
+def test_merged_rows_match_per_row_reference():
+    rows = _duplicated_history()
+    rng = np.random.default_rng(8)
+    m = TimingModel(weights=rng.normal(size=N_FEATURES) * 0.3, bias=-1.0,
+                    budget_penalty=0.2)
+    X, _, _, days = _reference_unpack(rows)
+    p = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias)))
+    assert math.isclose(expected_daily_triggers(m, rows),
+                        _reference_day_mean(p, days), rel_tol=1e-12)
+    assert math.isclose(composite_loss(m, rows, 3.0),
+                        _reference_loss(m, rows, 3.0), rel_tol=1e-12)
+    start = TimingModel.budget_init(budget_penalty=0.2)
+    got = train(start, rows, daily_budget=3.0, epochs=3, step=0.05)
+    w, b, mean, scale = _reference_train(start, rows, 3.0, epochs=3, step=0.05)
+    np.testing.assert_allclose(got.feature_mean, mean, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(got.feature_scale, scale, rtol=1e-10)
+    np.testing.assert_allclose(got.weights, w, rtol=1e-10, atol=1e-12)
+    assert math.isclose(got.bias, b, rel_tol=1e-10)
+
+
+def _uncached_threshold(model, daily_budget=3, iterations=40):
+    """Bisection on the realized triggers of five weekdays, scoring every
+    tick afresh."""
+    week = [date(2024, 1, 1) + timedelta(days=i) for i in range(5)]
+
+    def triggers_per_day(theta):
+        total = 0
+        for day in week:
+            budget = BudgetState(max_per_day=daily_budget)
+            for now in eligible_ticks(day, budget):
+                if score(model, features(now, budget)) >= theta:
+                    budget.record_delivery(now)
+                    total += 1
+        return total / len(week)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(iterations):
+        mid = (lo + hi) / 2.0
+        if triggers_per_day(mid) >= daily_budget:
+            lo = mid
+        else:
+            hi = mid
+    return min(max(lo, 1e-9), 1.0 - 1e-9)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    weights=st.lists(st.floats(-3.0, 3.0), min_size=N_FEATURES,
+                     max_size=N_FEATURES),
+    bias=st.floats(-6.0, 6.0),
+    daily_budget=st.integers(1, 4),
+)
+def test_calibrate_threshold_equals_uncached_bisection(weights, bias, daily_budget):
+    m = TimingModel(weights=np.asarray(weights), bias=bias)
+    got = calibrate_threshold(m, daily_budget=daily_budget).threshold
+    assert got == _uncached_threshold(m, daily_budget)
+
+
+def test_score_cache_keeps_budget_shapes_apart():
+    m = TimingModel(weights=np.linspace(-1.0, 1.0, N_FEATURES), bias=0.3)
+    scored = score_cache(m)
+    now = at(TUESDAY, 12)
+    for delivered in (0, 1):
+        last = at(TUESDAY, 9) if delivered else None
+        budgets = [BudgetState(delivered_today=delivered, last_delivery=last,
+                               max_per_day=k) for k in (3, 4, 5)]
+        hits = [scored(now, b) for b in budgets]
+        for b, (x, s) in zip(budgets, hits):
+            assert np.array_equal(x, features(now, b))
+            assert s == score(m, features(now, b))
+            assert scored(now, b)[0] is x  # a repeat is a hit
+        assert len({id(x) for x, _ in hits}) == len(budgets)
+    # the allowance left differs once a contact went out
+    assert len({scored(now, b)[1] for b in budgets}) == len(budgets)
 
 
 def test_train_empty_history_rejected():
