@@ -487,6 +487,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         )
     # every participant shares the model, so each budget state is scored once
     scored = score_cache(timing_model)
+    # (features, label, (pid, day_idx)): the budget term counts per
+    # participant-day, the unit the allowance is set in
     timing_history: list = []
 
     records: list[InterventionRecord] = []
@@ -563,13 +565,14 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                     fire = st.rng.random() < scfg["trigger_rate"]
                 if not fire:
                     if model_mode:
-                        timing_history.append((x, None, day_idx))
+                        timing_history.append((x, None, (pid, day_idx)))
                     continue
                 st.budget.record_delivery(now)
                 hour = now.hour
                 engaged = accept(p, hour, st.rng, engagement=st.engagement)
                 if model_mode:
-                    timing_history.append((x, 1.0 if engaged else 0.0, day_idx))
+                    timing_history.append(
+                        (x, 1.0 if engaged else 0.0, (pid, day_idx)))
                 base = dict(
                     seed=seed, pid=pid, group=st.group, phase=phase, week=week,
                     day=day_idx + 1, timestamp=now.isoformat(),

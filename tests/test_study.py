@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import pcar.study
+from pcar.scheduler import expected_daily_triggers
 from pcar.study import (
     ConfigError,
     benchmark_reward_fn,
@@ -276,3 +278,21 @@ def test_model_scheduler_mode_runs_and_respects_budget():
         per_day.setdefault((r.pid, r.day), 0)
         per_day[(r.pid, r.day)] += 1
     assert max(per_day.values()) <= 3
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_model_mode_budget_term_counts_participant_days(monkeypatch, seed):
+    """The nightly model aims at the allowance per participant-day: on the
+    study's own final history, its expected triggers per day key land near
+    ``max_per_day``."""
+    fit, fits = pcar.study.train, []
+
+    def recording_train(model, history, **kwargs):
+        fitted = fit(model, history, **kwargs)
+        fits.append((fitted, history))
+        return fitted
+
+    monkeypatch.setattr(pcar.study, "train", recording_train)
+    run_study({"seed": seed, "scheduler": {"mode": "model"}})
+    fitted, history = fits[-1]
+    assert 2.5 <= expected_daily_triggers(fitted, history) <= 3.5
