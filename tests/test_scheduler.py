@@ -354,22 +354,25 @@ def test_calibrate_threshold_equals_uncached_bisection(weights, bias, daily_budg
     assert got == _uncached_threshold(m, daily_budget)
 
 
-def test_score_cache_keeps_budget_shapes_apart():
+def test_score_cache_keeps_budget_states_and_shapes_apart():
     m = TimingModel(weights=np.linspace(-1.0, 1.0, N_FEATURES), bias=0.3)
     scored = score_cache(m)
     now = at(TUESDAY, 12)
-    for delivered in (0, 1):
-        last = at(TUESDAY, 9) if delivered else None
-        budgets = [BudgetState(delivered_today=delivered, last_delivery=last,
-                               max_per_day=k) for k in (3, 4, 5)]
-        hits = [scored(now, b) for b in budgets]
-        for b, (x, s) in zip(budgets, hits):
-            assert np.array_equal(x, features(now, b))
-            assert s == score(m, features(now, b))
-            assert scored(now, b)[0] is x  # a repeat is a hit
-        assert len({id(x) for x, _ in hits}) == len(budgets)
-    # the allowance left differs once a contact went out
-    assert len({scored(now, b)[1] for b in budgets}) == len(budgets)
+    base = dict(delivered_today=1, last_delivery=at(TUESDAY, 9))
+    budgets = [BudgetState(**base)] + [
+        BudgetState(**{**base, field: value}) for field, value in (
+            ("delivered_today", 2), ("last_delivery", at(TUESDAY, 8)),
+            ("max_per_day", 4), ("max_per_day", 5), ("window_end_minute", 1200))]
+    hits = [scored(now, b) for b in budgets]
+    for b, (x, s) in zip(budgets, hits):
+        assert np.array_equal(x, features(now, b))
+        assert s == score(m, features(now, b))
+        assert scored(now, b)[0] is x  # a repeat is a hit
+    assert len({s for _, s in hits}) == len(budgets)
+    # fresh budgets with different allowances have equal features, but
+    # still never share an entry
+    fresh = [BudgetState(max_per_day=k) for k in (3, 4, 5)]
+    assert len({id(scored(now, b)[0]) for b in fresh}) == len(fresh)
 
 
 def test_train_empty_history_rejected():
