@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .study import (
-    ConfigError,
     load_config,
     load_log,
     oracle_check,
@@ -151,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # ConfigError is a ValueError; AssertionError comes from the final
+    # budget re-check of a run
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
+    except (ValueError, TypeError, FileNotFoundError, AssertionError) as exc:
         return _fail(str(exc))
 
 

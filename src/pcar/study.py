@@ -178,8 +178,9 @@ def load_config(source: dict | str | Path) -> dict:
     """Validate a config mapping (or JSON file) against the documented
     schema: unknown keys are rejected, study-shape and budget counts must
     be integers, the delivery window must lie inside the scheduler's
-    08:00-21:00 grid, allocations must sum to one, and referenced files
-    must exist."""
+    08:00-21:00 grid, the trigger rate must be a probability, the Q clock
+    clip must lie in 1..tau_max, allocations must sum to one, and
+    referenced files must exist."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             user = json.load(fh)
@@ -213,8 +214,21 @@ def load_config(source: dict | str | Path) -> dict:
             raise ConfigError(f"{name} fractions sum to {total}, expected 1")
         if any(f < 0 for f in cfg[name].values()):
             raise ConfigError(f"{name} fractions must be non-negative")
-    if cfg["scheduler"]["mode"] not in ("uniform_random", "model"):
+    scfg = cfg["scheduler"]
+    if scfg["mode"] not in ("uniform_random", "model"):
         raise ConfigError("scheduler.mode must be uniform_random or model")
+    rate = scfg["trigger_rate"]
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
+            or not 0.0 <= rate <= 1.0:
+        raise ConfigError(f"scheduler.trigger_rate must be in [0, 1], got {rate!r}")
+    acfg = cfg["agent"]
+    _check_int(acfg["tau_max"], "agent.tau_max", 1)
+    if acfg["q_tau_clip"] is not None:
+        _check_int(acfg["q_tau_clip"], "agent.q_tau_clip", 1)
+        if acfg["q_tau_clip"] > acfg["tau_max"]:
+            raise ConfigError(
+                f"agent.q_tau_clip must be in 1..{acfg['tau_max']} (agent.tau_max)"
+            )
     if cfg["catalog_path"] is not None and not Path(cfg["catalog_path"]).exists():
         raise ConfigError(f"catalog file not found: {cfg['catalog_path']}")
     return cfg

@@ -1,8 +1,11 @@
 import json
+from datetime import datetime, time, timedelta
 
 import pytest
 
+import pcar.study
 from pcar.cli import main
+from pcar.scheduler import SERVICE_TICKS
 
 SMALL_CFG = {"seed": 9, "n_participants": 6, "weeks_per_phase": 1}
 
@@ -60,6 +63,8 @@ def test_bad_config_fails_with_json_error(tmp_path, capsys):
     {"budget": {"window_start": "8am"}},
     {"budget": {"window_start": "07:00"}},
     {"budget": {"window_end": "22:00"}},
+    {"scheduler": {"trigger_rate": -1.0}},
+    {"agent": {"q_tau_clip": 9}},
 ])
 def test_bad_config_values_fail_before_simulating(tmp_path, capsys, user):
     path = tmp_path / "bad.json"
@@ -73,6 +78,36 @@ def test_bad_config_values_fail_before_simulating(tmp_path, capsys, user):
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"error"}
     assert not out.exists()
+
+
+def _run_fails_with_one_json_line(tmp_path, capsys, user):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(user))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+def test_type_error_during_run_prints_one_json_line(tmp_path, capsys):
+    user = {"n_participants": 2, "weeks_per_phase": 1,
+            "cohort": {"noise_sigma": "0.7"}}
+    assert _run_fails_with_one_json_line(tmp_path, capsys, user)
+
+
+def test_budget_recheck_failure_prints_one_json_line(tmp_path, capsys,
+                                                     monkeypatch):
+    def every_tick(day, budget):  # a walker that ignores the hard rules
+        budget.start_day()
+        for minute in SERVICE_TICKS:
+            yield datetime.combine(day, time()) + timedelta(minutes=minute)
+
+    monkeypatch.setattr(pcar.study, "eligible_ticks", every_tick)
+    user = {"n_participants": 1, "weeks_per_phase": 1,
+            "scheduler": {"trigger_rate": 1.0}}
+    assert "contacts" in _run_fails_with_one_json_line(tmp_path, capsys, user)
 
 
 def test_missing_config_file(tmp_path, capsys):

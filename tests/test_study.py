@@ -65,6 +65,13 @@ BAD_CONFIGS = [
     ({"budget": {"window_end": "22:00"}}, "08:00 <= start < end <= 21:00"),
     ({"budget": {"window_start": "12:00", "window_end": "12:00"}},
      "08:00 <= start < end <= 21:00"),
+    ({"scheduler": {"trigger_rate": -1.0}}, r"trigger_rate must be in \[0, 1\]"),
+    ({"scheduler": {"trigger_rate": 1.5}}, r"trigger_rate must be in \[0, 1\]"),
+    ({"scheduler": {"trigger_rate": "0.1"}}, r"trigger_rate must be in \[0, 1\]"),
+    ({"agent": {"q_tau_clip": 9}}, r"agent.q_tau_clip must be in 1\.\.6"),
+    ({"agent": {"q_tau_clip": 0}}, "agent.q_tau_clip must be >= 1"),
+    ({"agent": {"tau_max": 2}}, r"agent.q_tau_clip must be in 1\.\.2"),
+    ({"agent": {"tau_max": "6"}}, "agent.tau_max must be an integer"),
 ]
 
 
@@ -72,6 +79,13 @@ BAD_CONFIGS = [
 def test_load_config_rejects_bad_types_and_windows(user, message):
     with pytest.raises(ConfigError, match=message):
         load_config(user)
+
+
+def test_load_config_accepts_edge_rates_and_unset_clip():
+    for rate in (0, 1.0):
+        assert load_config({"scheduler": {"trigger_rate": rate}})
+    cfg = load_config({"agent": {"tau_max": 2, "q_tau_clip": None}})
+    assert cfg["agent"]["q_tau_clip"] is None
 
 
 def test_load_config_accepts_window_inside_grid():
