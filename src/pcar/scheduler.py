@@ -9,7 +9,8 @@ budget-pressure term that pulls the expected number of daily triggers
 toward the allowance.
 
 Training merges identical (features, label) history rows into one row
-with a count, so a night's refit costs as much as its distinct rows. In a
+with a count (``TimingHistory``), so a night's refit costs as much as its
+distinct rows. In a
 study every participant shares one model and fires deterministically, so
 the cohort walks few distinct budget states. Scores are cached the same
 way: ``score_cache`` scores each budget state once per model.
@@ -200,36 +201,61 @@ def score(model: TimingModel, x: np.ndarray) -> float:
     return ez / (1.0 + ez)
 
 
-def _unpack_history(history):
-    """History rows are (features, label, day key) for each eligible
-    tick. The label is 1/0 engagement feedback for ticks where a contact
-    went out and None for the rest; unlabeled ticks still count toward the
-    expected-daily-triggers budget term. Identical (features, label) rows
-    merge into one row with a count. Returns the distinct feature rows,
-    their labels (NaN for unlabeled), the labeled mask, the counts and the
-    number of distinct day keys."""
-    if not history:
-        raise ValueError("history is empty")
-    index: dict = {}
-    xs, ys, counts = [], [], []
-    days = set()
-    for x, y, day in history:
+class TimingHistory:
+    """Training rows of the timing model, merged as they arrive.
+
+    A row is (features, label, day key) for an eligible tick. The label
+    is 1/0 engagement feedback for ticks where a contact went out and None
+    for the rest; unlabeled ticks still count toward the expected-daily-
+    triggers budget term. Identical (features, label) rows merge into one
+    row with a count, so a history costs what its distinct rows cost, and
+    appending keeps a nightly refit from re-reading old rows. ``len``
+    counts the rows appended."""
+
+    def __init__(self, rows=()):
+        self._index: dict = {}
+        self._xs: list = []
+        self._ys: list = []
+        self._counts: list = []
+        self._days: set = set()
+        self._n_rows = 0
+        self.n_labeled = 0
+        for row in rows:
+            self.append(row)
+
+    def __len__(self) -> int:
+        return self._n_rows
+
+    def append(self, row) -> None:
+        x, y, day = row
         x = np.asarray(x, dtype=float)
         key = (x.tobytes(), y)
-        i = index.get(key)
+        i = self._index.get(key)
         if i is None:
-            index[key] = len(xs)
-            xs.append(x)
-            ys.append(np.nan if y is None else float(y))
-            counts.append(1)
+            self._index[key] = len(self._xs)
+            self._xs.append(x)
+            self._ys.append(np.nan if y is None else float(y))
+            self._counts.append(1)
         else:
-            counts[i] += 1
-        days.add(day)
-    y = np.asarray(ys)
-    labeled = ~np.isnan(y)
-    if not labeled.any():
+            self._counts[i] += 1
+        self._days.add(day)
+        self._n_rows += 1
+        self.n_labeled += y is not None
+
+
+def _unpack_history(history):
+    """The distinct feature rows of a history (a ``TimingHistory`` or an
+    iterable of rows), their labels (NaN for unlabeled), the labeled mask,
+    the row counts and the number of distinct day keys."""
+    if not isinstance(history, TimingHistory):
+        history = TimingHistory(history)
+    if not history:
+        raise ValueError("history is empty")
+    if not history.n_labeled:
         raise ValueError("history has no labeled rows")
-    return np.vstack(xs), y, labeled, np.asarray(counts, dtype=float), len(days)
+    y = np.asarray(history._ys)
+    return (np.vstack(history._xs), y, ~np.isnan(y),
+            np.asarray(history._counts, dtype=float), len(history._days))
 
 
 def _probabilities(model: TimingModel, X: np.ndarray) -> np.ndarray:

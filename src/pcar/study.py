@@ -57,6 +57,7 @@ from .scheduler import (
     WINDOW_END_MINUTE,
     WINDOW_START_MINUTE,
     BudgetState,
+    TimingHistory,
     TimingModel,
     calibrate_threshold,
     eligible_ticks,
@@ -503,7 +504,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
     scored = score_cache(timing_model)
     # (features, label, (pid, day_idx)): the budget term counts per
     # participant-day, the unit the allowance is set in
-    timing_history: list = []
+    timing_history = TimingHistory()
 
     records: list[InterventionRecord] = []
 
@@ -666,26 +667,24 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 bundle.end_episode(stream=pid)
                 st.pending = None
 
-        if model_mode and timing_history:
+        if model_mode and timing_history.n_labeled:
             # nightly: refit from scratch on everything seen so far
             fresh = TimingModel.budget_init(
                 daily_budget=bcfg["max_per_day"],
                 threshold=scfg["threshold"],
                 budget_penalty=scfg["budget_penalty"],
             )
-            labeled = any(lbl is not None for _, lbl, _ in timing_history)
-            if labeled:
-                timing_model = train(
-                    fresh,
-                    timing_history,
-                    daily_budget=bcfg["max_per_day"],
-                    epochs=scfg["train_epochs"],
-                    step=scfg["train_step"],
-                )
-                timing_model = calibrate_threshold(
-                    timing_model, daily_budget=bcfg["max_per_day"]
-                )
-                scored = score_cache(timing_model)
+            timing_model = train(
+                fresh,
+                timing_history,
+                daily_budget=bcfg["max_per_day"],
+                epochs=scfg["train_epochs"],
+                step=scfg["train_step"],
+            )
+            timing_model = calibrate_threshold(
+                timing_model, daily_budget=bcfg["max_per_day"]
+            )
+            scored = score_cache(timing_model)
 
     records.sort(key=lambda r: (r.pid, r.day, r.timestamp))
     meta = {

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pcar.scheduler import (
     N_FEATURES,
     BudgetState,
+    TimingHistory,
     TimingModel,
     calibrate_threshold,
     composite_loss,
@@ -314,6 +315,20 @@ def test_merged_rows_match_per_row_reference():
     np.testing.assert_allclose(got.feature_scale, scale, rtol=1e-10)
     np.testing.assert_allclose(got.weights, w, rtol=1e-10, atol=1e-12)
     assert math.isclose(got.bias, b, rel_tol=1e-10)
+
+
+def test_timing_history_appended_row_by_row_trains_like_a_list():
+    rows = _duplicated_history()
+    history = TimingHistory()
+    for row in rows:
+        history.append(row)
+    assert len(history) == len(rows)
+    assert history.n_labeled == sum(lab is not None for _, lab, _ in rows)
+    start = TimingModel.budget_init(budget_penalty=0.2)
+    a = train(start, history, epochs=5)
+    b = train(start, rows, epochs=5)
+    assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+    assert expected_daily_triggers(a, history) == expected_daily_triggers(a, rows)
 
 
 def _uncached_threshold(model, daily_budget=3, iterations=40):
