@@ -10,10 +10,10 @@ toward the allowance.
 
 Training merges identical (features, label) history rows into one row
 with a count (``TimingHistory``), so a night's refit costs as much as its
-distinct rows. In a
-study every participant shares one model and fires deterministically, so
-the cohort walks few distinct budget states. Scores are cached the same
-way: ``score_cache`` scores each budget state once per model.
+distinct rows. In a study every participant shares one model and fires
+deterministically, so the cohort walks few distinct budget states. Scores
+are cached the same way: ``score_cache`` scores each budget state once
+per model.
 """
 
 from __future__ import annotations

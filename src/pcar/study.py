@@ -219,8 +219,8 @@ def load_config(source: dict | str | Path) -> dict:
     if scfg["mode"] not in ("uniform_random", "model"):
         raise ConfigError("scheduler.mode must be uniform_random or model")
     rate = scfg["trigger_rate"]
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
-            or not 0.0 <= rate <= 1.0:
+    is_number = isinstance(rate, (int, float)) and not isinstance(rate, bool)
+    if not (is_number and 0.0 <= rate <= 1.0):
         raise ConfigError(f"scheduler.trigger_rate must be in [0, 1], got {rate!r}")
     acfg = cfg["agent"]
     _check_int(acfg["tau_max"], "agent.tau_max", 1)
