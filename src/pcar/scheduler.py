@@ -213,10 +213,7 @@ class TimingHistory:
     counts the rows appended."""
 
     def __init__(self, rows=()):
-        self._index: dict = {}
-        self._xs: list = []
-        self._ys: list = []
-        self._counts: list = []
+        self._rows: dict = {}  # (feature bytes, label) -> [features, count]
         self._days: set = set()
         self._n_rows = 0
         self.n_labeled = 0
@@ -229,15 +226,7 @@ class TimingHistory:
     def append(self, row) -> None:
         x, y, day = row
         x = np.asarray(x, dtype=float)
-        key = (x.tobytes(), y)
-        i = self._index.get(key)
-        if i is None:
-            self._index[key] = len(self._xs)
-            self._xs.append(x)
-            self._ys.append(np.nan if y is None else float(y))
-            self._counts.append(1)
-        else:
-            self._counts[i] += 1
+        self._rows.setdefault((x.tobytes(), y), [x, 0])[1] += 1
         self._days.add(day)
         self._n_rows += 1
         self.n_labeled += y is not None
@@ -253,9 +242,11 @@ def _unpack_history(history):
         raise ValueError("history is empty")
     if not history.n_labeled:
         raise ValueError("history has no labeled rows")
-    y = np.asarray(history._ys)
-    return (np.vstack(history._xs), y, ~np.isnan(y),
-            np.asarray(history._counts, dtype=float), len(history._days))
+    merged = history._rows
+    y = np.asarray([np.nan if lab is None else lab for _, lab in merged], dtype=float)
+    return (np.vstack([x for x, _ in merged.values()]), y, ~np.isnan(y),
+            np.asarray([c for _, c in merged.values()], dtype=float),
+            len(history._days))
 
 
 def _probabilities(model: TimingModel, X: np.ndarray) -> np.ndarray:
