@@ -373,6 +373,26 @@ def calibrate_threshold(
     return replace(model, threshold=theta)
 
 
+def fit(
+    history,
+    daily_budget: int,
+    budget_penalty: float = 0.1,
+    epochs: int = 500,
+    step: float = 0.05,
+) -> TimingModel:
+    """The timing model's whole fit: start from ``TimingModel.budget_init``,
+    ``train`` it on ``history`` (skipped when ``history`` is None, the cold
+    start of a study with no feedback yet), then ``calibrate_threshold`` so
+    the model fires ``daily_budget`` times a day. The threshold is always
+    calibrated, never configured."""
+    model = TimingModel.budget_init(daily_budget=daily_budget,
+                                    budget_penalty=budget_penalty)
+    if history is not None:
+        model = train(model, history, daily_budget=daily_budget,
+                      epochs=epochs, step=step)
+    return calibrate_threshold(model, daily_budget=daily_budget)
+
+
 def decide(model: TimingModel, budget: BudgetState, now: datetime) -> bool:
     """Trigger decision at one tick: hard rules first, then the scorer
     against the threshold. Only valid on the 5-minute grid."""

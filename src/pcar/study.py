@@ -58,18 +58,17 @@ from .scheduler import (
     WINDOW_START_MINUTE,
     BudgetState,
     TimingHistory,
-    TimingModel,
-    calibrate_threshold,
     eligible_ticks,
     features,
+    fit,
     score_cache,
-    train,
 )
 from .stats import SummaryRow, mean_of_means, welch_t, write_summary_csv
 
 SCHEMA_VERSION = 1
 STUDY_START = date(2024, 1, 1)  # a Monday; weeks align with calendar weeks
 POST_EMA_DELAY_MINUTES = 10
+TRAIT_BUCKETS = 2  # participant trait buckets in the learner's context
 
 DEFAULT_CONFIG: dict = {
     "schema_version": SCHEMA_VERSION,
@@ -404,6 +403,13 @@ def _date_of_day(day_idx: int) -> date:
     return STUDY_START + timedelta(days=week * 7 + dow)
 
 
+def _split(order: list[str], fractions: dict[str, float]) -> dict[str, str]:
+    """Assign ``order`` to the groups of ``fractions`` in declared order,
+    sized by ``split_counts``."""
+    counts = split_counts(len(order), fractions)
+    return dict(zip(order, (g for g in fractions for _ in range(counts[g]))))
+
+
 def run_study(cfg: dict | str | Path) -> StudyLog:
     """Simulate the full two-phase study described by the config."""
     cfg = load_config(cfg)  # idempotent for already-validated configs
@@ -425,13 +431,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
     pids = [f"p{i + 1:03d}" for i in range(n)]
     alloc_rng = np.random.default_rng(hash64(seed, "alloc"))
     shuffled = [pids[i] for i in alloc_rng.permutation(n)]
-    counts = split_counts(n, cfg["phase1_allocation"])
-    group_of: dict[str, str] = {}
-    cut = 0
-    for name in cfg["phase1_allocation"]:
-        for pid in shuffled[cut:cut + counts[name]]:
-            group_of[pid] = name
-        cut += counts[name]
+    group_of = _split(shuffled, cfg["phase1_allocation"])
 
     prefs = draw_preference_map(
         np.random.default_rng(hash64(seed, "prefs")), schema
@@ -483,53 +483,41 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             ),
         )
 
+    acfg = cfg["agent"]
     bundle: AgentBundle | None = None
-    # phase-1 feedback chains, replayed into the learner at the boundary:
-    # pid -> day index -> [(selection, reward), ...]
+    # phase-1 feedback chains, replayed into the learner at the boundary
+    # when pretrain_on_phase1 is set: pid -> day index -> [(selection, reward)]
     replay_buffer: dict[str, dict[int, list]] = {}
 
     scfg = cfg["scheduler"]
     model_mode = scfg["mode"] == "model"
-    timing_model = TimingModel.budget_init(
-        daily_budget=bcfg["max_per_day"],
-        threshold=scfg["threshold"],
-        budget_penalty=scfg["budget_penalty"],
-    )
     if model_mode:
-        # cold start: set the bar so the untrained scorer still delivers
-        timing_model = calibrate_threshold(
-            timing_model, daily_budget=bcfg["max_per_day"]
-        )
-    # every participant shares the model, so each budget state is scored once
-    scored = score_cache(timing_model)
-    # (features, label, (pid, day_idx)): the budget term counts per
-    # participant-day, the unit the allowance is set in
-    timing_history = TimingHistory()
+        fit_args = (bcfg["max_per_day"], scfg["budget_penalty"],
+                    scfg["train_epochs"], scfg["train_step"])
+        # cold start: the untrained scorer's bar is set so it still delivers
+        timing_model = fit(None, *fit_args)
+        # every participant shares the model, so each budget state is scored once
+        scored = score_cache(timing_model)
+        # (features, label, (pid, day_idx)): the budget term counts per
+        # participant-day, the unit the allowance is set in
+        timing_history = TimingHistory()
 
     records: list[InterventionRecord] = []
 
     def reallocate_phase2() -> AgentBundle:
-        random_pids = [pid for pid in pids if group_of[pid] == "random"]
+        random_pids = [pid for pid in pids if states[pid].group == "random"]
         order = [random_pids[i] for i in alloc_rng.permutation(len(random_pids))]
-        counts2 = split_counts(len(order), cfg["phase2_allocation"])
-        cut2 = 0
-        for name in cfg["phase2_allocation"]:
-            for pid in order[cut2:cut2 + counts2[name]]:
-                group_of[pid] = name
-                states[pid].group = name
-            cut2 += counts2[name]
-        acfg = cfg["agent"]
-        n_pcar = sum(1 for pid in pids if group_of[pid] == "pcar")
-        replay_n = sum(
-            len(chain)
-            for chains in replay_buffer.values()
-            for chain in chains.values()
-        )
-        if not acfg["pretrain_on_phase1"]:
-            replay_n = 0
+        for pid, name in _split(order, cfg["phase2_allocation"]).items():
+            states[pid].group = name
         decay = acfg["epsilon_decay_steps"]
         if decay is None:
             # size the schedule to replayed plus expected live feedback
+            n_pcar = sum(1 for st in states.values() if st.group == "pcar")
+            replay_n = sum(
+                len(chain)
+                for chains in replay_buffer.values()
+                for chain in chains.values()
+            )
             expected_live = (
                 n_pcar * weeks * 5 * bcfg["max_per_day"]
                 * ccfg["mean_acceptance_intervention"] * ccfg["completion_rate"]
@@ -549,17 +537,16 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             schema,
             tau_max=acfg["tau_max"],
             params=params,
-            n_trait_buckets=2,
+            n_trait_buckets=TRAIT_BUCKETS,
             seed=hash64(seed, "bundle"),
         )
-        if acfg["pretrain_on_phase1"]:
-            for pid in pids:  # fixed order keeps the run reproducible
-                for day in sorted(replay_buffer.get(pid, {})):
-                    chain = replay_buffer[pid][day]
-                    for j, (sel, r) in enumerate(chain):
-                        nxt = chain[j + 1][0] if j + 1 < len(chain) else None
-                        new_bundle.td_step(sel, r, nxt, stream=f"replay-{pid}")
-                    new_bundle.end_episode(stream=f"replay-{pid}")
+        for pid in pids:  # fixed order keeps the run reproducible
+            for day in sorted(replay_buffer.get(pid, {})):
+                chain = replay_buffer[pid][day]
+                for j, (sel, r) in enumerate(chain):
+                    nxt = chain[j + 1][0] if j + 1 < len(chain) else None
+                    new_bundle.td_step(sel, r, nxt, stream=f"replay-{pid}")
+                new_bundle.end_episode(stream=f"replay-{pid}")
         return new_bundle
 
     for day_idx in range(days_total):
@@ -578,112 +565,72 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                     fire = likelihood >= timing_model.threshold
                 else:
                     fire = st.rng.random() < scfg["trigger_rate"]
+                if fire:
+                    st.budget.record_delivery(now)
+                    engaged = accept(p, now.hour, st.rng, engagement=st.engagement)
+                if model_mode:  # ticks without a contact count toward the budget term
+                    label = float(engaged) if fire else None
+                    timing_history.append((x, label, (pid, day_idx)))
                 if not fire:
-                    if model_mode:
-                        timing_history.append((x, None, (pid, day_idx)))
                     continue
-                st.budget.record_delivery(now)
-                hour = now.hour
-                engaged = accept(p, hour, st.rng, engagement=st.engagement)
-                if model_mode:
-                    timing_history.append(
-                        (x, 1.0 if engaged else 0.0, (pid, day_idx)))
-                base = dict(
+                # one contact: its record is filled in as the contact proceeds
+                rec = InterventionRecord(
                     seed=seed, pid=pid, group=st.group, phase=phase, week=week,
                     day=day_idx + 1, timestamp=now.isoformat(),
+                    accepted=engaged, completed=False,
                 )
+                records.append(rec)
                 if not engaged:
-                    records.append(
-                        InterventionRecord(accepted=False, completed=False, **base)
-                    )
                     continue
-                pre = pre_stress(p, hour, st.rng)
-                post_time = now + timedelta(minutes=POST_EMA_DELAY_MINUTES)
-                if st.group == "control":
-                    completed = st.rng.random() < p.completion_rate
-                    post = reward = None
-                    if completed:
+                rec.pre_stress = pre_stress(p, now.hour, st.rng)
+                treated = st.group != "control"
+                if treated:
+                    ctx = ContextBucket.from_hour(now.hour, p.trait_bucket)
+                    if st.group == "pcar":
+                        action = bundle.select_action(ctx, clocks=st.clocks)
+                    else:
+                        action = random_policy(schema, st.rng)
+                    idx = schema.validate_vector(action)
+                    taus = tuple(st.clocks[a].taus[i] for a, i in enumerate(idx))
+                    rec.attribute_values, rec.taus_before = action, taus
+                    rec.intervention_id = resolve(catalog, action, st.rng).id
+                rec.completed = st.rng.random() < p.completion_rate
+                if rec.completed:
+                    if treated:
+                        post = post_stress(p, rec.pre_stress, idx, taus, ctx, st.rng)
+                    else:
+                        post_time = now + timedelta(minutes=POST_EMA_DELAY_MINUTES)
                         post = control_post_stress(p, post_time.hour, st.rng)
-                        reward = pre - post
-                    records.append(
-                        InterventionRecord(
-                            accepted=True, completed=completed,
-                            pre_stress=pre, post_stress=post, reward=reward,
-                            **base,
-                        )
-                    )
+                    rec.post_stress, rec.reward = post, rec.pre_stress - post
+                if not treated:
                     continue
-                ctx = ContextBucket.from_hour(hour, p.trait_bucket)
-                if st.group == "pcar":
-                    action = bundle.select_action(ctx, clocks=st.clocks)
-                else:
-                    action = random_policy(schema, st.rng)
-                idx = schema.validate_vector(action)
-                taus = tuple(st.clocks[a].taus[i] for a, i in enumerate(idx))
-                entry = resolve(catalog, action, st.rng)
-                completed = st.rng.random() < p.completion_rate
-                post = reward = None
-                if completed:
-                    post = post_stress(p, pre, idx, taus, ctx, st.rng)
-                    reward = pre - post
+                if rec.completed:
                     felt = effect_strength(p, idx, taus, ctx)
                     st.engagement = update_engagement(p, st.engagement, felt)
+                    sel = Selection(ctx.index(TRAIT_BUCKETS), idx, taus)
                     if st.group == "pcar":
-                        sel = bundle.snapshot_selection(ctx, action, st.clocks)
                         if st.pending is not None:
-                            prev_sel, prev_reward = st.pending
-                            bundle.td_step(prev_sel, prev_reward, sel, stream=pid)
-                        st.pending = (sel, reward)
-                    elif phase == 1:
-                        sel = Selection(
-                            bucket=ctx.index(2),
-                            value_indices=idx,
-                            taus=taus,
-                        )
+                            bundle.td_step(*st.pending, sel, stream=pid)
+                        st.pending = (sel, rec.reward)
+                    elif phase == 1 and acfg["pretrain_on_phase1"]:
                         replay_buffer.setdefault(pid, {}).setdefault(
                             day_idx, []
-                        ).append((sel, reward))
+                        ).append((sel, rec.reward))
+                # advance_on_decline (opt-in) counts delivered-but-unfinished
+                # content as a round
+                if rec.completed or cfg["advance_on_decline"]:
                     st.clocks = [
                         advance(st.clocks[a], i) for a, i in enumerate(idx)
                     ]
-                elif cfg["advance_on_decline"]:
-                    # opt-in: count delivered-but-unfinished content as a round
-                    st.clocks = [
-                        advance(st.clocks[a], i) for a, i in enumerate(idx)
-                    ]
-                records.append(
-                    InterventionRecord(
-                        accepted=True, completed=completed,
-                        attribute_values=action, taus_before=taus,
-                        intervention_id=entry.id,
-                        pre_stress=pre, post_stress=post, reward=reward,
-                        **base,
-                    )
-                )
             # participant-day boundary: flush the open transition, drop traces
             if st.pending is not None and bundle is not None:
-                sel, reward = st.pending
-                bundle.td_step(sel, reward, None, stream=pid)
+                bundle.td_step(*st.pending, None, stream=pid)
                 bundle.end_episode(stream=pid)
                 st.pending = None
 
         if model_mode and timing_history.n_labeled:
             # nightly: refit from scratch on everything seen so far
-            fresh = TimingModel.budget_init(
-                daily_budget=bcfg["max_per_day"],
-                threshold=scfg["threshold"],
-                budget_penalty=scfg["budget_penalty"],
-            )
-            timing_model = train(
-                fresh,
-                timing_history,
-                daily_budget=bcfg["max_per_day"],
-                epochs=scfg["train_epochs"],
-                step=scfg["train_step"],
-            )
-            timing_model = calibrate_threshold(
-                timing_model, daily_budget=bcfg["max_per_day"]
-            )
+            timing_model = fit(timing_history, *fit_args)
             scored = score_cache(timing_model)
 
     records.sort(key=lambda r: (r.pid, r.day, r.timestamp))
@@ -697,7 +644,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         "weeks_per_phase": weeks,
         "start_date": STUDY_START.isoformat(),
         "attribute_schema": [[n_, list(vs)] for n_, vs in schema.attributes],
-        "phase2_groups": {pid: group_of[pid] for pid in pids},
+        "phase2_groups": {pid: states[pid].group for pid in pids},
     }
     log = StudyLog(records=records, meta=meta, schema=schema)
     _assert_budget_safety(log)
@@ -766,6 +713,13 @@ def weekly_summary(log: StudyLog) -> list[SummaryRow]:
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
+
+
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def phase_deltas(summary: list[SummaryRow]) -> list[dict]:
@@ -847,33 +801,24 @@ def report(log: StudyLog, out_dir: str | Path) -> dict[str, Path]:
     with paths["weekly_summary"].open("w", encoding="utf-8", newline="") as fh:
         write_summary_csv(summary, fh)
 
-    deltas = phase_deltas(summary)
     paths["phase_deltas"] = out / "phase_deltas.csv"
-    with paths["phase_deltas"].open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["group", "phase", "metric", "first_week", "last_week",
-             "first_week_mean", "last_week_mean", "delta"]
-        )
-        for d in deltas:
-            writer.writerow(
-                [d["group"], d["phase"], d["metric"], d["first_week"],
-                 d["last_week"], _fmt(d["first_week_mean"]),
-                 _fmt(d["last_week_mean"]), _fmt(d["delta"])]
-            )
+    _write_csv(
+        paths["phase_deltas"],
+        ["group", "phase", "metric", "first_week", "last_week",
+         "first_week_mean", "last_week_mean", "delta"],
+        ([d["group"], d["phase"], d["metric"], d["first_week"], d["last_week"],
+          _fmt(d["first_week_mean"]), _fmt(d["last_week_mean"]), _fmt(d["delta"])]
+         for d in phase_deltas(summary)),
+    )
 
-    tests = welch_table(log)
     paths["welch_tests"] = out / "welch_tests.csv"
-    with paths["welch_tests"].open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["metric", "phase", "group_a", "group_b", "n_a", "n_b", "t", "df", "p"]
-        )
-        for t in tests:
-            writer.writerow(
-                [t["metric"], t["phase"], t["group_a"], t["group_b"],
-                 t["n_a"], t["n_b"], _fmt(t["t"]), _fmt(t["df"]), _fmt(t["p"])]
-            )
+    _write_csv(
+        paths["welch_tests"],
+        ["metric", "phase", "group_a", "group_b", "n_a", "n_b", "t", "df", "p"],
+        ([t["metric"], t["phase"], t["group_a"], t["group_b"], t["n_a"],
+          t["n_b"], _fmt(t["t"]), _fmt(t["df"]), _fmt(t["p"])]
+         for t in welch_table(log)),
+    )
 
     series: dict[tuple, dict] = {}
     for s in summary:
@@ -1044,7 +989,8 @@ def timing_comparison(
                 for d in range(days):
                     budget = BudgetState()
                     for now in eligible_ticks(_date_of_day(day0 + d), budget):
-                        x = features(now, budget)
+                        # features read the budget before this tick's delivery
+                        x = features(now, budget) if collect else None
                         label = None
                         if rng.random() < q:
                             budget.record_delivery(now)
@@ -1059,11 +1005,7 @@ def timing_comparison(
             return rows, (hits / n if n else 0.0), per_day
 
         rows, _, _ = run_uniform(history_days, trigger_rate, True, 0)
-        model = train(
-            TimingModel.budget_init(daily_budget, budget_penalty=budget_penalty),
-            rows, daily_budget=daily_budget, epochs=epochs, step=step,
-        )
-        model = calibrate_threshold(model, daily_budget=daily_budget)
+        model = fit(rows, daily_budget, budget_penalty, epochs, step)
 
         # the trained policy walks the same states for every participant
         scored = score_cache(model)
@@ -1167,15 +1109,11 @@ def sweep(cfg: dict | str | Path, parameter: str, values: list) -> list[dict]:
 
 
 def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["parameter", "value", "seed", "group",
-             "mean_acceptance", "mean_reward", "final_week_reward"]
-        )
-        for r in rows:
-            writer.writerow(
-                [r["parameter"], r["value"], r["seed"], r["group"],
-                 _fmt(r["mean_acceptance"]), _fmt(r["mean_reward"]),
-                 _fmt(r["final_week_reward"])]
-            )
+    _write_csv(
+        path,
+        ["parameter", "value", "seed", "group",
+         "mean_acceptance", "mean_reward", "final_week_reward"],
+        ([r["parameter"], r["value"], r["seed"], r["group"],
+          _fmt(r["mean_acceptance"]), _fmt(r["mean_reward"]),
+          _fmt(r["final_week_reward"])] for r in rows),
+    )

@@ -1,6 +1,8 @@
 """Pinned outputs of the simulation paths that the weekly-summary golden
 file does not cover: the full record CSV of a uniform and of a model-mode
-study, and the four per-seed lists of ``timing_comparison``.
+study, of a study that advances clocks on declined content and of one
+whose learner starts without the phase-1 replay, and the four per-seed
+lists of ``timing_comparison``.
 
 The values in ``data/golden_outputs.json`` were recorded once; a refactor
 that claims to keep behaviour must leave every one of them unchanged.
@@ -24,6 +26,12 @@ STUDIES = {
     "records_uniform": {"seed": 11, "n_participants": 6, "weeks_per_phase": 1},
     "records_model": {"seed": 17, "n_participants": 4, "weeks_per_phase": 1,
                       "scheduler": {"mode": "model"}},
+    "records_advance_on_decline": {"seed": 23, "n_participants": 6,
+                                   "weeks_per_phase": 1,
+                                   "advance_on_decline": True},
+    "records_no_pretrain": {"seed": 29, "n_participants": 6,
+                            "weeks_per_phase": 1,
+                            "agent": {"pretrain_on_phase1": False}},
 }
 TIMING = dict(seeds=2, n_participants=4, history_days=5, eval_days=3)
 

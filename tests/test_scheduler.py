@@ -18,6 +18,7 @@ from pcar.scheduler import (
     eligible_ticks,
     expected_daily_triggers,
     features,
+    fit,
     score,
     score_cache,
     train,
@@ -367,6 +368,25 @@ def test_calibrate_threshold_equals_uncached_bisection(weights, bias, daily_budg
     m = TimingModel(weights=np.asarray(weights), bias=bias)
     got = calibrate_threshold(m, daily_budget=daily_budget).threshold
     assert got == _uncached_threshold(m, daily_budget)
+
+
+def _same_model(a, b):
+    for field in ("weights", "feature_mean", "feature_scale"):
+        u, v = getattr(a, field), getattr(b, field)
+        assert (u is None and v is None) or np.array_equal(u, v)
+    assert (a.bias, a.threshold, a.budget_penalty) == (
+        b.bias, b.threshold, b.budget_penalty)
+
+
+@pytest.mark.parametrize("daily_budget", [2, 3])
+def test_fit_is_budget_init_train_calibrate(daily_budget):
+    rows = _duplicated_history()
+    cold = TimingModel.budget_init(daily_budget=daily_budget, budget_penalty=0.2)
+    _same_model(fit(None, daily_budget, budget_penalty=0.2),
+                calibrate_threshold(cold, daily_budget=daily_budget))
+    trained = train(cold, rows, daily_budget=daily_budget, epochs=7, step=0.03)
+    _same_model(fit(rows, daily_budget, 0.2, epochs=7, step=0.03),
+                calibrate_threshold(trained, daily_budget=daily_budget))
 
 
 def test_score_cache_keeps_budget_states_and_shapes_apart():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-import pcar.study
+import pcar.scheduler
 from pcar.scheduler import expected_daily_triggers
 from pcar.study import (
     ConfigError,
@@ -299,14 +299,14 @@ def test_model_mode_budget_term_counts_participant_days(monkeypatch, seed):
     """The nightly model aims at the allowance per participant-day: on the
     study's own final history, its expected triggers per day key land near
     ``max_per_day``."""
-    fit, fits = pcar.study.train, []
+    fit, fits = pcar.scheduler.train, []
 
     def recording_train(model, history, **kwargs):
         fitted = fit(model, history, **kwargs)
         fits.append((fitted, history))
         return fitted
 
-    monkeypatch.setattr(pcar.study, "train", recording_train)
+    monkeypatch.setattr(pcar.scheduler, "train", recording_train)
     run_study({"seed": seed, "scheduler": {"mode": "model"}})
     fitted, history = fits[-1]
     assert 2.5 <= expected_daily_triggers(fitted, history) <= 3.5
