@@ -115,7 +115,6 @@ class Hyperparams:
     epsilon_end: float = 0.02
     epsilon_decay_steps: int = 1000
     q_tau_clip: int | None = None  # None: clip at the clock cap
-    ghost_rollout_depth: int = 0  # reserved; only 0 is implemented
 
 
 class QModel:
@@ -179,10 +178,6 @@ class AgentBundle:
     ):
         if params is None:
             params = Hyperparams()
-        if params.ghost_rollout_depth != 0:
-            raise NotImplementedError(
-                "ghost_rollout_depth is reserved; only 0 is implemented"
-            )
         self.schema = schema
         self.tau_max = tau_max
         self.params = params

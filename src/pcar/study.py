@@ -87,7 +87,6 @@ DEFAULT_CONFIG: dict = {
     "scheduler": {
         "mode": "uniform_random",  # or "model"
         "trigger_rate": 0.028,
-        "threshold": 0.5,
         "budget_penalty": 0.1,
         "train_epochs": 500,
         "train_step": 0.05,
@@ -101,7 +100,6 @@ DEFAULT_CONFIG: dict = {
         "epsilon_decay_steps": None,  # None: sized to the expected feedback volume
         "tau_max": 6,
         "q_tau_clip": 3,
-        "ghost_rollout_depth": 0,
         "pretrain_on_phase1": True,  # replay logged phase-1 feedback offline
     },
     "cohort": {
@@ -531,7 +529,6 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             epsilon_end=acfg["epsilon_end"],
             epsilon_decay_steps=decay,
             q_tau_clip=acfg["q_tau_clip"],
-            ghost_rollout_depth=acfg["ghost_rollout_depth"],
         )
         new_bundle = AgentBundle(
             schema,

@@ -317,11 +317,6 @@ def test_snapshot_round_trip():
     assert json.loads(text)["agents"].keys() == {"flavor", "place"}
 
 
-def test_ghost_rollout_hook_reserved():
-    with pytest.raises(NotImplementedError):
-        AgentBundle(SCHEMA, params=Hyperparams(ghost_rollout_depth=1))
-
-
 def test_internal_clocks_advance_on_update():
     b = make_bundle()
     b.update(CTX, ("focus", "outdoor"), 0.5, CTX, ("focus", "outdoor"))

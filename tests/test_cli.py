@@ -1,7 +1,13 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, time, timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pcar.study
 from pcar.cli import main
@@ -49,12 +55,19 @@ def test_report_from_saved_log(tmp_path, config_path, capsys):
 
 def test_bad_config_fails_with_json_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"bogus_key": 1}))
-    code = main(["run", "--config", str(path)])
-    assert code != 0
-    err = capsys.readouterr().err.strip()
-    doc = json.loads(err)
-    assert "bogus_key" in doc["error"]
+    # the last two are removed knobs: the threshold is always calibrated and
+    # the ghost rollout was never implemented
+    for user, key in [
+        ({"bogus_key": 1}, "bogus_key"),
+        ({"scheduler": {"threshold": 0.5}}, "scheduler.threshold"),
+        ({"agent": {"ghost_rollout_depth": 0}}, "agent.ghost_rollout_depth"),
+    ]:
+        path.write_text(json.dumps(user))
+        code = main(["run", "--config", str(path)])
+        assert code != 0
+        err = capsys.readouterr().err.strip()
+        doc = json.loads(err)
+        assert key in doc["error"]
 
 
 @pytest.mark.parametrize("user", [
@@ -146,3 +159,116 @@ def test_sweep_command(tmp_path, config_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("parameter,value,seed,group")
     assert len(lines) > 2
+
+
+_WINDOWS = [("08:00", "21:00"), ("09:30", "12:00"), ("20:55", "21:00")]
+# (dotted key, value) pairs that load_config or the run must reject
+_BAD_VALUES = [
+    ("n_participants", 0), ("n_participants", "2"), ("weeks_per_phase", 1.5),
+    ("seed", True), ("scheduler.mode", "bogus"),
+    ("scheduler.trigger_rate", float("nan")), ("scheduler.trigger_rate", -0.1),
+    ("scheduler.trigger_rate", "0.1"), ("scheduler.train_epochs", "5"),
+    ("scheduler.budget_penalty", "x"), ("budget", 3),
+    ("budget.max_per_day", 0), ("budget.max_per_day", 2.5),
+    ("budget.min_gap_minutes", -5), ("budget.window_start", "8am"),
+    ("budget.window_start", "07:59"), ("budget.window_start", "21:00"),
+    ("budget.window_end", "22:00"), ("budget.window_end", 800),
+    ("phase1_allocation", {"control": 0.5, "random": 0.2}),
+    ("phase2_allocation", {"random": -0.5, "pcar": 1.5}),
+    ("phase1_allocation", {"random": "1"}), ("agent.tau_max", 0),
+    ("agent.q_tau_clip", 9), ("agent.epsilon_decay_steps", "x"),
+    ("agent.alpha", "0.1"), ("cohort.noise_sigma", -1.0),
+    ("cohort.noise_sigma", "0.7"), ("cohort.completion_rate", "x"),
+    ("cohort.engagement.rate", None), ("catalog_path", "/nonexistent.tsv"),
+    ("unknown_knob", 1), ("scheduler.threshold", 0.5),
+    ("agent.ghost_rollout_depth", 0),
+]
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A valid config of a tiny study and a (dotted key, bad value) pair
+    to swap into it."""
+    probability = st.floats(0, 1)
+    window = draw(st.sampled_from(_WINDOWS))
+    tau_max = draw(st.integers(1, 6))
+    user = {
+        "seed": draw(st.integers(0, 10**6)),
+        # tiny shapes keep a run in the tens of milliseconds
+        "n_participants": draw(st.integers(1, 3)),
+        "weeks_per_phase": 1,
+        # allocations merge into the default groups, so a group left out
+        # keeps its default share
+        "phase1_allocation": draw(st.sampled_from(
+            [{"control": 0.25, "random": 0.75}, {"control": 0.0, "random": 1.0},
+             {"control": 1.0, "random": 0.0}])),
+        "phase2_allocation": draw(st.sampled_from(
+            [{"random": 0.4, "pcar": 0.6}, {"random": 0.0, "pcar": 1.0}])),
+        "budget": {
+            "max_per_day": draw(st.integers(1, 4)),
+            "min_gap_minutes": draw(st.integers(0, 300)),
+            "window_start": window[0],
+            "window_end": window[1],
+            "weekdays_only": draw(st.booleans()),
+        },
+        "scheduler": {
+            "mode": draw(st.sampled_from(["uniform_random", "model"])),
+            "trigger_rate": draw(probability),
+            "budget_penalty": draw(probability),
+            # a short fit keeps model-mode runs cheap
+            "train_epochs": draw(st.integers(0, 5)),
+            "train_step": draw(st.floats(0, 0.1)),
+        },
+        "agent": {
+            "tau_max": tau_max,
+            "q_tau_clip": draw(st.none() | st.integers(1, tau_max)),
+            "epsilon_decay_steps": draw(st.none() | st.integers(0, 50)),
+            "alpha": draw(probability),
+            "pretrain_on_phase1": draw(st.booleans()),
+        },
+        "cohort": {
+            "noise_sigma": draw(st.floats(0, 2)),
+            "completion_rate": draw(probability),
+            "recovery_rounds": draw(st.integers(1, 5)),
+            "engagement": {"enabled": draw(st.booleans()), "rate": draw(probability)},
+        },
+        "advance_on_decline": draw(st.booleans()),
+    }
+    return user, draw(st.sampled_from(_BAD_VALUES))
+
+
+def _run_config(user: dict) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(user))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--out",
+                         str(Path(tmp) / "out"), "--no-report"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=fuzz_configs())
+def test_fuzzed_configs_exit_zero_or_print_one_json_error(case):
+    """A valid tiny config runs and exits 0. With one bad value swapped in,
+    ``pcar run`` either still succeeds or prints exactly one JSON error
+    line on stderr and exits nonzero; it never raises."""
+    user, (key, value) = case
+    code, out, err = _run_config(user)
+    assert code == 0 and err == "", err
+    assert json.loads(out)["records"] >= 0
+    *parents, leaf = key.split(".")
+    node = user
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    code, out, err = _run_config(user)
+    if code == 0:
+        assert err == ""
+        assert json.loads(out)["records"] >= 0
+    else:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error"}

@@ -43,6 +43,12 @@ def test_load_config_rejects_unknown_keys():
         load_config({"typo": 1})
     with pytest.raises(ConfigError, match="agent.typo"):
         load_config({"agent": {"typo": 1}})
+    # removed knobs: the threshold is always calibrated, the ghost rollout
+    # was never implemented
+    with pytest.raises(ConfigError, match="scheduler.threshold"):
+        load_config({"scheduler": {"threshold": 0.5}})
+    with pytest.raises(ConfigError, match="agent.ghost_rollout_depth"):
+        load_config({"agent": {"ghost_rollout_depth": 0}})
 
 
 def test_load_config_rejects_bad_allocations():
