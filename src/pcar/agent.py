@@ -7,8 +7,8 @@ a single table write updates every global state sharing that key -- the
 replication of equivalent ("ghost") states happens by construction rather
 than by enumeration.
 
-Also houses the baseline policies (uniform random, prompt-only control)
-and a brute-force planning oracle used to benchmark the learner.
+Also houses the uniform-random baseline policy and a brute-force planning
+oracle used to benchmark the learner.
 """
 
 from __future__ import annotations
@@ -525,17 +525,7 @@ def ghost_audit(
     return report
 
 
-# -- baseline policies ---------------------------------------------------------
-
-
-class _EmaOnly:
-    """Sentinel: prompt for a stress rating, deliver no content."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "EMA_ONLY"
-
-
-EMA_ONLY = _EmaOnly()
+# -- baseline policy -----------------------------------------------------------
 
 
 def random_policy(
@@ -545,11 +535,6 @@ def random_policy(
     return tuple(
         values[int(rng.integers(len(values)))] for _, values in schema.attributes
     )
-
-
-def control_policy() -> _EmaOnly:
-    """The no-content arm: only a momentary stress prompt is sent."""
-    return EMA_ONLY
 
 
 # -- planning oracle -----------------------------------------------------------

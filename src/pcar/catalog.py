@@ -9,7 +9,6 @@ sharing an id form one intervention's dialog.
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -230,40 +229,3 @@ def resolve(
     best = max(score for score, _ in scored)
     pool = [e for score, e in scored if score == best]
     return pool[int(rng.integers(len(pool)))]
-
-
-def catalog_to_json(catalog: Catalog) -> str:
-    doc = {
-        "schema": [[n, list(vs)] for n, vs in catalog.schema.attributes],
-        "entries": [
-            {
-                "id": e.id,
-                "intervention_type": e.intervention_type,
-                "emotional_regulation": e.emotional_regulation,
-                "therapy_group": e.therapy_group,
-                "location": e.location,
-                "duration_seconds": e.duration_seconds,
-                "node_texts": [[n, t] for n, t in e.node_texts],
-            }
-            for e in catalog.entries
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def catalog_from_json(text: str) -> Catalog:
-    doc = json.loads(text)
-    schema = AttributeSchema(tuple((n, tuple(vs)) for n, vs in doc["schema"]))
-    entries = tuple(
-        InterventionSpec(
-            id=e["id"],
-            intervention_type=e["intervention_type"],
-            emotional_regulation=e["emotional_regulation"],
-            therapy_group=e["therapy_group"],
-            location=e["location"],
-            duration_seconds=e["duration_seconds"],
-            node_texts=tuple((n, t) for n, t in e["node_texts"]),
-        )
-        for e in doc["entries"]
-    )
-    return Catalog(schema=schema, entries=entries)

@@ -28,7 +28,6 @@ import numpy as np
 
 WINDOW_START_MINUTE = 8 * 60
 WINDOW_END_MINUTE = 21 * 60
-WINDOW_MINUTES = WINDOW_END_MINUTE - WINDOW_START_MINUTE  # 780
 TICK_MINUTES = 5
 # the 5-minute decision grid, in minutes after midnight; eligible_ticks is
 # the one place that walks it
@@ -114,7 +113,8 @@ def features(now: datetime, budget: BudgetState) -> np.ndarray:
     x[7] = gap / GAP_CAP_MINUTES
     x[8] = max(0, budget.max_per_day - budget.delivered_today) / budget.max_per_day
     remaining = max(0, budget.window_end_minute - minute)
-    x[9] = min(remaining, WINDOW_MINUTES) / WINDOW_MINUTES
+    window = budget.window_end_minute - budget.window_start_minute
+    x[9] = min(remaining, window) / window
     return x
 
 
@@ -139,17 +139,17 @@ class TimingModel:
                    threshold=threshold, budget_penalty=budget_penalty)
 
     @classmethod
-    def budget_init(cls, daily_budget: float = 3.0,
-                    ticks_per_day: float = WINDOW_MINUTES / TICK_MINUTES,
-                    threshold: float = 0.5,
+    def budget_init(cls, budget: BudgetState,
                     budget_penalty: float = 0.1) -> "TimingModel":
-        """Zero weights with the bias at the base-rate logit, so the
-        budget-pressure term starts near its stationary point instead of
-        blowing the first gradient step through the sigmoid."""
-        rate = min(max(daily_budget / ticks_per_day, 1e-6), 1 - 1e-6)
+        """Zero weights with the bias at the base-rate logit -- the
+        budget's allowance over its window's ticks -- so the budget-pressure
+        term starts near its stationary point instead of blowing the first
+        gradient step through the sigmoid."""
+        ticks = (budget.window_end_minute - budget.window_start_minute) / TICK_MINUTES
+        rate = min(max(budget.max_per_day / ticks, 1e-6), 1 - 1e-6)
         return cls(weights=np.zeros(N_FEATURES),
                    bias=math.log(rate / (1.0 - rate)),
-                   threshold=threshold, budget_penalty=budget_penalty)
+                   budget_penalty=budget_penalty)
 
     def to_json(self) -> str:
         doc = {
@@ -321,8 +321,8 @@ def score_cache(model: TimingModel):
     """Return ``scored(now, budget) -> (features, score)`` for ``model``.
 
     Features, and so the score, depend only on the tick and the budget
-    state (last delivery, contacts today) and shape (allowance, window
-    end), so each such state is featurized and scored once. Callers that
+    state (last delivery, contacts today) and shape (allowance, window),
+    so each such state is featurized and scored once. Callers that
     walk the same states -- the bisection passes of a calibration, the
     participants of a study sharing one model -- share the work. The
     returned feature arrays are shared; do not modify them."""
@@ -330,7 +330,8 @@ def score_cache(model: TimingModel):
 
     def scored(now: datetime, budget: BudgetState) -> tuple[np.ndarray, float]:
         key = (now, budget.last_delivery, budget.delivered_today,
-               budget.max_per_day, budget.window_end_minute)
+               budget.max_per_day, budget.window_start_minute,
+               budget.window_end_minute)
         hit = memo.get(key)
         if hit is None:
             x = features(now, budget)
@@ -341,21 +342,23 @@ def score_cache(model: TimingModel):
 
 
 def calibrate_threshold(
-    model: TimingModel, daily_budget: int = 3, iterations: int = 40
+    model: TimingModel, shape: BudgetState, iterations: int = 40
 ) -> TimingModel:
     """Post-processor step: pick the decision threshold by bisection so
-    that, on five synthetic weekdays, the realized triggers per day reach
-    the allowance. Each pass walks the days with ``eligible_ticks`` and
-    fires where the score clears the candidate threshold; scores evolve
-    with the budget state as triggers fire, as they do in a study. The
-    passes share one ``score_cache``."""
+    that, on five synthetic weekdays under the budget rules of ``shape``
+    (allowance, gap and window), the realized triggers per day reach the
+    allowance. Each pass walks the days with ``eligible_ticks`` on a fresh
+    copy of ``shape`` and fires where the score clears the candidate
+    threshold; scores evolve with the budget state as triggers fire, as
+    they do in a study. The passes share one ``score_cache``."""
     week = [date(2024, 1, 1) + timedelta(days=i) for i in range(5)]
     scored = score_cache(model)
+    daily_budget = shape.max_per_day
 
     def triggers_per_day(theta: float) -> float:
         total = 0
         for day in week:
-            budget = BudgetState(max_per_day=daily_budget)
+            budget = replace(shape, delivered_today=0, last_delivery=None)
             for now in eligible_ticks(day, budget):
                 if scored(now, budget)[1] >= theta:
                     budget.record_delivery(now)
@@ -375,22 +378,22 @@ def calibrate_threshold(
 
 def fit(
     history,
-    daily_budget: int,
+    shape: BudgetState,
     budget_penalty: float = 0.1,
     epochs: int = 500,
     step: float = 0.05,
 ) -> TimingModel:
-    """The timing model's whole fit: start from ``TimingModel.budget_init``,
-    ``train`` it on ``history`` (skipped when ``history`` is None, the cold
-    start of a study with no feedback yet), then ``calibrate_threshold`` so
-    the model fires ``daily_budget`` times a day. The threshold is always
-    calibrated, never configured."""
-    model = TimingModel.budget_init(daily_budget=daily_budget,
-                                    budget_penalty=budget_penalty)
+    """The timing model's whole fit under the budget rules of ``shape``:
+    start from ``TimingModel.budget_init``, ``train`` it on ``history``
+    (skipped when ``history`` is None, the cold start of a study with no
+    feedback yet), then ``calibrate_threshold`` so the model fires
+    ``shape.max_per_day`` times a day. The threshold is always calibrated,
+    never configured."""
+    model = TimingModel.budget_init(shape, budget_penalty=budget_penalty)
     if history is not None:
-        model = train(model, history, daily_budget=daily_budget,
+        model = train(model, history, daily_budget=shape.max_per_day,
                       epochs=epochs, step=step)
-    return calibrate_threshold(model, daily_budget=daily_budget)
+    return calibrate_threshold(model, shape)
 
 
 def decide(model: TimingModel, budget: BudgetState, now: datetime) -> bool:

@@ -21,7 +21,8 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -132,32 +133,70 @@ class ConfigError(ValueError):
     """Configuration rejected before any simulation runs."""
 
 
-def _check_keys(user: dict, defaults: dict, path: str = "") -> None:
-    for key, value in user.items():
-        here = f"{path}.{key}" if path else key
-        if key not in defaults:
-            raise ConfigError(f"unknown config key: {here}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here} must be an object")
-            _check_keys(value, defaults[key], here)
+# DEFAULT_CONFIG is the schema: each leaf takes the type of its default. These
+# tables, by dotted path, say what a default cannot.
+_ALLOCATIONS = ("phase1_allocation", "phase2_allocation")
+_NULLABLE = {"agent.epsilon_decay_steps": int, "agent.q_tau_clip": int,
+             "catalog_path": str, "output_dir": str}
+_MINIMUM = {"n_participants": 1, "weeks_per_phase": 1, "budget.max_per_day": 1,
+            "budget.min_gap_minutes": 0, "scheduler.train_epochs": 0,
+            "agent.epsilon_decay_steps": 0, "agent.tau_max": 1, "agent.q_tau_clip": 1}
+_UNIT_INTERVAL = {
+    "scheduler.trigger_rate", "agent.alpha", "agent.gamma", "agent.lambda",
+    "agent.epsilon_start", "agent.epsilon_end", "cohort.completion_rate",
+    "cohort.mean_acceptance_intervention", "cohort.mean_acceptance_control",
+    *(f"{block}.{group}" for block in _ALLOCATIONS for group in DEFAULT_CONFIG[block])}
+_CHOICES = {"schema_version": (SCHEMA_VERSION,),
+            "scheduler.mode": ("uniform_random", "model")}
+_TIMES = ("budget.window_start", "budget.window_end")
+_HHMM = re.compile(r"([01][0-9]|2[0-3]):([0-5][05])")  # on the 5-minute grid
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _merge(defaults: dict, user: dict) -> dict:
-    out = copy.deepcopy(defaults)
-    for key, value in user.items():
-        if isinstance(value, dict):
-            out[key] = _merge(defaults[key], value)
+def _is(kind: type, value) -> bool:
+    """An int for int, a number within float range for float, a bool only for bool."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:  # rejects NaN, the infinities and ints too large for a float
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _leaf(name: str, default, value):
+    """``value`` if it passes the rules of the leaf ``name``."""
+    if name in _TIMES:
+        _parse_hhmm(value, name)
+    elif name in _UNIT_INTERVAL:
+        if not (_is(float, value) and 0 <= value <= 1):
+            raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
+    elif not (value is None and name in _NULLABLE):
+        kind = _NULLABLE.get(name, type(default))
+        if not _is(kind, value):
+            raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+        if name in _MINIMUM and value < _MINIMUM[name]:
+            raise ConfigError(f"{name} must be >= {_MINIMUM[name]}")
+        if name in _CHOICES and value not in _CHOICES[name]:
+            raise ConfigError(f"{name} must be one of {_CHOICES[name]}, got {value!r}")
+    return value
+
+
+def _walk(defaults: dict, user: dict, path: str = "") -> dict:
+    """``user`` merged over ``defaults``, each leaf checked. An allocation
+    block replaces its default: a group left out gets 0.0."""
+    unknown = [key for key in user if key not in defaults]
+    if unknown:
+        raise ConfigError(f"unknown config key: {path}{unknown[0]}")
+    out = {}
+    for key, default in defaults.items():
+        value = user.get(key, default)
+        if not isinstance(default, dict):
+            out[key] = _leaf(path + key, default, value)
+        elif not isinstance(value, dict):
+            raise ConfigError(f"{path}{key} must be an object")
         else:
-            out[key] = value
+            block = dict.fromkeys(default, 0.0) if key in _ALLOCATIONS else default
+            out[key] = _walk(block, value, f"{path}{key}.")
     return out
-
-
-def _check_int(value, name: str, minimum: int | None = None) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}")
 
 
 def _hhmm(minute: int) -> str:
@@ -165,68 +204,33 @@ def _hhmm(minute: int) -> str:
 
 
 def _parse_hhmm(text, name: str = "time") -> int:
-    """Minutes after midnight of a 24-hour ``hh:mm`` string."""
-    match = isinstance(text, str) and re.fullmatch(r"([0-9]{2}):([0-9]{2})", text)
-    if not match or int(match[1]) > 23 or int(match[2]) > 59:
-        raise ConfigError(f"{name} must be an 'hh:mm' time, got {text!r}")
+    """Minutes after midnight of a 24-hour ``hh:mm`` time on the grid."""
+    match = isinstance(text, str) and _HHMM.fullmatch(text)
+    if not match:
+        raise ConfigError(f"{name} must be an 'hh:mm' time on the "
+                          f"{TICK_MINUTES}-minute grid, got {text!r}")
     return int(match[1]) * 60 + int(match[2])
 
 
 def load_config(source: dict | str | Path) -> dict:
-    """Validate a config mapping (or JSON file) against the documented
-    schema: unknown keys are rejected, study-shape and budget counts must
-    be integers, the delivery window must lie inside the scheduler's
-    08:00-21:00 grid, the trigger rate must be a probability, the Q clock
-    clip must lie in 1..tau_max, allocations must sum to one, and
-    referenced files must exist."""
+    """Merge a config (a mapping or JSON file) over DEFAULT_CONFIG and check it."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
-    else:
-        user = source
-    if not isinstance(user, dict):
+        source = json.loads(Path(source).read_text(encoding="utf-8"))
+    if not isinstance(source, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(user, DEFAULT_CONFIG)
-    cfg = _merge(DEFAULT_CONFIG, user)
-    if cfg["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config schema_version {cfg['schema_version']} != {SCHEMA_VERSION}"
-        )
-    _check_int(cfg["seed"], "seed")
-    _check_int(cfg["n_participants"], "n_participants", 1)
-    _check_int(cfg["weeks_per_phase"], "weeks_per_phase", 1)
-    bcfg = cfg["budget"]
-    _check_int(bcfg["max_per_day"], "budget.max_per_day", 1)
-    _check_int(bcfg["min_gap_minutes"], "budget.min_gap_minutes", 0)
-    start = _parse_hhmm(bcfg["window_start"], "budget.window_start")
-    end = _parse_hhmm(bcfg["window_end"], "budget.window_end")
+    cfg = _walk(DEFAULT_CONFIG, source)
+    start, end = (_parse_hhmm(cfg["budget"][k]) for k in ("window_start", "window_end"))
     if not WINDOW_START_MINUTE <= start < end <= WINDOW_END_MINUTE:
-        raise ConfigError(
-            f"budget window {_hhmm(start)}-{_hhmm(end)} must satisfy "
-            f"{_hhmm(WINDOW_START_MINUTE)} <= start < end <= "
-            f"{_hhmm(WINDOW_END_MINUTE)}"
-        )
-    for name in ("phase1_allocation", "phase2_allocation"):
+        raise ConfigError(f"budget window {_hhmm(start)}-{_hhmm(end)} must satisfy "
+                          f"{_hhmm(WINDOW_START_MINUTE)} <= start < end <= "
+                          f"{_hhmm(WINDOW_END_MINUTE)}")
+    clip, cap = cfg["agent"]["q_tau_clip"], cfg["agent"]["tau_max"]
+    if clip is not None and clip > cap:
+        raise ConfigError(f"agent.q_tau_clip must be in 1..{cap} (agent.tau_max)")
+    for name in _ALLOCATIONS:
         total = sum(cfg[name].values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"{name} fractions sum to {total}, expected 1")
-        if any(f < 0 for f in cfg[name].values()):
-            raise ConfigError(f"{name} fractions must be non-negative")
-    scfg = cfg["scheduler"]
-    if scfg["mode"] not in ("uniform_random", "model"):
-        raise ConfigError("scheduler.mode must be uniform_random or model")
-    rate = scfg["trigger_rate"]
-    is_number = isinstance(rate, (int, float)) and not isinstance(rate, bool)
-    if not (is_number and 0.0 <= rate <= 1.0):
-        raise ConfigError(f"scheduler.trigger_rate must be in [0, 1], got {rate!r}")
-    acfg = cfg["agent"]
-    _check_int(acfg["tau_max"], "agent.tau_max", 1)
-    if acfg["q_tau_clip"] is not None:
-        _check_int(acfg["q_tau_clip"], "agent.q_tau_clip", 1)
-        if acfg["q_tau_clip"] > acfg["tau_max"]:
-            raise ConfigError(
-                f"agent.q_tau_clip must be in 1..{acfg['tau_max']} (agent.tau_max)"
-            )
     if cfg["catalog_path"] is not None and not Path(cfg["catalog_path"]).exists():
         raise ConfigError(f"catalog file not found: {cfg['catalog_path']}")
     return cfg
@@ -435,6 +439,14 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         np.random.default_rng(hash64(seed, "prefs")), schema
     )
     bcfg = cfg["budget"]
+    # the study's budget rules; each participant walks a copy
+    shape = BudgetState(
+        max_per_day=bcfg["max_per_day"],
+        min_gap_minutes=bcfg["min_gap_minutes"],
+        window_start_minute=_parse_hhmm(bcfg["window_start"]),
+        window_end_minute=_parse_hhmm(bcfg["window_end"]),
+        weekdays_only=bcfg["weekdays_only"],
+    )
     participant_kwargs = dict(
         schema=schema,
         effect_best=ccfg["effect_best"],
@@ -472,13 +484,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 initial_state(len(schema.values(a)), cfg["agent"]["tau_max"])
                 for a in range(schema.n_attributes)
             ],
-            budget=BudgetState(
-                max_per_day=bcfg["max_per_day"],
-                min_gap_minutes=bcfg["min_gap_minutes"],
-                window_start_minute=_parse_hhmm(bcfg["window_start"]),
-                window_end_minute=_parse_hhmm(bcfg["window_end"]),
-                weekdays_only=bcfg["weekdays_only"],
-            ),
+            budget=replace(shape),
         )
 
     acfg = cfg["agent"]
@@ -490,8 +496,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
     scfg = cfg["scheduler"]
     model_mode = scfg["mode"] == "model"
     if model_mode:
-        fit_args = (bcfg["max_per_day"], scfg["budget_penalty"],
-                    scfg["train_epochs"], scfg["train_step"])
+        fit_args = (shape, scfg["budget_penalty"], scfg["train_epochs"],
+                    scfg["train_step"])
         # cold start: the untrained scorer's bar is set so it still delivers
         timing_model = fit(None, *fit_args)
         # every participant shares the model, so each budget state is scored once
@@ -1002,7 +1008,8 @@ def timing_comparison(
             return rows, (hits / n if n else 0.0), per_day
 
         rows, _, _ = run_uniform(history_days, trigger_rate, True, 0)
-        model = fit(rows, daily_budget, budget_penalty, epochs, step)
+        model = fit(rows, BudgetState(max_per_day=daily_budget), budget_penalty,
+                    epochs, step)
 
         # the trained policy walks the same states for every participant
         scored = score_cache(model)

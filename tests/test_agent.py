@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from pcar.agent import (
-    EMA_ONLY,
     AgentBundle,
     AttributeSchema,
     ContextBucket,
     Hyperparams,
-    control_policy,
     ghost_audit,
     plan_oracle,
     random_policy,
@@ -218,10 +216,6 @@ def test_random_policy_uniform_marginals():
     for i, (_, values) in enumerate(SCHEMA.attributes):
         for v in values:
             assert abs(counts[i].get(v, 0) / n - 1 / len(values)) < 0.03
-
-
-def test_control_policy_sentinel():
-    assert control_policy() is EMA_ONLY
 
 
 def test_plan_oracle_single_arm():

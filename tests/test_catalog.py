@@ -4,8 +4,6 @@ import pytest
 from pcar.catalog import (
     DEFAULT_SCHEMA,
     CatalogError,
-    catalog_from_json,
-    catalog_to_json,
     load_catalog,
     load_starter_catalog,
     match_score,
@@ -158,11 +156,3 @@ def test_resolve_rejects_invalid_vector():
     cat = load_starter_catalog()
     with pytest.raises(ValueError):
         resolve(cat, ("nope", "somatic", "indoor"), np.random.default_rng(0))
-
-
-def test_json_round_trip_identity():
-    cat = load_starter_catalog()
-    text = catalog_to_json(cat)
-    again = catalog_from_json(text)
-    assert again.entries == cat.entries
-    assert catalog_to_json(again) == text

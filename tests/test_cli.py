@@ -78,6 +78,9 @@ def test_bad_config_fails_with_json_error(tmp_path, capsys):
     {"budget": {"window_end": "22:00"}},
     {"scheduler": {"trigger_rate": -1.0}},
     {"agent": {"q_tau_clip": 9}},
+    {"agent": {"alpha": "0.1"}},
+    {"cohort": {"noise_sigma": float("inf")}},
+    {"budget": {"window_start": "08:03"}},
 ])
 def test_bad_config_values_fail_before_simulating(tmp_path, capsys, user):
     path = tmp_path / "bad.json"
@@ -181,7 +184,8 @@ _BAD_VALUES = [
     ("cohort.noise_sigma", "0.7"), ("cohort.completion_rate", "x"),
     ("cohort.engagement.rate", None), ("catalog_path", "/nonexistent.tsv"),
     ("unknown_knob", 1), ("scheduler.threshold", 0.5),
-    ("agent.ghost_rollout_depth", 0),
+    ("agent.ghost_rollout_depth", 0), ("cohort.noise_sigma", float("inf")),
+    ("budget.window_start", "08:03"),
 ]
 
 
@@ -197,13 +201,13 @@ def fuzz_configs(draw):
         # tiny shapes keep a run in the tens of milliseconds
         "n_participants": draw(st.integers(1, 3)),
         "weeks_per_phase": 1,
-        # allocations merge into the default groups, so a group left out
-        # keeps its default share
+        # an allocation block replaces the default: a group left out gets 0
         "phase1_allocation": draw(st.sampled_from(
             [{"control": 0.25, "random": 0.75}, {"control": 0.0, "random": 1.0},
              {"control": 1.0, "random": 0.0}])),
         "phase2_allocation": draw(st.sampled_from(
-            [{"random": 0.4, "pcar": 0.6}, {"random": 0.0, "pcar": 1.0}])),
+            [{"random": 0.4, "pcar": 0.6}, {"random": 0.0, "pcar": 1.0},
+             {"pcar": 1.0}])),
         "budget": {
             "max_per_day": draw(st.integers(1, 4)),
             "min_gap_minutes": draw(st.integers(0, 300)),

@@ -141,6 +141,14 @@ def test_features_window_exhausted():
     assert x[9] == 0.0
 
 
+def test_window_features_and_base_rate_follow_the_budget_window():
+    narrow = BudgetState(window_end_minute=13 * 60)  # 08:00-13:00, 60 ticks
+    assert features(at(TUESDAY, 8), narrow)[9] == 1.0
+    assert features(at(TUESDAY, 10, 30), narrow)[9] == 150 / 300
+    rate = 3 / 60
+    assert TimingModel.budget_init(narrow).bias == math.log(rate / (1 - rate))
+
+
 def test_features_hour_trig():
     a = features(at(MONDAY, 8), BudgetState())
     b = features(at(MONDAY, 20), BudgetState())
@@ -309,7 +317,7 @@ def test_merged_rows_match_per_row_reference():
                         _reference_day_mean(p, days), rel_tol=1e-12)
     assert math.isclose(composite_loss(m, rows, 3.0),
                         _reference_loss(m, rows, 3.0), rel_tol=1e-12)
-    start = TimingModel.budget_init(budget_penalty=0.2)
+    start = TimingModel.budget_init(BudgetState(), budget_penalty=0.2)
     got = train(start, rows, daily_budget=3.0, epochs=3, step=0.05)
     w, b, mean, scale = _reference_train(start, rows, 3.0, epochs=3, step=0.05)
     np.testing.assert_allclose(got.feature_mean, mean, rtol=1e-10, atol=1e-12)
@@ -325,14 +333,15 @@ def test_timing_history_appended_row_by_row_trains_like_a_list():
         history.append(row)
     assert len(history) == len(rows)
     assert history.n_labeled == sum(lab is not None for _, lab, _ in rows)
-    start = TimingModel.budget_init(budget_penalty=0.2)
+    start = TimingModel.budget_init(BudgetState(), budget_penalty=0.2)
     a = train(start, history, epochs=5)
     b = train(start, rows, epochs=5)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
     assert expected_daily_triggers(a, history) == expected_daily_triggers(a, rows)
 
 
-def _uncached_threshold(model, daily_budget=3, iterations=40):
+def _uncached_threshold(model, daily_budget=3, min_gap=120, window=(480, 1260),
+                        iterations=40):
     """Bisection on the realized triggers of five weekdays, scoring every
     tick afresh."""
     week = [date(2024, 1, 1) + timedelta(days=i) for i in range(5)]
@@ -340,7 +349,9 @@ def _uncached_threshold(model, daily_budget=3, iterations=40):
     def triggers_per_day(theta):
         total = 0
         for day in week:
-            budget = BudgetState(max_per_day=daily_budget)
+            budget = BudgetState(max_per_day=daily_budget, min_gap_minutes=min_gap,
+                                 window_start_minute=window[0],
+                                 window_end_minute=window[1])
             for now in eligible_ticks(day, budget):
                 if score(model, features(now, budget)) >= theta:
                     budget.record_delivery(now)
@@ -363,11 +374,16 @@ def _uncached_threshold(model, daily_budget=3, iterations=40):
                      max_size=N_FEATURES),
     bias=st.floats(-6.0, 6.0),
     daily_budget=st.integers(1, 4),
+    min_gap=st.sampled_from([30, 120]),
+    window=st.sampled_from([(480, 1260), (480, 780), (600, 1020)]),
 )
-def test_calibrate_threshold_equals_uncached_bisection(weights, bias, daily_budget):
+def test_calibrate_threshold_equals_uncached_bisection(weights, bias, daily_budget,
+                                                      min_gap, window):
     m = TimingModel(weights=np.asarray(weights), bias=bias)
-    got = calibrate_threshold(m, daily_budget=daily_budget).threshold
-    assert got == _uncached_threshold(m, daily_budget)
+    shape = BudgetState(max_per_day=daily_budget, min_gap_minutes=min_gap,
+                        window_start_minute=window[0], window_end_minute=window[1])
+    got = calibrate_threshold(m, shape).threshold
+    assert got == _uncached_threshold(m, daily_budget, min_gap, window)
 
 
 def _same_model(a, b):
@@ -381,12 +397,14 @@ def _same_model(a, b):
 @pytest.mark.parametrize("daily_budget", [2, 3])
 def test_fit_is_budget_init_train_calibrate(daily_budget):
     rows = _duplicated_history()
-    cold = TimingModel.budget_init(daily_budget=daily_budget, budget_penalty=0.2)
-    _same_model(fit(None, daily_budget, budget_penalty=0.2),
-                calibrate_threshold(cold, daily_budget=daily_budget))
-    trained = train(cold, rows, daily_budget=daily_budget, epochs=7, step=0.03)
-    _same_model(fit(rows, daily_budget, 0.2, epochs=7, step=0.03),
-                calibrate_threshold(trained, daily_budget=daily_budget))
+    for shape in (BudgetState(max_per_day=daily_budget),
+                  BudgetState(max_per_day=daily_budget, window_end_minute=13 * 60)):
+        cold = TimingModel.budget_init(shape, budget_penalty=0.2)
+        _same_model(fit(None, shape, budget_penalty=0.2),
+                    calibrate_threshold(cold, shape))
+        trained = train(cold, rows, daily_budget=daily_budget, epochs=7, step=0.03)
+        _same_model(fit(rows, shape, 0.2, epochs=7, step=0.03),
+                    calibrate_threshold(trained, shape))
 
 
 def test_score_cache_keeps_budget_states_and_shapes_apart():
@@ -397,7 +415,8 @@ def test_score_cache_keeps_budget_states_and_shapes_apart():
     budgets = [BudgetState(**base)] + [
         BudgetState(**{**base, field: value}) for field, value in (
             ("delivered_today", 2), ("last_delivery", at(TUESDAY, 8)),
-            ("max_per_day", 4), ("max_per_day", 5), ("window_end_minute", 1200))]
+            ("max_per_day", 4), ("max_per_day", 5), ("window_end_minute", 1200),
+            ("window_start_minute", 600))]
     hits = [scored(now, b) for b in budgets]
     for b, (x, s) in zip(budgets, hits):
         assert np.array_equal(x, features(now, b))
@@ -450,7 +469,7 @@ def test_calibrate_threshold_hits_budget_on_decision_path():
     rng = np.random.default_rng(1)
     w = rng.normal(size=N_FEATURES) * 0.2
     m = TimingModel(weights=w, bias=0.0)
-    m2 = calibrate_threshold(m, daily_budget=3)
+    m2 = calibrate_threshold(m, BudgetState())
     b = BudgetState()
     b.start_day()
     fired = 0

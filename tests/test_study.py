@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 import pcar.scheduler
 from pcar.scheduler import expected_daily_triggers
 from pcar.study import (
+    DEFAULT_CONFIG,
     ConfigError,
     benchmark_reward_fn,
     config_hash,
@@ -22,6 +24,7 @@ from pcar.study import (
 )
 
 DATA = Path(__file__).parent / "data"
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 SMALL = {"seed": 11, "n_participants": 6, "weeks_per_phase": 1}
 
@@ -36,6 +39,9 @@ def test_load_config_defaults_and_merge():
     assert cfg["seed"] == 5
     assert cfg["n_participants"] == 28
     assert cfg["budget"]["max_per_day"] == 3
+    for user in ({}, copy.deepcopy(DEFAULT_CONFIG)):
+        # same values and the same key order, so _split and config_hash agree
+        assert json.dumps(load_config(user)) == json.dumps(DEFAULT_CONFIG)
 
 
 def test_load_config_rejects_unknown_keys():
@@ -54,6 +60,43 @@ def test_load_config_rejects_unknown_keys():
 def test_load_config_rejects_bad_allocations():
     with pytest.raises(ConfigError, match="phase1_allocation"):
         load_config({"phase1_allocation": {"control": 0.5, "random": 0.2}})
+
+
+def test_allocation_block_replaces_the_default():
+    cfg = load_config({"phase2_allocation": {"pcar": 1.0}})
+    assert cfg["phase2_allocation"] == {"random": 0.0, "pcar": 1.0}
+    cfg = load_config({"phase1_allocation": {"random": 1.0, "control": 0.0}})
+    assert list(cfg["phase1_allocation"]) == ["control", "random"]
+    with pytest.raises(ConfigError, match="unknown config key: phase2_allocation.x"):
+        load_config({"phase2_allocation": {"pcar": 1.0, "x": 0.0}})
+
+
+def _numeric_leaves(node: dict, path: str = ""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _numeric_leaves(value, f"{path}{key}.")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + key, value
+
+
+def _nested(dotted: str, value) -> dict:
+    *parents, leaf = dotted.split(".")
+    user = {leaf: value}
+    for part in reversed(parents):
+        user = {part: user}
+    return user
+
+
+def test_every_numeric_leaf_rejects_strings_and_non_finite_numbers():
+    leaves = dict(_numeric_leaves(DEFAULT_CONFIG))
+    assert len(leaves) > 30 and "cohort.engagement.ceiling" in leaves
+    for dotted, default in leaves.items():
+        # an int leaf takes no float; a float leaf no int beyond float range
+        extra = 10**400 if isinstance(default, float) else 2.0
+        for bad in ("1", float("nan"), float("inf"), -float("inf"), extra):
+            with pytest.raises(ConfigError) as exc:
+                load_config(_nested(dotted, bad))
+            assert dotted in str(exc.value), (dotted, bad)
 
 
 BAD_CONFIGS = [
@@ -78,6 +121,20 @@ BAD_CONFIGS = [
     ({"agent": {"q_tau_clip": 0}}, "agent.q_tau_clip must be >= 1"),
     ({"agent": {"tau_max": 2}}, r"agent.q_tau_clip must be in 1\.\.2"),
     ({"agent": {"tau_max": "6"}}, "agent.tau_max must be an integer"),
+    ({"agent": {"alpha": "0.1"}}, r"agent.alpha must be in \[0, 1\]"),
+    ({"agent": {"epsilon_decay_steps": -1}}, "agent.epsilon_decay_steps must be >= 0"),
+    ({"agent": {"epsilon_decay_steps": "x"}},
+     "agent.epsilon_decay_steps must be an integer"),
+    ({"agent": {"pretrain_on_phase1": 1}}, "agent.pretrain_on_phase1 must be a boolean"),
+    ({"scheduler": {"train_epochs": -1}}, "scheduler.train_epochs must be >= 0"),
+    ({"scheduler": {"mode": "bogus"}}, "scheduler.mode must be one of"),
+    ({"cohort": {"completion_rate": 1.5}}, r"cohort.completion_rate must be in \[0, 1\]"),
+    ({"cohort": {"noise_sigma": float("inf")}}, "cohort.noise_sigma must be a finite"),
+    ({"cohort": {"engagement": 1}}, "cohort.engagement must be an object"),
+    ({"output_dir": 3}, "output_dir must be a string"),
+    ({"budget": {"window_start": "08:03"}},
+     "budget.window_start must be an 'hh:mm' time on the 5-minute grid"),
+    ({"budget": {"window_end": "24:00"}}, "budget.window_end must be an 'hh:mm'"),
 ]
 
 
@@ -97,6 +154,13 @@ def test_load_config_accepts_edge_rates_and_unset_clip():
 def test_load_config_accepts_window_inside_grid():
     cfg = load_config({"budget": {"window_start": "09:30", "window_end": "21:00"}})
     assert cfg["budget"]["window_start"] == "09:30"
+
+
+def test_shipped_configs_load():
+    paths = sorted(CONFIGS.glob("*.json"))
+    assert paths
+    for path in paths:
+        assert load_config(path)["schema_version"] == 1
 
 
 def test_load_config_rejects_missing_catalog():
@@ -316,3 +380,15 @@ def test_model_mode_budget_term_counts_participant_days(monkeypatch, seed):
     run_study({"seed": seed, "scheduler": {"mode": "model"}})
     fitted, history = fits[-1]
     assert 2.5 <= expected_daily_triggers(fitted, history) <= 3.5
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_model_mode_calibrates_to_the_study_window(seed):
+    """The timing model is fit and calibrated under the study's own budget
+    rules: on a 08:00-13:00 window with the 120-minute gap, three contacts
+    a day are feasible (08:00, 10:00, 12:00) and the model delivers close
+    to that."""
+    log = run_study({"seed": seed, "n_participants": 8, "weeks_per_phase": 1,
+                     "budget": {"window_end": "13:00"},
+                     "scheduler": {"mode": "model"}})
+    assert len(log.records) / (8 * 10) >= 2.5
