@@ -1,8 +1,9 @@
 """Pinned outputs of the simulation paths that the weekly-summary golden
 file does not cover: the full record CSV of a uniform and of a model-mode
 study, of a study that advances clocks on declined content and of one
-whose learner starts without the phase-1 replay, and the four per-seed
-lists of ``timing_comparison``.
+whose learner starts without the phase-1 replay, the four per-seed lists
+of ``timing_comparison``, the other three ``report`` files of a default
+study and the CSV of a small sweep.
 
 The values in ``data/golden_outputs.json`` were recorded once; a refactor
 that claims to keep behaviour must leave every one of them unchanged.
@@ -14,11 +15,12 @@ Regenerate only for an intended change of outputs, with
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from pcar.study import run_study, timing_comparison
+from pcar.study import report, run_study, sweep, timing_comparison, write_sweep_csv
 
 GOLDEN = Path(__file__).parent / "data" / "golden_outputs.json"
 
@@ -34,6 +36,12 @@ STUDIES = {
                             "agent": {"pretrain_on_phase1": False}},
 }
 TIMING = dict(seeds=2, n_participants=4, history_days=5, eval_days=3)
+# a default study with Welch rows in both phases
+REPORT_STUDY = {"seed": 2000}
+REPORT_FILES = {"report_phase_deltas": "phase_deltas",
+                "report_welch_tests": "welch_tests",
+                "report_plot_data": "plot_data"}
+SWEEP = ({"seed": 7, "n_participants": 12}, "agent.lambda", [0, 0.6, 0.9])
 
 
 def _sha256(text: str) -> str:
@@ -52,9 +60,26 @@ def _timing_digest() -> str:
     return _sha256(json.dumps(lists))
 
 
+def _report_digests() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = report(run_study(dict(REPORT_STUDY)), tmp)
+        return {name: _sha256(paths[key].read_text(encoding="utf-8"))
+                for name, key in REPORT_FILES.items()}
+
+
+def _sweep_digest() -> str:
+    cfg, parameter, values = SWEEP
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        write_sweep_csv(sweep(dict(cfg), parameter, values), path)
+        return _sha256(path.read_text(encoding="utf-8"))
+
+
 def _compute() -> dict:
     out = {name: _records_digest(name) for name in STUDIES}
     out["timing_comparison"] = _timing_digest()
+    out.update(_report_digests())
+    out["sweep_csv"] = _sweep_digest()
     return out
 
 
@@ -70,6 +95,16 @@ def test_records_csv_matches_golden(golden, name):
 
 def test_timing_comparison_matches_golden(golden):
     assert _timing_digest() == golden["timing_comparison"]
+
+
+def test_report_files_match_golden(golden):
+    digests = _report_digests()
+    for name in REPORT_FILES:
+        assert digests[name] == golden[name], name
+
+
+def test_sweep_csv_matches_golden(golden):
+    assert _sweep_digest() == golden["sweep_csv"]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
