@@ -89,12 +89,6 @@ class ParticipantModel:
             raise ValueError("base effects are capped at 3 Likert points")
 
 
-def _hour_of(timestamp) -> int:
-    if isinstance(timestamp, (int, np.integer)):
-        return int(timestamp)
-    return timestamp.hour
-
-
 def _likert(x: float) -> int:
     """Round half away from zero, then clamp to the 1-7 scale."""
     rounded = math.floor(abs(x) + 0.5) * (1 if x >= 0 else -1)
@@ -113,21 +107,19 @@ def fatigue_factor(p: ParticipantModel, tau: int) -> float:
     return min(1.0, tau / p.recovery_rounds)
 
 
-def accept(p: ParticipantModel, timestamp, rng: np.random.Generator,
+def accept(p: ParticipantModel, hour: int, rng: np.random.Generator,
            engagement: float = 1.0) -> bool:
     """Bernoulli engagement draw at the hour's receptivity. Covers both
     outright declines and conversations that time out unanswered."""
-    hour = _hour_of(timestamp)
     if not 8 <= hour < 21:
         raise ValueError(f"hour {hour} outside the delivery window")
     prob = min(1.0, max(0.0, p.receptivity_curve[hour - 8] * engagement))
     return bool(rng.random() < prob)
 
 
-def pre_stress(p: ParticipantModel, timestamp, rng: np.random.Generator) -> int:
+def pre_stress(p: ParticipantModel, hour: int, rng: np.random.Generator) -> int:
     """Momentary stress rating: discretized Gaussian around the personal
     baseline plus the hour's offset."""
-    hour = _hour_of(timestamp)
     if not 8 <= hour <= 21:
         raise ValueError(f"hour {hour} outside the rating window")
     mean = p.baseline_stress + p.hourly_stress_offsets[hour - 8]
@@ -162,12 +154,11 @@ def post_stress(p: ParticipantModel, pre: int, value_indices, taus_before,
     return _likert(pre - effect + float(rng.normal(0.0, p.noise_sigma)))
 
 
-def control_post_stress(p: ParticipantModel, timestamp,
+def control_post_stress(p: ParticipantModel, hour: int,
                         rng: np.random.Generator) -> int:
     """Follow-up rating for prompt-only contacts: drawn like a momentary
     rating with a small upward drift (being polled twice without any
     content to show for it reads as slightly stressful)."""
-    hour = _hour_of(timestamp)
     if not 8 <= hour <= 21:
         raise ValueError(f"hour {hour} outside the rating window")
     mean = (p.baseline_stress + p.hourly_stress_offsets[hour - 8]

@@ -18,7 +18,6 @@ per model.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -150,34 +149,6 @@ class TimingModel:
         return cls(weights=np.zeros(N_FEATURES),
                    bias=math.log(rate / (1.0 - rate)),
                    budget_penalty=budget_penalty)
-
-    def to_json(self) -> str:
-        doc = {
-            "weights": [float(w) for w in self.weights],
-            "bias": self.bias,
-            "threshold": self.threshold,
-            "budget_penalty": self.budget_penalty,
-            "feature_mean": None if self.feature_mean is None
-            else [float(v) for v in self.feature_mean],
-            "feature_scale": None if self.feature_scale is None
-            else [float(v) for v in self.feature_scale],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TimingModel":
-        doc = json.loads(text)
-        def arr(key):
-            return (None if doc.get(key) is None
-                    else np.asarray(doc[key], dtype=float))
-        return cls(
-            weights=np.asarray(doc["weights"], dtype=float),
-            bias=float(doc["bias"]),
-            threshold=float(doc["threshold"]),
-            budget_penalty=float(doc["budget_penalty"]),
-            feature_mean=arr("feature_mean"),
-            feature_scale=arr("feature_scale"),
-        )
 
 
 def _standardized(model: TimingModel, X: np.ndarray) -> np.ndarray:

@@ -173,20 +173,28 @@ SUMMARY_COLUMNS = (
 )
 
 
-def mean_of_means(records, group_by=("group", "phase", "week", "metric")) -> list[SummaryRow]:
-    """Aggregate records (mappings with at least ``pid``, ``value`` and the
-    group_by fields) participant-first. Cells with no records are skipped;
-    a warning is emitted when a requested grouping turns out empty."""
+def participant_means(records, group_by) -> dict[tuple, list[float]]:
+    """Group records (mappings with at least ``pid``, ``value`` and the
+    group_by fields) into cells keyed by their group_by values, and give
+    each cell its per-participant means, participants in first-seen order.
+    Cells with no records do not appear."""
     cells: dict[tuple, dict[str, list[float]]] = {}
     for rec in records:
         key = tuple(rec[field] for field in group_by)
         cells.setdefault(key, {}).setdefault(rec["pid"], []).append(float(rec["value"]))
+    return {key: [_mean(vals) for vals in per_pid.values()]
+            for key, per_pid in cells.items()}
+
+
+def mean_of_means(records, group_by=("group", "phase", "week", "metric")) -> list[SummaryRow]:
+    """Aggregate records participant-first (see ``participant_means``); a
+    warning is emitted when a requested grouping turns out empty."""
+    cells = participant_means(records, group_by)
     if not cells:
         warnings.warn("no records to summarize", stacklevel=2)
         return []
     rows = []
-    for key, per_pid in cells.items():
-        means = [_mean(vals) for vals in per_pid.values()]
+    for key, means in cells.items():
         n = len(means)
         center = _mean(means)
         if n == 1:

@@ -64,7 +64,13 @@ from .scheduler import (
     fit,
     score_cache,
 )
-from .stats import SummaryRow, mean_of_means, welch_t, write_summary_csv
+from .stats import (
+    SummaryRow,
+    mean_of_means,
+    participant_means,
+    welch_t,
+    write_summary_csv,
+)
 
 SCHEMA_VERSION = 1
 STUDY_START = date(2024, 1, 1)  # a Monday; weeks align with calendar weeks
@@ -682,29 +688,14 @@ def _assert_budget_safety(log: StudyLog) -> None:
 
 
 def _metric_rows(log: StudyLog) -> list[dict]:
+    """One acceptance row per contact and one reward row per completed
+    contact: the rows every participant-first readout starts from."""
     rows = []
     for r in log.records:
-        rows.append(
-            {
-                "group": r.group,
-                "phase": r.phase,
-                "week": r.week,
-                "metric": "acceptance",
-                "pid": r.pid,
-                "value": 1.0 if r.accepted else 0.0,
-            }
-        )
+        base = {"group": r.group, "phase": r.phase, "week": r.week, "pid": r.pid}
+        rows.append(dict(base, metric="acceptance", value=1.0 if r.accepted else 0.0))
         if r.completed and r.reward is not None:
-            rows.append(
-                {
-                    "group": r.group,
-                    "phase": r.phase,
-                    "week": r.week,
-                    "metric": "reward",
-                    "pid": r.pid,
-                    "value": float(r.reward),
-                }
-            )
+            rows.append(dict(base, metric="reward", value=float(r.reward)))
     return rows
 
 
@@ -751,10 +742,7 @@ def phase_deltas(summary: list[SummaryRow]) -> list[dict]:
 
 def welch_table(log: StudyLog) -> list[dict]:
     """Pairwise group comparisons of per-participant phase means."""
-    per: dict[tuple[str, int, str], dict[str, list[float]]] = {}
-    for row in _metric_rows(log):
-        key = (row["metric"], row["phase"], row["group"])
-        per.setdefault(key, {}).setdefault(row["pid"], []).append(row["value"])
+    per = participant_means(_metric_rows(log), ("metric", "phase", "group"))
     out = []
     metrics = sorted({k[0] for k in per})
     phases = sorted({k[1] for k in per})
@@ -763,8 +751,7 @@ def welch_table(log: StudyLog) -> list[dict]:
             groups = sorted(g for (m, ph, g) in per if m == metric and ph == phase)
             for i, ga in enumerate(groups):
                 for gb in groups[i + 1:]:
-                    xa = [float(np.mean(v)) for v in per[(metric, phase, ga)].values()]
-                    xb = [float(np.mean(v)) for v in per[(metric, phase, gb)].values()]
+                    xa, xb = per[(metric, phase, ga)], per[(metric, phase, gb)]
                     if len(xa) < 2 or len(xb) < 2:
                         continue
                     try:
@@ -788,16 +775,14 @@ def welch_table(log: StudyLog) -> list[dict]:
 
 
 def report(log: StudyLog, out_dir: str | Path) -> dict[str, Path]:
-    """Emit the full record CSV, weekly summaries, within-phase deltas,
-    plot-ready JSON series, and the pairwise comparison table."""
+    """Emit the weekly summaries, within-phase deltas, the pairwise
+    comparison table and plot-ready JSON series; the record CSV is
+    ``StudyLog.save``'s."""
     if not log.records:
         raise ValueError("empty log")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
-
-    paths["records"] = out / "records.csv"
-    paths["records"].write_text(log.records_csv(), encoding="utf-8")
 
     summary = weekly_summary(log)
     paths["weekly_summary"] = out / "weekly_summary.csv"
@@ -979,6 +964,8 @@ def timing_comparison(
     uniform baseline matched to the trained policy's realized daily rate."""
     from .cohort import default_cohort
 
+    # every walk, the fit and the matched baseline follow the same rules
+    shape = BudgetState(max_per_day=daily_budget)
     trained_acc, uniform_acc, trained_daily, uniform_daily = [], [], [], []
     for s in range(seeds):
         rng = np.random.default_rng(hash64("timing", s))
@@ -990,7 +977,7 @@ def timing_comparison(
             rows, hits, n = [], 0, 0
             for pi, participant in enumerate(cohort):
                 for d in range(days):
-                    budget = BudgetState()
+                    budget = replace(shape)
                     for now in eligible_ticks(_date_of_day(day0 + d), budget):
                         # features read the budget before this tick's delivery
                         x = features(now, budget) if collect else None
@@ -1008,15 +995,14 @@ def timing_comparison(
             return rows, (hits / n if n else 0.0), per_day
 
         rows, _, _ = run_uniform(history_days, trigger_rate, True, 0)
-        model = fit(rows, BudgetState(max_per_day=daily_budget), budget_penalty,
-                    epochs, step)
+        model = fit(rows, shape, budget_penalty, epochs, step)
 
         # the trained policy walks the same states for every participant
         scored = score_cache(model)
         hits = n = 0
         for participant in cohort:
             for d in range(eval_days):
-                budget = BudgetState()
+                budget = replace(shape)
                 for now in eligible_ticks(_date_of_day(history_days + d), budget):
                     if scored(now, budget)[1] >= model.threshold:
                         budget.record_delivery(now)
@@ -1030,7 +1016,7 @@ def timing_comparison(
 
         # uniform baseline matched to the trained policy's realized budget;
         # the 1.2 factor offsets truncation by the daily cap
-        blocked = 120 / TICK_MINUTES
+        blocked = shape.min_gap_minutes / TICK_MINUTES
         q_matched = 1.2 * t_rate / max(len(SERVICE_TICKS) - blocked * t_rate, 1.0)
         _, u_acc, u_rate = run_uniform(
             eval_days, q_matched, False, history_days + eval_days
@@ -1066,47 +1052,40 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
 
 def sweep(cfg: dict | str | Path, parameter: str, values: list) -> list[dict]:
     """Run the study once per parameter value (derived sub-seeds unless the
-    swept parameter is the seed itself) and tabulate headline metrics."""
+    swept parameter is the seed itself) and tabulate headline metrics.
+    Every variant is checked before the first one runs."""
     base = load_config(cfg)
     if not values:
         raise ConfigError("sweep needs at least one value")
-    rows = []
+    variants = []
     for value in values:
         variant = copy.deepcopy(base)
         _set_path(variant, parameter, value)
         if parameter != "seed":
             variant["seed"] = hash64(base["seed"], "sweep", parameter, repr(value))
-        variant = load_config(variant)
-        log = run_study(variant)
-        final_week = max(r.week for r in log.records)
-        groups = sorted({r.group for r in log.records})
-        for group in groups:
-            rewards: dict[str, list[float]] = {}
-            accepts: dict[str, list[float]] = {}
-            final_rewards: dict[str, list[float]] = {}
-            for r in log.records:
-                if r.group != group:
-                    continue
-                accepts.setdefault(r.pid, []).append(1.0 if r.accepted else 0.0)
-                if r.reward is not None:
-                    rewards.setdefault(r.pid, []).append(float(r.reward))
-                    if r.week == final_week:
-                        final_rewards.setdefault(r.pid, []).append(float(r.reward))
+        variants.append(load_config(variant))
 
-            def mom(per_pid):
-                if not per_pid:
-                    return float("nan")
-                return float(np.mean([np.mean(v) for v in per_pid.values()]))
+    def mom(means):
+        return sum(means) / len(means) if means else float("nan")
 
+    rows = []
+    for value, variant in zip(values, variants):
+        metric_rows = _metric_rows(run_study(variant))
+        final_week = max(m["week"] for m in metric_rows)
+        cells = participant_means(metric_rows, ("group", "metric"))
+        final = participant_means(
+            (m for m in metric_rows if m["week"] == final_week), ("group", "metric")
+        )
+        for group in sorted({g for g, _ in cells}):
             rows.append(
                 {
                     "parameter": parameter,
                     "value": value,
                     "seed": variant["seed"],
                     "group": group,
-                    "mean_acceptance": mom(accepts),
-                    "mean_reward": mom(rewards),
-                    "final_week_reward": mom(final_rewards),
+                    "mean_acceptance": mom(cells[(group, "acceptance")]),
+                    "mean_reward": mom(cells.get((group, "reward"))),
+                    "final_week_reward": mom(final.get((group, "reward"))),
                 }
             )
     return rows

@@ -29,9 +29,11 @@ def test_run_writes_log_and_report(tmp_path, config_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["records"] > 0
-    assert (out / "records.csv").exists()
-    assert (out / "meta.json").exists()
-    assert (out / "weekly_summary.csv").exists()
+    assert set(doc["files"]) == {"records", "meta", "weekly_summary",
+                                 "phase_deltas", "welch_tests", "plot_data"}
+    assert sorted(p.name for p in out.iterdir()) == [
+        "meta.json", "phase_deltas.csv", "plot_data.json", "records.csv",
+        "weekly_summary.csv", "welch_tests.csv"]
 
 
 def test_run_is_reproducible(tmp_path, config_path, capsys):
@@ -50,7 +52,8 @@ def test_report_from_saved_log(tmp_path, config_path, capsys):
     capsys.readouterr()
     code = main(["report", "--log", str(run_dir), "--out", str(tmp_path / "rep")])
     assert code == 0
-    assert (tmp_path / "rep" / "plot_data.json").exists()
+    assert sorted(p.name for p in (tmp_path / "rep").iterdir()) == [
+        "phase_deltas.csv", "plot_data.json", "weekly_summary.csv", "welch_tests.csv"]
 
 
 def test_bad_config_fails_with_json_error(tmp_path, capsys):
@@ -107,10 +110,15 @@ def _run_fails_with_one_json_line(tmp_path, capsys, user):
     return json.loads(lines[0])["error"]
 
 
-def test_type_error_during_run_prints_one_json_line(tmp_path, capsys):
+def test_type_error_during_run_prints_one_json_line(tmp_path, capsys,
+                                                   monkeypatch):
+    def broken_accept(*args, **kwargs):  # fails inside the simulation
+        raise TypeError("broken accept")
+
+    monkeypatch.setattr(pcar.study, "accept", broken_accept)
     user = {"n_participants": 2, "weeks_per_phase": 1,
-            "cohort": {"noise_sigma": "0.7"}}
-    assert _run_fails_with_one_json_line(tmp_path, capsys, user)
+            "scheduler": {"trigger_rate": 1.0}}
+    assert _run_fails_with_one_json_line(tmp_path, capsys, user) == "broken accept"
 
 
 def test_budget_recheck_failure_prints_one_json_line(tmp_path, capsys,

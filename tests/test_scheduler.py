@@ -480,11 +480,3 @@ def test_calibrate_threshold_hits_budget_on_decision_path():
             fired += 1
         now += timedelta(minutes=5)
     assert fired == 3
-
-
-def test_model_json_round_trip():
-    m = TimingModel(weights=np.arange(N_FEATURES, dtype=float), bias=1.5,
-                    threshold=0.4, budget_penalty=0.2)
-    m2 = TimingModel.from_json(m.to_json())
-    assert np.array_equal(m2.weights, m.weights)
-    assert (m2.bias, m2.threshold, m2.budget_penalty) == (1.5, 0.4, 0.2)

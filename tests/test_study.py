@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import pcar.scheduler
+import pcar.study
 from pcar.scheduler import expected_daily_triggers
 from pcar.study import (
     DEFAULT_CONFIG,
@@ -20,6 +21,7 @@ from pcar.study import (
     run_study,
     split_counts,
     sweep,
+    timing_comparison,
     weekly_summary,
 )
 
@@ -275,8 +277,9 @@ def test_log_save_and_load_round_trip(tmp_path, small_log):
 
 def test_report_outputs(tmp_path, small_log):
     paths = report(small_log, tmp_path / "rep")
-    for key in ("records", "weekly_summary", "phase_deltas", "welch_tests", "plot_data"):
-        assert paths[key].exists(), key
+    # the four documented files and nothing else; records.csv is save()'s
+    assert set(paths) == {"weekly_summary", "phase_deltas", "welch_tests", "plot_data"}
+    assert sorted(tmp_path.joinpath("rep").iterdir()) == sorted(paths.values())
     doc = json.loads(paths["plot_data"].read_text())
     assert doc["schema_version"] == 1
     assert doc["series"]
@@ -348,6 +351,19 @@ def test_sweep_rows_and_errors(tmp_path):
         sweep(dict(SMALL), "agent.nonsense", [1])
 
 
+def test_sweep_checks_every_value_before_simulating(monkeypatch):
+    runs = []
+
+    def counting_run_study(cfg):
+        runs.append(cfg)
+        return run_study(cfg)
+
+    monkeypatch.setattr(pcar.study, "run_study", counting_run_study)
+    with pytest.raises(ConfigError, match="agent.lambda"):
+        sweep(dict(SMALL), "agent.lambda", [0.6, "x"])
+    assert runs == []
+
+
 def test_sweep_seed_parameter_uses_given_seeds():
     rows = sweep(dict(SMALL), "seed", [5, 6])
     assert {r["seed"] for r in rows} == {5, 6}
@@ -392,3 +408,12 @@ def test_model_mode_calibrates_to_the_study_window(seed):
                      "budget": {"window_end": "13:00"},
                      "scheduler": {"mode": "model"}})
     assert len(log.records) / (8 * 10) >= 2.5
+
+
+@pytest.mark.parametrize("daily_budget", [1, 2])
+def test_timing_comparison_enforces_its_daily_budget(daily_budget):
+    """History, evaluation and the matched baseline all walk the given
+    allowance, not the default cap of 3."""
+    res = timing_comparison(seeds=2, n_participants=4, history_days=5,
+                            eval_days=3, daily_budget=daily_budget)
+    assert max(res.trained_daily + res.uniform_daily) <= daily_budget
