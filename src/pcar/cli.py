@@ -42,7 +42,7 @@ def cmd_run(args) -> int:
     print(
         json.dumps(
             {
-                "log_hash": log.log_hash(),
+                "log_hash": log.meta["log_hash"],  # recorded by save
                 "records": len(log.records),
                 "out": str(out_dir),
                 "files": {k: str(v) for k, v in paths.items()},

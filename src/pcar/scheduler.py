@@ -1,12 +1,13 @@
 """Delivery timing under hard budget rules.
 
-Hard constraints: at most three contacts per weekday, at least two hours
-between contacts, and nothing outside 08:00-21:00. On top of that sits a
-small trained model -- a linear scorer through a sigmoid -- that estimates
-how likely a contact at the current 5-minute tick is to be engaged with.
-It is fit by full-batch gradient descent on a squared-error term plus a
-budget-pressure term that pulls the expected number of daily triggers
-toward the allowance.
+Hard constraints, each set by the study's ``budget`` config: a daily cap
+(default three contacts), a minimum gap (default two hours), a window
+(default 08:00-21:00, never wider) and, by default, weekdays only. On top
+of that sits a small trained model -- a linear scorer through a sigmoid --
+that estimates how likely a contact at the current 5-minute tick is to be
+engaged with. It is fit by full-batch gradient descent on a squared-error
+term plus a budget-pressure term that pulls the expected number of daily
+triggers toward the allowance.
 
 Training merges identical (features, label) history rows into one row
 with a count (``TimingHistory``), so a night's refit costs as much as its
@@ -14,6 +15,9 @@ distinct rows. In a study every participant shares one model and fires
 deterministically, so the cohort walks few distinct budget states. Scores
 are cached the same way: ``score_cache`` scores each budget state once
 per model.
+
+Time is one integer clock, the study-minute: ``day * 1440 + minute of
+day``, where day 0 is a Monday, so the weekday is ``day % 7``.
 """
 
 from __future__ import annotations
@@ -21,13 +25,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from datetime import date, datetime, time, timedelta
 
 import numpy as np
 
 WINDOW_START_MINUTE = 8 * 60
 WINDOW_END_MINUTE = 21 * 60
 TICK_MINUTES = 5
+DAY_MINUTES = 24 * 60
 # the 5-minute decision grid, in minutes after midnight; eligible_ticks is
 # the one place that walks it
 SERVICE_TICKS = range(WINDOW_START_MINUTE, WINDOW_END_MINUTE, TICK_MINUTES)
@@ -37,11 +41,12 @@ N_FEATURES = 10
 
 @dataclass
 class BudgetState:
-    """Per-participant delivery budget. ``delivered_today`` counts initiated
-    contacts; call ``start_day`` at each day boundary."""
+    """Per-participant delivery budget; ``last_delivery`` is a study-minute.
+    ``delivered_today`` counts initiated contacts; call ``start_day`` at
+    each day boundary."""
 
     delivered_today: int = 0
-    last_delivery: datetime | None = None
+    last_delivery: int | None = None
     max_per_day: int = 3
     min_gap_minutes: int = 120
     window_start_minute: int = WINDOW_START_MINUTE
@@ -51,64 +56,54 @@ class BudgetState:
     def start_day(self) -> None:
         self.delivered_today = 0
 
-    def record_delivery(self, now: datetime) -> None:
+    def record_delivery(self, now: int) -> None:
         self.delivered_today += 1
         self.last_delivery = now
 
 
-def _minute_of_day(now: datetime) -> int:
-    return now.hour * 60 + now.minute
-
-
-def eligible(budget: BudgetState, now: datetime) -> bool:
+def eligible(budget: BudgetState, now: int) -> bool:
     """All hard rules at once: weekday, inside the window, daily allowance
     left, and enough distance from the previous contact."""
-    if budget.weekdays_only and now.weekday() >= 5:
+    day, minute = divmod(now, DAY_MINUTES)
+    if budget.weekdays_only and day % 7 >= 5:
         return False
-    minute = _minute_of_day(now)
     if not budget.window_start_minute <= minute < budget.window_end_minute:
         return False
     if budget.delivered_today >= budget.max_per_day:
         return False
-    if budget.last_delivery is not None:
-        gap = (now - budget.last_delivery).total_seconds() / 60.0
-        if gap < budget.min_gap_minutes:
-            return False
-    return True
+    return (budget.last_delivery is None
+            or now - budget.last_delivery >= budget.min_gap_minutes)
 
 
-def eligible_ticks(day: date, budget: BudgetState) -> Iterator[datetime]:
-    """Start the budget's day and yield each grid tick of ``day`` at which
-    the hard rules allow a contact. Each tick is checked only when the walk
-    reaches it, so a ``record_delivery`` the caller makes for one tick
-    blocks the ticks that follow."""
+def eligible_ticks(day: int, budget: BudgetState) -> Iterator[int]:
+    """Start the budget's day and yield each grid tick of calendar day
+    ``day`` at which the hard rules allow a contact. Each tick is checked
+    only when the walk reaches it, so a ``record_delivery`` the caller
+    makes for one tick blocks the ticks that follow."""
     budget.start_day()
-    now = datetime.combine(day, time()) + timedelta(minutes=SERVICE_TICKS.start)
-    step = timedelta(minutes=SERVICE_TICKS.step)
-    for _ in SERVICE_TICKS:
-        if eligible(budget, now):
-            yield now
-        now += step
+    midnight = day * DAY_MINUTES
+    for minute in SERVICE_TICKS:
+        if eligible(budget, midnight + minute):
+            yield midnight + minute
 
 
-def features(now: datetime, budget: BudgetState) -> np.ndarray:
+def features(now: int, budget: BudgetState) -> np.ndarray:
     """Deterministic 10-vector for the timing model:
     [sin hour, cos hour, Mon..Fri one-hot, minutes-since-last (capped,
     normalized), allowance remaining / max, window minutes remaining /
     window length]."""
     x = np.zeros(N_FEATURES)
-    minute = _minute_of_day(now)
-    angle = 2.0 * math.pi * minute / 1440.0
+    day, minute = divmod(now, DAY_MINUTES)
+    angle = 2.0 * math.pi * minute / DAY_MINUTES
     x[0] = math.sin(angle)
     x[1] = math.cos(angle)
-    dow = now.weekday()
+    dow = day % 7
     if dow < 5:
         x[2 + dow] = 1.0
     if budget.last_delivery is None:
         gap = GAP_CAP_MINUTES
     else:
-        gap = (now - budget.last_delivery).total_seconds() / 60.0
-        gap = min(max(gap, 0.0), GAP_CAP_MINUTES)
+        gap = min(max(now - budget.last_delivery, 0), GAP_CAP_MINUTES)
     x[7] = gap / GAP_CAP_MINUTES
     x[8] = max(0, budget.max_per_day - budget.delivered_today) / budget.max_per_day
     remaining = max(0, budget.window_end_minute - minute)
@@ -299,7 +294,7 @@ def score_cache(model: TimingModel):
     returned feature arrays are shared; do not modify them."""
     memo: dict = {}
 
-    def scored(now: datetime, budget: BudgetState) -> tuple[np.ndarray, float]:
+    def scored(now: int, budget: BudgetState) -> tuple[np.ndarray, float]:
         key = (now, budget.last_delivery, budget.delivered_today,
                budget.max_per_day, budget.window_start_minute,
                budget.window_end_minute)
@@ -322,7 +317,7 @@ def calibrate_threshold(
     copy of ``shape`` and fires where the score clears the candidate
     threshold; scores evolve with the budget state as triggers fire, as
     they do in a study. The passes share one ``score_cache``."""
-    week = [date(2024, 1, 1) + timedelta(days=i) for i in range(5)]
+    week = range(5)  # Monday to Friday
     scored = score_cache(model)
     daily_budget = shape.max_per_day
 
@@ -367,11 +362,11 @@ def fit(
     return calibrate_threshold(model, shape)
 
 
-def decide(model: TimingModel, budget: BudgetState, now: datetime) -> bool:
+def decide(model: TimingModel, budget: BudgetState, now: int) -> bool:
     """Trigger decision at one tick: hard rules first, then the scorer
     against the threshold. Only valid on the 5-minute grid."""
-    if now.minute % TICK_MINUTES != 0 or now.second != 0:
-        raise ValueError(f"{now.isoformat()} is not on the 5-minute decision grid")
+    if now % TICK_MINUTES:
+        raise ValueError(f"study-minute {now} is not on the 5-minute decision grid")
     if not eligible(budget, now):
         return False
     return score(model, features(now, budget)) >= model.threshold

@@ -12,6 +12,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 _BETACF_EPS = 1e-14
 _BETACF_FPMIN = 1e-300
@@ -80,9 +81,11 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     return reg_inc_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
+@lru_cache
 def student_t_quantile(q: float, df: float) -> float:
     """Inverse CDF for q in (0.5, 1): the positive t with CDF(t) = q,
-    found by bisection on the two-sided tail (monotone in t)."""
+    found by bisection on the two-sided tail (monotone in t). Cached (128
+    entries): a report asks for the same few (q, df) in every cell."""
     if not 0.5 < q < 1.0:
         raise ValueError("quantile implemented for q in (0.5, 1)")
     target = 2.0 * (1.0 - q)  # two-sided tail mass at the answer

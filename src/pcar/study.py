@@ -23,7 +23,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, replace
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, time, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,7 @@ from .cohort import (
 )
 from .lsd import LsdState, advance, initial_state
 from .scheduler import (
+    DAY_MINUTES,
     SERVICE_TICKS,
     TICK_MINUTES,
     WINDOW_END_MINUTE,
@@ -335,23 +336,25 @@ class StudyLog:
         return buf.getvalue()
 
     def log_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.records_csv().encode())
-        h.update(self.meta["config_hash"].encode())
-        return h.hexdigest()
+        return _log_hash(self.records_csv(), self.meta)
 
     def save(self, out_dir: str | Path) -> dict[str, Path]:
+        """Render the records once, write them and ``meta.json``, and keep
+        their hash in ``meta["log_hash"]``, as a loaded log has it."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        text = self.records_csv()
         records_path = out / "records.csv"
-        records_path.write_text(self.records_csv(), encoding="utf-8")
-        meta = dict(self.meta)
-        meta["log_hash"] = self.log_hash()
+        records_path.write_text(text, encoding="utf-8")
+        self.meta["log_hash"] = _log_hash(text, self.meta)
         meta_path = out / "meta.json"
-        meta_path.write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        meta_path.write_text(json.dumps(self.meta, sort_keys=True, indent=2) + "\n",
+                             encoding="utf-8")
         return {"records": records_path, "meta": meta_path}
+
+
+def _log_hash(records_csv: str, meta: dict) -> str:
+    return hashlib.sha256((records_csv + meta["config_hash"]).encode()).hexdigest()
 
 
 def load_log(path: str | Path) -> StudyLog:
@@ -406,9 +409,9 @@ class _ParticipantState:
     pending: tuple | None = None  # (Selection, reward) awaiting its successor
 
 
-def _date_of_day(day_idx: int) -> date:
-    week, dow = divmod(day_idx, 5)
-    return STUDY_START + timedelta(days=week * 7 + dow)
+def _calendar_day(day_idx: int) -> int:
+    """Calendar day (0 is ``STUDY_START``) of study day ``day_idx``, a weekday."""
+    return day_idx // 5 * 7 + day_idx % 5
 
 
 def _split(order: list[str], fractions: dict[str, float]) -> dict[str, str]:
@@ -513,6 +516,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         timing_history = TimingHistory()
 
     records: list[InterventionRecord] = []
+    epoch = datetime.combine(STUDY_START, time())  # study-minute 0
 
     def reallocate_phase2() -> AgentBundle:
         random_pids = [pid for pid in pids if states[pid].group == "random"]
@@ -563,12 +567,11 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             bundle = reallocate_phase2()
         phase = 1 if day_idx < phase2_first_day else 2
         week = day_idx // 5 + 1
-        day_date = _date_of_day(day_idx)
 
         for pid in pids:
             st = states[pid]
             p = st.model
-            for now in eligible_ticks(day_date, st.budget):
+            for now in eligible_ticks(_calendar_day(day_idx), st.budget):
                 if model_mode:
                     x, likelihood = scored(now, st.budget)
                     fire = likelihood >= timing_model.threshold
@@ -576,7 +579,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                     fire = st.rng.random() < scfg["trigger_rate"]
                 if fire:
                     st.budget.record_delivery(now)
-                    engaged = accept(p, now.hour, st.rng, engagement=st.engagement)
+                    hour = now % DAY_MINUTES // 60
+                    engaged = accept(p, hour, st.rng, engagement=st.engagement)
                 if model_mode:  # ticks without a contact count toward the budget term
                     label = float(engaged) if fire else None
                     timing_history.append((x, label, (pid, day_idx)))
@@ -585,16 +589,16 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 # one contact: its record is filled in as the contact proceeds
                 rec = InterventionRecord(
                     seed=seed, pid=pid, group=st.group, phase=phase, week=week,
-                    day=day_idx + 1, timestamp=now.isoformat(),
+                    day=day_idx + 1, timestamp=(epoch + timedelta(minutes=now)).isoformat(),
                     accepted=engaged, completed=False,
                 )
                 records.append(rec)
                 if not engaged:
                     continue
-                rec.pre_stress = pre_stress(p, now.hour, st.rng)
+                rec.pre_stress = pre_stress(p, hour, st.rng)
                 treated = st.group != "control"
                 if treated:
-                    ctx = ContextBucket.from_hour(now.hour, p.trait_bucket)
+                    ctx = ContextBucket.from_hour(hour, p.trait_bucket)
                     if st.group == "pcar":
                         action = bundle.select_action(ctx, clocks=st.clocks)
                     else:
@@ -608,8 +612,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                     if treated:
                         post = post_stress(p, rec.pre_stress, idx, taus, ctx, st.rng)
                     else:
-                        post_time = now + timedelta(minutes=POST_EMA_DELAY_MINUTES)
-                        post = control_post_stress(p, post_time.hour, st.rng)
+                        post_hour = (now + POST_EMA_DELAY_MINUTES) % DAY_MINUTES // 60
+                        post = control_post_stress(p, post_hour, st.rng)
                     rec.post_stress, rec.reward = post, rec.pre_stress - post
                 if not treated:
                     continue
@@ -687,7 +691,7 @@ def _assert_budget_safety(log: StudyLog) -> None:
 # -- reporting -----------------------------------------------------------------
 
 
-def _metric_rows(log: StudyLog) -> list[dict]:
+def metric_rows(log: StudyLog) -> list[dict]:
     """One acceptance row per contact and one reward row per completed
     contact: the rows every participant-first readout starts from."""
     rows = []
@@ -699,10 +703,10 @@ def _metric_rows(log: StudyLog) -> list[dict]:
     return rows
 
 
-def weekly_summary(log: StudyLog) -> list[SummaryRow]:
-    rows = mean_of_means(_metric_rows(log), group_by=("group", "phase", "week", "metric"))
-    rows.sort(key=lambda s: (s.metric, s.group, s.phase, s.week))
-    return rows
+def weekly_summary(rows: list[dict]) -> list[SummaryRow]:
+    """Participant-first cells of ``metric_rows`` by group, phase, week and metric."""
+    return sorted(mean_of_means(rows, group_by=("group", "phase", "week", "metric")),
+                  key=lambda s: (s.metric, s.group, s.phase, s.week))
 
 
 def _fmt(x: float) -> str:
@@ -740,9 +744,9 @@ def phase_deltas(summary: list[SummaryRow]) -> list[dict]:
     return out
 
 
-def welch_table(log: StudyLog) -> list[dict]:
-    """Pairwise group comparisons of per-participant phase means."""
-    per = participant_means(_metric_rows(log), ("metric", "phase", "group"))
+def welch_table(rows: list[dict]) -> list[dict]:
+    """Pairwise group comparisons of per-participant phase means of ``metric_rows``."""
+    per = participant_means(rows, ("metric", "phase", "group"))
     out = []
     metrics = sorted({k[0] for k in per})
     phases = sorted({k[1] for k in per})
@@ -784,7 +788,8 @@ def report(log: StudyLog, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    summary = weekly_summary(log)
+    rows = metric_rows(log)
+    summary = weekly_summary(rows)
     paths["weekly_summary"] = out / "weekly_summary.csv"
     with paths["weekly_summary"].open("w", encoding="utf-8", newline="") as fh:
         write_summary_csv(summary, fh)
@@ -805,7 +810,7 @@ def report(log: StudyLog, out_dir: str | Path) -> dict[str, Path]:
         ["metric", "phase", "group_a", "group_b", "n_a", "n_b", "t", "df", "p"],
         ([t["metric"], t["phase"], t["group_a"], t["group_b"], t["n_a"],
           t["n_b"], _fmt(t["t"]), _fmt(t["df"]), _fmt(t["p"])]
-         for t in welch_table(log)),
+         for t in welch_table(rows)),
     )
 
     series: dict[tuple, dict] = {}
@@ -973,18 +978,20 @@ def timing_comparison(
             n_participants, rng, mean_acceptance=mean_acceptance
         )
 
-        def run_uniform(days, q, collect, day0):
+        def walk(days, day0, fire, collect=False):
+            """(history rows if ``collect``, acceptance, contacts per
+            participant-day) of a walk that contacts where ``fire(now, budget)``."""
             rows, hits, n = [], 0, 0
             for pi, participant in enumerate(cohort):
                 for d in range(days):
                     budget = replace(shape)
-                    for now in eligible_ticks(_date_of_day(day0 + d), budget):
+                    for now in eligible_ticks(_calendar_day(day0 + d), budget):
                         # features read the budget before this tick's delivery
                         x = features(now, budget) if collect else None
                         label = None
-                        if rng.random() < q:
+                        if fire(now, budget):
                             budget.record_delivery(now)
-                            ok = accept(participant, now.hour, rng)
+                            ok = accept(participant, now % DAY_MINUTES // 60, rng)
                             label = 1.0 if ok else 0.0
                             hits += ok
                             n += 1
@@ -994,23 +1001,16 @@ def timing_comparison(
             per_day = n / (days * len(cohort)) if days else 0.0
             return rows, (hits / n if n else 0.0), per_day
 
-        rows, _, _ = run_uniform(history_days, trigger_rate, True, 0)
+        def uniform(q):
+            return lambda now, budget: rng.random() < q
+
+        rows, _, _ = walk(history_days, 0, uniform(trigger_rate), collect=True)
         model = fit(rows, shape, budget_penalty, epochs, step)
 
         # the trained policy walks the same states for every participant
         scored = score_cache(model)
-        hits = n = 0
-        for participant in cohort:
-            for d in range(eval_days):
-                budget = replace(shape)
-                for now in eligible_ticks(_date_of_day(history_days + d), budget):
-                    if scored(now, budget)[1] >= model.threshold:
-                        budget.record_delivery(now)
-                        ok = accept(participant, now.hour, rng)
-                        hits += ok
-                        n += 1
-        t_acc = hits / n if n else 0.0
-        t_rate = n / (eval_days * len(cohort))
+        _, t_acc, t_rate = walk(eval_days, history_days,
+                                lambda now, budget: scored(now, budget)[1] >= model.threshold)
         trained_acc.append(t_acc)
         trained_daily.append(t_rate)
 
@@ -1018,9 +1018,7 @@ def timing_comparison(
         # the 1.2 factor offsets truncation by the daily cap
         blocked = shape.min_gap_minutes / TICK_MINUTES
         q_matched = 1.2 * t_rate / max(len(SERVICE_TICKS) - blocked * t_rate, 1.0)
-        _, u_acc, u_rate = run_uniform(
-            eval_days, q_matched, False, history_days + eval_days
-        )
+        _, u_acc, u_rate = walk(eval_days, history_days + eval_days, uniform(q_matched))
         uniform_acc.append(u_acc)
         uniform_daily.append(u_rate)
 
@@ -1070,11 +1068,11 @@ def sweep(cfg: dict | str | Path, parameter: str, values: list) -> list[dict]:
 
     rows = []
     for value, variant in zip(values, variants):
-        metric_rows = _metric_rows(run_study(variant))
-        final_week = max(m["week"] for m in metric_rows)
-        cells = participant_means(metric_rows, ("group", "metric"))
+        readings = metric_rows(run_study(variant))
+        final_week = max(m["week"] for m in readings)
+        cells = participant_means(readings, ("group", "metric"))
         final = participant_means(
-            (m for m in metric_rows if m["week"] == final_week), ("group", "metric")
+            (m for m in readings if m["week"] == final_week), ("group", "metric")
         )
         for group in sorted({g for g, _ in cells}):
             rows.append(

@@ -2,7 +2,6 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from datetime import datetime, time, timedelta
 from pathlib import Path
 
 import pytest
@@ -126,7 +125,7 @@ def test_budget_recheck_failure_prints_one_json_line(tmp_path, capsys,
     def every_tick(day, budget):  # a walker that ignores the hard rules
         budget.start_day()
         for minute in SERVICE_TICKS:
-            yield datetime.combine(day, time()) + timedelta(minutes=minute)
+            yield day * 1440 + minute
 
     monkeypatch.setattr(pcar.study, "eligible_ticks", every_tick)
     user = {"n_participants": 1, "weeks_per_phase": 1,

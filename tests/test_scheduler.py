@@ -1,5 +1,5 @@
 import math
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -24,13 +24,15 @@ from pcar.scheduler import (
     train,
 )
 
-MONDAY = datetime(2024, 1, 1)  # a Monday
-TUESDAY = datetime(2024, 1, 2)
-SATURDAY = datetime(2024, 1, 6)
+# calendar days; day 0 is a Monday
+MONDAY = 0
+TUESDAY = 1
+SATURDAY = 5
 
 
-def at(day: datetime, hh: int, mm: int = 0) -> datetime:
-    return day.replace(hour=hh, minute=mm)
+def at(day: int, hh: int, mm: int = 0) -> int:
+    """The study-minute of hh:mm on calendar day ``day``."""
+    return day * 1440 + hh * 60 + mm
 
 
 def test_eligible_rejects_weekend():
@@ -72,12 +74,18 @@ def _walk(ticks, budget, deliver_at):
 
 
 def _plain_ticks(day, budget):
-    """Reference walk, written out: every 5 minutes from 08:00 to 20:55."""
+    """Reference walk, written out: every 5 minutes from 08:00 to 20:55,
+    each hard rule checked by hand, the weekday read off the calendar."""
     budget.start_day()
+    weekend = (date(2024, 1, 1) + timedelta(days=day)).weekday() >= 5
     minute = 8 * 60
     while minute < 21 * 60:
-        now = datetime(day.year, day.month, day.day, minute // 60, minute % 60)
-        if eligible(budget, now):
+        now = at(day, 0, minute)
+        if (not (budget.weekdays_only and weekend)
+                and budget.window_start_minute <= minute < budget.window_end_minute
+                and budget.delivered_today < budget.max_per_day
+                and (budget.last_delivery is None
+                     or now - budget.last_delivery >= budget.min_gap_minutes)):
             yield now
         minute += 5
 
@@ -88,19 +96,15 @@ def _plain_ticks(day, budget):
     min_gap=st.integers(0, 300),
     window=st.tuples(st.integers(8 * 60, 21 * 60), st.integers(8 * 60, 21 * 60))
     .filter(lambda w: w[0] < w[1]),
-    weekday=st.integers(0, 6),
+    day=st.integers(0, 27),  # four calendar weeks
     weekdays_only=st.booleans(),
     last_evening=st.one_of(st.none(), st.integers(17 * 60, 24 * 60 - 1)),
     deliver_at=st.sets(st.integers(0, 160), max_size=8),
 )
-def test_eligible_ticks_matches_plain_loop(max_per_day, min_gap, window, weekday,
+def test_eligible_ticks_matches_plain_loop(max_per_day, min_gap, window, day,
                                            weekdays_only, last_evening, deliver_at):
-    day = date(2024, 1, 1) + timedelta(days=weekday)
-
     def budget():
-        last = (None if last_evening is None else
-                datetime.combine(day, datetime.min.time())
-                - timedelta(days=1) + timedelta(minutes=last_evening))
+        last = None if last_evening is None else at(day - 1, 0, last_evening)
         # yesterday's count: both walks must reset it
         return BudgetState(delivered_today=max_per_day, last_delivery=last,
                            max_per_day=max_per_day, min_gap_minutes=min_gap,
@@ -117,12 +121,12 @@ def test_eligible_ticks_matches_plain_loop(max_per_day, min_gap, window, weekday
 
 def test_eligible_ticks_delivery_blocks_two_hours_and_cap_ends_day():
     b = BudgetState()
-    assert len(list(eligible_ticks(TUESDAY.date(), b))) == 156
-    assert len(list(eligible_ticks(SATURDAY.date(), b))) == 0
-    seen = _walk(eligible_ticks(TUESDAY.date(), b), b, {0, 1, 2})
+    assert len(list(eligible_ticks(TUESDAY, b))) == 156
+    assert len(list(eligible_ticks(SATURDAY, b))) == 0
+    seen = _walk(eligible_ticks(TUESDAY, b), b, {0, 1, 2})
     assert seen == [at(TUESDAY, 8), at(TUESDAY, 10), at(TUESDAY, 12)]
     assert b.delivered_today == 3
-    ticks = eligible_ticks(TUESDAY.date(), b)  # a new day resets the count
+    ticks = eligible_ticks(TUESDAY, b)  # a new day resets the count
     assert next(ticks) == at(TUESDAY, 14)  # but the gap still counts
     b.record_delivery(at(TUESDAY, 14))
     assert next(ticks) == at(TUESDAY, 16)
@@ -134,6 +138,13 @@ def test_features_fresh_morning():
     assert x[7] == 1.0  # no prior contact: gap at cap
     assert x[8] == 1.0  # full allowance
     assert x[9] == 1.0  # whole window ahead
+
+
+def test_features_weekday_repeats_every_calendar_week():
+    for week in range(4):
+        for dow in range(7):
+            x = features(at(7 * week + dow, 9), BudgetState())
+            assert x[2:7].tolist() == [float(dow == i) for i in range(5)]
 
 
 def test_features_window_exhausted():
@@ -344,7 +355,7 @@ def _uncached_threshold(model, daily_budget=3, min_gap=120, window=(480, 1260),
                         iterations=40):
     """Bisection on the realized triggers of five weekdays, scoring every
     tick afresh."""
-    week = [date(2024, 1, 1) + timedelta(days=i) for i in range(5)]
+    week = range(5)
 
     def triggers_per_day(theta):
         total = 0
@@ -455,14 +466,14 @@ def test_full_day_sweep_never_exceeds_budget():
     b.start_day()
     fired = []
     now = at(TUESDAY, 8)
-    while now.hour < 21:
+    while now < at(TUESDAY, 21):
         if decide(m, b, now):
             b.record_delivery(now)
             fired.append(now)
-        now += timedelta(minutes=5)
+        now += 5
     assert len(fired) == 3
     for x, y in zip(fired, fired[1:]):
-        assert (y - x) >= timedelta(minutes=120)
+        assert (y - x) >= 120
 
 
 def test_calibrate_threshold_hits_budget_on_decision_path():
@@ -474,9 +485,9 @@ def test_calibrate_threshold_hits_budget_on_decision_path():
     b.start_day()
     fired = 0
     now = at(TUESDAY, 8)
-    while now.hour < 21:
+    while now < at(TUESDAY, 21):
         if decide(m2, b, now):
             b.record_delivery(now)
             fired += 1
-        now += timedelta(minutes=5)
+        now += 5
     assert fired == 3

@@ -15,6 +15,7 @@ from pcar.study import (
     hash64,
     load_config,
     load_log,
+    metric_rows,
     oracle_check,
     phase_deltas,
     report,
@@ -288,7 +289,7 @@ def test_report_outputs(tmp_path, small_log):
 
 
 def test_summary_row_count_structure(small_log):
-    rows = weekly_summary(small_log)
+    rows = weekly_summary(metric_rows(small_log))
     # every (group, phase, week, metric) cell that has data appears once
     keys = [(r.group, r.phase, r.week, r.metric) for r in rows]
     assert len(keys) == len(set(keys))
@@ -300,7 +301,7 @@ def test_summary_row_count_structure(small_log):
 
 def test_phase_deltas_are_last_minus_first(small_log):
     log2 = run_study({"seed": 21, "n_participants": 8, "weeks_per_phase": 2})
-    rows = weekly_summary(log2)
+    rows = weekly_summary(metric_rows(log2))
     deltas = phase_deltas(rows)
     by_cell = {(r.group, r.phase, r.week, r.metric): r.mean for r in rows}
     for d in deltas:
