@@ -118,26 +118,16 @@ class Hyperparams:
 
 
 class QModel:
-    """Per-agent action-value and eligibility tables, keyed by
-    (value index, clipped clock index, context bucket index)."""
+    """Per-agent action-value table ``q`` and the eligibility trace ``e`` of
+    the one open trajectory, both keyed by (value index, clipped clock
+    index, context bucket index)."""
 
     def __init__(self, n_values: int, tau_clip: int, n_buckets: int):
         self.n_values = n_values
         self.tau_clip = tau_clip
         self.n_buckets = n_buckets
         self.q = np.zeros((n_values, 2 * tau_clip, n_buckets))
-        self._traces: dict[str, np.ndarray] = {}
-
-    def trace(self, stream: str) -> np.ndarray:
-        e = self._traces.get(stream)
-        if e is None:
-            e = np.zeros_like(self.q)
-            self._traces[stream] = e
-        return e
-
-    def reset_trace(self, stream: str) -> None:
-        if stream in self._traces:
-            self._traces[stream].fill(0.0)
+        self.e = np.zeros_like(self.q)
 
     def tau_index(self, tau: int) -> int:
         if tau == 0:
@@ -165,7 +155,10 @@ class AgentBundle:
     clocks elsewhere (e.g. one set per participant) pass them explicitly
     to ``select_action`` and drive learning through ``td_step``.
 
-    Single-writer: updates mutate the bundle and must be serialized.
+    One trajectory is open at a time: its ``td_step``s share one trace per
+    agent, and ``end_episode`` closes it before the next one starts, so no
+    trajectory credits another's choices. Single-writer: updates mutate the
+    bundle and must be serialized.
     """
 
     def __init__(
@@ -192,10 +185,7 @@ class AgentBundle:
             QModel(len(schema.values(i)), clip, self.n_buckets)
             for i in range(schema.n_attributes)
         ]
-        self._clocks = [
-            initial_state(len(schema.values(i)), tau_max)
-            for i in range(schema.n_attributes)
-        ]
+        self.reset_clocks()
         self.rounds = 0
 
     # -- state access ----------------------------------------------------
@@ -256,19 +246,17 @@ class AgentBundle:
         """Epsilon-greedy choice per agent over the current (or supplied)
         clocks. One uniform draw is consumed per agent regardless of
         epsilon, so streams stay aligned across configurations."""
-        clocks = self._clocks if clocks is None else list(clocks)
+        clocks = self._clocks if clocks is None else clocks
         bucket = ctx.index(self.n_trait_buckets)
         idx = self._select_indices(clocks, bucket, self.epsilon())
         return tuple(self.schema.values(p)[i] for p, i in enumerate(idx))
 
-    def greedy_action(
-        self, ctx: ContextBucket, clocks: list[LsdState] | None = None
-    ) -> tuple[str, ...]:
-        """Pure argmax choice; consumes no randomness."""
-        clocks = self._clocks if clocks is None else list(clocks)
+    def greedy_action(self, ctx: ContextBucket) -> tuple[str, ...]:
+        """Pure argmax choice over the internal clocks; consumes no
+        randomness."""
         bucket = ctx.index(self.n_trait_buckets)
         idx = [
-            self._greedy_index(p, clocks[p], bucket)
+            self._greedy_index(p, self._clocks[p], bucket)
             for p in range(self.schema.n_attributes)
         ]
         return tuple(self.schema.values(p)[i] for p, i in enumerate(idx))
@@ -287,21 +275,18 @@ class AgentBundle:
     # -- learning ----------------------------------------------------------
 
     def td_step(
-        self,
-        prev: Selection,
-        reward: float,
-        nxt: Selection | None,
-        stream: str = "default",
+        self, prev: Selection, reward: float, nxt: Selection | None
     ) -> None:
-        """One SARSA(lambda) update with replacing traces. ``nxt`` is the
-        follow-up choice, or None for a terminal transition (no bootstrap).
-        Traces are kept per stream so interleaved trajectories (one stream
-        per participant) do not cross-credit."""
+        """One SARSA(lambda) update with replacing traces on the open
+        trajectory. ``nxt`` is the follow-up choice, or None for a terminal
+        transition (no bootstrap). Finish each trajectory with
+        ``end_episode`` before starting another (e.g. another participant's
+        day), or the traces would credit it with the other's choices."""
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
         p = self.params
         for a, qm in enumerate(self.models):
-            e = qm.trace(stream)
+            e = qm.e
             v, ti = prev.value_indices[a], qm.tau_index(prev.taus[a])
             cur = qm.q[v, ti, prev.bucket]
             if nxt is None:
@@ -316,6 +301,10 @@ class AgentBundle:
             e *= p.gamma * p.lam
         self.rounds += 1
 
+    def _advanced(self, value_indices: tuple[int, ...]) -> list[LsdState]:
+        """The internal clocks after each agent plays its chosen value."""
+        return [advance(c, i) for c, i in zip(self._clocks, value_indices)]
+
     def update(
         self,
         ctx: ContextBucket,
@@ -328,10 +317,7 @@ class AgentBundle:
         learn from (ctx, action, reward, next_ctx, next_action), then
         advance each agent's clocks on its chosen value."""
         prev = self.snapshot_selection(ctx, action, self._clocks)
-        advanced = [
-            advance(self._clocks[a], prev.value_indices[a])
-            for a in range(self.schema.n_attributes)
-        ]
+        advanced = self._advanced(prev.value_indices)
         nxt = self.snapshot_selection(next_ctx, next_action, advanced)
         self.td_step(prev, reward, nxt)
         self._clocks = advanced
@@ -343,44 +329,35 @@ class AgentBundle:
         reward: float,
         next_ctx: ContextBucket,
     ) -> tuple[str, ...]:
-        """On-policy driver helper: pick the follow-up action from the
-        post-transition clocks, apply ``update`` with it, and return it."""
-        idx = self.schema.validate_vector(action)
-        advanced = [
-            advance(self._clocks[a], idx[a])
-            for a in range(self.schema.n_attributes)
-        ]
-        bucket = next_ctx.index(self.n_trait_buckets)
-        nxt_idx = self._select_indices(advanced, bucket, self.epsilon())
-        next_action = tuple(
-            self.schema.values(p)[i] for p, i in enumerate(nxt_idx)
-        )
-        self.update(ctx, action, reward, next_ctx, next_action)
+        """On-policy helper: the ``update`` whose follow-up action
+        is picked by ``select_action`` on the post-transition clocks, which
+        advance once. Returns that action."""
+        prev = self.snapshot_selection(ctx, action, self._clocks)
+        advanced = self._advanced(prev.value_indices)
+        next_action = self.select_action(next_ctx, advanced)
+        nxt = self.snapshot_selection(next_ctx, next_action, advanced)
+        self.td_step(prev, reward, nxt)
+        self._clocks = advanced
         return next_action
 
     def finish_episode(
         self, ctx: ContextBucket, action: tuple[str, ...], reward: float
     ) -> None:
-        """Terminal update (no bootstrap), advance clocks, drop traces."""
+        """Terminal update (no bootstrap), advance clocks, close the
+        trajectory."""
         prev = self.snapshot_selection(ctx, action, self._clocks)
         self.td_step(prev, reward, None)
-        self._clocks = [
-            advance(self._clocks[a], prev.value_indices[a])
-            for a in range(self.schema.n_attributes)
-        ]
+        self._clocks = self._advanced(prev.value_indices)
         self.end_episode()
 
     def apply_action(self, action: tuple[str, ...]) -> None:
         """Advance internal clocks without learning (evaluation rollouts)."""
-        idx = self.schema.validate_vector(action)
-        self._clocks = [
-            advance(self._clocks[a], idx[a])
-            for a in range(self.schema.n_attributes)
-        ]
+        self._clocks = self._advanced(self.schema.validate_vector(action))
 
-    def end_episode(self, stream: str = "default") -> None:
+    def end_episode(self) -> None:
+        """Close the open trajectory: zero every agent's trace."""
         for qm in self.models:
-            qm.reset_trace(stream)
+            qm.e.fill(0.0)
 
     # -- serialization ------------------------------------------------------
 

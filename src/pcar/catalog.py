@@ -92,18 +92,8 @@ class Catalog:
         if not self.entries:
             raise CatalogError("catalog is empty")
 
-    def by_id(self, entry_id: str) -> InterventionSpec:
-        for e in self.entries:
-            if e.id == entry_id:
-                return e
-        raise KeyError(entry_id)
 
-
-def _validate_entry(
-    entry_id: str,
-    rows: list[tuple[int, dict]],
-    schema: AttributeSchema,
-) -> InterventionSpec:
+def _validate_entry(entry_id: str, rows: list[tuple[int, dict]]) -> InterventionSpec:
     first_line, first = rows[0]
     for line, row in rows[1:]:
         for col in ("intervention_type", "emotional_regulation", "therapy_group",
@@ -118,9 +108,9 @@ def _validate_entry(
         first["location"],
     )
     for i, value in enumerate(attrs):
-        if value not in schema.values(i):
+        if value not in DEFAULT_SCHEMA.values(i):
             raise CatalogError(
-                f"{value!r} is not a valid {schema.name(i)}", first_line
+                f"{value!r} is not a valid {DEFAULT_SCHEMA.name(i)}", first_line
             )
     raw = first["duration_seconds"].strip()
     duration = MAX_DURATION_SECONDS if not raw else int(raw)
@@ -154,8 +144,9 @@ def _validate_entry(
     )
 
 
-def load_catalog(path: str | Path, schema: AttributeSchema = DEFAULT_SCHEMA) -> Catalog:
-    """Parse and validate a tab-separated catalog file.
+def load_catalog(path: str | Path) -> Catalog:
+    """Parse and validate a tab-separated catalog file. Its columns, and
+    so its schema, are fixed: ``COLUMNS`` and ``DEFAULT_SCHEMA``.
 
     Raises CatalogError with the offending 1-based row number on parse
     errors, unknown attribute values, or inconsistent entries.
@@ -188,8 +179,8 @@ def load_catalog(path: str | Path, schema: AttributeSchema = DEFAULT_SCHEMA) -> 
                 grouped[entry_id] = []
                 order.append(entry_id)
             grouped[entry_id].append((line_no, record))
-    entries = tuple(_validate_entry(eid, grouped[eid], schema) for eid in order)
-    return Catalog(schema=schema, entries=entries)
+    entries = tuple(_validate_entry(eid, grouped[eid]) for eid in order)
+    return Catalog(schema=DEFAULT_SCHEMA, entries=entries)
 
 
 def starter_catalog_path() -> Path:

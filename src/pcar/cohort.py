@@ -24,6 +24,7 @@ from .agent import PERIODS, AttributeSchema, ContextBucket
 from .catalog import DEFAULT_SCHEMA
 
 HOURS = tuple(range(8, 22))  # curve slots for hours 08..21
+TRAIT_BUCKETS = 2  # participant trait buckets in the learner's context
 
 # Receptivity shape (relative, later scaled to a target mean): peaks at
 # 16:00 and 19:00, dips at 08:00 and 18:00.
@@ -180,13 +181,12 @@ def update_engagement(p: ParticipantModel, engagement: float,
 
 
 def draw_preference_map(rng: np.random.Generator,
-                        schema: AttributeSchema = DEFAULT_SCHEMA,
-                        n_trait_buckets: int = 2) -> dict:
+                        schema: AttributeSchema = DEFAULT_SCHEMA) -> dict:
     """Cohort-level taste structure: for every (trait bucket, attribute,
     period) pick a best and a second-best value. Participants sharing a
     trait bucket share these preferences (plus personal jitter)."""
     prefs = {}
-    for trait in range(n_trait_buckets):
+    for trait in range(TRAIT_BUCKETS):
         for attr in range(schema.n_attributes):
             n_values = len(schema.values(attr))
             for period in range(len(PERIODS)):
@@ -220,7 +220,7 @@ def build_participant(
 ) -> ParticipantModel:
     """One participant drawn around the default profile. ``index`` fixes
     the trait bucket (alternating, so both buckets stay populated)."""
-    trait = index % 2
+    trait = index % TRAIT_BUCKETS
     shape = np.asarray(DEFAULT_RECEPTIVITY_SHAPE)
     curve = shape / shape.mean() * mean_acceptance
     curve = curve + rng.normal(0.0, 0.02, size=len(HOURS))

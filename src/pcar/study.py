@@ -40,6 +40,7 @@ from .agent import (
 )
 from .catalog import load_catalog, load_starter_catalog, resolve
 from .cohort import (
+    TRAIT_BUCKETS,
     EngagementParams,
     ParticipantModel,
     accept,
@@ -76,7 +77,6 @@ from .stats import (
 SCHEMA_VERSION = 1
 STUDY_START = date(2024, 1, 1)  # a Monday; weeks align with calendar weeks
 POST_EMA_DELAY_MINUTES = 10
-TRAIT_BUCKETS = 2  # participant trait buckets in the learner's context
 
 DEFAULT_CONFIG: dict = {
     "schema_version": SCHEMA_VERSION,
@@ -358,19 +358,28 @@ def _log_hash(records_csv: str, meta: dict) -> str:
 
 
 def load_log(path: str | Path) -> StudyLog:
-    """Read a saved log; ``path`` is the run directory or its records.csv."""
+    """Read a saved log; ``path`` is the run directory or its records.csv.
+    Raises ValueError unless the meta names an attribute schema and the
+    records header is exactly the columns ``save`` writes for it."""
     path = Path(path)
     if path.is_dir():
         records_path, meta_path = path / "records.csv", path / "meta.json"
     else:
         records_path, meta_path = path, path.parent / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    if not isinstance(meta, dict) or "attribute_schema" not in meta:
+        raise ValueError(f"{meta_path} has no attribute_schema")
     schema = AttributeSchema(
         tuple((n, tuple(vs)) for n, vs in meta["attribute_schema"])
     )
     records = []
     with records_path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        columns = _record_columns(schema)
+        if reader.fieldnames != columns:
+            raise ValueError(
+                f"{records_path} header is {reader.fieldnames}, expected {columns}"
+            )
         for row in reader:
             n = schema.n_attributes
             values = tuple(row[schema.name(i)] for i in range(n))
@@ -558,8 +567,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 chain = replay_buffer[pid][day]
                 for j, (sel, r) in enumerate(chain):
                     nxt = chain[j + 1][0] if j + 1 < len(chain) else None
-                    new_bundle.td_step(sel, r, nxt, stream=f"replay-{pid}")
-                new_bundle.end_episode(stream=f"replay-{pid}")
+                    new_bundle.td_step(sel, r, nxt)
+                new_bundle.end_episode()
         return new_bundle
 
     for day_idx in range(days_total):
@@ -623,7 +632,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                     sel = Selection(ctx.index(TRAIT_BUCKETS), idx, taus)
                     if st.group == "pcar":
                         if st.pending is not None:
-                            bundle.td_step(*st.pending, sel, stream=pid)
+                            bundle.td_step(*st.pending, sel)
                         st.pending = (sel, rec.reward)
                     elif phase == 1 and acfg["pretrain_on_phase1"]:
                         replay_buffer.setdefault(pid, {}).setdefault(
@@ -635,10 +644,10 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                     st.clocks = [
                         advance(st.clocks[a], i) for a, i in enumerate(idx)
                     ]
-            # participant-day boundary: flush the open transition, drop traces
+            # participant-day end: flush the open transition, close the trajectory
             if st.pending is not None and bundle is not None:
-                bundle.td_step(*st.pending, None, stream=pid)
-                bundle.end_episode(stream=pid)
+                bundle.td_step(*st.pending, None)
+                bundle.end_episode()
                 st.pending = None
 
         if model_mode and timing_history.n_labeled:

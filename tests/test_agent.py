@@ -9,6 +9,7 @@ from pcar.agent import (
     AttributeSchema,
     ContextBucket,
     Hyperparams,
+    Selection,
     ghost_audit,
     plan_oracle,
     random_policy,
@@ -147,6 +148,27 @@ def test_two_step_trace_matches_hand_unrolled_calculator():
             assert got == pytest.approx(expect.get((v, tau), 0.0), abs=1e-12)
     # the first visited key received alpha * (second-step delta)
     assert qm.q[0, qm.tau_index(6), 0] == pytest.approx(0.1, abs=1e-12)
+
+
+def test_end_episode_closes_the_trajectory():
+    b = make_bundle(params=Hyperparams(alpha=0.5, gamma=0.9, lam=0.8))
+    chain = [
+        Selection(0, (0, 0), (6, 6)),
+        Selection(1, (1, 1), (-1, 6)),
+        Selection(2, (2, 0), (3, -2)),
+        Selection(3, (0, 1), (-4, 2)),
+    ]
+    for j, (prev, nxt) in enumerate(zip(chain, chain[1:])):
+        b.td_step(prev, 1.0 + j, nxt)
+    assert all(np.count_nonzero(qm.e) > 1 for qm in b.models)  # traces are open
+    b.end_episode()
+    before = [qm.q.copy() for qm in b.models]
+    last = Selection(4, (1, 0), (2, 1))
+    b.td_step(last, 2.0, None)
+    for a, qm in enumerate(b.models):
+        changed = np.argwhere(qm.q != before[a])
+        key = (last.value_indices[a], qm.tau_index(last.taus[a]), last.bucket)
+        assert [tuple(c) for c in changed] == [key]
 
 
 def test_nonfinite_reward_rejected():

@@ -35,14 +35,14 @@ def test_starter_catalog_loads_with_sixteen_entries():
 
 def test_starter_meditation_attributes():
     cat = load_starter_catalog()
-    e = cat.by_id("meditation")
+    (e,) = [e for e in cat.entries if e.id == "meditation"]
     assert e.emotional_regulation == "response_modulation"
     assert e.therapy_group == "meta_cognitive"
     assert e.location == "both"
 
 
 def test_starter_scribbling_attributes():
-    e = load_starter_catalog().by_id("scribbling")
+    (e,) = [e for e in load_starter_catalog().entries if e.id == "scribbling"]
     assert e.emotional_regulation == "attention_deployment"
     assert e.therapy_group == "meta_cognitive"
     assert e.location == "both"

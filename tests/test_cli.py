@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import tempfile
@@ -53,6 +54,30 @@ def test_report_from_saved_log(tmp_path, config_path, capsys):
     assert code == 0
     assert sorted(p.name for p in (tmp_path / "rep").iterdir()) == [
         "phase_deltas.csv", "plot_data.json", "weekly_summary.csv", "welch_tests.csv"]
+
+
+@pytest.mark.parametrize("damage", ["empty_meta", "no_reward_column"])
+def test_report_on_malformed_log_prints_one_json_line(tmp_path, config_path,
+                                                      capsys, damage):
+    run_dir = tmp_path / "run"
+    main(["run", "--config", str(config_path), "--out", str(run_dir), "--no-report"])
+    capsys.readouterr()
+    if damage == "empty_meta":
+        (run_dir / "meta.json").write_text("{}")
+        expected = "attribute_schema"
+    else:
+        records = run_dir / "records.csv"
+        rows = list(csv.reader(records.read_text().splitlines()))
+        keep = [i for i, col in enumerate(rows[0]) if col != "reward"]
+        records.write_text("\n".join(",".join(r[i] for i in keep) for r in rows))
+        expected = "header"
+    code = main(["report", "--log", str(run_dir), "--out", str(tmp_path / "rep")])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert expected in json.loads(lines[0])["error"]
+    assert not (tmp_path / "rep").exists()
 
 
 def test_bad_config_fails_with_json_error(tmp_path, capsys):

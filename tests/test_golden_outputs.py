@@ -3,7 +3,8 @@ file does not cover: the full record CSV of a uniform and of a model-mode
 study, of a study that advances clocks on declined content and of one
 whose learner starts without the phase-1 replay, the four per-seed lists
 of ``timing_comparison``, the other three ``report`` files of a default
-study and the CSV of a small sweep.
+study, the CSV of a small sweep and the per-seed fractions of a short
+``oracle_check`` (the episodic learner's greedy totals over the optimum).
 
 The values in ``data/golden_outputs.json`` were recorded once; a refactor
 that claims to keep behaviour must leave every one of them unchanged.
@@ -20,7 +21,14 @@ from pathlib import Path
 
 import pytest
 
-from pcar.study import report, run_study, sweep, timing_comparison, write_sweep_csv
+from pcar.study import (
+    oracle_check,
+    report,
+    run_study,
+    sweep,
+    timing_comparison,
+    write_sweep_csv,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_outputs.json"
 
@@ -42,6 +50,7 @@ REPORT_FILES = {"report_phase_deltas": "phase_deltas",
                 "report_welch_tests": "welch_tests",
                 "report_plot_data": "plot_data"}
 SWEEP = ({"seed": 7, "n_participants": 12}, "agent.lambda", [0, 0.6, 0.9])
+ORACLE = dict(k=2, tau_max=2, horizon=10, seeds=3, episodes=500)
 
 
 def _sha256(text: str) -> str:
@@ -75,11 +84,16 @@ def _sweep_digest() -> str:
         return _sha256(path.read_text(encoding="utf-8"))
 
 
+def _oracle_digest() -> str:
+    return _sha256(json.dumps(oracle_check(**ORACLE).fractions))
+
+
 def _compute() -> dict:
     out = {name: _records_digest(name) for name in STUDIES}
     out["timing_comparison"] = _timing_digest()
     out.update(_report_digests())
     out["sweep_csv"] = _sweep_digest()
+    out["oracle_fractions"] = _oracle_digest()
     return out
 
 
@@ -105,6 +119,10 @@ def test_report_files_match_golden(golden):
 
 def test_sweep_csv_matches_golden(golden):
     assert _sweep_digest() == golden["sweep_csv"]
+
+
+def test_oracle_fractions_match_golden(golden):
+    assert _oracle_digest() == golden["oracle_fractions"]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
