@@ -316,20 +316,42 @@ def calibrate_threshold(
     allowance. Each pass walks the days with ``eligible_ticks`` on a fresh
     copy of ``shape`` and fires where the score clears the candidate
     threshold; scores evolve with the budget state as triggers fire, as
-    they do in a study. The passes share one ``score_cache``."""
+    they do in a study. The passes share one ``score_cache``.
+
+    A pass whose outcome is already known is not walked. A walk at
+    threshold t compares the scores S of the ticks it visits against t.
+    Every t' in ``(max{s in S: s < t}, min{s in S: s >= t}]`` makes the
+    same fire/no-fire choice at each of those ticks, and the ticks a walk
+    visits depend only on its earlier choices, so by induction a walk at
+    t' visits the same ticks, fires at the same ones and realizes the same
+    triggers per day. Each walk records that interval with its rate; a
+    later midpoint inside a recorded interval takes the rate from it. The
+    bisection keeps its midpoints and its final ``lo``, so the threshold
+    is bit-identical to walking all ``iterations`` passes."""
     week = range(5)  # Monday to Friday
     scored = score_cache(model)
     daily_budget = shape.max_per_day
+    known: list[tuple[float, float, float]] = []  # (below, above, rate)
 
     def triggers_per_day(theta: float) -> float:
+        for below, above, rate in known:
+            if below < theta <= above:
+                return rate
         total = 0
+        below, above = -math.inf, math.inf
         for day in week:
             budget = replace(shape, delivered_today=0, last_delivery=None)
             for now in eligible_ticks(day, budget):
-                if scored(now, budget)[1] >= theta:
+                s = scored(now, budget)[1]
+                if s >= theta:
+                    above = min(above, s)
                     budget.record_delivery(now)
                     total += 1
-        return total / len(week)
+                else:
+                    below = max(below, s)
+        rate = total / len(week)
+        known.append((below, above, rate))
+        return rate
 
     lo, hi = 0.0, 1.0
     for _ in range(iterations):

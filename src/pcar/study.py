@@ -22,6 +22,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
@@ -674,22 +675,25 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
 
 
 def _assert_budget_safety(log: StudyLog) -> None:
-    """Defense in depth: re-check every hard rule on the final log."""
+    """Defense in depth: re-check every hard rule on the final log. The
+    daily cap counts per (pid, day); the gap rule, like ``eligible``,
+    spans days, so it runs over each participant's contacts in time order."""
     cfg = log.meta["config"]["budget"]
-    per_day: dict[tuple[str, int], list[datetime]] = {}
+    per_pid: dict[str, list[tuple[datetime, int]]] = {}
     for r in log.records:
-        per_day.setdefault((r.pid, r.day), []).append(
-            datetime.fromisoformat(r.timestamp)
+        per_pid.setdefault(r.pid, []).append(
+            (datetime.fromisoformat(r.timestamp), r.day)
         )
     lo, hi = _parse_hhmm(cfg["window_start"]), _parse_hhmm(cfg["window_end"])
-    for (pid, day), stamps in per_day.items():
-        if len(stamps) > cfg["max_per_day"]:
-            raise AssertionError(f"{pid} day {day}: {len(stamps)} contacts")
-        stamps.sort()
-        for a, b in zip(stamps, stamps[1:]):
+    for pid, contacts in per_pid.items():
+        for day, n in Counter(day for _, day in contacts).items():
+            if n > cfg["max_per_day"]:
+                raise AssertionError(f"{pid} day {day}: {n} contacts")
+        contacts.sort()
+        for (a, _), (b, day) in zip(contacts, contacts[1:]):
             if (b - a).total_seconds() / 60.0 < cfg["min_gap_minutes"]:
                 raise AssertionError(f"{pid} day {day}: gap rule violated")
-        for t in stamps:
+        for t, day in contacts:
             minute = t.hour * 60 + t.minute
             if not lo <= minute < hi:
                 raise AssertionError(f"{pid} day {day}: {t} outside window")

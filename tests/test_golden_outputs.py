@@ -3,8 +3,10 @@ file does not cover: the full record CSV of a uniform and of a model-mode
 study, of a study that advances clocks on declined content and of one
 whose learner starts without the phase-1 replay, the four per-seed lists
 of ``timing_comparison``, the other three ``report`` files of a default
-study, the CSV of a small sweep and the per-seed fractions of a short
-``oracle_check`` (the episodic learner's greedy totals over the optimum).
+study, the CSV of a small sweep and the per-seed fractions of two short
+``oracle_check`` runs (the episodic learner's greedy totals over the
+optimum): one the learner solves outright and one it does not, whose
+fractions below 1 move with the learner's values.
 
 The values in ``data/golden_outputs.json`` were recorded once; a refactor
 that claims to keep behaviour must leave every one of them unchanged.
@@ -50,7 +52,12 @@ REPORT_FILES = {"report_phase_deltas": "phase_deltas",
                 "report_welch_tests": "welch_tests",
                 "report_plot_data": "plot_data"}
 SWEEP = ({"seed": 7, "n_participants": 12}, "agent.lambda", [0, 0.6, 0.9])
-ORACLE = dict(k=2, tau_max=2, horizon=10, seeds=3, episodes=500)
+ORACLE = {
+    "oracle_fractions": dict(k=2, tau_max=2, horizon=10, seeds=3, episodes=500),
+    # reads about [0.87, 0.96, 0.85]
+    "oracle_fractions_unsolved": dict(k=3, tau_max=3, horizon=8, seeds=3,
+                                      episodes=100),
+}
 
 
 def _sha256(text: str) -> str:
@@ -84,8 +91,8 @@ def _sweep_digest() -> str:
         return _sha256(path.read_text(encoding="utf-8"))
 
 
-def _oracle_digest() -> str:
-    return _sha256(json.dumps(oracle_check(**ORACLE).fractions))
+def _oracle_digest(name: str) -> str:
+    return _sha256(json.dumps(oracle_check(**ORACLE[name]).fractions))
 
 
 def _compute() -> dict:
@@ -93,7 +100,7 @@ def _compute() -> dict:
     out["timing_comparison"] = _timing_digest()
     out.update(_report_digests())
     out["sweep_csv"] = _sweep_digest()
-    out["oracle_fractions"] = _oracle_digest()
+    out.update({name: _oracle_digest(name) for name in ORACLE})
     return out
 
 
@@ -122,7 +129,12 @@ def test_sweep_csv_matches_golden(golden):
 
 
 def test_oracle_fractions_match_golden(golden):
-    assert _oracle_digest() == golden["oracle_fractions"]
+    assert _oracle_digest("oracle_fractions") == golden["oracle_fractions"]
+
+
+def test_oracle_fractions_unsolved_match_golden(golden):
+    name = "oracle_fractions_unsolved"
+    assert _oracle_digest(name) == golden[name]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

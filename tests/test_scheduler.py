@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcar.scheduler
 from pcar.scheduler import (
     N_FEATURES,
     BudgetState,
@@ -395,6 +396,36 @@ def test_calibrate_threshold_equals_uncached_bisection(weights, bias, daily_budg
                         window_start_minute=window[0], window_end_minute=window[1])
     got = calibrate_threshold(m, shape).threshold
     assert got == _uncached_threshold(m, daily_budget, min_gap, window)
+
+
+@pytest.mark.parametrize("model, shape, want", [
+    # every tick scores 0.5: the walk at 0.5 fires three times a day and
+    # every walk above it fires nowhere
+    (TimingModel.zeros(), BudgetState(), 0.5),
+    # 08:00-08:30 with a 120-minute gap holds one contact a day, never the
+    # three asked for, so the search clamps at its floor
+    (TimingModel(weights=np.linspace(-1.0, 1.0, N_FEATURES), bias=0.3),
+     BudgetState(window_end_minute=8 * 60 + 30), 1e-9),
+])
+def test_calibrate_threshold_ties_and_infeasible_allowance(model, shape, want):
+    got = calibrate_threshold(model, shape).threshold
+    window = (shape.window_start_minute, shape.window_end_minute)
+    assert got == want == _uncached_threshold(model, shape.max_per_day,
+                                              shape.min_gap_minutes, window)
+
+
+def test_cold_start_calibration_walks_at_most_three_passes(monkeypatch):
+    """The cold model scores every tick alike, so one walk above that score
+    and one at or below it decide all 40 bisection midpoints."""
+    walk, days = pcar.scheduler.eligible_ticks, []
+
+    def counting_walk(day, budget):
+        days.append(day)
+        return walk(day, budget)
+
+    monkeypatch.setattr(pcar.scheduler, "eligible_ticks", counting_walk)
+    fit(None, BudgetState())
+    assert len(days) <= 3 * 5
 
 
 def _same_model(a, b):

@@ -208,6 +208,27 @@ def test_budget_arithmetic_bound(small_log):
         assert n <= 3 * weekdays
 
 
+def test_budget_recheck_counts_the_gap_across_days():
+    """The gap rule spans days, as ``eligible`` does: contacts at 20:55 and
+    at 08:00 the next morning are 665 minutes apart, too close under a
+    780-minute gap, though each day alone holds one contact."""
+    cfg = load_config({"budget": {"min_gap_minutes": 780}})
+
+    def contact(day, timestamp):
+        return pcar.study.InterventionRecord(
+            seed=0, pid="p000", group="pcar", phase=1, week=1, day=day,
+            timestamp=timestamp, accepted=False, completed=False)
+
+    log = pcar.study.StudyLog(
+        records=[contact(1, "2024-01-01T20:55:00"),
+                 contact(2, "2024-01-02T08:00:00")],
+        meta={"config": cfg}, schema=None)
+    with pytest.raises(AssertionError, match="p000 day 2: gap rule violated"):
+        pcar.study._assert_budget_safety(log)
+    cfg["budget"]["min_gap_minutes"] = 665
+    pcar.study._assert_budget_safety(log)
+
+
 def test_no_learned_content_before_phase_two(small_log):
     boundary_week = small_log.meta["weeks_per_phase"]
     for r in small_log.records:
