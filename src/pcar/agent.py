@@ -13,9 +13,8 @@ oracle used to benchmark the learner.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -359,7 +358,7 @@ class AgentBundle:
         for qm in self.models:
             qm.e.fill(0.0)
 
-    # -- serialization ------------------------------------------------------
+    # -- inspection ----------------------------------------------------------
 
     def q_snapshot(self) -> dict:
         """Nested mapping: agent name -> value -> clock -> bucket -> Q."""
@@ -391,50 +390,6 @@ class AgentBundle:
             "rounds": self.rounds,
             "agents": agents,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.q_snapshot(), sort_keys=True, indent=2)
-
-    def load_snapshot(self, snap: dict) -> None:
-        expect = [[n, list(vs)] for n, vs in self.schema.attributes]
-        if snap["schema"] != expect:
-            raise ValueError("snapshot schema does not match this bundle")
-        if snap["q_tau_clip"] != self.models[0].tau_clip:
-            raise ValueError("snapshot clock clip does not match this bundle")
-        if snap["n_trait_buckets"] != self.n_trait_buckets:
-            raise ValueError("snapshot bucket split does not match this bundle")
-        self.rounds = int(snap.get("rounds", 0))
-        buckets = [
-            f"{period}/{t}"
-            for period in PERIODS
-            for t in range(self.n_trait_buckets)
-        ]
-        for a, (name, values) in enumerate(self.schema.attributes):
-            qm = self.models[a]
-            for v, value in enumerate(values):
-                for tau_s, per_bucket in snap["agents"][name][value].items():
-                    ti = qm.tau_index(int(tau_s))
-                    for b, key in enumerate(buckets):
-                        qm.q[v, ti, b] = per_bucket[key]
-
-    @classmethod
-    def from_json(cls, text: str, **kwargs) -> "AgentBundle":
-        snap = json.loads(text)
-        schema = AttributeSchema(
-            tuple((n, tuple(vs)) for n, vs in snap["schema"])
-        )
-        bundle = cls(
-            schema,
-            tau_max=snap["tau_max"],
-            params=replace(
-                kwargs.pop("params", Hyperparams()),
-                q_tau_clip=snap["q_tau_clip"],
-            ),
-            n_trait_buckets=snap["n_trait_buckets"],
-            **kwargs,
-        )
-        bundle.load_snapshot(snap)
-        return bundle
 
 
 # -- ghost audit -------------------------------------------------------------

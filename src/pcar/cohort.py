@@ -1,11 +1,15 @@
 """Ground-truth simulated participants.
 
-Each participant owns an hourly receptivity curve (probability of engaging
-with a prompt), a momentary-stress generator on the 1-7 scale, and a base
-effect for every (attribute value, time-of-day) pair. Realized effects are
-scaled by a switch-clock fatigue factor: repeated consecutive use decays
-geometrically, and a rested value only regains full strength after a few
-rounds of dormancy.
+A participant is what the cohort draws for one person: an hourly
+receptivity curve (probability of engaging with a prompt), a stress
+baseline with hourly offsets on the 1-7 scale, a base effect for every
+(attribute value, time-of-day) pair, and a trait bucket. The laws every
+participant shares -- rating noise, completion, the control group's drift,
+the fatigue law and engagement drift -- are read from one place, the
+validated ``cohort`` block of the study config, which each participant
+holds. Realized effects are scaled by a switch-clock fatigue factor:
+repeated consecutive use decays geometrically, and a rested value only
+regains full strength after a few rounds of dormancy.
 
 Engagement feedback: receiving content that keeps paying off nudges a
 participant's willingness to engage upward, and disappointing content
@@ -16,11 +20,11 @@ passes it into ``accept``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import PERIODS, AttributeSchema, ContextBucket
+from .agent import PERIODS, ContextBucket
 from .catalog import DEFAULT_SCHEMA
 
 HOURS = tuple(range(8, 22))  # curve slots for hours 08..21
@@ -39,37 +43,18 @@ DEFAULT_STRESS_OFFSETS = (
     0.6, 0.3, 0.0, -0.2, -0.3, 0.1, -0.1, -0.2, 0.0, 0.2, 0.5, 0.6, 0.4, 0.2,
 )
 
-DEFAULT_COMPLETION_RATE = 0.916
-
-
-@dataclass(frozen=True)
-class EngagementParams:
-    enabled: bool = True
-    rate: float = 0.5
-    reference_benefit: float = 0.44
-    floor: float = 0.5
-    ceiling: float = 1.6
-
 
 @dataclass
 class ParticipantModel:
     """Frozen simulation parameters for one participant. Runtime state
     (clocks, engagement level, budget) lives with the study runner."""
 
-    pid: str
     baseline_stress: float
     hourly_stress_offsets: tuple[float, ...]
     receptivity_curve: tuple[float, ...]
     base_effects: dict  # (attr index, value index, period index) -> Likert points
-    fatigue_decay: float = 0.6
-    recovery_rounds: int = 3
-    noise_sigma: float = 1.0
-    trait_bucket: int = 0
-    seed: int = 0
-    completion_rate: float = DEFAULT_COMPLETION_RATE
-    control_post_drift: float = 0.15
-    fatigue_enabled: bool = True
-    engagement: EngagementParams = field(default_factory=EngagementParams)
+    trait_bucket: int
+    laws: dict  # the validated ``cohort`` config block, shared by the cohort
 
     def __post_init__(self) -> None:
         if not 1.0 <= self.baseline_stress <= 7.0:
@@ -80,12 +65,6 @@ class ParticipantModel:
             raise ValueError(f"need {len(HOURS)} receptivity values")
         if not all(0.0 <= p <= 1.0 for p in self.receptivity_curve):
             raise ValueError("receptivity values must be probabilities")
-        if not 0.0 < self.fatigue_decay < 1.0:
-            raise ValueError("fatigue_decay must be in (0, 1)")
-        if self.recovery_rounds < 1:
-            raise ValueError("recovery_rounds must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
         if any(abs(b) > 3.0 for b in self.base_effects.values()):
             raise ValueError("base effects are capped at 3 Likert points")
 
@@ -101,11 +80,11 @@ def fatigue_factor(p: ParticipantModel, tau: int) -> float:
     tau/recovery_rounds (capped at 1) while resting."""
     if tau == 0:
         raise ValueError("clocks are never zero")
-    if not p.fatigue_enabled:
+    if not p.laws["fatigue_enabled"]:
         return 1.0
     if tau < 0:
-        return p.fatigue_decay ** (-tau)
-    return min(1.0, tau / p.recovery_rounds)
+        return p.laws["fatigue_decay"] ** (-tau)
+    return min(1.0, tau / p.laws["recovery_rounds"])
 
 
 def accept(p: ParticipantModel, hour: int, rng: np.random.Generator,
@@ -124,7 +103,7 @@ def pre_stress(p: ParticipantModel, hour: int, rng: np.random.Generator) -> int:
     if not 8 <= hour <= 21:
         raise ValueError(f"hour {hour} outside the rating window")
     mean = p.baseline_stress + p.hourly_stress_offsets[hour - 8]
-    return _likert(mean + float(rng.normal(0.0, p.noise_sigma)))
+    return _likert(mean + float(rng.normal(0.0, p.laws["noise_sigma"])))
 
 
 def effect_strength(p: ParticipantModel, value_indices, taus_before,
@@ -152,7 +131,7 @@ def post_stress(p: ParticipantModel, pre: int, value_indices, taus_before,
     if not 1 <= pre <= 7:
         raise ValueError("pre rating must sit on the 1-7 scale")
     effect = effect_strength(p, value_indices, taus_before, ctx)
-    return _likert(pre - effect + float(rng.normal(0.0, p.noise_sigma)))
+    return _likert(pre - effect + float(rng.normal(0.0, p.laws["noise_sigma"])))
 
 
 def control_post_stress(p: ParticipantModel, hour: int,
@@ -163,8 +142,8 @@ def control_post_stress(p: ParticipantModel, hour: int,
     if not 8 <= hour <= 21:
         raise ValueError(f"hour {hour} outside the rating window")
     mean = (p.baseline_stress + p.hourly_stress_offsets[hour - 8]
-            + p.control_post_drift)
-    return _likert(mean + float(rng.normal(0.0, p.noise_sigma)))
+            + p.laws["control_post_drift"])
+    return _likert(mean + float(rng.normal(0.0, p.laws["noise_sigma"])))
 
 
 def update_engagement(p: ParticipantModel, engagement: float,
@@ -173,22 +152,21 @@ def update_engagement(p: ParticipantModel, engagement: float,
     intervention actually helped (the noiseless, fatigue-scaled effect --
     what the participant felt, not the noisy rating difference) relative
     to the participant's reference point."""
-    e = p.engagement
-    if not e.enabled:
+    e = p.laws["engagement"]
+    if not e["enabled"]:
         return engagement
-    drifted = engagement + e.rate * (felt_benefit - e.reference_benefit)
-    return min(e.ceiling, max(e.floor, drifted))
+    drifted = engagement + e["rate"] * (felt_benefit - e["reference_benefit"])
+    return min(e["ceiling"], max(e["floor"], drifted))
 
 
-def draw_preference_map(rng: np.random.Generator,
-                        schema: AttributeSchema = DEFAULT_SCHEMA) -> dict:
+def draw_preference_map(rng: np.random.Generator) -> dict:
     """Cohort-level taste structure: for every (trait bucket, attribute,
     period) pick a best and a second-best value. Participants sharing a
     trait bucket share these preferences (plus personal jitter)."""
     prefs = {}
     for trait in range(TRAIT_BUCKETS):
-        for attr in range(schema.n_attributes):
-            n_values = len(schema.values(attr))
+        for attr in range(DEFAULT_SCHEMA.n_attributes):
+            n_values = len(DEFAULT_SCHEMA.values(attr))
             for period in range(len(PERIODS)):
                 first = int(rng.integers(n_values))
                 second = first
@@ -199,27 +177,12 @@ def draw_preference_map(rng: np.random.Generator,
     return prefs
 
 
-def build_participant(
-    pid: str,
-    index: int,
-    rng: np.random.Generator,
-    prefs: dict,
-    mean_acceptance: float = 0.50,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
-    effect_best: float = 1.2,
-    effect_second: float = 0.6,
-    effect_other: float = 0.15,
-    fatigue_decay: float = 0.6,
-    recovery_rounds: int = 3,
-    noise_sigma: float = 1.0,
-    completion_rate: float = DEFAULT_COMPLETION_RATE,
-    control_post_drift: float = 0.15,
-    fatigue_enabled: bool = True,
-    engagement: EngagementParams | None = None,
-    seed: int = 0,
-) -> ParticipantModel:
-    """One participant drawn around the default profile. ``index`` fixes
-    the trait bucket (alternating, so both buckets stay populated)."""
+def build_participant(index: int, rng: np.random.Generator, prefs: dict,
+                      mean_acceptance: float, block: dict) -> ParticipantModel:
+    """One participant drawn around the default profile, with the effect
+    sizes and shared laws of the validated ``cohort`` config ``block``.
+    ``index`` fixes the trait bucket (alternating, so both buckets stay
+    populated)."""
     trait = index % TRAIT_BUCKETS
     shape = np.asarray(DEFAULT_RECEPTIVITY_SHAPE)
     curve = shape / shape.mean() * mean_acceptance
@@ -230,55 +193,32 @@ def build_participant(
         float(o + rng.normal(0.0, 0.1)) for o in DEFAULT_STRESS_OFFSETS
     )
     effects = {}
-    for attr in range(schema.n_attributes):
-        n_values = len(schema.values(attr))
+    for attr in range(DEFAULT_SCHEMA.n_attributes):
+        n_values = len(DEFAULT_SCHEMA.values(attr))
         for period in range(len(PERIODS)):
             first, second = prefs[(trait, attr, period)]
             for v in range(n_values):
-                base = (effect_best if v == first
-                        else effect_second if v == second
-                        else effect_other)
+                base = (block["effect_best"] if v == first
+                        else block["effect_second"] if v == second
+                        else block["effect_other"])
                 b = base + float(rng.normal(0.0, 0.08))
                 effects[(attr, v, period)] = float(np.clip(b, -3.0, 3.0))
     return ParticipantModel(
-        pid=pid,
         baseline_stress=baseline,
         hourly_stress_offsets=offsets,
         receptivity_curve=tuple(float(c) for c in curve),
         base_effects=effects,
-        fatigue_decay=fatigue_decay,
-        recovery_rounds=recovery_rounds,
-        noise_sigma=noise_sigma,
         trait_bucket=trait,
-        seed=seed,
-        completion_rate=completion_rate,
-        control_post_drift=control_post_drift,
-        fatigue_enabled=fatigue_enabled,
-        engagement=engagement or EngagementParams(),
+        laws=block,
     )
 
 
-def default_cohort(
-    n: int,
-    rng: np.random.Generator,
-    mean_acceptance: float = 0.50,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
-    **overrides,
-) -> list[ParticipantModel]:
+def default_cohort(n: int, rng: np.random.Generator, mean_acceptance: float,
+                   block: dict) -> list[ParticipantModel]:
     """Draw n participants around the default profile at the configured
-    group-mean acceptance."""
+    group-mean acceptance, under the validated ``cohort`` config ``block``."""
     if n < 1:
         raise ValueError(f"cohort size must be >= 1, got {n}")
-    prefs = draw_preference_map(rng, schema)
-    return [
-        build_participant(
-            pid=f"p{i + 1:03d}",
-            index=i,
-            rng=rng,
-            prefs=prefs,
-            mean_acceptance=mean_acceptance,
-            schema=schema,
-            **overrides,
-        )
-        for i in range(n)
-    ]
+    prefs = draw_preference_map(rng)
+    return [build_participant(i, rng, prefs, mean_acceptance, block)
+            for i in range(n)]

@@ -42,11 +42,11 @@ from .agent import (
 from .catalog import load_catalog, load_starter_catalog, resolve
 from .cohort import (
     TRAIT_BUCKETS,
-    EngagementParams,
     ParticipantModel,
     accept,
     build_participant,
     control_post_stress,
+    default_cohort,
     draw_preference_map,
     effect_strength,
     post_stress,
@@ -148,13 +148,16 @@ _NULLABLE = {"agent.epsilon_decay_steps": int, "agent.q_tau_clip": int,
              "catalog_path": str, "output_dir": str}
 _MINIMUM = {"n_participants": 1, "weeks_per_phase": 1, "budget.max_per_day": 1,
             "budget.min_gap_minutes": 0, "scheduler.train_epochs": 0,
-            "agent.epsilon_decay_steps": 0, "agent.tau_max": 1, "agent.q_tau_clip": 1}
+            "agent.epsilon_decay_steps": 0, "agent.tau_max": 1, "agent.q_tau_clip": 1,
+            "cohort.recovery_rounds": 1, "cohort.noise_sigma": 0}
 _UNIT_INTERVAL = {
     "scheduler.trigger_rate", "agent.alpha", "agent.gamma", "agent.lambda",
     "agent.epsilon_start", "agent.epsilon_end", "cohort.completion_rate",
     "cohort.mean_acceptance_intervention", "cohort.mean_acceptance_control",
     *(f"{block}.{group}" for block in _ALLOCATIONS for group in DEFAULT_CONFIG[block])}
-_CHOICES = {"schema_version": (SCHEMA_VERSION,),
+_OPEN_UNIT_INTERVAL = {"cohort.fatigue_decay"}
+# the study walks Monday to Friday only; the key stays so config hashes hold
+_CHOICES = {"schema_version": (SCHEMA_VERSION,), "budget.weekdays_only": (True,),
             "scheduler.mode": ("uniform_random", "model")}
 _TIMES = ("budget.window_start", "budget.window_end")
 _HHMM = re.compile(r"([01][0-9]|2[0-3]):([0-5][05])")  # on the 5-minute grid
@@ -177,6 +180,9 @@ def _leaf(name: str, default, value):
     elif name in _UNIT_INTERVAL:
         if not (_is(float, value) and 0 <= value <= 1):
             raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
+    elif name in _OPEN_UNIT_INTERVAL:
+        if not (_is(float, value) and 0 < value < 1):
+            raise ConfigError(f"{name} must be in (0, 1), got {value!r}")
     elif not (value is None and name in _NULLABLE):
         kind = _NULLABLE.get(name, type(default))
         if not _is(kind, value):
@@ -235,6 +241,10 @@ def load_config(source: dict | str | Path) -> dict:
     clip, cap = cfg["agent"]["q_tau_clip"], cfg["agent"]["tau_max"]
     if clip is not None and clip > cap:
         raise ConfigError(f"agent.q_tau_clip must be in 1..{cap} (agent.tau_max)")
+    engagement = cfg["cohort"]["engagement"]
+    if engagement["floor"] > engagement["ceiling"]:
+        raise ConfigError("cohort.engagement.floor must be <= "
+                          "cohort.engagement.ceiling")
     for name in _ALLOCATIONS:
         total = sum(cfg[name].values())
         if abs(total - 1.0) > 1e-9:
@@ -447,16 +457,13 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
     )
     schema = catalog.schema
     ccfg = cfg["cohort"]
-    engagement_params = EngagementParams(**ccfg["engagement"])
 
     pids = [f"p{i + 1:03d}" for i in range(n)]
     alloc_rng = np.random.default_rng(hash64(seed, "alloc"))
     shuffled = [pids[i] for i in alloc_rng.permutation(n)]
     group_of = _split(shuffled, cfg["phase1_allocation"])
 
-    prefs = draw_preference_map(
-        np.random.default_rng(hash64(seed, "prefs")), schema
-    )
+    prefs = draw_preference_map(np.random.default_rng(hash64(seed, "prefs")))
     bcfg = cfg["budget"]
     # the study's budget rules; each participant walks a copy
     shape = BudgetState(
@@ -464,20 +471,6 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         min_gap_minutes=bcfg["min_gap_minutes"],
         window_start_minute=_parse_hhmm(bcfg["window_start"]),
         window_end_minute=_parse_hhmm(bcfg["window_end"]),
-        weekdays_only=bcfg["weekdays_only"],
-    )
-    participant_kwargs = dict(
-        schema=schema,
-        effect_best=ccfg["effect_best"],
-        effect_second=ccfg["effect_second"],
-        effect_other=ccfg["effect_other"],
-        fatigue_decay=ccfg["fatigue_decay"],
-        recovery_rounds=ccfg["recovery_rounds"],
-        noise_sigma=ccfg["noise_sigma"],
-        completion_rate=ccfg["completion_rate"],
-        control_post_drift=ccfg["control_post_drift"],
-        fatigue_enabled=ccfg["fatigue_enabled"],
-        engagement=engagement_params,
     )
     states: dict[str, _ParticipantState] = {}
     for i, pid in enumerate(pids):
@@ -486,15 +479,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             if group_of[pid] == "control"
             else ccfg["mean_acceptance_intervention"]
         )
-        model = build_participant(
-            pid=pid,
-            index=i,
-            rng=np.random.default_rng(hash64(seed, pid, "model")),
-            prefs=prefs,
-            mean_acceptance=target,
-            seed=hash64(seed, pid),
-            **participant_kwargs,
-        )
+        model_rng = np.random.default_rng(hash64(seed, pid, "model"))
+        model = build_participant(i, model_rng, prefs, target, ccfg)
         states[pid] = _ParticipantState(
             model=model,
             group=group_of[pid],
@@ -617,7 +603,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                     taus = tuple(st.clocks[a].taus[i] for a, i in enumerate(idx))
                     rec.attribute_values, rec.taus_before = action, taus
                     rec.intervention_id = resolve(catalog, action, st.rng).id
-                rec.completed = st.rng.random() < p.completion_rate
+                rec.completed = st.rng.random() < ccfg["completion_rate"]
                 if rec.completed:
                     if treated:
                         post = post_stress(p, rec.pre_stress, idx, taus, ctx, st.rng)
@@ -697,7 +683,7 @@ def _assert_budget_safety(log: StudyLog) -> None:
             minute = t.hour * 60 + t.minute
             if not lo <= minute < hi:
                 raise AssertionError(f"{pid} day {day}: {t} outside window")
-            if cfg["weekdays_only"] and t.weekday() >= 5:
+            if t.weekday() >= 5:
                 raise AssertionError(f"{pid} day {day}: weekend contact")
 
 
@@ -980,16 +966,13 @@ def timing_comparison(
     triggering (the nightly trainer pools every participant's history),
     train the timing model, then compare its cohort acceptance against a
     uniform baseline matched to the trained policy's realized daily rate."""
-    from .cohort import default_cohort
-
     # every walk, the fit and the matched baseline follow the same rules
     shape = BudgetState(max_per_day=daily_budget)
     trained_acc, uniform_acc, trained_daily, uniform_daily = [], [], [], []
     for s in range(seeds):
         rng = np.random.default_rng(hash64("timing", s))
-        cohort = default_cohort(
-            n_participants, rng, mean_acceptance=mean_acceptance
-        )
+        cohort = default_cohort(n_participants, rng, mean_acceptance,
+                                DEFAULT_CONFIG["cohort"])
 
         def walk(days, day0, fire, collect=False):
             """(history rows if ``collect``, acceptance, contacts per

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pcar.agent import (
+    PERIODS,
     AgentBundle,
     AttributeSchema,
     ContextBucket,
@@ -320,17 +321,25 @@ def test_determinism_same_seed_bitwise():
         assert np.array_equal(x, y)
 
 
-def test_snapshot_round_trip():
+def test_q_snapshot_lists_every_entry_once():
     b = make_bundle(seed=9)
-    rng = np.random.default_rng(4)
-    for qm in b.models:
-        qm.q[:] = rng.normal(size=qm.q.shape)
-    text = b.to_json()
-    b2 = AgentBundle.from_json(text, seed=9)
-    for m1, m2 in zip(b.models, b2.models):
-        assert np.allclose(m1.q, m2.q, atol=0, rtol=0)
-    assert b2.greedy_action(CTX) == b.greedy_action(CTX)
-    assert json.loads(text)["agents"].keys() == {"flavor", "place"}
+    for a, qm in enumerate(b.models):  # a distinct value in every entry
+        qm.q[:] = np.arange(qm.q.size).reshape(qm.q.shape) + 1000 * a
+    snap = b.q_snapshot()
+    assert json.loads(json.dumps(snap)) == snap
+    assert (snap["q_tau_clip"], snap["rounds"]) == (b.models[0].tau_clip, b.rounds)
+    buckets = [f"{period}/{t}" for period in PERIODS for t in range(b.n_trait_buckets)]
+    assert list(snap["agents"]) == ["flavor", "place"]
+    for qm, (name, values) in zip(b.models, SCHEMA.attributes):
+        assert list(snap["agents"][name]) == list(values)
+        seen = []
+        for v, value in enumerate(values):
+            for tau, per_bucket in snap["agents"][name][value].items():
+                assert list(per_bucket) == buckets
+                for bucket, key in enumerate(buckets):
+                    assert per_bucket[key] == qm.q[v, qm.tau_index(int(tau)), bucket]
+                    seen.append(per_bucket[key])
+        assert sorted(seen) == sorted(qm.q.ravel().tolist())
 
 
 def test_internal_clocks_advance_on_update():

@@ -217,7 +217,8 @@ _BAD_VALUES = [
     ("cohort.engagement.rate", None), ("catalog_path", "/nonexistent.tsv"),
     ("unknown_knob", 1), ("scheduler.threshold", 0.5),
     ("agent.ghost_rollout_depth", 0), ("cohort.noise_sigma", float("inf")),
-    ("budget.window_start", "08:03"),
+    ("budget.window_start", "08:03"), ("budget.weekdays_only", False),
+    ("cohort.fatigue_decay", 1.0), ("cohort.recovery_rounds", 0),
 ]
 
 
@@ -245,7 +246,7 @@ def fuzz_configs(draw):
             "min_gap_minutes": draw(st.integers(0, 300)),
             "window_start": window[0],
             "window_end": window[1],
-            "weekdays_only": draw(st.booleans()),
+            "weekdays_only": True,  # the only accepted value
         },
         "scheduler": {
             "mode": draw(st.sampled_from(["uniform_random", "model"])),

@@ -5,7 +5,6 @@ from pcar.agent import ContextBucket
 from pcar.cohort import (
     DEFAULT_RECEPTIVITY_SHAPE,
     HOURS,
-    EngagementParams,
     ParticipantModel,
     accept,
     control_post_stress,
@@ -17,21 +16,25 @@ from pcar.cohort import (
     pre_stress,
     update_engagement,
 )
+from pcar.study import DEFAULT_CONFIG, load_config
 
 CTX = ContextBucket(period="morning", trait_bucket=0)
 
 
 def make_participant(**kw):
-    defaults = dict(
-        pid="p001",
+    """Drawn quantities by keyword; any other keyword overrides a law of a
+    copy of ``DEFAULT_CONFIG["cohort"]`` (noise off), checked by ``load_config``."""
+    drawn = dict(
         baseline_stress=4.0,
         hourly_stress_offsets=(0.0,) * len(HOURS),
         receptivity_curve=(0.5,) * len(HOURS),
         base_effects={(0, 0, 0): 1.0},
-        noise_sigma=0.0,
+        trait_bucket=0,
     )
-    defaults.update(kw)
-    return ParticipantModel(**defaults)
+    laws = {"noise_sigma": 0.0}
+    for key, value in kw.items():
+        (drawn if key in drawn else laws)[key] = value
+    return ParticipantModel(**drawn, laws=load_config({"cohort": laws})["cohort"])
 
 
 def curve_value(curve, hour):
@@ -48,11 +51,11 @@ def test_default_shape_peaks_and_dips():
 
 def test_default_cohort_curves_hit_target_mean():
     rng = np.random.default_rng(0)
-    cohort = default_cohort(12, rng, mean_acceptance=0.5)
+    cohort = default_cohort(12, rng, 0.5, DEFAULT_CONFIG["cohort"])
     means = [np.mean(p.receptivity_curve) for p in cohort]
     assert abs(np.mean(means) - 0.5) < 0.02
     rng = np.random.default_rng(0)
-    control = default_cohort(12, rng, mean_acceptance=0.77)
+    control = default_cohort(12, rng, 0.77, DEFAULT_CONFIG["cohort"])
     means = [np.mean(p.receptivity_curve) for p in control]
     assert abs(np.mean(means) - 0.77) < 0.03
     for p in cohort:
@@ -61,7 +64,20 @@ def test_default_cohort_curves_hit_target_mean():
 
 def test_default_cohort_rejects_empty():
     with pytest.raises(ValueError):
-        default_cohort(0, np.random.default_rng(0))
+        default_cohort(0, np.random.default_rng(0), 0.5, DEFAULT_CONFIG["cohort"])
+
+
+def test_effects_and_laws_come_from_the_cohort_block():
+    block = load_config({"cohort": {"effect_best": 2.5, "effect_second": 0.6,
+                                    "effect_other": -0.3, "noise_sigma": 0.2}})["cohort"]
+    cohort = default_cohort(4, np.random.default_rng(3), 0.5, block)
+    prefs = draw_preference_map(np.random.default_rng(3))  # the same first draws
+    for p in cohort:
+        assert p.laws is block
+        for (attr, v, period), b in p.base_effects.items():
+            first, second = prefs[(p.trait_bucket, attr, period)]
+            want = 2.5 if v == first else 0.6 if v == second else -0.3
+            assert abs(b - want) < 0.5  # personal jitter has sigma 0.08
 
 
 def test_accept_extremes_and_window_guard():
@@ -110,7 +126,7 @@ def test_post_stress_fully_rested_effect():
     p = make_participant()
     rng = np.random.default_rng(0)
     # clock +recovery_rounds means full effect of 1 point
-    assert post_stress(p, 5, 0, p.recovery_rounds, CTX, rng) == 4
+    assert post_stress(p, 5, 0, p.laws["recovery_rounds"], CTX, rng) == 4
 
 
 def test_post_stress_fatigued_effect_rounds_away():
@@ -123,12 +139,13 @@ def test_post_stress_fatigued_effect_rounds_away():
 
 def test_fatigue_factor_monotone_grid():
     p = make_participant()
+    rounds = p.laws["recovery_rounds"]
     for tau in range(-6, -1):
         assert fatigue_factor(p, tau) <= fatigue_factor(p, tau + 1)
-    for tau in range(1, p.recovery_rounds):
+    for tau in range(1, rounds):
         assert fatigue_factor(p, tau) <= fatigue_factor(p, tau + 1)
-    assert fatigue_factor(p, p.recovery_rounds) == 1.0
-    assert fatigue_factor(p, p.recovery_rounds + 2) == 1.0
+    assert fatigue_factor(p, rounds) == 1.0
+    assert fatigue_factor(p, rounds + 2) == 1.0
     off = make_participant(fatigue_enabled=False)
     assert fatigue_factor(off, -5) == 1.0
 
@@ -152,15 +169,15 @@ def test_control_post_drift_slightly_negative_reward():
 
 
 def test_update_engagement_drift_and_clip():
-    p = make_participant(engagement=EngagementParams(rate=0.1, reference_benefit=0.4,
-                                                     floor=0.6, ceiling=1.3))
+    p = make_participant(engagement=dict(rate=0.1, reference_benefit=0.4,
+                                         floor=0.6, ceiling=1.3))
     e = update_engagement(p, 1.0, 1.4)
     assert e == pytest.approx(1.1)
     e = update_engagement(p, 1.29, 5.0)
     assert e == pytest.approx(1.3)
     e = update_engagement(p, 0.61, -5.0)
     assert e == pytest.approx(0.6)
-    frozen = make_participant(engagement=EngagementParams(enabled=False))
+    frozen = make_participant(engagement={"enabled": False})
     assert update_engagement(frozen, 1.0, 5.0) == 1.0
 
 
@@ -189,7 +206,5 @@ def test_participant_validation():
         make_participant(baseline_stress=0.5)
     with pytest.raises(ValueError):
         make_participant(receptivity_curve=(1.5,) * len(HOURS))
-    with pytest.raises(ValueError):
-        make_participant(fatigue_decay=1.0)
     with pytest.raises(ValueError):
         make_participant(base_effects={(0, 0, 0): 4.0})

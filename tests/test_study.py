@@ -138,6 +138,14 @@ BAD_CONFIGS = [
     ({"budget": {"window_start": "08:03"}},
      "budget.window_start must be an 'hh:mm' time on the 5-minute grid"),
     ({"budget": {"window_end": "24:00"}}, "budget.window_end must be an 'hh:mm'"),
+    ({"cohort": {"fatigue_decay": 1.0}}, r"cohort.fatigue_decay must be in \(0, 1\)"),
+    ({"cohort": {"fatigue_decay": 1.5}}, r"cohort.fatigue_decay must be in \(0, 1\)"),
+    ({"cohort": {"fatigue_decay": 0}}, r"cohort.fatigue_decay must be in \(0, 1\)"),
+    ({"cohort": {"recovery_rounds": 0}}, "cohort.recovery_rounds must be >= 1"),
+    ({"cohort": {"noise_sigma": -1}}, "cohort.noise_sigma must be >= 0"),
+    ({"cohort": {"engagement": {"floor": 2.0, "ceiling": 1.0}}},
+     "cohort.engagement.floor must be <= cohort.engagement.ceiling"),
+    ({"budget": {"weekdays_only": False}}, "budget.weekdays_only must be one of"),
 ]
 
 
@@ -381,8 +389,10 @@ def test_sweep_checks_every_value_before_simulating(monkeypatch):
         return run_study(cfg)
 
     monkeypatch.setattr(pcar.study, "run_study", counting_run_study)
-    with pytest.raises(ConfigError, match="agent.lambda"):
-        sweep(dict(SMALL), "agent.lambda", [0.6, "x"])
+    for parameter, values in (("agent.lambda", [0.6, "x"]),
+                              ("cohort.fatigue_decay", [0.5, 1.5])):
+        with pytest.raises(ConfigError, match=parameter):
+            sweep(dict(SMALL), parameter, values)
     assert runs == []
 
 
