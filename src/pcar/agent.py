@@ -163,19 +163,16 @@ class AgentBundle:
     def __init__(
         self,
         schema: AttributeSchema,
+        params: Hyperparams,
         tau_max: int = 6,
-        params: Hyperparams | None = None,
         n_trait_buckets: int = 2,
         seed: int = 0,
     ):
-        if params is None:
-            params = Hyperparams()
         self.schema = schema
         self.tau_max = tau_max
         self.params = params
         self.n_trait_buckets = n_trait_buckets
         self.n_buckets = len(PERIODS) * n_trait_buckets
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
         clip = params.q_tau_clip if params.q_tau_clip is not None else tau_max
         if not 1 <= clip <= tau_max:
@@ -405,7 +402,6 @@ class GhostAuditReport:
 def ghost_audit(
     bundle: AgentBundle,
     samples: int = 200,
-    rng: np.random.Generator | None = None,
     lookup=None,
 ) -> GhostAuditReport:
     """Check that action-value lookup is a pure function of the looked-up
@@ -414,10 +410,10 @@ def ghost_audit(
 
     ``lookup(agent, state, value_index, ctx) -> float`` defaults to the
     bundle's own accessor; pass a deliberately corrupted one to confirm the
-    audit catches keying on other values' clocks.
+    audit catches keying on other values' clocks. Samples are drawn from
+    ``default_rng(0)``, so an audit is reproducible.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     if lookup is None:
         lookup = bundle.action_value
     cap = bundle.tau_max

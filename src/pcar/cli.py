@@ -150,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # ConfigError is a ValueError; AssertionError comes from the final
-    # budget re-check of a run
+    # ConfigError is a ValueError; OSError covers missing, directory and
+    # unwritable paths; AssertionError comes from the final budget re-check
     try:
         return args.func(args)
-    except (ValueError, TypeError, FileNotFoundError, AssertionError) as exc:
+    except (ValueError, TypeError, OSError, AssertionError) as exc:
         return _fail(str(exc))
 
 

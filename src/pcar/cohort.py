@@ -110,10 +110,6 @@ def effect_strength(p: ParticipantModel, value_indices, taus_before,
                     ctx: ContextBucket) -> float:
     """Mean over attributes of base effect x fatigue factor for the chosen
     values, under the clocks they were chosen at."""
-    if isinstance(value_indices, (int, np.integer)):
-        value_indices = (int(value_indices),)
-    if isinstance(taus_before, (int, np.integer)):
-        taus_before = (int(taus_before),)
     if len(value_indices) != len(taus_before):
         raise ValueError("one clock per chosen value")
     period = PERIODS.index(ctx.period)

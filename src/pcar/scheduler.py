@@ -1,9 +1,9 @@
 """Delivery timing under hard budget rules.
 
-Hard constraints, each set by the study's ``budget`` config: a daily cap
-(default three contacts), a minimum gap (default two hours), a window
-(default 08:00-21:00, never wider) and, by default, weekdays only. On top
-of that sits a small trained model -- a linear scorer through a sigmoid --
+Hard constraints: a daily cap (default three contacts), a minimum gap
+(default two hours) and a window (default 08:00-21:00, never wider), each
+set by the study's ``budget`` config, and weekdays only, always. On top of
+that sits a small trained model -- a linear scorer through a sigmoid --
 that estimates how likely a contact at the current 5-minute tick is to be
 engaged with. It is fit by full-batch gradient descent on a squared-error
 term plus a budget-pressure term that pulls the expected number of daily
@@ -43,7 +43,7 @@ N_FEATURES = 10
 class BudgetState:
     """Per-participant delivery budget; ``last_delivery`` is a study-minute.
     ``delivered_today`` counts initiated contacts; call ``start_day`` at
-    each day boundary."""
+    each day boundary. ``eligible`` rejects weekends without a setting."""
 
     delivered_today: int = 0
     last_delivery: int | None = None
@@ -51,7 +51,6 @@ class BudgetState:
     min_gap_minutes: int = 120
     window_start_minute: int = WINDOW_START_MINUTE
     window_end_minute: int = WINDOW_END_MINUTE
-    weekdays_only: bool = True
 
     def start_day(self) -> None:
         self.delivered_today = 0
@@ -62,10 +61,11 @@ class BudgetState:
 
 
 def eligible(budget: BudgetState, now: int) -> bool:
-    """All hard rules at once: weekday, inside the window, daily allowance
-    left, and enough distance from the previous contact."""
+    """All hard rules at once: a weekday (unconditionally), inside the
+    window, daily allowance left, and enough distance from the previous
+    contact."""
     day, minute = divmod(now, DAY_MINUTES)
-    if budget.weekdays_only and day % 7 >= 5:
+    if day % 7 >= 5:
         return False
     if not budget.window_start_minute <= minute < budget.window_end_minute:
         return False
@@ -128,9 +128,8 @@ class TimingModel:
     feature_scale: np.ndarray | None = None
 
     @classmethod
-    def zeros(cls, threshold: float = 0.5, budget_penalty: float = 0.1) -> "TimingModel":
-        return cls(weights=np.zeros(N_FEATURES), bias=0.0,
-                   threshold=threshold, budget_penalty=budget_penalty)
+    def zeros(cls, budget_penalty: float = 0.1) -> "TimingModel":
+        return cls(weights=np.zeros(N_FEATURES), budget_penalty=budget_penalty)
 
     @classmethod
     def budget_init(cls, budget: BudgetState,
@@ -307,16 +306,15 @@ def score_cache(model: TimingModel):
     return scored
 
 
-def calibrate_threshold(
-    model: TimingModel, shape: BudgetState, iterations: int = 40
-) -> TimingModel:
-    """Post-processor step: pick the decision threshold by bisection so
-    that, on five synthetic weekdays under the budget rules of ``shape``
-    (allowance, gap and window), the realized triggers per day reach the
-    allowance. Each pass walks the days with ``eligible_ticks`` on a fresh
-    copy of ``shape`` and fires where the score clears the candidate
-    threshold; scores evolve with the budget state as triggers fire, as
-    they do in a study. The passes share one ``score_cache``.
+def calibrate_threshold(model: TimingModel, shape: BudgetState) -> TimingModel:
+    """Post-processor step: pick the decision threshold by 40 passes of
+    bisection so that, on five synthetic weekdays under the budget rules
+    of ``shape`` (allowance, gap and window), the realized triggers per
+    day reach the allowance. Each pass walks the days with
+    ``eligible_ticks`` on a fresh copy of ``shape`` and fires where the
+    score clears the candidate threshold; scores evolve with the budget
+    state as triggers fire, as they do in a study. The passes share one
+    ``score_cache``.
 
     A pass whose outcome is already known is not walked. A walk at
     threshold t compares the scores S of the ticks it visits against t.
@@ -327,7 +325,7 @@ def calibrate_threshold(
     triggers per day. Each walk records that interval with its rate; a
     later midpoint inside a recorded interval takes the rate from it. The
     bisection keeps its midpoints and its final ``lo``, so the threshold
-    is bit-identical to walking all ``iterations`` passes."""
+    is bit-identical to walking all 40 passes."""
     week = range(5)  # Monday to Friday
     scored = score_cache(model)
     daily_budget = shape.max_per_day
@@ -354,7 +352,7 @@ def calibrate_threshold(
         return rate
 
     lo, hi = 0.0, 1.0
-    for _ in range(iterations):
+    for _ in range(40):
         mid = (lo + hi) / 2.0
         if triggers_per_day(mid) >= daily_budget:
             lo = mid

@@ -851,13 +851,12 @@ class OracleCheckResult:
     passed: bool
 
 
-def benchmark_reward_fn(rested: float = 1.0, fatigued: float = 0.2,
-                        arm_bonus: float = 0.1):
-    """Reward used by the standard benchmark instance: full value on a
-    rested clock, a stub on a tired one, plus a small per-arm offset."""
+def benchmark_reward_fn():
+    """Reward used by the standard benchmark instance: 1.0 on a rested
+    clock, 0.2 on a tired one, plus 0.1 per arm index."""
 
     def fn(arm: int, tau: int) -> float:
-        return (rested if tau > 0 else fatigued) + arm_bonus * arm
+        return (1.0 if tau > 0 else 0.2) + 0.1 * arm
 
     return fn
 
@@ -869,16 +868,14 @@ def train_on_instance(
     episodes: int,
     seed: int,
     reward_fn,
-    params: Hyperparams | None = None,
 ) -> float:
     """Train a single-attribute learner episodically on the instance and
     return the greedy policy's total reward."""
     schema = AttributeSchema((("arm", tuple(str(i) for i in range(k))),))
-    if params is None:
-        params = Hyperparams(
-            epsilon_start=0.2, epsilon_end=0.0,
-            epsilon_decay_steps=episodes * horizon,
-        )
+    params = Hyperparams(
+        epsilon_start=0.2, epsilon_end=0.0,
+        epsilon_decay_steps=episodes * horizon,
+    )
     bundle = AgentBundle(
         schema, tau_max=tau_max, params=params, n_trait_buckets=1, seed=seed
     )
@@ -909,25 +906,30 @@ def oracle_check(
     horizon: int,
     seeds: int = 20,
     episodes: int = 5000,
-    rested: float = 1.0,
-    fatigued: float = 0.2,
-    arm_bonus: float = 0.1,
     threshold: float = 0.95,
     required: int | None = None,
 ) -> OracleCheckResult:
     """Compare episodic training against the brute-force planner on one
     instance; passes when enough seeds reach the threshold fraction of the
-    optimal total."""
-    reward_fn = benchmark_reward_fn(rested, fatigued, arm_bonus)
-    seq, best = plan_oracle(reward_fn, k, tau_max, horizon)
+    optimal total. Inputs that make the check meaningless are rejected
+    before planning."""
     if required is None:
         required = max(1, int(math.ceil(seeds * 0.9)))
+    if seeds < 1 or episodes < 1:
+        raise ValueError(f"seeds and episodes must be >= 1, got {seeds}, {episodes}")
+    if not 1 <= required <= seeds:
+        raise ValueError(f"required must be in 1..{seeds}, got {required}")
+    if not 0.0 < threshold <= 1.0:  # NaN fails too
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    reward_fn = benchmark_reward_fn()
+    # every play earns at least 0.2 and the planner needs horizon >= 1, so best > 0
+    seq, best = plan_oracle(reward_fn, k, tau_max, horizon)
     fractions = []
     for s in range(seeds):
         total = train_on_instance(
             k, tau_max, horizon, episodes, hash64("oracle", s), reward_fn
         )
-        fractions.append(total / best if best else 1.0)
+        fractions.append(total / best)
     passed = sum(f >= threshold for f in fractions) >= required
     return OracleCheckResult(
         k=k, tau_max=tau_max, horizon=horizon,
@@ -955,24 +957,21 @@ def timing_comparison(
     n_participants: int = 20,
     history_days: int = 30,
     eval_days: int = 10,
-    mean_acceptance: float = 0.5,
-    trigger_rate: float = 3 / 84,
-    epochs: int = 500,
-    step: float = 0.05,
-    budget_penalty: float = 0.1,
     daily_budget: int = 3,
 ) -> TimingComparison:
     """Per seed: collect cohort-wide feedback under uniform-random
-    triggering (the nightly trainer pools every participant's history),
-    train the timing model, then compare its cohort acceptance against a
+    triggering at 3 contacts per 84 ticks (the nightly trainer pools every
+    participant's history), train the timing model with the default
+    ``scheduler`` block, then compare its cohort acceptance against a
     uniform baseline matched to the trained policy's realized daily rate."""
+    ccfg, scfg = DEFAULT_CONFIG["cohort"], DEFAULT_CONFIG["scheduler"]
     # every walk, the fit and the matched baseline follow the same rules
     shape = BudgetState(max_per_day=daily_budget)
     trained_acc, uniform_acc, trained_daily, uniform_daily = [], [], [], []
     for s in range(seeds):
         rng = np.random.default_rng(hash64("timing", s))
-        cohort = default_cohort(n_participants, rng, mean_acceptance,
-                                DEFAULT_CONFIG["cohort"])
+        cohort = default_cohort(n_participants, rng,
+                                ccfg["mean_acceptance_intervention"], ccfg)
 
         def walk(days, day0, fire, collect=False):
             """(history rows if ``collect``, acceptance, contacts per
@@ -1000,8 +999,9 @@ def timing_comparison(
         def uniform(q):
             return lambda now, budget: rng.random() < q
 
-        rows, _, _ = walk(history_days, 0, uniform(trigger_rate), collect=True)
-        model = fit(rows, shape, budget_penalty, epochs, step)
+        rows, _, _ = walk(history_days, 0, uniform(3 / 84), collect=True)
+        model = fit(rows, shape, scfg["budget_penalty"], scfg["train_epochs"],
+                    scfg["train_step"])
 
         # the trained policy walks the same states for every participant
         scored = score_cache(model)

@@ -175,6 +175,41 @@ def test_oracle_command_small_instance(capsys):
     assert doc["optimal_sequence"] == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("args, name", [
+    (["--required", "0", "--seeds", "1", "--episodes", "1"], "required"),
+    (["--required", "3", "--seeds", "2", "--episodes", "1"], "required"),
+    (["--seeds", "0"], "seeds"),
+    (["--seeds", "-2"], "seeds"),
+    (["--episodes", "0", "--seeds", "1"], "episodes"),
+    (["--threshold", "0", "--seeds", "1", "--episodes", "1"], "threshold"),
+    (["--threshold", "1.5", "--seeds", "1", "--episodes", "1"], "threshold"),
+    (["--threshold", "nan", "--seeds", "1", "--episodes", "1"], "threshold"),
+], ids=["required-0", "required-above-seeds", "seeds-0", "seeds-negative",
+        "episodes-0", "threshold-0", "threshold-above-1", "threshold-nan"])
+def test_oracle_command_rejects_meaningless_checks(capsys, args, name):
+    code = main(["oracle", "--k", "2", "--tau-max", "2", "--horizon", "4", *args])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert name in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("where", ["config_is_directory", "out_under_file"])
+def test_os_errors_print_one_json_line(tmp_path, config_path, capsys, where):
+    if where == "config_is_directory":
+        argv = ["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]
+    else:
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["run", "--config", str(config_path), "--out", str(blocker / "x")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+
+
 def test_oracle_command_guard(capsys):
     code = main([
         "oracle", "--k", "10", "--tau-max", "2", "--horizon", "9",

@@ -76,13 +76,14 @@ def _walk(ticks, budget, deliver_at):
 
 def _plain_ticks(day, budget):
     """Reference walk, written out: every 5 minutes from 08:00 to 20:55,
-    each hard rule checked by hand, the weekday read off the calendar."""
+    each hard rule checked by hand, the weekday read off the calendar and
+    weekends always closed."""
     budget.start_day()
     weekend = (date(2024, 1, 1) + timedelta(days=day)).weekday() >= 5
     minute = 8 * 60
     while minute < 21 * 60:
         now = at(day, 0, minute)
-        if (not (budget.weekdays_only and weekend)
+        if (not weekend
                 and budget.window_start_minute <= minute < budget.window_end_minute
                 and budget.delivered_today < budget.max_per_day
                 and (budget.last_delivery is None
@@ -98,20 +99,18 @@ def _plain_ticks(day, budget):
     window=st.tuples(st.integers(8 * 60, 21 * 60), st.integers(8 * 60, 21 * 60))
     .filter(lambda w: w[0] < w[1]),
     day=st.integers(0, 27),  # four calendar weeks
-    weekdays_only=st.booleans(),
     last_evening=st.one_of(st.none(), st.integers(17 * 60, 24 * 60 - 1)),
     deliver_at=st.sets(st.integers(0, 160), max_size=8),
 )
 def test_eligible_ticks_matches_plain_loop(max_per_day, min_gap, window, day,
-                                           weekdays_only, last_evening, deliver_at):
+                                           last_evening, deliver_at):
     def budget():
         last = None if last_evening is None else at(day - 1, 0, last_evening)
         # yesterday's count: both walks must reset it
         return BudgetState(delivered_today=max_per_day, last_delivery=last,
                            max_per_day=max_per_day, min_gap_minutes=min_gap,
                            window_start_minute=window[0],
-                           window_end_minute=window[1],
-                           weekdays_only=weekdays_only)
+                           window_end_minute=window[1])
 
     a, b = budget(), budget()
     got = _walk(eligible_ticks(day, a), a, deliver_at)
