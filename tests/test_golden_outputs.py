@@ -6,7 +6,10 @@ of ``timing_comparison``, the other three ``report`` files of a default
 study, the CSV of a small sweep and the per-seed fractions of two short
 ``oracle_check`` runs (the episodic learner's greedy totals over the
 optimum): one the learner solves outright and one it does not, whose
-fractions below 1 move with the learner's values.
+fractions below 1 move with the learner's values. The learner's own
+values are pinned too: the Q tables of a two-attribute bundle driven over
+a fixed set of trajectories, with a clock clip below the cap so that
+clocks share table entries.
 
 The values in ``data/golden_outputs.json`` were recorded once; a refactor
 that claims to keep behaviour must leave every one of them unchanged.
@@ -21,8 +24,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pcar.agent import (
+    PERIODS,
+    AgentBundle,
+    AttributeSchema,
+    ContextBucket,
+    Hyperparams,
+    Selection,
+)
+from pcar.lsd import advance, initial_state
 from pcar.study import (
     oracle_check,
     report,
@@ -58,6 +71,13 @@ ORACLE = {
     "oracle_fractions_unsolved": dict(k=3, tau_max=3, horizon=8, seeds=3,
                                       episodes=100),
 }
+
+LEARNER_SCHEMA = AttributeSchema((("flavor", ("calm", "focus", "move")),
+                                  ("place", ("indoor", "outdoor"))))
+# 3 periods x 2 trait buckets = 6 context buckets; clocks beyond +/-3 clip
+LEARNER = dict(tau_max=6, n_trait_buckets=2, seed=5)
+LEARNER_PARAMS = dict(lam=0.6, q_tau_clip=3, epsilon_start=0.5,
+                      epsilon_end=0.05, epsilon_decay_steps=300)
 
 
 def _sha256(text: str) -> str:
@@ -95,12 +115,38 @@ def _oracle_digest(name: str) -> str:
     return _sha256(json.dumps(oracle_check(**ORACLE[name]).fractions))
 
 
+def _learner_digest() -> str:
+    """Q tables after 60 trajectories of 1-8 choices on clocks that carry
+    over from one trajectory to the next, as a participant's do across
+    days; contexts and rewards come from a fixed stream."""
+    bundle = AgentBundle(LEARNER_SCHEMA, Hyperparams(**LEARNER_PARAMS), **LEARNER)
+    rng = np.random.default_rng(41)
+    clocks = [initial_state(len(values), LEARNER["tau_max"])
+              for _, values in LEARNER_SCHEMA.attributes]
+    for _ in range(60):
+        pending = None
+        for _ in range(int(rng.integers(1, 9))):
+            ctx = ContextBucket(PERIODS[int(rng.integers(len(PERIODS)))],
+                                int(rng.integers(LEARNER["n_trait_buckets"])))
+            idx = LEARNER_SCHEMA.validate_vector(bundle.select_action(ctx, clocks))
+            sel = Selection(ctx.index(LEARNER["n_trait_buckets"]), idx,
+                            tuple(clocks[a].taus[i] for a, i in enumerate(idx)))
+            if pending is not None:
+                bundle.td_step(*pending, sel)
+            pending = (sel, float(rng.normal()))
+            clocks = [advance(c, i) for c, i in zip(clocks, idx)]
+        bundle.td_step(*pending, None)
+        bundle.end_episode()
+    return _sha256(json.dumps(bundle.q_snapshot()))
+
+
 def _compute() -> dict:
     out = {name: _records_digest(name) for name in STUDIES}
     out["timing_comparison"] = _timing_digest()
     out.update(_report_digests())
     out["sweep_csv"] = _sweep_digest()
     out.update({name: _oracle_digest(name) for name in ORACLE})
+    out["learner_q"] = _learner_digest()
     return out
 
 
@@ -135,6 +181,10 @@ def test_oracle_fractions_match_golden(golden):
 def test_oracle_fractions_unsolved_match_golden(golden):
     name = "oracle_fractions_unsolved"
     assert _oracle_digest(name) == golden[name]
+
+
+def test_learner_q_matches_golden(golden):
+    assert _learner_digest() == golden["learner_q"]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
