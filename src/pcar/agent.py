@@ -119,14 +119,32 @@ class Hyperparams:
 class QModel:
     """Per-agent action-value table ``q`` and the eligibility trace ``e`` of
     the one open trajectory, both keyed by (value index, clipped clock
-    index, context bucket index)."""
+    index, context bucket index).
 
-    def __init__(self, n_values: int, tau_clip: int, n_buckets: int):
+    ``keys`` maps every valid (value, clock, bucket) -- clocks -tau_max..
+    tau_max except 0, clipped as ``tau_index`` clips them -- to a position
+    in the flat views ``q_flat`` and ``e_flat``, which share ``q``'s and
+    ``e``'s buffers: the learner's scalar reads and writes go through them,
+    so the tables are updated in place and must not be rebound. ``touched``
+    holds the keys the open trajectory has set a trace on; every other
+    entry of ``e`` is +0.0.
+    """
+
+    def __init__(self, n_values: int, tau_max: int, tau_clip: int, n_buckets: int):
         self.n_values = n_values
         self.tau_clip = tau_clip
         self.n_buckets = n_buckets
         self.q = np.zeros((n_values, 2 * tau_clip, n_buckets))
         self.e = np.zeros_like(self.q)
+        self.q_flat = memoryview(self.q.reshape(-1))
+        self.e_flat = memoryview(self.e.reshape(-1))
+        self.keys = {
+            (v, tau, b): (v * 2 * tau_clip + self.tau_index(tau)) * n_buckets + b
+            for v in range(n_values)
+            for tau in range(-tau_max, tau_max + 1) if tau != 0
+            for b in range(n_buckets)
+        }
+        self.touched: set[int] = set()
 
     def tau_index(self, tau: int) -> int:
         if tau == 0:
@@ -149,10 +167,14 @@ class Selection:
 class AgentBundle:
     """A team of independent per-attribute learners sharing one reward.
 
-    The bundle owns internal clocks (one LsdState per attribute, over that
-    attribute's values) for self-contained episodic use. Callers that keep
-    clocks elsewhere (e.g. one set per participant) pass them explicitly
-    to ``select_action`` and drive learning through ``td_step``.
+    Callers keep the clocks (e.g. one set per participant, or one per
+    episode), pass them to ``select_action``, record each choice as a
+    ``Selection`` and learn through ``td_step`` and ``end_episode``. The
+    bundle's internal clocks and the methods that step them (``step``,
+    ``update``, ``finish_episode``, ``greedy_action``, ``apply_action``,
+    ``reset_clocks``, ``snapshot_selection``) now serve only acceptance
+    criterion 2 and the tests; they run on the same ``select_action`` and
+    ``td_step``.
 
     One trajectory is open at a time: its ``td_step``s share one trace per
     agent, and ``end_episode`` closes it before the next one starts, so no
@@ -178,7 +200,7 @@ class AgentBundle:
         if not 1 <= clip <= tau_max:
             raise ValueError(f"q_tau_clip must be in 1..{tau_max}, got {clip}")
         self.models = [
-            QModel(len(schema.values(i)), clip, self.n_buckets)
+            QModel(len(schema.values(i)), tau_max, clip, self.n_buckets)
             for i in range(schema.n_attributes)
         ]
         self.reset_clocks()
@@ -209,32 +231,33 @@ class AgentBundle:
         """Q lookup for one agent given a full clock state. Depends only on
         the looked-up value's own clock -- the audit below checks this."""
         qm = self.models[agent]
-        ti = qm.tau_index(state.taus[value_index])
-        return float(qm.q[value_index, ti, ctx.index(self.n_trait_buckets)])
+        bucket = ctx.index(self.n_trait_buckets)
+        try:
+            return qm.q_flat[qm.keys[value_index, state.taus[value_index], bucket]]
+        except KeyError as exc:
+            raise self._no_entry(exc) from None
+
+    def _no_entry(self, exc: KeyError) -> ValueError:
+        """The error for a (value, clock, bucket) that has no table entry."""
+        return ValueError(
+            f"no table entry for (value, clock, bucket) {exc.args[0]}: clocks "
+            f"are nonzero and within +/-{self.tau_max}, indices in range"
+        )
 
     # -- action selection -------------------------------------------------
 
     def _greedy_index(self, agent: int, state: LsdState, bucket: int) -> int:
         qm = self.models[agent]
-        q = qm.q
+        q, keys, taus = qm.q_flat, qm.keys, state.taus
         best, best_v = -math.inf, 0
-        for v in range(qm.n_values):
-            s = q[v, qm.tau_index(state.taus[v]), bucket]
-            if s > best:  # strict: ties keep the lowest index
-                best, best_v = s, v
+        try:
+            for v in range(qm.n_values):
+                s = q[keys[v, taus[v], bucket]]
+                if s > best:  # strict: ties keep the lowest index
+                    best, best_v = s, v
+        except KeyError as exc:
+            raise self._no_entry(exc) from None
         return best_v
-
-    def _select_indices(
-        self, clocks: list[LsdState], bucket: int, eps: float
-    ) -> tuple[int, ...]:
-        out = []
-        for p in range(self.schema.n_attributes):
-            u = self.rng.random()
-            if u < eps:
-                out.append(int(self.rng.integers(self.models[p].n_values)))
-            else:
-                out.append(self._greedy_index(p, clocks[p], bucket))
-        return tuple(out)
 
     def select_action(
         self, ctx: ContextBucket, clocks: list[LsdState] | None = None
@@ -244,8 +267,14 @@ class AgentBundle:
         epsilon, so streams stay aligned across configurations."""
         clocks = self._clocks if clocks is None else clocks
         bucket = ctx.index(self.n_trait_buckets)
-        idx = self._select_indices(clocks, bucket, self.epsilon())
-        return tuple(self.schema.values(p)[i] for p, i in enumerate(idx))
+        eps, rng = self.epsilon(), self.rng
+        out = []
+        for p, (_, values) in enumerate(self.schema.attributes):
+            if rng.random() < eps:
+                out.append(values[int(rng.integers(len(values)))])
+            else:
+                out.append(values[self._greedy_index(p, clocks[p], bucket)])
+        return tuple(out)
 
     def greedy_action(self, ctx: ContextBucket) -> tuple[str, ...]:
         """Pure argmax choice over the internal clocks; consumes no
@@ -277,25 +306,48 @@ class AgentBundle:
         trajectory. ``nxt`` is the follow-up choice, or None for a terminal
         transition (no bootstrap). Finish each trajectory with
         ``end_episode`` before starting another (e.g. another participant's
-        day), or the traces would credit it with the other's choices."""
+        day), or the traces would credit it with the other's choices.
+
+        Per agent this is the dense update ``q += (alpha * delta) * e;
+        e *= gamma * lam`` applied only to the keys the trajectory has
+        touched. That is exact: every other trace entry is +0.0, where the
+        dense update adds +/-0.0 to q and leaves e at +0.0, and q never
+        holds -0.0 (it starts at +0.0, and x + y is -0.0 only if both are).
+
+        Raises ValueError, before any table changes, if a selection has a
+        zero clock, a clock beyond +/-tau_max, or a value or bucket index
+        out of range."""
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
+        keys = self._keys_of(prev)
+        next_keys = None if nxt is None else self._keys_of(nxt)
         p = self.params
+        decay = p.gamma * p.lam
         for a, qm in enumerate(self.models):
-            e = qm.e
-            v, ti = prev.value_indices[a], qm.tau_index(prev.taus[a])
-            cur = qm.q[v, ti, prev.bucket]
-            if nxt is None:
-                target = reward
-            else:
-                nv = nxt.value_indices[a]
-                nti = qm.tau_index(nxt.taus[a])
-                target = reward + p.gamma * qm.q[nv, nti, nxt.bucket]
-            delta = target - cur
-            e[v, ti, prev.bucket] = 1.0
-            qm.q += p.alpha * delta * e
-            e *= p.gamma * p.lam
+            q, e, touched = qm.q_flat, qm.e_flat, qm.touched
+            k = keys[a]
+            target = reward if nxt is None else reward + p.gamma * q[next_keys[a]]
+            alpha_delta = p.alpha * (target - q[k])
+            e[k] = 1.0
+            touched.add(k)
+            for j in touched:
+                q[j] += alpha_delta * e[j]
+                e[j] *= decay
         self.rounds += 1
+
+    def _keys_of(self, sel: Selection) -> list[int]:
+        """Each agent's flat table key for a selection."""
+        values, taus, bucket = sel.value_indices, sel.taus, sel.bucket
+        n = len(self.models)
+        if len(values) != n or len(taus) != n:
+            raise ValueError(f"selection must name {n} values and {n} clocks")
+        keys = []
+        try:
+            for a, qm in enumerate(self.models):  # cheaper than a comprehension
+                keys.append(qm.keys[values[a], taus[a], bucket])
+        except KeyError as exc:
+            raise self._no_entry(exc) from None
+        return keys
 
     def _advanced(self, value_indices: tuple[int, ...]) -> list[LsdState]:
         """The internal clocks after each agent plays its chosen value."""
@@ -351,9 +403,13 @@ class AgentBundle:
         self._clocks = self._advanced(self.schema.validate_vector(action))
 
     def end_episode(self) -> None:
-        """Close the open trajectory: zero every agent's trace."""
+        """Close the open trajectory: zero every agent's trace at the keys
+        it touched, which are the only nonzero ones."""
         for qm in self.models:
-            qm.e.fill(0.0)
+            e = qm.e_flat
+            for j in qm.touched:
+                e[j] = 0.0
+            qm.touched.clear()
 
     # -- inspection ----------------------------------------------------------
 
@@ -478,6 +534,11 @@ def plan_oracle(
     the clock *before* each play. Returns the lexicographically smallest
     optimal sequence and its total reward.
 
+    The depth-first walk keeps its path in a list rather than on the call
+    stack, so a long horizon (only k=1 passes the guard past depth 23) does
+    not hit the interpreter's recursion limit. Each path's total is summed
+    from the first play on, in play order.
+
     Refuses instances with more than 10**7 sequences.
     """
     if k < 1 or tau_max < 1 or horizon < 1:
@@ -489,20 +550,21 @@ def plan_oracle(
         )
     best_total = -math.inf
     best_seq: tuple[int, ...] = ()
-    prefix: list[int] = []
-
-    def search(state: LsdState, depth: int, total: float) -> None:
-        nonlocal best_total, best_seq
-        if depth == horizon:
-            if total > best_total:  # strict: DFS order keeps lexicographic min
-                best_total = total
-                best_seq = tuple(prefix)
-            return
-        for arm in range(k):
+    # one (arm, state before the play, total before the play) per depth
+    path: list[tuple[int, LsdState, float]] = []
+    state, total, arm = initial_state(k, tau_max), 0.0, 0
+    while True:
+        if len(path) < horizon:
             r = reward_fn(*reward_key(state, arm))
-            prefix.append(arm)
-            search(advance(state, arm), depth + 1, total + r)
-            prefix.pop()
-
-    search(initial_state(k, tau_max), 0, 0.0)
-    return best_seq, best_total
+            path.append((arm, state, total))
+            state, total, arm = advance(state, arm), total + r, 0
+            continue
+        if total > best_total:  # strict: DFS order keeps lexicographic min
+            best_total = total
+            best_seq = tuple(a for a, _, _ in path)
+        while path and path[-1][0] == k - 1:  # siblings exhausted
+            path.pop()
+        if not path:
+            return best_seq, best_total
+        last, state, total = path.pop()
+        arm = last + 1

@@ -870,7 +870,9 @@ def train_on_instance(
     reward_fn,
 ) -> float:
     """Train a single-attribute learner episodically on the instance and
-    return the greedy policy's total reward."""
+    return the greedy policy's total reward. Each episode walks its own
+    clocks from the all-rested start; the greedy rollout takes the first
+    arm of highest value and draws nothing."""
     schema = AttributeSchema((("arm", tuple(str(i) for i in range(k))),))
     params = Hyperparams(
         epsilon_start=0.2, epsilon_end=0.0,
@@ -880,23 +882,30 @@ def train_on_instance(
         schema, tau_max=tau_max, params=params, n_trait_buckets=1, seed=seed
     )
     ctx = ContextBucket(period="morning", trait_bucket=0)
+    bucket = ctx.index(bundle.n_trait_buckets)
+    start = initial_state(k, tau_max)
+
+    def choose(state: LsdState) -> Selection:
+        arm = int(bundle.select_action(ctx, [state])[0])
+        return Selection(bucket, (arm,), (state.taus[arm],))
+
     for _ in range(episodes):
-        bundle.reset_clocks()
-        action = bundle.select_action(ctx)
+        state = start
+        sel = choose(state)
         for t in range(horizon):
-            arm = int(action[0])
-            r = reward_fn(arm, bundle.clocks[0].taus[arm])
-            if t == horizon - 1:
-                bundle.finish_episode(ctx, action, r)
-            else:
-                action = bundle.step(ctx, action, r, ctx)
-    bundle.reset_clocks()
-    total = 0.0
+            arm = sel.value_indices[0]
+            r = reward_fn(arm, sel.taus[0])
+            state = advance(state, arm)
+            # the follow-up is chosen before the update, at the old epsilon
+            nxt = choose(state) if t < horizon - 1 else None
+            bundle.td_step(sel, r, nxt)
+            sel = nxt
+        bundle.end_episode()
+    state, total = start, 0.0
     for _ in range(horizon):
-        action = bundle.greedy_action(ctx)
-        arm = int(action[0])
-        total += reward_fn(arm, bundle.clocks[0].taus[arm])
-        bundle.apply_action(action)
+        arm = max(range(k), key=lambda v: bundle.action_value(0, state, v, ctx))
+        total += reward_fn(arm, state.taus[arm])
+        state = advance(state, arm)
     return total
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcar.agent import (
     PERIODS,
@@ -15,6 +17,7 @@ from pcar.agent import (
     plan_oracle,
     random_policy,
 )
+from pcar.lsd import LsdState
 
 SCHEMA = AttributeSchema(
     (
@@ -170,6 +173,92 @@ def test_end_episode_closes_the_trajectory():
         changed = np.argwhere(qm.q != before[a])
         key = (last.value_indices[a], qm.tau_index(last.taus[a]), last.bucket)
         assert [tuple(c) for c in changed] == [key]
+
+
+@pytest.mark.parametrize("taus", [(0, 6), (6, 0), (7, 1), (-7, 1), (1, -9)],
+                         ids=["zero", "zero-second", "over-cap", "under-cap",
+                              "under-cap-second"])
+def test_td_step_rejects_a_clock_without_a_table_entry(taus):
+    # the clip is below the cap, so an over-cap clock would land on a real
+    # entry if it were clipped instead of rejected
+    b = make_bundle(params=Hyperparams(alpha=0.5, q_tau_clip=3))
+    good, bad = Selection(0, (0, 0), (6, 6)), Selection(0, (0, 0), taus)
+    for prev, nxt in ((bad, good), (good, bad), (bad, None)):
+        with pytest.raises(ValueError, match="clock"):
+            b.td_step(prev, 1.0, nxt)
+    assert b.rounds == 0
+    assert not any(qm.q.any() or qm.e.any() for qm in b.models)
+
+
+def test_selection_and_clock_lookups_reject_what_has_no_entry():
+    b = make_bundle()
+    with pytest.raises(ValueError):  # one value for two attributes
+        b.td_step(Selection(0, (0,), (6,)), 1.0, None)
+    with pytest.raises(ValueError):  # bucket beyond the 6 configured
+        b.td_step(Selection(6, (0, 0), (6, 6)), 1.0, None)
+    wide = [LsdState((7, 7, 7), 7), LsdState((1, 1), 7)]  # clocks beyond tau_max 6
+    with pytest.raises(ValueError, match="clock"):
+        b.select_action(CTX, wide)
+    with pytest.raises(ValueError, match="clock"):
+        b.action_value(0, wide[0], 0, CTX)
+
+
+def _dense_td_step(params, models, q, e, prev, reward, nxt):
+    """Reference SARSA(lambda) step over the whole of every agent's tables."""
+    for a, qm in enumerate(models):
+        key = (prev.value_indices[a], qm.tau_index(prev.taus[a]), prev.bucket)
+        target = reward
+        if nxt is not None:
+            nkey = (nxt.value_indices[a], qm.tau_index(nxt.taus[a]), nxt.bucket)
+            target = reward + params.gamma * q[a][nkey]
+        delta = target - q[a][key]
+        e[a][key] = 1.0
+        q[a] += params.alpha * delta * e[a]
+        e[a] *= params.gamma * params.lam
+
+
+DENSE_TAU_MAX = 4
+_clock = st.integers(-DENSE_TAU_MAX, DENSE_TAU_MAX).filter(bool)
+_chain_link = st.tuples(
+    st.builds(Selection, st.integers(0, 5),
+              st.tuples(st.integers(0, 2), st.integers(0, 1)),
+              st.tuples(_clock, _clock)),
+    st.floats(-10, 10),  # includes -0.0 and +0.0
+    st.booleans(),  # the link is terminal: no bootstrap from the next one
+    st.integers(0, 3),  # 0: the trajectory ends after this link
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    chain=st.lists(_chain_link, min_size=1, max_size=25),
+    lam=st.sampled_from([0.0, 0.6, 1.0]),
+    gamma=st.sampled_from([0.0, 0.9, 1.0]),
+    alpha=st.sampled_from([0.1, 0.5]),
+    clip=st.integers(1, DENSE_TAU_MAX - 1),
+)
+def test_touched_key_trace_matches_the_dense_update_bit_for_bit(
+    chain, lam, gamma, alpha, clip
+):
+    params = Hyperparams(alpha=alpha, gamma=gamma, lam=lam, q_tau_clip=clip)
+    b = AgentBundle(SCHEMA, params, tau_max=DENSE_TAU_MAX, n_trait_buckets=2)
+    q = [np.zeros_like(qm.q) for qm in b.models]
+    e = [np.zeros_like(qm.e) for qm in b.models]
+
+    def same():
+        return all(qm.q.tobytes() == qr.tobytes() and qm.e.tobytes() == er.tobytes()
+                   for qm, qr, er in zip(b.models, q, e))
+
+    for j, (prev, reward, terminal, end) in enumerate(chain):
+        nxt = None if terminal or j + 1 == len(chain) else chain[j + 1][0]
+        b.td_step(prev, reward, nxt)
+        _dense_td_step(params, b.models, q, e, prev, reward, nxt)
+        assert same()
+        if end == 0:
+            b.end_episode()
+            for er in e:
+                er.fill(0.0)
+            assert same()
 
 
 def test_nonfinite_reward_rejected():

@@ -219,6 +219,20 @@ def test_oracle_command_guard(capsys):
     assert "guard" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
+def test_oracle_command_plans_a_deep_single_arm_horizon(capsys):
+    # one arm passes the sequence guard at any horizon, so the planner's
+    # depth must not be bounded by the interpreter's recursion limit
+    code = main([
+        "oracle", "--k", "1", "--tau-max", "1", "--horizon", "3000",
+        "--seeds", "1", "--episodes", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["optimal_sequence"] == [0] * 3000
+    assert doc["passed"] is True
+
+
 def test_sweep_command(tmp_path, config_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main([
