@@ -103,31 +103,17 @@ class AttributeSchema:
         return tuple(self.value_index(i, v) for i, v in enumerate(vector))
 
 
-@dataclass
-class Hyperparams:
-    """Tabular learner settings. Defaults are ordinary tabular-TD choices."""
-
-    alpha: float = 0.1
-    gamma: float = 0.9
-    lam: float = 0.6
-    epsilon_start: float = 0.2
-    epsilon_end: float = 0.02
-    epsilon_decay_steps: int = 1000
-    q_tau_clip: int | None = None  # None: clip at the clock cap
-
-
 class QModel:
-    """Per-agent action-value table ``q`` and the eligibility trace ``e`` of
-    the one open trajectory, both keyed by (value index, clipped clock
-    index, context bucket index).
+    """Per-agent action-value table ``q``, keyed by (value index, clipped
+    clock index, context bucket index), and the eligibility trace of the one
+    open trajectory.
 
     ``keys`` maps every valid (value, clock, bucket) -- clocks -tau_max..
     tau_max except 0, clipped as ``tau_index`` clips them -- to a position
-    in the flat views ``q_flat`` and ``e_flat``, which share ``q``'s and
-    ``e``'s buffers: the learner's scalar reads and writes go through them,
-    so the tables are updated in place and must not be rebound. ``touched``
-    holds the keys the open trajectory has set a trace on; every other
-    entry of ``e`` is +0.0.
+    in the flat view ``q_flat``, which shares ``q``'s buffer: the learner's
+    scalar reads and writes go through it, so the table is updated in place
+    and must not be rebound. ``trace`` maps the keys the open trajectory
+    has set a trace on to their trace values; every other key's is +0.0.
     """
 
     def __init__(self, n_values: int, tau_max: int, tau_clip: int, n_buckets: int):
@@ -135,16 +121,14 @@ class QModel:
         self.tau_clip = tau_clip
         self.n_buckets = n_buckets
         self.q = np.zeros((n_values, 2 * tau_clip, n_buckets))
-        self.e = np.zeros_like(self.q)
         self.q_flat = memoryview(self.q.reshape(-1))
-        self.e_flat = memoryview(self.e.reshape(-1))
         self.keys = {
             (v, tau, b): (v * 2 * tau_clip + self.tau_index(tau)) * n_buckets + b
             for v in range(n_values)
             for tau in range(-tau_max, tau_max + 1) if tau != 0
             for b in range(n_buckets)
         }
-        self.touched: set[int] = set()
+        self.trace: dict[int, float] = {}
 
     def tau_index(self, tau: int) -> int:
         if tau == 0:
@@ -172,9 +156,16 @@ class AgentBundle:
     ``Selection`` and learn through ``td_step`` and ``end_episode``. The
     bundle's internal clocks and the methods that step them (``step``,
     ``update``, ``finish_episode``, ``greedy_action``, ``apply_action``,
-    ``reset_clocks``, ``snapshot_selection``) now serve only acceptance
-    criterion 2 and the tests; they run on the same ``select_action`` and
-    ``td_step``.
+    ``snapshot_selection``) now serve only acceptance criterion 2 and the
+    tests; they run on the same ``select_action`` and ``td_step``.
+
+    ``settings`` is a study config's ``agent`` block (see
+    ``study.DEFAULT_CONFIG``) with an integer ``epsilon_decay_steps``: it
+    gives the clock cap ``tau_max``, the clock clip ``q_tau_clip`` (None:
+    clip at the cap), the step size ``alpha``, discount ``gamma`` and trace
+    decay ``lambda``, and the epsilon schedule, which moves linearly from
+    ``epsilon_start`` to ``epsilon_end`` over ``epsilon_decay_steps`` TD
+    steps.
 
     One trajectory is open at a time: its ``td_step``s share one trace per
     agent, and ``end_episode`` closes it before the next one starts, so no
@@ -185,25 +176,27 @@ class AgentBundle:
     def __init__(
         self,
         schema: AttributeSchema,
-        params: Hyperparams,
-        tau_max: int = 6,
-        n_trait_buckets: int = 2,
+        settings: dict,
+        n_trait_buckets: int,
         seed: int = 0,
     ):
+        if not isinstance(settings["epsilon_decay_steps"], int):
+            raise ValueError("settings need an integer epsilon_decay_steps")
         self.schema = schema
-        self.tau_max = tau_max
-        self.params = params
+        self.settings = dict(settings)
+        self.tau_max = tau_max = settings["tau_max"]
         self.n_trait_buckets = n_trait_buckets
         self.n_buckets = len(PERIODS) * n_trait_buckets
         self.rng = np.random.default_rng(seed)
-        clip = params.q_tau_clip if params.q_tau_clip is not None else tau_max
+        clip = settings["q_tau_clip"]
+        clip = tau_max if clip is None else clip
         if not 1 <= clip <= tau_max:
             raise ValueError(f"q_tau_clip must be in 1..{tau_max}, got {clip}")
         self.models = [
             QModel(len(schema.values(i)), tau_max, clip, self.n_buckets)
             for i in range(schema.n_attributes)
         ]
-        self.reset_clocks()
+        self._clocks = [initial_state(m.n_values, tau_max) for m in self.models]
         self.rounds = 0
 
     # -- state access ----------------------------------------------------
@@ -212,18 +205,12 @@ class AgentBundle:
     def clocks(self) -> tuple[LsdState, ...]:
         return tuple(self._clocks)
 
-    def reset_clocks(self) -> None:
-        self._clocks = [
-            initial_state(len(self.schema.values(i)), self.tau_max)
-            for i in range(self.schema.n_attributes)
-        ]
-
     def epsilon(self) -> float:
-        p = self.params
-        if p.epsilon_decay_steps <= 0:
-            return p.epsilon_end
-        frac = min(1.0, self.rounds / p.epsilon_decay_steps)
-        return p.epsilon_start + (p.epsilon_end - p.epsilon_start) * frac
+        s = self.settings
+        start, end = s["epsilon_start"], s["epsilon_end"]
+        if s["epsilon_decay_steps"] <= 0:
+            return end
+        return start + (end - start) * min(1.0, self.rounds / s["epsilon_decay_steps"])
 
     def action_value(
         self, agent: int, state: LsdState, value_index: int, ctx: ContextBucket
@@ -309,10 +296,10 @@ class AgentBundle:
         day), or the traces would credit it with the other's choices.
 
         Per agent this is the dense update ``q += (alpha * delta) * e;
-        e *= gamma * lam`` applied only to the keys the trajectory has
-        touched. That is exact: every other trace entry is +0.0, where the
-        dense update adds +/-0.0 to q and leaves e at +0.0, and q never
-        holds -0.0 (it starts at +0.0, and x + y is -0.0 only if both are).
+        e *= gamma * lambda`` applied only to the keys in the trace. That is
+        exact: every other key's trace is +0.0, where the dense update adds
+        +/-0.0 to q and leaves the trace at +0.0, and q never holds -0.0 (it
+        starts at +0.0, and x + y is -0.0 only if both are).
 
         Raises ValueError, before any table changes, if a selection has a
         zero clock, a clock beyond +/-tau_max, or a value or bucket index
@@ -321,18 +308,18 @@ class AgentBundle:
             raise ValueError(f"reward must be finite, got {reward}")
         keys = self._keys_of(prev)
         next_keys = None if nxt is None else self._keys_of(nxt)
-        p = self.params
-        decay = p.gamma * p.lam
+        s = self.settings
+        alpha, gamma = s["alpha"], s["gamma"]
+        decay = gamma * s["lambda"]
         for a, qm in enumerate(self.models):
-            q, e, touched = qm.q_flat, qm.e_flat, qm.touched
+            q, trace = qm.q_flat, qm.trace
             k = keys[a]
-            target = reward if nxt is None else reward + p.gamma * q[next_keys[a]]
-            alpha_delta = p.alpha * (target - q[k])
-            e[k] = 1.0
-            touched.add(k)
-            for j in touched:
-                q[j] += alpha_delta * e[j]
-                e[j] *= decay
+            target = reward if nxt is None else reward + gamma * q[next_keys[a]]
+            alpha_delta = alpha * (target - q[k])
+            trace[k] = 1.0
+            for j, ej in trace.items():  # rebinding a key keeps the dict's size
+                q[j] += alpha_delta * ej
+                trace[j] = ej * decay
         self.rounds += 1
 
     def _keys_of(self, sel: Selection) -> list[int]:
@@ -403,13 +390,9 @@ class AgentBundle:
         self._clocks = self._advanced(self.schema.validate_vector(action))
 
     def end_episode(self) -> None:
-        """Close the open trajectory: zero every agent's trace at the keys
-        it touched, which are the only nonzero ones."""
+        """Close the open trajectory: clear every agent's trace."""
         for qm in self.models:
-            e = qm.e_flat
-            for j in qm.touched:
-                e[j] = 0.0
-            qm.touched.clear()
+            qm.trace.clear()
 
     # -- inspection ----------------------------------------------------------
 

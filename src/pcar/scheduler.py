@@ -7,7 +7,9 @@ that sits a small trained model -- a linear scorer through a sigmoid --
 that estimates how likely a contact at the current 5-minute tick is to be
 engaged with. It is fit by full-batch gradient descent on a squared-error
 term plus a budget-pressure term that pulls the expected number of daily
-triggers toward the allowance.
+triggers toward the allowance. ``fit`` takes the pressure weight and the
+descent's epochs and step from a study config's ``scheduler`` block; the
+library holds no second copy of them.
 
 Training merges identical (features, label) history rows into one row
 with a count (``TimingHistory``), so a night's refit costs as much as its
@@ -114,7 +116,7 @@ def features(now: int, budget: BudgetState) -> np.ndarray:
 
 @dataclass
 class TimingModel:
-    """Linear scorer with a decision threshold and budget-pressure weight.
+    """Linear scorer with a decision threshold.
 
     ``feature_mean``/``feature_scale`` hold the standardization fitted at
     training time (identity until trained); scoring applies it, so the
@@ -123,26 +125,18 @@ class TimingModel:
     weights: np.ndarray
     bias: float = 0.0
     threshold: float = 0.5
-    budget_penalty: float = 0.1
     feature_mean: np.ndarray | None = None
     feature_scale: np.ndarray | None = None
 
     @classmethod
-    def zeros(cls, budget_penalty: float = 0.1) -> "TimingModel":
-        return cls(weights=np.zeros(N_FEATURES), budget_penalty=budget_penalty)
-
-    @classmethod
-    def budget_init(cls, budget: BudgetState,
-                    budget_penalty: float = 0.1) -> "TimingModel":
+    def budget_init(cls, budget: BudgetState) -> "TimingModel":
         """Zero weights with the bias at the base-rate logit -- the
         budget's allowance over its window's ticks -- so the budget-pressure
         term starts near its stationary point instead of blowing the first
         gradient step through the sigmoid."""
         ticks = (budget.window_end_minute - budget.window_start_minute) / TICK_MINUTES
         rate = min(max(budget.max_per_day / ticks, 1e-6), 1 - 1e-6)
-        return cls(weights=np.zeros(N_FEATURES),
-                   bias=math.log(rate / (1.0 - rate)),
-                   budget_penalty=budget_penalty)
+        return cls(weights=np.zeros(N_FEATURES), bias=math.log(rate / (1.0 - rate)))
 
 
 def _standardized(model: TimingModel, X: np.ndarray) -> np.ndarray:
@@ -219,7 +213,8 @@ def _probabilities(model: TimingModel, X: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def composite_loss(model: TimingModel, history, daily_budget: float) -> float:
+def composite_loss(model: TimingModel, history, daily_budget: float,
+                   budget_penalty: float) -> float:
     """mean squared error over labeled rows + budget_penalty * (mean
     expected daily triggers - allowance)^2, where a day's expected triggers
     is the sum of its ticks' probabilities."""
@@ -228,20 +223,22 @@ def composite_loss(model: TimingModel, history, daily_budget: float) -> float:
     c = counts[labeled]
     mse = float(c @ (p[labeled] - y[labeled]) ** 2 / c.sum())
     mean_triggers = float(counts @ p) / n_days
-    return mse + model.budget_penalty * (mean_triggers - daily_budget) ** 2
+    return mse + budget_penalty * (mean_triggers - daily_budget) ** 2
 
 
 def train(
     model: TimingModel,
     history,
-    daily_budget: float = 3.0,
-    epochs: int = 500,
-    step: float = 0.05,
+    daily_budget: float,
+    budget_penalty: float,
+    epochs: int,
+    step: float,
 ) -> TimingModel:
-    """Full-batch gradient descent on the composite loss. Features are
-    standardized over the history first (per feature axis, like the
-    sensing pipeline's preprocessing); the fitted transform ships inside
-    the returned model. Deterministic; leaves the input untouched.
+    """``epochs`` steps of size ``step`` of full-batch gradient descent on
+    ``composite_loss`` with budget-pressure weight ``budget_penalty``.
+    Features are standardized over the history first (per feature axis,
+    like the sensing pipeline's preprocessing); the fitted transform ships
+    inside the returned model. Deterministic; leaves the input untouched.
 
     Each epoch costs as much as the distinct (features, label) rows: a
     merged row is weighted by its count. The budget term averages the
@@ -268,7 +265,7 @@ def train(
         # classification term over labeled rows
         g = np.where(labeled, 2.0 * (p - y_fit) * sig_grad / n_labeled, 0.0)
         # budget-pressure term over every eligible tick
-        pressure = 2.0 * model.budget_penalty * (
+        pressure = 2.0 * budget_penalty * (
             float(counts @ p) / n_days - daily_budget)
         g += pressure * sig_grad / n_days
         g *= counts
@@ -362,23 +359,20 @@ def calibrate_threshold(model: TimingModel, shape: BudgetState) -> TimingModel:
     return replace(model, threshold=theta)
 
 
-def fit(
-    history,
-    shape: BudgetState,
-    budget_penalty: float = 0.1,
-    epochs: int = 500,
-    step: float = 0.05,
-) -> TimingModel:
+def fit(history, shape: BudgetState, settings: dict) -> TimingModel:
     """The timing model's whole fit under the budget rules of ``shape``:
     start from ``TimingModel.budget_init``, ``train`` it on ``history``
     (skipped when ``history`` is None, the cold start of a study with no
     feedback yet), then ``calibrate_threshold`` so the model fires
-    ``shape.max_per_day`` times a day. The threshold is always calibrated,
-    never configured."""
-    model = TimingModel.budget_init(shape, budget_penalty=budget_penalty)
+    ``shape.max_per_day`` times a day. ``settings`` is a study config's
+    ``scheduler`` block: training reads its ``budget_penalty``,
+    ``train_epochs`` and ``train_step``. The threshold is always
+    calibrated, never configured."""
+    model = TimingModel.budget_init(shape)
     if history is not None:
         model = train(model, history, daily_budget=shape.max_per_day,
-                      epochs=epochs, step=step)
+                      budget_penalty=settings["budget_penalty"],
+                      epochs=settings["train_epochs"], step=settings["train_step"])
     return calibrate_threshold(model, shape)
 
 

@@ -34,7 +34,6 @@ from .agent import (
     AgentBundle,
     AttributeSchema,
     ContextBucket,
-    Hyperparams,
     Selection,
     plan_oracle,
     random_policy,
@@ -501,10 +500,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
     scfg = cfg["scheduler"]
     model_mode = scfg["mode"] == "model"
     if model_mode:
-        fit_args = (shape, scfg["budget_penalty"], scfg["train_epochs"],
-                    scfg["train_step"])
         # cold start: the untrained scorer's bar is set so it still delivers
-        timing_model = fit(None, *fit_args)
+        timing_model = fit(None, shape, scfg)
         # every participant shares the model, so each budget state is scored once
         scored = score_cache(timing_model)
         # (features, label, (pid, day_idx)): the budget term counts per
@@ -533,22 +530,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 * ccfg["mean_acceptance_intervention"] * ccfg["completion_rate"]
             )
             decay = max(1, replay_n + int(expected_live))
-        params = Hyperparams(
-            alpha=acfg["alpha"],
-            gamma=acfg["gamma"],
-            lam=acfg["lambda"],
-            epsilon_start=acfg["epsilon_start"],
-            epsilon_end=acfg["epsilon_end"],
-            epsilon_decay_steps=decay,
-            q_tau_clip=acfg["q_tau_clip"],
-        )
-        new_bundle = AgentBundle(
-            schema,
-            tau_max=acfg["tau_max"],
-            params=params,
-            n_trait_buckets=TRAIT_BUCKETS,
-            seed=hash64(seed, "bundle"),
-        )
+        new_bundle = AgentBundle(schema, dict(acfg, epsilon_decay_steps=decay),
+                                 TRAIT_BUCKETS, seed=hash64(seed, "bundle"))
         for pid in pids:  # fixed order keeps the run reproducible
             for day in sorted(replay_buffer.get(pid, {})):
                 chain = replay_buffer[pid][day]
@@ -639,7 +622,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
 
         if model_mode and timing_history.n_labeled:
             # nightly: refit from scratch on everything seen so far
-            timing_model = fit(timing_history, *fit_args)
+            timing_model = fit(timing_history, shape, scfg)
             scored = score_cache(timing_model)
 
     records.sort(key=lambda r: (r.pid, r.day, r.timestamp))
@@ -703,7 +686,10 @@ def metric_rows(log: StudyLog) -> list[dict]:
 
 
 def weekly_summary(rows: list[dict]) -> list[SummaryRow]:
-    """Participant-first cells of ``metric_rows`` by group, phase, week and metric."""
+    """Participant-first cells of ``metric_rows`` by group, phase, week and
+    metric; none for no rows."""
+    if not rows:
+        return []
     return sorted(mean_of_means(rows, group_by=("group", "phase", "week", "metric")),
                   key=lambda s: (s.metric, s.group, s.phase, s.week))
 
@@ -780,9 +766,8 @@ def welch_table(rows: list[dict]) -> list[dict]:
 def report(log: StudyLog, out_dir: str | Path) -> dict[str, Path]:
     """Emit the weekly summaries, within-phase deltas, the pairwise
     comparison table and plot-ready JSON series; the record CSV is
-    ``StudyLog.save``'s."""
-    if not log.records:
-        raise ValueError("empty log")
+    ``StudyLog.save``'s. A log without records gets header-only CSVs and
+    no series."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
@@ -874,13 +859,12 @@ def train_on_instance(
     clocks from the all-rested start; the greedy rollout takes the first
     arm of highest value and draws nothing."""
     schema = AttributeSchema((("arm", tuple(str(i) for i in range(k))),))
-    params = Hyperparams(
-        epsilon_start=0.2, epsilon_end=0.0,
-        epsilon_decay_steps=episodes * horizon,
-    )
-    bundle = AgentBundle(
-        schema, tau_max=tau_max, params=params, n_trait_buckets=1, seed=seed
-    )
+    # alpha, gamma and lambda come from the config; its clock clip would
+    # merge clocks beyond +/-3, so this learner clips at the cap
+    settings = dict(DEFAULT_CONFIG["agent"], tau_max=tau_max, q_tau_clip=None,
+                    epsilon_start=0.2, epsilon_end=0.0,
+                    epsilon_decay_steps=episodes * horizon)
+    bundle = AgentBundle(schema, settings, n_trait_buckets=1, seed=seed)
     ctx = ContextBucket(period="morning", trait_bucket=0)
     bucket = ctx.index(bundle.n_trait_buckets)
     start = initial_state(k, tau_max)
@@ -972,7 +956,16 @@ def timing_comparison(
     triggering at 3 contacts per 84 ticks (the nightly trainer pools every
     participant's history), train the timing model with the default
     ``scheduler`` block, then compare its cohort acceptance against a
-    uniform baseline matched to the trained policy's realized daily rate."""
+    uniform baseline matched to the trained policy's realized daily rate.
+    Raises ValueError before simulating unless there are two seeds to
+    compare and every size is at least 1."""
+    if seeds < 2:
+        raise ValueError(f"seeds must be >= 2 to compare, got {seeds}")
+    sizes = {"n_participants": n_participants, "history_days": history_days,
+             "eval_days": eval_days, "daily_budget": daily_budget}
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     ccfg, scfg = DEFAULT_CONFIG["cohort"], DEFAULT_CONFIG["scheduler"]
     # every walk, the fit and the matched baseline follow the same rules
     shape = BudgetState(max_per_day=daily_budget)
@@ -1002,15 +995,13 @@ def timing_comparison(
                         if collect:
                             # budget pressure groups by participant-day
                             rows.append((x, label, (pi, d)))
-            per_day = n / (days * len(cohort)) if days else 0.0
-            return rows, (hits / n if n else 0.0), per_day
+            return rows, (hits / n if n else 0.0), n / (days * len(cohort))
 
         def uniform(q):
             return lambda now, budget: rng.random() < q
 
         rows, _, _ = walk(history_days, 0, uniform(3 / 84), collect=True)
-        model = fit(rows, shape, scfg["budget_penalty"], scfg["train_epochs"],
-                    scfg["train_step"])
+        model = fit(rows, shape, scfg)
 
         # the trained policy walks the same states for every participant
         scored = score_cache(model)

@@ -13,11 +13,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from pcar.agent import AgentBundle, AttributeSchema, ContextBucket, Hyperparams, ghost_audit
+from pcar.agent import AgentBundle, AttributeSchema, ContextBucket, ghost_audit
 from pcar.lsd import advance, initial_state
 from pcar.scheduler import TimingModel, composite_loss, train
 from pcar.stats import pearson, pss_trend, welch_t
-from pcar.study import load_config, oracle_check, run_study, timing_comparison
+from pcar.study import (
+    DEFAULT_CONFIG,
+    load_config,
+    oracle_check,
+    run_study,
+    timing_comparison,
+)
 
 mpmath.mp.dps = 50
 
@@ -97,8 +103,9 @@ def test_criterion_2_ghost_factorization():
     schema = AttributeSchema(
         (("flavor", ("a", "b", "c", "d")), ("spot", ("in", "out", "both")))
     )
-    params = Hyperparams(epsilon_start=0.4, epsilon_end=0.05)
-    bundle = AgentBundle(schema, tau_max=6, params=params, seed=0xC2)
+    settings = dict(DEFAULT_CONFIG["agent"], epsilon_start=0.4, epsilon_end=0.05,
+                    epsilon_decay_steps=1000, q_tau_clip=None)
+    bundle = AgentBundle(schema, settings, n_trait_buckets=2, seed=0xC2)
     rng = np.random.default_rng(0xC2)
     ctx = PERIOD_CTXS[0]
     action = bundle.select_action(ctx)
@@ -286,11 +293,12 @@ def test_criterion_9_scheduler_learning():
             x = np.zeros(10)
             x[0] = float(rng.normal(3.0, 0.5)) * (1 if rng.random() < 0.5 else -1)
             rows.append((x, 1.0 if x[0] > 0 else 0.0, day))
-    model = TimingModel.zeros(budget_penalty=0.1)
-    losses = [composite_loss(model, rows, 3.0)]
+    model = TimingModel(weights=np.zeros(10))
+    losses = [composite_loss(model, rows, 3.0, 0.1)]
     for _ in range(100):
-        model = train(model, rows, daily_budget=3.0, epochs=1, step=0.05)
-        losses.append(composite_loss(model, rows, 3.0))
+        model = train(model, rows, daily_budget=3.0, budget_penalty=0.1, epochs=1,
+                      step=0.05)
+        losses.append(composite_loss(model, rows, 3.0, 0.1))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     elapsed = time.time() - t0
     assert elapsed < 60.0

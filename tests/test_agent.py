@@ -11,13 +11,13 @@ from pcar.agent import (
     AgentBundle,
     AttributeSchema,
     ContextBucket,
-    Hyperparams,
     Selection,
     ghost_audit,
     plan_oracle,
     random_policy,
 )
 from pcar.lsd import LsdState
+from pcar.study import DEFAULT_CONFIG
 
 SCHEMA = AttributeSchema(
     (
@@ -28,11 +28,26 @@ SCHEMA = AttributeSchema(
 CTX = ContextBucket(period="morning", trait_bucket=0)
 
 
+def agent_block(lam=0.6, **kw):
+    """The config's ``agent`` block with no clock clip below the cap and
+    epsilon decaying over 1000 steps; ``lam`` sets its ``lambda``."""
+    block = dict(DEFAULT_CONFIG["agent"], q_tau_clip=None, epsilon_decay_steps=1000)
+    block.update(kw, **{"lambda": lam})
+    return block
+
+
 def make_bundle(**kw):
-    params = kw.pop("params", None)
-    if params is None:
-        params = Hyperparams(epsilon_start=0.0, epsilon_end=0.0)
-    return AgentBundle(SCHEMA, tau_max=6, params=params, seed=kw.pop("seed", 7), **kw)
+    block = kw.pop("block", None)
+    if block is None:
+        block = agent_block(epsilon_start=0.0, epsilon_end=0.0)
+    return AgentBundle(SCHEMA, block, n_trait_buckets=2, seed=kw.pop("seed", 7), **kw)
+
+
+def dense_trace(qm):
+    """The open trajectory's trace as a table shaped like ``qm.q``."""
+    e = np.zeros_like(qm.q)
+    e.reshape(-1)[list(qm.trace)] = list(qm.trace.values())
+    return e
 
 
 def test_context_bucket_period_mapping():
@@ -59,6 +74,14 @@ def test_schema_validation():
         SCHEMA.validate_vector(("focus", "underwater"))
 
 
+@pytest.mark.parametrize("change", [{"epsilon_decay_steps": None},
+                                    {"q_tau_clip": 0}, {"q_tau_clip": 7}])
+def test_bundle_rejects_settings_it_cannot_run(change):
+    # a study resolves a null decay before it builds its bundle
+    with pytest.raises(ValueError, match=next(iter(change))):
+        AgentBundle(SCHEMA, agent_block(**change), n_trait_buckets=2)
+
+
 def test_select_all_zero_q_breaks_ties_low():
     b = make_bundle()
     assert b.select_action(CTX) == ("calm", "indoor")
@@ -73,9 +96,9 @@ def test_select_argmax_on_single_hot_q():
 
 
 def test_select_epsilon_one_reproducible_and_replayable():
-    params = Hyperparams(epsilon_start=1.0, epsilon_end=1.0)
-    b1 = AgentBundle(SCHEMA, params=params, seed=123)
-    b2 = AgentBundle(SCHEMA, params=params, seed=123)
+    block = agent_block(epsilon_start=1.0, epsilon_end=1.0)
+    b1 = AgentBundle(SCHEMA, block, n_trait_buckets=2, seed=123)
+    b2 = AgentBundle(SCHEMA, block, n_trait_buckets=2, seed=123)
     first = b1.select_action(CTX)
     assert first == b2.select_action(CTX)
     assert b1.select_action(CTX) == b2.select_action(CTX)
@@ -91,7 +114,7 @@ def test_select_epsilon_one_reproducible_and_replayable():
 
 
 def test_single_update_from_zero_tables():
-    b = make_bundle(params=Hyperparams(alpha=0.5, gamma=0.9, lam=0.0))
+    b = make_bundle(block=agent_block(alpha=0.5, gamma=0.9, lam=0.0))
     action = ("calm", "indoor")
     b.update(CTX, action, 1.0, CTX, action)
     for qm in b.models:
@@ -139,8 +162,8 @@ def _hand_unrolled_two_step(alpha, gamma, lam, tau_max):
 
 def test_two_step_trace_matches_hand_unrolled_calculator():
     schema = AttributeSchema((("arm", ("v0", "v1")),))
-    params = Hyperparams(alpha=0.1, gamma=1.0, lam=1.0, epsilon_start=0, epsilon_end=0)
-    b = AgentBundle(schema, tau_max=6, params=params, n_trait_buckets=1, seed=0)
+    block = agent_block(alpha=0.1, gamma=1.0, lam=1.0, epsilon_start=0, epsilon_end=0)
+    b = AgentBundle(schema, block, n_trait_buckets=1, seed=0)
     b.update(CTX, ("v0",), 0.0, CTX, ("v1",))
     b.update(CTX, ("v1",), 1.0, CTX, ("v0",))
 
@@ -155,7 +178,7 @@ def test_two_step_trace_matches_hand_unrolled_calculator():
 
 
 def test_end_episode_closes_the_trajectory():
-    b = make_bundle(params=Hyperparams(alpha=0.5, gamma=0.9, lam=0.8))
+    b = make_bundle(block=agent_block(alpha=0.5, gamma=0.9, lam=0.8))
     chain = [
         Selection(0, (0, 0), (6, 6)),
         Selection(1, (1, 1), (-1, 6)),
@@ -164,7 +187,8 @@ def test_end_episode_closes_the_trajectory():
     ]
     for j, (prev, nxt) in enumerate(zip(chain, chain[1:])):
         b.td_step(prev, 1.0 + j, nxt)
-    assert all(np.count_nonzero(qm.e) > 1 for qm in b.models)  # traces are open
+    # the traces are open
+    assert all(np.count_nonzero(dense_trace(qm)) > 1 for qm in b.models)
     b.end_episode()
     before = [qm.q.copy() for qm in b.models]
     last = Selection(4, (1, 0), (2, 1))
@@ -181,13 +205,13 @@ def test_end_episode_closes_the_trajectory():
 def test_td_step_rejects_a_clock_without_a_table_entry(taus):
     # the clip is below the cap, so an over-cap clock would land on a real
     # entry if it were clipped instead of rejected
-    b = make_bundle(params=Hyperparams(alpha=0.5, q_tau_clip=3))
+    b = make_bundle(block=agent_block(alpha=0.5, q_tau_clip=3))
     good, bad = Selection(0, (0, 0), (6, 6)), Selection(0, (0, 0), taus)
     for prev, nxt in ((bad, good), (good, bad), (bad, None)):
         with pytest.raises(ValueError, match="clock"):
             b.td_step(prev, 1.0, nxt)
     assert b.rounds == 0
-    assert not any(qm.q.any() or qm.e.any() for qm in b.models)
+    assert not any(qm.q.any() or dense_trace(qm).any() for qm in b.models)
 
 
 def test_selection_and_clock_lookups_reject_what_has_no_entry():
@@ -203,18 +227,18 @@ def test_selection_and_clock_lookups_reject_what_has_no_entry():
         b.action_value(0, wide[0], 0, CTX)
 
 
-def _dense_td_step(params, models, q, e, prev, reward, nxt):
+def _dense_td_step(block, models, q, e, prev, reward, nxt):
     """Reference SARSA(lambda) step over the whole of every agent's tables."""
     for a, qm in enumerate(models):
         key = (prev.value_indices[a], qm.tau_index(prev.taus[a]), prev.bucket)
         target = reward
         if nxt is not None:
             nkey = (nxt.value_indices[a], qm.tau_index(nxt.taus[a]), nxt.bucket)
-            target = reward + params.gamma * q[a][nkey]
+            target = reward + block["gamma"] * q[a][nkey]
         delta = target - q[a][key]
         e[a][key] = 1.0
-        q[a] += params.alpha * delta * e[a]
-        e[a] *= params.gamma * params.lam
+        q[a] += block["alpha"] * delta * e[a]
+        e[a] *= block["gamma"] * block["lambda"]
 
 
 DENSE_TAU_MAX = 4
@@ -240,19 +264,21 @@ _chain_link = st.tuples(
 def test_touched_key_trace_matches_the_dense_update_bit_for_bit(
     chain, lam, gamma, alpha, clip
 ):
-    params = Hyperparams(alpha=alpha, gamma=gamma, lam=lam, q_tau_clip=clip)
-    b = AgentBundle(SCHEMA, params, tau_max=DENSE_TAU_MAX, n_trait_buckets=2)
+    block = agent_block(alpha=alpha, gamma=gamma, lam=lam, q_tau_clip=clip,
+                        tau_max=DENSE_TAU_MAX)
+    b = AgentBundle(SCHEMA, block, n_trait_buckets=2)
     q = [np.zeros_like(qm.q) for qm in b.models]
-    e = [np.zeros_like(qm.e) for qm in b.models]
+    e = [np.zeros_like(qm.q) for qm in b.models]
 
     def same():
-        return all(qm.q.tobytes() == qr.tobytes() and qm.e.tobytes() == er.tobytes()
+        return all(qm.q.tobytes() == qr.tobytes()
+                   and dense_trace(qm).tobytes() == er.tobytes()
                    for qm, qr, er in zip(b.models, q, e))
 
     for j, (prev, reward, terminal, end) in enumerate(chain):
         nxt = None if terminal or j + 1 == len(chain) else chain[j + 1][0]
         b.td_step(prev, reward, nxt)
-        _dense_td_step(params, b.models, q, e, prev, reward, nxt)
+        _dense_td_step(block, b.models, q, e, prev, reward, nxt)
         assert same()
         if end == 0:
             b.end_episode()
@@ -275,8 +301,8 @@ def test_ghost_audit_fresh_bundle_passes():
 
 
 def test_ghost_audit_after_random_updates_passes():
-    params = Hyperparams(epsilon_start=0.5, epsilon_end=0.1)
-    b = AgentBundle(SCHEMA, params=params, seed=11)
+    block = agent_block(epsilon_start=0.5, epsilon_end=0.1)
+    b = AgentBundle(SCHEMA, block, n_trait_buckets=2, seed=11)
     rng = np.random.default_rng(99)
     ctxs = [
         ContextBucket(period=p, trait_bucket=t)
@@ -362,8 +388,9 @@ def test_plan_oracle_guard():
 
 def test_q_tracks_empirical_mean_with_gamma_zero():
     schema = AttributeSchema((("only", ("v",)),))
-    params = Hyperparams(alpha=0.1, gamma=0.0, lam=0.0, epsilon_start=0, epsilon_end=0)
-    b = AgentBundle(schema, tau_max=3, params=params, n_trait_buckets=1, seed=1)
+    block = agent_block(alpha=0.1, gamma=0.0, lam=0.0, epsilon_start=0, epsilon_end=0,
+                        tau_max=3)
+    b = AgentBundle(schema, block, n_trait_buckets=1, seed=1)
     rng = np.random.default_rng(31337)
     qm = b.models[0]
     key_tau = -3  # the clock settles at the negative cap under repetition
@@ -392,8 +419,8 @@ def test_greedy_choice_invariant_under_positive_scaling():
 
 def test_determinism_same_seed_bitwise():
     def run():
-        params = Hyperparams(epsilon_start=0.3, epsilon_end=0.05)
-        b = AgentBundle(SCHEMA, params=params, seed=55)
+        block = agent_block(epsilon_start=0.3, epsilon_end=0.05)
+        b = AgentBundle(SCHEMA, block, n_trait_buckets=2, seed=55)
         rng = np.random.default_rng(17)
         ctx = CTX
         action = b.select_action(ctx)

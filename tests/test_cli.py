@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -54,6 +55,27 @@ def test_report_from_saved_log(tmp_path, config_path, capsys):
     assert code == 0
     assert sorted(p.name for p in (tmp_path / "rep").iterdir()) == [
         "phase_deltas.csv", "plot_data.json", "weekly_summary.csv", "welch_tests.csv"]
+
+
+def test_run_and_report_a_study_without_contacts(tmp_path, capsys):
+    """A valid study that delivers nothing still writes the four report
+    files, header-only CSVs and a plot document without series, exits 0
+    and prints nothing on stderr."""
+    path = tmp_path / "quiet.json"
+    path.write_text(json.dumps({"n_participants": 2, "weeks_per_phase": 1,
+                                "scheduler": {"trigger_rate": 0}}))
+    run_dir, rep_dir = tmp_path / "run", tmp_path / "rep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--out", str(run_dir)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["records"] == 0
+        assert main(["report", "--log", str(run_dir), "--out", str(rep_dir)]) == 0
+        assert capsys.readouterr().err == ""
+    for out in (run_dir, rep_dir):
+        for name in ("weekly_summary", "phase_deltas", "welch_tests"):
+            assert len((out / f"{name}.csv").read_text().splitlines()) == 1
+        assert json.loads((out / "plot_data.json").read_text())["series"] == []
 
 
 @pytest.mark.parametrize("damage", ["empty_meta", "no_reward_column"])

@@ -32,7 +32,6 @@ from pcar.agent import (
     AgentBundle,
     AttributeSchema,
     ContextBucket,
-    Hyperparams,
     Selection,
 )
 from pcar.lsd import advance, initial_state
@@ -75,9 +74,10 @@ ORACLE = {
 LEARNER_SCHEMA = AttributeSchema((("flavor", ("calm", "focus", "move")),
                                   ("place", ("indoor", "outdoor"))))
 # 3 periods x 2 trait buckets = 6 context buckets; clocks beyond +/-3 clip
-LEARNER = dict(tau_max=6, n_trait_buckets=2, seed=5)
-LEARNER_PARAMS = dict(lam=0.6, q_tau_clip=3, epsilon_start=0.5,
-                      epsilon_end=0.05, epsilon_decay_steps=300)
+LEARNER = dict(n_trait_buckets=2, seed=5)
+LEARNER_SETTINGS = {"alpha": 0.1, "gamma": 0.9, "lambda": 0.6, "tau_max": 6,
+                    "q_tau_clip": 3, "epsilon_start": 0.5, "epsilon_end": 0.05,
+                    "epsilon_decay_steps": 300}
 
 
 def _sha256(text: str) -> str:
@@ -119,9 +119,9 @@ def _learner_digest() -> str:
     """Q tables after 60 trajectories of 1-8 choices on clocks that carry
     over from one trajectory to the next, as a participant's do across
     days; contexts and rewards come from a fixed stream."""
-    bundle = AgentBundle(LEARNER_SCHEMA, Hyperparams(**LEARNER_PARAMS), **LEARNER)
+    bundle = AgentBundle(LEARNER_SCHEMA, LEARNER_SETTINGS, **LEARNER)
     rng = np.random.default_rng(41)
-    clocks = [initial_state(len(values), LEARNER["tau_max"])
+    clocks = [initial_state(len(values), LEARNER_SETTINGS["tau_max"])
               for _, values in LEARNER_SCHEMA.attributes]
     for _ in range(60):
         pending = None

@@ -24,6 +24,7 @@ from pcar.scheduler import (
     score_cache,
     train,
 )
+from pcar.study import DEFAULT_CONFIG
 
 # calendar days; day 0 is a Monday
 MONDAY = 0
@@ -169,7 +170,7 @@ def test_features_hour_trig():
 
 
 def test_score_zero_model_is_half():
-    m = TimingModel.zeros()
+    m = TimingModel(weights=np.zeros(N_FEATURES))
     assert score(m, np.zeros(N_FEATURES)) == 0.5
 
 
@@ -187,7 +188,7 @@ def test_score_limits_and_golden():
 
 def test_score_dimension_mismatch():
     with pytest.raises(ValueError):
-        score(TimingModel.zeros(), np.zeros(3))
+        score(TimingModel(weights=np.zeros(N_FEATURES)), np.zeros(3))
 
 
 def _separable_history(n_per_class=40):
@@ -204,7 +205,8 @@ def _separable_history(n_per_class=40):
 
 def test_train_fits_separable_set():
     history = _separable_history()
-    m = train(TimingModel.zeros(budget_penalty=0.0), history, epochs=500, step=0.05)
+    m = train(TimingModel(weights=np.zeros(N_FEATURES)), history, daily_budget=3.0,
+              budget_penalty=0.0, epochs=500, step=0.05)
     X = np.vstack([x for x, _, _ in history])
     y = np.asarray([lab for _, lab, _ in history])
     p = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias)))
@@ -218,25 +220,25 @@ def test_train_budget_pressure_reaches_allowance():
         for _ in range(12):
             x = rng.normal(0, 0.1, size=N_FEATURES)
             rows.append((x, 1.0, day))
-    m = train(TimingModel.zeros(budget_penalty=10.0), rows,
-              daily_budget=3.0, epochs=5000, step=0.005)
+    m = train(TimingModel(weights=np.zeros(N_FEATURES)), rows,
+              daily_budget=3.0, budget_penalty=10.0, epochs=5000, step=0.005)
     assert abs(expected_daily_triggers(m, rows) - 3.0) < 0.5
 
 
 def test_train_zero_epochs_returns_unchanged():
-    m = TimingModel.zeros()
+    m = TimingModel(weights=np.zeros(N_FEATURES))
     rows = _separable_history(4)
-    out = train(m, rows, epochs=0)
+    out = train(m, rows, daily_budget=3.0, budget_penalty=0.1, epochs=0, step=0.05)
     assert np.array_equal(out.weights, m.weights) and out.bias == m.bias
 
 
 def test_train_loss_non_increasing_per_epoch():
     rows = _separable_history(10)
-    m = TimingModel.zeros(budget_penalty=0.1)
-    losses = [composite_loss(m, rows, 3.0)]
+    m = TimingModel(weights=np.zeros(N_FEATURES))
+    losses = [composite_loss(m, rows, 3.0, 0.1)]
     for _ in range(60):
-        m = train(m, rows, daily_budget=3.0, epochs=1, step=0.05)
-        losses.append(composite_loss(m, rows, 3.0))
+        m = train(m, rows, daily_budget=3.0, budget_penalty=0.1, epochs=1, step=0.05)
+        losses.append(composite_loss(m, rows, 3.0, 0.1))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -246,8 +248,7 @@ def test_day_sums_equal_plain_loop_on_unsorted_keys():
     rows = [(rng.normal(size=N_FEATURES),
              float(rng.random() < 0.5) if i % 3 == 0 else None,
              keys[rng.integers(len(keys))]) for i in range(200)]
-    m = TimingModel(weights=rng.normal(size=N_FEATURES) * 0.3, bias=-1.0,
-                    budget_penalty=0.2)
+    m = TimingModel(weights=rng.normal(size=N_FEATURES) * 0.3, bias=-1.0)
     X = np.vstack([x for x, _, _ in rows])
     p = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias)))
     totals = {}
@@ -257,7 +258,7 @@ def test_day_sums_equal_plain_loop_on_unsorted_keys():
     assert expected_daily_triggers(m, rows) == want
     y = np.asarray([np.nan if lab is None else lab for _, lab, _ in rows])
     mse = float(np.mean((p[~np.isnan(y)] - y[~np.isnan(y)]) ** 2))
-    assert composite_loss(m, rows, 3.0) == mse + 0.2 * (want - 3.0) ** 2
+    assert composite_loss(m, rows, 3.0, 0.2) == mse + 0.2 * (want - 3.0) ** 2
 
 
 def _reference_unpack(rows):
@@ -274,15 +275,14 @@ def _reference_day_mean(p, days):
     return sum(totals.values()) / len(totals)
 
 
-def _reference_loss(model, rows, daily_budget):
+def _reference_loss(model, rows, daily_budget, budget_penalty):
     X, y, labeled, days = _reference_unpack(rows)
     p = 1.0 / (1.0 + np.exp(-(X @ model.weights + model.bias)))
     mse = float(np.mean((p[labeled] - y[labeled]) ** 2))
-    return mse + model.budget_penalty * (_reference_day_mean(p, days)
-                                         - daily_budget) ** 2
+    return mse + budget_penalty * (_reference_day_mean(p, days) - daily_budget) ** 2
 
 
-def _reference_train(model, rows, daily_budget, epochs, step):
+def _reference_train(model, rows, daily_budget, budget_penalty, epochs, step):
     """The composite-loss gradient descent, one term per history row."""
     X, y, labeled, days = _reference_unpack(rows)
     mean = X.mean(axis=0)
@@ -293,7 +293,7 @@ def _reference_train(model, rows, daily_budget, epochs, step):
     n_days = len(set(days))
     for _ in range(epochs):
         p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
-        pressure = 2.0 * model.budget_penalty * (
+        pressure = 2.0 * budget_penalty * (
             _reference_day_mean(p, days) - daily_budget)
         grad_w, grad_b = np.zeros_like(w), 0.0
         for xi, pi, yi, li in zip(X, p, y, labeled):
@@ -320,17 +320,16 @@ def _duplicated_history():
 def test_merged_rows_match_per_row_reference():
     rows = _duplicated_history()
     rng = np.random.default_rng(8)
-    m = TimingModel(weights=rng.normal(size=N_FEATURES) * 0.3, bias=-1.0,
-                    budget_penalty=0.2)
+    m = TimingModel(weights=rng.normal(size=N_FEATURES) * 0.3, bias=-1.0)
     X, _, _, days = _reference_unpack(rows)
     p = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias)))
     assert math.isclose(expected_daily_triggers(m, rows),
                         _reference_day_mean(p, days), rel_tol=1e-12)
-    assert math.isclose(composite_loss(m, rows, 3.0),
-                        _reference_loss(m, rows, 3.0), rel_tol=1e-12)
-    start = TimingModel.budget_init(BudgetState(), budget_penalty=0.2)
-    got = train(start, rows, daily_budget=3.0, epochs=3, step=0.05)
-    w, b, mean, scale = _reference_train(start, rows, 3.0, epochs=3, step=0.05)
+    assert math.isclose(composite_loss(m, rows, 3.0, 0.2),
+                        _reference_loss(m, rows, 3.0, 0.2), rel_tol=1e-12)
+    start = TimingModel.budget_init(BudgetState())
+    got = train(start, rows, daily_budget=3.0, budget_penalty=0.2, epochs=3, step=0.05)
+    w, b, mean, scale = _reference_train(start, rows, 3.0, 0.2, epochs=3, step=0.05)
     np.testing.assert_allclose(got.feature_mean, mean, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(got.feature_scale, scale, rtol=1e-10)
     np.testing.assert_allclose(got.weights, w, rtol=1e-10, atol=1e-12)
@@ -344,9 +343,9 @@ def test_timing_history_appended_row_by_row_trains_like_a_list():
         history.append(row)
     assert len(history) == len(rows)
     assert history.n_labeled == sum(lab is not None for _, lab, _ in rows)
-    start = TimingModel.budget_init(BudgetState(), budget_penalty=0.2)
-    a = train(start, history, epochs=5)
-    b = train(start, rows, epochs=5)
+    start = TimingModel.budget_init(BudgetState())
+    a = train(start, history, daily_budget=3.0, budget_penalty=0.2, epochs=5, step=0.05)
+    b = train(start, rows, daily_budget=3.0, budget_penalty=0.2, epochs=5, step=0.05)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
     assert expected_daily_triggers(a, history) == expected_daily_triggers(a, rows)
 
@@ -400,7 +399,7 @@ def test_calibrate_threshold_equals_uncached_bisection(weights, bias, daily_budg
 @pytest.mark.parametrize("model, shape, want", [
     # every tick scores 0.5: the walk at 0.5 fires three times a day and
     # every walk above it fires nowhere
-    (TimingModel.zeros(), BudgetState(), 0.5),
+    (TimingModel(weights=np.zeros(N_FEATURES)), BudgetState(), 0.5),
     # 08:00-08:30 with a 120-minute gap holds one contact a day, never the
     # three asked for, so the search clamps at its floor
     (TimingModel(weights=np.linspace(-1.0, 1.0, N_FEATURES), bias=0.3),
@@ -423,7 +422,7 @@ def test_cold_start_calibration_walks_at_most_three_passes(monkeypatch):
         return walk(day, budget)
 
     monkeypatch.setattr(pcar.scheduler, "eligible_ticks", counting_walk)
-    fit(None, BudgetState())
+    fit(None, BudgetState(), DEFAULT_CONFIG["scheduler"])
     assert len(days) <= 3 * 5
 
 
@@ -431,20 +430,22 @@ def _same_model(a, b):
     for field in ("weights", "feature_mean", "feature_scale"):
         u, v = getattr(a, field), getattr(b, field)
         assert (u is None and v is None) or np.array_equal(u, v)
-    assert (a.bias, a.threshold, a.budget_penalty) == (
-        b.bias, b.threshold, b.budget_penalty)
+    assert (a.bias, a.threshold) == (b.bias, b.threshold)
 
 
 @pytest.mark.parametrize("daily_budget", [2, 3])
 def test_fit_is_budget_init_train_calibrate(daily_budget):
     rows = _duplicated_history()
+    block = dict(DEFAULT_CONFIG["scheduler"], budget_penalty=0.2, train_epochs=7,
+                 train_step=0.03)
     for shape in (BudgetState(max_per_day=daily_budget),
                   BudgetState(max_per_day=daily_budget, window_end_minute=13 * 60)):
-        cold = TimingModel.budget_init(shape, budget_penalty=0.2)
-        _same_model(fit(None, shape, budget_penalty=0.2),
+        cold = TimingModel.budget_init(shape)
+        _same_model(fit(None, shape, block),
                     calibrate_threshold(cold, shape))
-        trained = train(cold, rows, daily_budget=daily_budget, epochs=7, step=0.03)
-        _same_model(fit(rows, shape, 0.2, epochs=7, step=0.03),
+        trained = train(cold, rows, daily_budget=daily_budget, budget_penalty=0.2,
+                        epochs=7, step=0.03)
+        _same_model(fit(rows, shape, block),
                     calibrate_threshold(trained, shape))
 
 
@@ -472,12 +473,14 @@ def test_score_cache_keeps_budget_states_and_shapes_apart():
 
 def test_train_empty_history_rejected():
     with pytest.raises(ValueError):
-        train(TimingModel.zeros(), [])
+        train(TimingModel(weights=np.zeros(N_FEATURES)), [], daily_budget=3.0,
+              budget_penalty=0.1, epochs=500, step=0.05)
 
 
 def test_decide_requires_grid_alignment():
     with pytest.raises(ValueError):
-        decide(TimingModel.zeros(), BudgetState(), at(TUESDAY, 10, 3))
+        decide(TimingModel(weights=np.zeros(N_FEATURES)), BudgetState(),
+               at(TUESDAY, 10, 3))
 
 
 def test_decide_ineligible_overrides_score():

@@ -1,12 +1,22 @@
 import copy
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+import pcar.agent
 import pcar.scheduler
 import pcar.study
-from pcar.scheduler import expected_daily_triggers
+from pcar.agent import AgentBundle
+from pcar.scheduler import (
+    TimingModel,
+    composite_loss,
+    expected_daily_triggers,
+    fit,
+    train,
+)
 from pcar.study import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -449,3 +459,33 @@ def test_timing_comparison_enforces_its_daily_budget(daily_budget):
     res = timing_comparison(seeds=2, n_participants=4, history_days=5,
                             eval_days=3, daily_budget=daily_budget)
     assert max(res.trained_daily + res.uniform_daily) <= daily_budget
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seeds", 1), ("n_participants", 0), ("history_days", 0), ("eval_days", 0),
+    ("daily_budget", 0)])
+def test_timing_comparison_rejects_bad_sizes_before_simulating(monkeypatch, name,
+                                                               value):
+    def no_cohort(*args):
+        raise AssertionError("simulated before checking its inputs")
+
+    monkeypatch.setattr(pcar.study, "default_cohort", no_cohort)
+    with pytest.raises(ValueError, match=name):
+        timing_comparison(**{name: value})
+
+
+def test_learner_and_timing_settings_come_only_from_config_blocks():
+    """The agent and scheduler blocks of DEFAULT_CONFIG are the one source
+    of the learner's and the timing fit's settings: the library declares no
+    defaults that repeat them."""
+    empty = inspect.Parameter.empty
+    assert not hasattr(pcar.agent, "Hyperparams")
+    bundle = inspect.signature(AgentBundle).parameters
+    assert "tau_max" not in bundle and "params" not in bundle
+    assert bundle["n_trait_buckets"].default is empty
+    assert list(inspect.signature(fit).parameters) == ["history", "shape", "settings"]
+    for fn in (train, composite_loss, TimingModel.budget_init):
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.default is empty for p in params), fn.__name__
+    assert "budget_penalty" not in {f.name for f in dataclasses.fields(TimingModel)}
+    assert not hasattr(TimingModel, "zeros")
