@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -87,6 +87,8 @@ class InterventionSpec:
 class Catalog:
     schema: AttributeSchema
     entries: tuple[InterventionSpec, ...]
+    # resolve's memo: validated action vector -> its best-match pool
+    pools: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -212,11 +214,15 @@ def resolve(
 ) -> InterventionSpec:
     """Pick the entry matching the most attribute values (exact matches
     preferred over "both"-compatible location matches); draw uniformly
-    among equally good entries."""
-    catalog.schema.validate_vector(vector)
-    scored = [
-        (match_score(e, vector, catalog.schema), e) for e in catalog.entries
-    ]
-    best = max(score for score, _ in scored)
-    pool = [e for score, e in scored if score == best]
+    among equally good entries. Each vector's pool is ranked once per
+    catalog and kept in ``catalog.pools``; only a validated vector is
+    stored there, so a repeat skips the validation too."""
+    pool = catalog.pools.get(vector)
+    if pool is None:
+        catalog.schema.validate_vector(vector)
+        scored = [
+            (match_score(e, vector, catalog.schema), e) for e in catalog.entries
+        ]
+        best = max(score for score, _ in scored)
+        pool = catalog.pools[vector] = tuple(e for score, e in scored if score == best)
     return pool[int(rng.integers(len(pool)))]

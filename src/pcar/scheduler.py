@@ -2,7 +2,12 @@
 
 Hard constraints: a daily cap (default three contacts), a minimum gap
 (default two hours) and a window (default 08:00-21:00, never wider), each
-set by the study's ``budget`` config, and weekdays only, always. On top of
+set by the study's ``budget`` config, and weekdays only, always.
+``eligible`` checks them at one tick; ``next_eligible`` gives the first
+allowed tick at or after a time in closed form, so the walks skip blocked
+ticks without looking at them. ``eligible_ticks`` yields a day's allowed
+ticks, and ``uniform_fires`` only those where a uniform random trigger
+fires, drawing each run of allowed ticks' uniforms in one block. On top of
 that sits a small trained model -- a linear scorer through a sigmoid --
 that estimates how likely a contact at the current 5-minute tick is to be
 engaged with. It is fit by full-batch gradient descent on a squared-error
@@ -34,8 +39,8 @@ WINDOW_START_MINUTE = 8 * 60
 WINDOW_END_MINUTE = 21 * 60
 TICK_MINUTES = 5
 DAY_MINUTES = 24 * 60
-# the 5-minute decision grid, in minutes after midnight; eligible_ticks is
-# the one place that walks it
+# the 5-minute decision grid, in minutes after midnight; every tick walk
+# finds a day's allowed ticks on it through next_eligible, in closed form
 SERVICE_TICKS = range(WINDOW_START_MINUTE, WINDOW_END_MINUTE, TICK_MINUTES)
 GAP_CAP_MINUTES = 780.0  # normalization cap for "minutes since last"
 N_FEATURES = 10
@@ -77,16 +82,76 @@ def eligible(budget: BudgetState, now: int) -> bool:
             or now - budget.last_delivery >= budget.min_gap_minutes)
 
 
+def _day_end(day: int, budget: BudgetState) -> int:
+    """The study-minute at which calendar day ``day``'s allowed ticks
+    stop: the window end, never past the grid's."""
+    return day * DAY_MINUTES + min(budget.window_end_minute, WINDOW_END_MINUTE)
+
+
+def next_eligible(budget: BudgetState, now: int) -> int | None:
+    """The first grid tick of ``now``'s calendar day at or after ``now``
+    at which the hard rules allow a contact, or None. In closed form: the
+    later of ``now``, the window start and ``last_delivery +
+    min_gap_minutes`` (the gap spans days), rounded up to the 5-minute
+    grid; None on a weekend, with the daily cap spent, or past the window
+    end."""
+    day, minute = divmod(now, DAY_MINUTES)
+    if day % 7 >= 5 or budget.delivered_today >= budget.max_per_day:
+        return None
+    midnight = now - minute
+    start = max(now, midnight + max(budget.window_start_minute, WINDOW_START_MINUTE))
+    if budget.last_delivery is not None:
+        start = max(start, budget.last_delivery + budget.min_gap_minutes)
+    tick = -(-start // TICK_MINUTES) * TICK_MINUTES
+    return None if tick >= _day_end(day, budget) else tick
+
+
 def eligible_ticks(day: int, budget: BudgetState) -> Iterator[int]:
     """Start the budget's day and yield each grid tick of calendar day
-    ``day`` at which the hard rules allow a contact. Each tick is checked
-    only when the walk reaches it, so a ``record_delivery`` the caller
-    makes for one tick blocks the ticks that follow."""
+    ``day`` at which the hard rules allow a contact. The budget's
+    deliveries are re-read after each yield, so a ``record_delivery`` the
+    caller makes for one tick blocks the ticks that follow."""
     budget.start_day()
-    midnight = day * DAY_MINUTES
-    for minute in SERVICE_TICKS:
-        if eligible(budget, midnight + minute):
-            yield midnight + minute
+    end = _day_end(day, budget)
+    now = next_eligible(budget, day * DAY_MINUTES)
+    while now is not None:
+        seen = budget.delivered_today, budget.last_delivery
+        yield now
+        now += TICK_MINUTES
+        # without a new delivery, the allowed ticks run on to the window end
+        if now >= end or (budget.delivered_today, budget.last_delivery) != seen:
+            now = next_eligible(budget, now)
+
+
+def uniform_fires(day: int, budget: BudgetState, rng: np.random.Generator,
+                  rate: float) -> Iterator[int]:
+    """Start the budget's day and yield each tick of calendar day ``day``
+    at which a uniform trigger fires: the ticks of ``eligible_ticks`` where
+    ``rng.random() < rate``. The ticks and ``rng``'s stream are exactly
+    those of drawing one uniform per eligible tick, and the budget is
+    re-read after each yield.
+
+    Until the next fire the eligible ticks are one contiguous run that
+    ends at the window end, so the run's uniforms are drawn in one block.
+    When one fires, the state saved before the block is restored and only
+    the draws up to the fire are redrawn. Restoring the whole state keeps
+    the 32-bit half-word that ``integers`` buffers between calls, which
+    ``bit_generator.advance`` would clear."""
+    budget.start_day()
+    end = _day_end(day, budget)
+    bit_generator = rng.bit_generator
+    now = next_eligible(budget, day * DAY_MINUTES)
+    while now is not None:
+        saved = bit_generator.state
+        fired = rng.random((end - now - 1) // TICK_MINUTES + 1) < rate
+        k = int(fired.argmax())  # the first fire, or 0 when none fires
+        if not fired[k]:
+            return
+        bit_generator.state = saved
+        rng.random(k + 1)
+        now += k * TICK_MINUTES
+        yield now
+        now = next_eligible(budget, now + TICK_MINUTES)
 
 
 def features(now: int, budget: BudgetState) -> np.ndarray:

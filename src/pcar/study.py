@@ -25,6 +25,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import date, datetime, time, timedelta
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,7 @@ from .scheduler import (
     features,
     fit,
     score_cache,
+    uniform_fires,
 )
 from .stats import (
     SummaryRow,
@@ -508,6 +510,18 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         # participant-day, the unit the allowance is set in
         timing_history = TimingHistory()
 
+    def model_fires(day, budget, key):
+        """(tick, features) of each eligible tick of ``day`` whose score
+        clears the model's threshold. A tick without a contact is kept as
+        an unlabeled history row as the walk passes it: it still counts
+        toward the budget term."""
+        for now in eligible_ticks(day, budget):
+            x, likelihood = scored(now, budget)
+            if likelihood >= timing_model.threshold:
+                yield now, x
+            else:
+                timing_history.append((x, None, key))
+
     records: list[InterventionRecord] = []
     epoch = datetime.combine(STUDY_START, time())  # study-minute 0
 
@@ -547,24 +561,21 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         phase = 1 if day_idx < phase2_first_day else 2
         week = day_idx // 5 + 1
 
+        calendar_day = _calendar_day(day_idx)
         for pid in pids:
             st = states[pid]
             p = st.model
-            for now in eligible_ticks(_calendar_day(day_idx), st.budget):
+            if model_mode:
+                fires = model_fires(calendar_day, st.budget, (pid, day_idx))
+            else:
+                fires = zip(uniform_fires(calendar_day, st.budget, st.rng,
+                                          scfg["trigger_rate"]), repeat(None))
+            for now, x in fires:
+                st.budget.record_delivery(now)
+                hour = now % DAY_MINUTES // 60
+                engaged = accept(p, hour, st.rng, engagement=st.engagement)
                 if model_mode:
-                    x, likelihood = scored(now, st.budget)
-                    fire = likelihood >= timing_model.threshold
-                else:
-                    fire = st.rng.random() < scfg["trigger_rate"]
-                if fire:
-                    st.budget.record_delivery(now)
-                    hour = now % DAY_MINUTES // 60
-                    engaged = accept(p, hour, st.rng, engagement=st.engagement)
-                if model_mode:  # ticks without a contact count toward the budget term
-                    label = float(engaged) if fire else None
-                    timing_history.append((x, label, (pid, day_idx)))
-                if not fire:
-                    continue
+                    timing_history.append((x, float(engaged), (pid, day_idx)))
                 # one contact: its record is filled in as the contact proceeds
                 rec = InterventionRecord(
                     seed=seed, pid=pid, group=st.group, phase=phase, week=week,
@@ -1065,7 +1076,8 @@ def sweep(cfg: dict | str | Path, parameter: str, values: list) -> list[dict]:
     rows = []
     for value, variant in zip(values, variants):
         readings = metric_rows(run_study(variant))
-        final_week = max(m["week"] for m in readings)
+        # a study with no contact has no weeks and no groups: no rows
+        final_week = max((m["week"] for m in readings), default=None)
         cells = participant_means(readings, ("group", "metric"))
         final = participant_means(
             (m for m in readings if m["week"] == final_week), ("group", "metric")

@@ -1,8 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from pcar.catalog import (
     DEFAULT_SCHEMA,
+    Catalog,
     CatalogError,
     load_catalog,
     load_starter_catalog,
@@ -156,3 +159,48 @@ def test_resolve_rejects_invalid_vector():
     cat = load_starter_catalog()
     with pytest.raises(ValueError):
         resolve(cat, ("nope", "somatic", "indoor"), np.random.default_rng(0))
+
+
+def _ranked(catalog, vector, rng):
+    """resolve without the memo: rank every entry on each call."""
+    catalog.schema.validate_vector(vector)
+    scores = [match_score(e, vector, catalog.schema) for e in catalog.entries]
+    pool = [e for sc, e in zip(scores, catalog.entries) if sc == max(scores)]
+    return pool[int(rng.integers(len(pool)))]
+
+
+_VECTORS = list(product(*(DEFAULT_SCHEMA.values(i) for i in range(3))))
+
+
+def _assert_matches_ranking(cat, seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for vec in _VECTORS:
+        assert resolve(cat, vec, rng) is _ranked(cat, vec, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_resolve_memo_matches_uncached_ranking_fresh_and_warm():
+    cat = load_starter_catalog()
+    assert not cat.pools
+    _assert_matches_ranking(cat, 0)  # each vector's first call ranks
+    assert set(cat.pools) == set(_VECTORS)
+    _assert_matches_ranking(cat, 1)  # every call is served from the memo
+
+
+def test_resolve_memo_belongs_to_one_catalog():
+    full = load_starter_catalog()
+    _assert_matches_ranking(full, 0)
+    other = Catalog(full.schema, full.entries[::3])
+    assert not other.pools
+    _assert_matches_ranking(other, 0)
+    assert any(other.pools[v] != full.pools[v] for v in _VECTORS)
+    assert other != full and Catalog(full.schema, full.entries) == full
+
+
+def test_resolve_memo_still_rejects_invalid_vectors():
+    cat = load_starter_catalog()
+    _assert_matches_ranking(cat, 0)
+    for vec in (("nope", "somatic", "indoor"), ("response_modulation", "somatic")):
+        with pytest.raises(ValueError):
+            resolve(cat, vec, np.random.default_rng(0))
+    assert set(cat.pools) == set(_VECTORS)

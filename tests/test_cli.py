@@ -169,12 +169,12 @@ def test_type_error_during_run_prints_one_json_line(tmp_path, capsys,
 
 def test_budget_recheck_failure_prints_one_json_line(tmp_path, capsys,
                                                      monkeypatch):
-    def every_tick(day, budget):  # a walker that ignores the hard rules
+    def every_tick(day, budget, rng, rate):  # fires ignoring the hard rules
         budget.start_day()
         for minute in SERVICE_TICKS:
             yield day * 1440 + minute
 
-    monkeypatch.setattr(pcar.study, "eligible_ticks", every_tick)
+    monkeypatch.setattr(pcar.study, "uniform_fires", every_tick)
     user = {"n_participants": 1, "weeks_per_phase": 1,
             "scheduler": {"trigger_rate": 1.0}}
     assert "contacts" in _run_fails_with_one_json_line(tmp_path, capsys, user)
@@ -265,6 +265,20 @@ def test_sweep_command(tmp_path, config_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("parameter,value,seed,group")
     assert len(lines) > 2
+
+
+def test_sweep_of_a_study_without_contacts_writes_the_header(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_participants": 2, "weeks_per_phase": 1,
+                                "scheduler": {"trigger_rate": 0}}))
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", str(path), "--param", "seed",
+                 "--values", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert json.loads(captured.out)["rows"] == 0
+    assert out.read_text().splitlines() == [
+        "parameter,value,seed,group,mean_acceptance,mean_reward,final_week_reward"]
 
 
 _WINDOWS = [("08:00", "21:00"), ("09:30", "12:00"), ("20:55", "21:00")]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -20,9 +21,11 @@ from pcar.scheduler import (
     expected_daily_triggers,
     features,
     fit,
+    next_eligible,
     score,
     score_cache,
     train,
+    uniform_fires,
 )
 from pcar.study import DEFAULT_CONFIG
 
@@ -131,6 +134,88 @@ def test_eligible_ticks_delivery_blocks_two_hours_and_cap_ends_day():
     assert next(ticks) == at(TUESDAY, 14)  # but the gap still counts
     b.record_delivery(at(TUESDAY, 14))
     assert next(ticks) == at(TUESDAY, 16)
+
+
+# budget shapes for the closed-form walks: the window start may be off the
+# grid, and yesterday's count and an evening contact carry into the day
+_SHAPES = dict(
+    max_per_day=st.integers(0, 5),
+    min_gap=st.integers(0, 300),
+    window=st.tuples(st.integers(8 * 60, 21 * 60), st.integers(8 * 60, 21 * 60))
+    .filter(lambda w: w[0] < w[1]),
+    day=st.integers(0, 27),  # four calendar weeks, weekends included
+    last_evening=st.one_of(st.none(), st.integers(17 * 60, 24 * 60 - 1)),
+)
+
+
+def _shape(max_per_day, min_gap, window, day, last_evening, delivered=None):
+    last = None if last_evening is None else at(day - 1, 0, last_evening)
+    return BudgetState(
+        delivered_today=max_per_day if delivered is None else delivered,
+        last_delivery=last, max_per_day=max_per_day, min_gap_minutes=min_gap,
+        window_start_minute=window[0], window_end_minute=window[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_SHAPES, delivered=st.integers(0, 6), minute=st.integers(0, 24 * 60 - 1),
+       today=st.one_of(st.none(), st.integers(8 * 60, 21 * 60)))
+def test_next_eligible_is_the_first_eligible_grid_tick(
+        max_per_day, min_gap, window, day, last_evening, delivered, minute, today):
+    b = _shape(max_per_day, min_gap, window, day, last_evening, delivered)
+    if today is not None:  # a contact earlier the same day
+        b.last_delivery = at(day, 0, today)
+    now = at(day, 0, minute)
+    grid = (at(day, 0, m) for m in range(8 * 60, 21 * 60, 5))
+    want = next((t for t in grid if t >= now and eligible(b, t)), None)
+    assert next_eligible(b, now) == want
+
+
+def _plain_fires(day, budget, rng, rate):
+    """Reference trigger: one uniform per eligible tick of the plain walk."""
+    for now in _plain_ticks(day, budget):
+        if rng.random() < rate:
+            yield now
+
+
+def _contacts(fires, budget, rng, pools):
+    """Drive a trigger walk like a study does: deliver at every fire, then
+    draw ``rng.integers``, which buffers half of a 64-bit output between
+    calls, as ``catalog.resolve`` does."""
+    out = []
+    for i, now in enumerate(fires):
+        budget.record_delivery(now)
+        out.append((now, int(rng.integers(pools[i % len(pools)]))))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_SHAPES,
+       rate=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2**32 - 1),
+       pools=st.lists(st.integers(1, 16), min_size=1, max_size=4))
+def test_uniform_fires_matches_one_draw_per_eligible_tick(
+        max_per_day, min_gap, window, day, last_evening, rate, seed, pools):
+    a = _shape(max_per_day, min_gap, window, day, last_evening)
+    b = replace(a)
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for d in range(day, day + 3):  # the gap and the RNG carry across days
+        got = _contacts(uniform_fires(d, a, rng_a, rate), a, rng_a, pools)
+        want = _contacts(_plain_fires(d, b, rng_b, rate), b, rng_b, pools)
+        assert got == want
+        assert a == b
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_uniform_fires_keeps_the_buffered_half_word():
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for r in (rng, ref):
+        r.integers(3)  # leaves half of a 64-bit output buffered
+    assert rng.bit_generator.state["has_uint32"] == 1
+    a, b = BudgetState(), BudgetState()
+    got = _contacts(uniform_fires(TUESDAY, a, rng, 0.05), a, rng, [16])
+    want = _contacts(_plain_fires(TUESDAY, b, ref, 0.05), b, ref, [16])
+    assert got == want and len(got) == 3
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_features_fresh_morning():
