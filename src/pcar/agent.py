@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,10 +139,10 @@ class QModel:
         return tau + c if tau < 0 else c + tau - 1
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(NamedTuple):
     """Snapshot of one action choice: the context it was made in, the
-    chosen value indices, and each chosen value's clock at choice time."""
+    chosen value indices, and each chosen value's clock at choice time.
+    A NamedTuple, so it compares equal to a plain tuple of its entries."""
 
     bucket: int
     value_indices: tuple[int, ...]
@@ -196,8 +197,10 @@ class AgentBundle:
             QModel(len(schema.values(i)), tau_max, clip, self.n_buckets)
             for i in range(schema.n_attributes)
         ]
+        self._arms = [m.n_values for m in self.models]
         self._clocks = [initial_state(m.n_values, tau_max) for m in self.models]
         self.rounds = 0
+        self._last_sel = self._last_keys = None  # td_step's last nxt and its keys
 
     # -- state access ----------------------------------------------------
 
@@ -251,8 +254,12 @@ class AgentBundle:
     ) -> tuple[str, ...]:
         """Epsilon-greedy choice per agent over the current (or supplied)
         clocks. One uniform draw is consumed per agent regardless of
-        epsilon, so streams stay aligned across configurations."""
+        epsilon, so streams stay aligned across configurations. Clocks that
+        are not one state per agent with one clock per value raise ValueError
+        before any draw."""
         clocks = self._clocks if clocks is None else clocks
+        if [len(c.taus) for c in clocks] != self._arms:
+            raise ValueError(f"clocks must give {self._arms} arms per agent")
         bucket = ctx.index(self.n_trait_buckets)
         eps, rng = self.epsilon(), self.rng
         out = []
@@ -303,11 +310,13 @@ class AgentBundle:
 
         Raises ValueError, before any table changes, if a selection has a
         zero clock, a clock beyond +/-tau_max, or a value or bucket index
-        out of range."""
+        out of range. A ``prev`` that is the last call's ``nxt`` object reuses
+        the keys found for it then: a Selection and its keys never change."""
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
-        keys = self._keys_of(prev)
+        keys = self._last_keys if prev is self._last_sel else self._keys_of(prev)
         next_keys = None if nxt is None else self._keys_of(nxt)
+        self._last_sel, self._last_keys = nxt, next_keys
         s = self.settings
         alpha, gamma = s["alpha"], s["gamma"]
         decay = gamma * s["lambda"]

@@ -120,13 +120,12 @@ def effect_strength(p: ParticipantModel, value_indices, taus_before,
     return total / len(value_indices)
 
 
-def post_stress(p: ParticipantModel, pre: int, value_indices, taus_before,
-                ctx: ContextBucket, rng: np.random.Generator) -> int:
+def post_stress(p: ParticipantModel, pre: int, effect: float,
+                rng: np.random.Generator) -> int:
     """Stress rating ten minutes after content: the pre rating pulled down
     by the fatigue-scaled effect, plus noise, re-discretized."""
     if not 1 <= pre <= 7:
         raise ValueError("pre rating must sit on the 1-7 scale")
-    effect = effect_strength(p, value_indices, taus_before, ctx)
     return _likert(pre - effect + float(rng.normal(0.0, p.laws["noise_sigma"])))
 
 

@@ -2,12 +2,15 @@
 
 Every arm carries a nonzero signed clock: -r after r consecutive plays,
 +r after r rounds of dormancy. Clocks saturate at +/-tau_max. All
-operations are pure; states are immutable values.
+operations are pure; states are immutable values. ``advance`` returns
+shared successors from a bounded memo: a repeated transition is one lookup,
+and only a state built and validated on a miss is ever handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -44,12 +47,16 @@ def initial_state(k: int, tau_max: int) -> LsdState:
 
 def advance(state: LsdState, played: int) -> LsdState:
     """One round: the played arm's clock turns (or deepens) negative,
-    every other arm recovers toward +tau_max. Returns a new state."""
-    if not 0 <= played < state.n_arms:
-        raise IndexError(f"arm {played} out of range for {state.n_arms} arms")
-    cap = state.tau_max
+    every other arm recovers toward +tau_max. Returns a shared successor."""
+    return _successor(state.taus, state.tau_max, played)
+
+
+@lru_cache(maxsize=4096)  # an error is raised, never cached
+def _successor(state_taus: tuple[int, ...], cap: int, played: int) -> LsdState:
+    if not 0 <= played < len(state_taus):
+        raise IndexError(f"arm {played} out of range for {len(state_taus)} arms")
     taus = []
-    for arm, tau in enumerate(state.taus):
+    for arm, tau in enumerate(state_taus):
         if arm == played:
             taus.append(-1 if tau > 0 else max(tau - 1, -cap))
         else:

@@ -600,7 +600,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 rec.completed = st.rng.random() < ccfg["completion_rate"]
                 if rec.completed:
                     if treated:
-                        post = post_stress(p, rec.pre_stress, idx, taus, ctx, st.rng)
+                        felt = effect_strength(p, idx, taus, ctx)
+                        post = post_stress(p, rec.pre_stress, felt, st.rng)
                     else:
                         post_hour = (now + POST_EMA_DELAY_MINUTES) % DAY_MINUTES // 60
                         post = control_post_stress(p, post_hour, st.rng)
@@ -608,7 +609,6 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 if not treated:
                     continue
                 if rec.completed:
-                    felt = effect_strength(p, idx, taus, ctx)
                     st.engagement = update_engagement(p, st.engagement, felt)
                     sel = Selection(ctx.index(TRAIT_BUCKETS), idx, taus)
                     if st.group == "pcar":

@@ -227,6 +227,81 @@ def test_selection_and_clock_lookups_reject_what_has_no_entry():
         b.action_value(0, wide[0], 0, CTX)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0], ids=["greedy", "explore"])
+@pytest.mark.parametrize(
+    "clocks",
+    [[LsdState((6,) * 5, 6)], [LsdState((6, 6), 6)] * 2, []],
+    ids=["five-arm-state", "extra-clock-list", "no-clocks"],
+)
+def test_select_action_rejects_mismatched_clocks_before_any_draw(eps, clocks):
+    schema = AttributeSchema((("place", ("indoor", "outdoor")),))
+    b = AgentBundle(schema, agent_block(epsilon_start=eps, epsilon_end=eps),
+                    n_trait_buckets=2)
+    before = b.rng.bit_generator.state
+    with pytest.raises(ValueError, match="arms"):
+        b.select_action(CTX, clocks)
+    assert b.rng.bit_generator.state == before
+
+
+def _random_chain(seed, length=60):
+    """Valid (selection, reward, trajectory ends) links for SCHEMA at tau_max 6."""
+    rng = np.random.default_rng(seed)
+    clocks = [t for t in range(-6, 7) if t != 0]
+    return [
+        (
+            Selection(int(rng.integers(6)),
+                      (int(rng.integers(3)), int(rng.integers(2))),
+                      (clocks[rng.integers(12)], clocks[rng.integers(12)])),
+            float(rng.normal()),
+            rng.random() < 0.2,
+        )
+        for _ in range(length)
+    ]
+
+
+def _tables(b):
+    return [(qm.q.tobytes(), dict(qm.trace)) for qm in b.models]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_td_step_key_reuse_matches_fresh_keys(seed):
+    chain = _random_chain(seed)
+    block = agent_block(alpha=0.5, gamma=0.9, lam=0.8)
+    shared, copied = make_bundle(block=block), make_bundle(block=block)
+    for (sel, r, ends), (nxt, _, _) in zip(chain, chain[1:] + [(None, 0, 0)]):
+        nxt = None if ends else nxt
+        shared.td_step(sel, r, nxt)  # the next link's sel is this nxt object
+        copied.td_step(Selection(*sel), r, None if nxt is None else Selection(*nxt))
+        if ends:
+            shared.end_episode()
+            copied.end_episode()
+        assert _tables(shared) == _tables(copied)
+    assert any(qm.q.any() for qm in shared.models)
+
+
+def test_td_step_after_a_rejected_follow_up_matches_a_clean_run():
+    block = agent_block(alpha=0.5, gamma=0.9, lam=0.8)
+    s0, s1, s2 = (sel for sel, _, _ in _random_chain(3, 3))
+    bad = Selection(0, (0, 0), (0, 6))
+    dirty, clean = make_bundle(block=block), make_bundle(block=block)
+    for b in (dirty, clean):
+        b.td_step(s0, 1.0, s1)
+    with pytest.raises(ValueError):
+        dirty.td_step(s1, 2.0, bad)
+    with pytest.raises(ValueError):
+        dirty.td_step(s2, 2.0, bad)
+    for b in (dirty, clean):
+        b.td_step(s1, 2.0, s2)
+        b.td_step(s2, 3.0, None)
+    assert _tables(dirty) == _tables(clean)
+    assert dirty.rounds == clean.rounds == 3
+
+
+def test_selection_is_a_named_tuple_with_fixed_fields():
+    assert Selection._fields == ("bucket", "value_indices", "taus")
+    assert Selection(1, (0, 1), (6, -1)) == (1, (0, 1), (6, -1))
+
+
 def _dense_td_step(block, models, q, e, prev, reward, nxt):
     """Reference SARSA(lambda) step over the whole of every agent's tables."""
     for a, qm in enumerate(models):

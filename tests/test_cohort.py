@@ -126,7 +126,9 @@ def test_post_stress_fully_rested_effect():
     p = make_participant()
     rng = np.random.default_rng(0)
     # clock +recovery_rounds means full effect of 1 point
-    assert post_stress(p, 5, (0,), (p.laws["recovery_rounds"],), CTX, rng) == 4
+    assert post_stress(
+        p, 5, effect_strength(p, (0,), (p.laws["recovery_rounds"],), CTX), rng
+    ) == 4
 
 
 def test_post_stress_fatigued_effect_rounds_away():
@@ -134,7 +136,7 @@ def test_post_stress_fatigued_effect_rounds_away():
     rng = np.random.default_rng(0)
     # 0.6**3 = 0.216, round(5 - 0.216) = 5 -> reward 0
     assert fatigue_factor(p, -3) == pytest.approx(0.216)
-    assert post_stress(p, 5, (0,), (-3,), CTX, rng) == 5
+    assert post_stress(p, 5, effect_strength(p, (0,), (-3,), CTX), rng) == 5
 
 
 def test_fatigue_factor_monotone_grid():
@@ -186,7 +188,7 @@ def test_reward_is_exact_difference():
     rng = np.random.default_rng(3)
     for _ in range(200):
         pre = pre_stress(p, 14, rng)
-        post = post_stress(p, pre, (0,), (3,), CTX, rng)
+        post = post_stress(p, pre, effect_strength(p, (0,), (3,), CTX), rng)
         reward = pre - post
         assert reward == pre - post
         assert -6 <= reward <= 6

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcar import lsd
 from pcar.lsd import LsdState, advance, initial_state, reward_key
 
 
@@ -134,3 +135,64 @@ def test_consecutive_then_dormant_magnitudes():
 def test_advance_deterministic():
     s = LsdState(taus=(-2, 4), tau_max=6)
     assert advance(s, 1) == advance(s, 1)
+
+
+def _plain_advance(state, played):
+    """Reference transition built afresh on every call, without the memo."""
+    if not 0 <= played < state.n_arms:
+        raise IndexError(played)
+    cap = state.tau_max
+    return LsdState(
+        taus=tuple(
+            (-1 if tau > 0 else max(tau - 1, -cap)) if arm == played
+            else (1 if tau < 0 else min(tau + 1, cap))
+            for arm, tau in enumerate(state.taus)
+        ),
+        tau_max=cap,
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_memoised_advance_matches_the_plain_reference_on_every_reachable_state(
+    k, cap
+):
+    seen, frontier = set(), [initial_state(k, cap)]
+    while frontier:
+        s = frontier.pop()
+        if s in seen:
+            continue
+        seen.add(s)
+        for arm in range(k):
+            nxt = advance(s, arm)
+            assert nxt == _plain_advance(s, arm)
+            frontier.append(nxt)
+    # one rested start plus, after any play, exactly one negative clock
+    assert len(seen) <= k * cap**k + 1
+
+
+def test_repeated_advance_returns_the_shared_successor():
+    s = LsdState(taus=(-2, 4, 1), tau_max=6)
+    assert advance(s, 1) is advance(s, 1)
+    assert advance(LsdState(taus=(-2, 4, 1), tau_max=6), 1) is advance(s, 1)
+
+
+def test_bad_arm_raises_before_and_after_a_memo_hit():
+    s = LsdState(taus=(-1, 5), tau_max=5)
+    with pytest.raises(IndexError):
+        advance(s, 2)
+    assert advance(s, 0) is advance(s, 0)  # s is now in the memo
+    with pytest.raises(IndexError):
+        advance(s, 2)
+    with pytest.raises(IndexError):
+        advance(s, -1)
+
+
+def test_successor_memo_is_bounded():
+    info = lsd._successor.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize <= 10_000
+    for cap in range(1, info.maxsize // 4 + 2):  # more transitions than the bound
+        s = initial_state(3, cap)
+        for arm in (0, 0, 1, 2, 1):
+            s = advance(s, arm)
+    assert lsd._successor.cache_info().currsize <= info.maxsize
