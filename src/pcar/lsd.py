@@ -23,8 +23,8 @@ class LsdState:
     def __post_init__(self) -> None:
         if self.tau_max < 1:
             raise ValueError(f"tau_max must be >= 1, got {self.tau_max}")
-        if not self.taus:
-            raise ValueError("state needs at least one arm")
+        if not isinstance(self.taus, tuple) or not self.taus:
+            raise ValueError("state needs a non-empty tuple of clocks")
         for i, tau in enumerate(self.taus):
             if tau == 0:
                 raise ValueError(f"arm {i} has a zero clock")

@@ -25,6 +25,8 @@ def test_state_rejects_zero_and_overflow_clocks():
         LsdState(taus=(7,), tau_max=6)
     with pytest.raises(ValueError):
         LsdState(taus=(), tau_max=6)
+    with pytest.raises(ValueError):  # a list could be neither hashed nor memoised
+        LsdState(taus=[6, 6], tau_max=6)
 
 
 def test_advance_examples():
