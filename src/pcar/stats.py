@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 _BETACF_EPS = 1e-14
 _BETACF_FPMIN = 1e-300
@@ -153,27 +154,21 @@ def pearson(x, y) -> float:
     return max(-1.0, min(1.0, r))
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     """One aggregation cell: participant means first, then the mean and a
     95% t-interval across participants. ``degenerate`` flags single-
-    participant cells, reported as [mean, mean]."""
+    participant cells, reported as [mean, mean]. The fields, in order, are
+    the columns of ``weekly_summary.csv``."""
 
     group: str
-    phase: int | str
-    week: int | str
+    phase: int
+    week: int
     metric: str
     mean: float
     ci_low: float
     ci_high: float
     n_participants: int
     degenerate: bool = False
-
-
-SUMMARY_COLUMNS = (
-    "group", "phase", "week", "metric", "mean", "ci_low", "ci_high",
-    "n_participants", "degenerate",
-)
 
 
 def participant_means(records, group_by) -> dict[tuple, list[float]]:
@@ -189,10 +184,11 @@ def participant_means(records, group_by) -> dict[tuple, list[float]]:
             for key, per_pid in cells.items()}
 
 
-def mean_of_means(records, group_by=("group", "phase", "week", "metric")) -> list[SummaryRow]:
-    """Aggregate records participant-first (see ``participant_means``); a
-    warning is emitted when a requested grouping turns out empty."""
-    cells = participant_means(records, group_by)
+def mean_of_means(records) -> list[SummaryRow]:
+    """Aggregate records participant-first (see ``participant_means``), one
+    row per (group, phase, week, metric) cell; a warning is emitted when
+    there are no records."""
+    cells = participant_means(records, SummaryRow._fields[:4])
     if not cells:
         warnings.warn("no records to summarize", stacklevel=2)
         return []
@@ -201,43 +197,33 @@ def mean_of_means(records, group_by=("group", "phase", "week", "metric")) -> lis
         n = len(means)
         center = _mean(means)
         if n == 1:
-            row_ci = (center, center)
-            degenerate = True
-        else:
-            se = math.sqrt(_sample_var(means) / n)
-            tq = student_t_quantile(0.975, n - 1)
-            row_ci = (center - tq * se, center + tq * se)
-            degenerate = False
-        fields = dict(zip(group_by, key))
-        rows.append(
-            SummaryRow(
-                group=str(fields.get("group", "")),
-                phase=fields.get("phase", ""),
-                week=fields.get("week", ""),
-                metric=str(fields.get("metric", "")),
-                mean=center,
-                ci_low=row_ci[0],
-                ci_high=row_ci[1],
-                n_participants=n,
-                degenerate=degenerate,
-            )
-        )
+            rows.append(SummaryRow(*key, center, center, center, n, degenerate=True))
+            continue
+        se = math.sqrt(_sample_var(means) / n)
+        tq = student_t_quantile(0.975, n - 1)
+        rows.append(SummaryRow(*key, center, center - tq * se, center + tq * se, n))
     return rows
 
 
-def write_summary_csv(rows: list[SummaryRow], fh) -> None:
-    """Documented column order: group, phase, week, metric, mean, ci_low,
-    ci_high, n_participants, degenerate."""
+def table_cells(values) -> list:
+    """The cell rule of every output table: a float to 10 significant
+    digits and a flag as 0/1; ``write_table`` writes None as an empty cell
+    and an int as str."""
+    return [f"{v:.10g}" if isinstance(v, float) else int(v) if isinstance(v, bool) else v
+            for v in values]
+
+
+def write_table(fh, columns, rows) -> None:
+    """Write a header of ``columns``, then ``rows``: each a sequence of
+    cells in that order, written by csv (None as an empty cell)."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SUMMARY_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.group, r.phase, r.week, r.metric,
-                f"{r.mean:.10g}", f"{r.ci_low:.10g}", f"{r.ci_high:.10g}",
-                r.n_participants, int(r.degenerate),
-            ]
-        )
+    writer.writerow(columns)
+    writer.writerows(rows)
+
+
+def write_summary_csv(rows: list[SummaryRow], fh) -> None:
+    """Columns: ``SummaryRow``'s fields, in order."""
+    write_table(fh, SummaryRow._fields, map(table_cells, rows))
 
 
 def pss_trend(scores, indices=None) -> float:

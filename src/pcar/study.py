@@ -72,8 +72,10 @@ from .stats import (
     SummaryRow,
     mean_of_means,
     participant_means,
+    table_cells,
     welch_t,
     write_summary_csv,
+    write_table,
 )
 
 SCHEMA_VERSION = 1
@@ -296,39 +298,28 @@ class InterventionRecord:
     timestamp: str
     accepted: bool
     completed: bool
+    intervention_id: str | None = None
     attribute_values: tuple[str, ...] | None = None
     taus_before: tuple[int, ...] | None = None
-    intervention_id: str | None = None
     pre_stress: int | None = None
     post_stress: int | None = None
     reward: int | None = None
 
 
-def _record_columns(schema: AttributeSchema) -> list[str]:
-    cols = ["seed", "pid", "group", "phase", "week", "day", "timestamp",
-            "accepted", "completed", "intervention_id"]
-    for name, _ in schema.attributes:
-        cols.append(name)
-    for name, _ in schema.attributes:
-        cols.append(f"tau_{name}")
-    cols += ["pre_stress", "post_stress", "reward"]
-    return cols
+_FLAG = {"0": False, "1": True}
 
 
-def _record_row(r: InterventionRecord, schema: AttributeSchema) -> list[str]:
-    def opt(v):
-        return "" if v is None else str(v)
-
-    row = [str(r.seed), r.pid, r.group, str(r.phase), str(r.week), str(r.day),
-           r.timestamp, str(int(r.accepted)), str(int(r.completed)),
-           opt(r.intervention_id)]
-    n = schema.n_attributes
-    values = r.attribute_values or (None,) * n
-    taus = r.taus_before or (None,) * n
-    row += [opt(v) for v in values]
-    row += [opt(t) for t in taus]
-    row += [opt(r.pre_stress), opt(r.post_stress), opt(r.reward)]
-    return row
+def _record_columns(schema: AttributeSchema) -> list[tuple[str, type]]:
+    """``records.csv``'s columns: a record's fields in order, each with the
+    type of its cells, and the two per-attribute fields spread over one
+    column per attribute. From ``intervention_id`` on, a field may be None:
+    no content or no EMA."""
+    names = [name for name, _ in schema.attributes]
+    return ([("seed", int), ("pid", str), ("group", str), ("phase", int),
+             ("week", int), ("day", int), ("timestamp", str),
+             ("accepted", bool), ("completed", bool), ("intervention_id", str)]
+            + [(name, str) for name in names] + [(f"tau_{name}", int) for name in names]
+            + [("pre_stress", int), ("post_stress", int), ("reward", int)])
 
 
 @dataclass
@@ -340,11 +331,17 @@ class StudyLog:
     schema: AttributeSchema
 
     def records_csv(self) -> str:
+        """Each record's raw values in ``_record_columns`` order, its flags
+        as int; csv writes None as an empty cell and an int as str."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_record_columns(self.schema))
-        for r in self.records:
-            writer.writerow(_record_row(r, self.schema))
+        none = (None,) * self.schema.n_attributes
+        write_table(
+            buf, [name for name, _ in _record_columns(self.schema)],
+            ((r.seed, r.pid, r.group, r.phase, r.week, r.day, r.timestamp,
+              int(r.accepted), int(r.completed), r.intervention_id,
+              *(r.attribute_values or none), *(r.taus_before or none),
+              r.pre_stress, r.post_stress, r.reward) for r in self.records),
+        )
         return buf.getvalue()
 
     def log_hash(self) -> str:
@@ -369,10 +366,20 @@ def _log_hash(records_csv: str, meta: dict) -> str:
     return hashlib.sha256((records_csv + meta["config_hash"]).encode()).hexdigest()
 
 
+def _read_cell(kind: type, optional: bool, cell: str):
+    if kind is bool:
+        return _FLAG[cell]
+    return None if optional and cell == "" else kind(cell)
+
+
 def load_log(path: str | Path) -> StudyLog:
     """Read a saved log; ``path`` is the run directory or its records.csv.
-    Raises ValueError unless the meta names an attribute schema and the
-    records header is exactly the columns ``save`` writes for it."""
+    Each cell is read back by its column in ``_record_columns``: a flag is
+    0 or 1, an empty cell of a field that may be None is None, and an int
+    column is parsed with ``int``. A per-attribute field is None unless all
+    of its cells are filled. Raises ValueError unless the meta names an
+    attribute schema, the header is exactly the columns ``save`` writes for
+    it and every cell follows that rule."""
     path = Path(path)
     if path.is_dir():
         records_path, meta_path = path / "records.csv", path / "meta.json"
@@ -384,38 +391,34 @@ def load_log(path: str | Path) -> StudyLog:
     schema = AttributeSchema(
         tuple((n, tuple(vs)) for n, vs in meta["attribute_schema"])
     )
+    columns = _record_columns(schema)
+    header = [name for name, _ in columns]
+    optional = header.index("intervention_id")  # from here on a cell may be empty
+    first, n = optional + 1, schema.n_attributes  # the attribute columns start at first
     records = []
     with records_path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        columns = _record_columns(schema)
-        if reader.fieldnames != columns:
-            raise ValueError(
-                f"{records_path} header is {reader.fieldnames}, expected {columns}"
-            )
-        for row in reader:
-            n = schema.n_attributes
-            values = tuple(row[schema.name(i)] for i in range(n))
-            taus = tuple(row[f"tau_{schema.name(i)}"] for i in range(n))
-            has_action = all(values)
-            records.append(
-                InterventionRecord(
-                    seed=int(row["seed"]),
-                    pid=row["pid"],
-                    group=row["group"],
-                    phase=int(row["phase"]),
-                    week=int(row["week"]),
-                    day=int(row["day"]),
-                    timestamp=row["timestamp"],
-                    accepted=row["accepted"] == "1",
-                    completed=row["completed"] == "1",
-                    attribute_values=values if has_action else None,
-                    taus_before=tuple(int(t) for t in taus) if has_action else None,
-                    intervention_id=row["intervention_id"] or None,
-                    pre_stress=int(row["pre_stress"]) if row["pre_stress"] else None,
-                    post_stress=int(row["post_stress"]) if row["post_stress"] else None,
-                    reward=int(row["reward"]) if row["reward"] else None,
-                )
-            )
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ValueError(f"{records_path} header is {found}, expected {header}")
+        for row in filter(None, reader):  # blank lines hold no record
+            if len(row) != len(header):
+                raise ValueError(f"{records_path} line {reader.line_num}: "
+                                 f"{len(row)} cells, expected {len(header)}")
+            cells = []
+            for i, ((name, kind), cell) in enumerate(zip(columns, row)):
+                try:
+                    cells.append(_read_cell(kind, i >= optional, cell))
+                except (KeyError, ValueError):
+                    raise ValueError(f"{records_path} line {reader.line_num}: "
+                                     f"{name} is {cell!r}") from None
+            values, taus = cells[first:first + n], cells[first + n:first + 2 * n]
+            records.append(InterventionRecord(
+                *cells[:first],
+                tuple(values) if None not in values else None,
+                tuple(taus) if None not in taus else None,
+                *cells[first + 2 * n:],
+            ))
     return StudyLog(records=records, meta=meta, schema=schema)
 
 
@@ -701,19 +704,20 @@ def weekly_summary(rows: list[dict]) -> list[SummaryRow]:
     metric; none for no rows."""
     if not rows:
         return []
-    return sorted(mean_of_means(rows, group_by=("group", "phase", "week", "metric")),
-                  key=lambda s: (s.metric, s.group, s.phase, s.week))
+    return sorted(mean_of_means(rows), key=lambda s: (s.metric, s.group, s.phase, s.week))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+# the columns of each readout table, in order: its header and the keys of its rows
+PHASE_DELTA_COLUMNS = ("group", "phase", "metric", "first_week", "last_week",
+                       "first_week_mean", "last_week_mean", "delta")
+WELCH_COLUMNS = ("metric", "phase", "group_a", "group_b", "n_a", "n_b", "t", "df", "p")
+SWEEP_COLUMNS = ("parameter", "value", "seed", "group",
+                 "mean_acceptance", "mean_reward", "final_week_reward")
 
 
-def _write_csv(path: str | Path, header: list[str], rows) -> None:
+def _write_csv(path: str | Path, columns: tuple[str, ...], rows: list[dict]) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_table(fh, columns, (table_cells(r[c] for c in columns) for r in rows))
 
 
 def phase_deltas(summary: list[SummaryRow]) -> list[dict]:
@@ -725,18 +729,9 @@ def phase_deltas(summary: list[SummaryRow]) -> list[dict]:
     out = []
     for (group, phase, metric), weeks in sorted(cells.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])):
         first, last = min(weeks), max(weeks)
-        out.append(
-            {
-                "group": group,
-                "phase": phase,
-                "metric": metric,
-                "first_week": first,
-                "last_week": last,
-                "first_week_mean": weeks[first],
-                "last_week_mean": weeks[last],
-                "delta": weeks[last] - weeks[first],
-            }
-        )
+        out.append(dict(zip(PHASE_DELTA_COLUMNS, (
+            group, phase, metric, first, last,
+            weeks[first], weeks[last], weeks[last] - weeks[first]))))
     return out
 
 
@@ -758,19 +753,8 @@ def welch_table(rows: list[dict]) -> list[dict]:
                         res = welch_t(xa, xb)
                     except ValueError:
                         continue
-                    out.append(
-                        {
-                            "metric": metric,
-                            "phase": phase,
-                            "group_a": ga,
-                            "group_b": gb,
-                            "n_a": len(xa),
-                            "n_b": len(xb),
-                            "t": res.t,
-                            "df": res.df,
-                            "p": res.p,
-                        }
-                    )
+                    out.append(dict(zip(WELCH_COLUMNS, (
+                        metric, phase, ga, gb, len(xa), len(xb), res.t, res.df, res.p))))
     return out
 
 
@@ -790,23 +774,10 @@ def report(log: StudyLog, out_dir: str | Path) -> dict[str, Path]:
         write_summary_csv(summary, fh)
 
     paths["phase_deltas"] = out / "phase_deltas.csv"
-    _write_csv(
-        paths["phase_deltas"],
-        ["group", "phase", "metric", "first_week", "last_week",
-         "first_week_mean", "last_week_mean", "delta"],
-        ([d["group"], d["phase"], d["metric"], d["first_week"], d["last_week"],
-          _fmt(d["first_week_mean"]), _fmt(d["last_week_mean"]), _fmt(d["delta"])]
-         for d in phase_deltas(summary)),
-    )
+    _write_csv(paths["phase_deltas"], PHASE_DELTA_COLUMNS, phase_deltas(summary))
 
     paths["welch_tests"] = out / "welch_tests.csv"
-    _write_csv(
-        paths["welch_tests"],
-        ["metric", "phase", "group_a", "group_b", "n_a", "n_b", "t", "df", "p"],
-        ([t["metric"], t["phase"], t["group_a"], t["group_b"], t["n_a"],
-          t["n_b"], _fmt(t["t"]), _fmt(t["df"]), _fmt(t["p"])]
-         for t in welch_table(rows)),
-    )
+    _write_csv(paths["welch_tests"], WELCH_COLUMNS, welch_table(rows))
 
     series: dict[tuple, dict] = {}
     for s in summary:
@@ -1083,26 +1054,15 @@ def sweep(cfg: dict | str | Path, parameter: str, values: list) -> list[dict]:
             (m for m in readings if m["week"] == final_week), ("group", "metric")
         )
         for group in sorted({g for g, _ in cells}):
-            rows.append(
-                {
-                    "parameter": parameter,
-                    "value": value,
-                    "seed": variant["seed"],
-                    "group": group,
-                    "mean_acceptance": mom(cells[(group, "acceptance")]),
-                    "mean_reward": mom(cells.get((group, "reward"))),
-                    "final_week_reward": mom(final.get((group, "reward"))),
-                }
-            )
+            rows.append(dict(zip(SWEEP_COLUMNS, (
+                parameter, value, variant["seed"], group,
+                mom(cells[(group, "acceptance")]), mom(cells.get((group, "reward"))),
+                mom(final.get((group, "reward")))))))
     return rows
 
 
 def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
-    _write_csv(
-        path,
-        ["parameter", "value", "seed", "group",
-         "mean_acceptance", "mean_reward", "final_week_reward"],
-        ([r["parameter"], r["value"], r["seed"], r["group"],
-          _fmt(r["mean_acceptance"]), _fmt(r["mean_reward"]),
-          _fmt(r["final_week_reward"])] for r in rows),
-    )
+    """The swept value is the user's own: it is written as given (empty for
+    None), never to 10 significant digits."""
+    _write_csv(path, SWEEP_COLUMNS,
+               [dict(r, value="" if r["value"] is None else str(r["value"])) for r in rows])

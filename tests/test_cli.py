@@ -78,21 +78,36 @@ def test_run_and_report_a_study_without_contacts(tmp_path, capsys):
         assert json.loads((out / "plot_data.json").read_text())["series"] == []
 
 
-@pytest.mark.parametrize("damage", ["empty_meta", "no_reward_column"])
+@pytest.mark.parametrize("damage", ["empty_meta", "no_reward_column", "word_flags",
+                                    "word_stress", "short_record"])
 def test_report_on_malformed_log_prints_one_json_line(tmp_path, config_path,
                                                       capsys, damage):
     run_dir = tmp_path / "run"
     main(["run", "--config", str(config_path), "--out", str(run_dir), "--no-report"])
     capsys.readouterr()
+    records = run_dir / "records.csv"
+    rows = list(csv.reader(records.read_text().splitlines()))
     if damage == "empty_meta":
         (run_dir / "meta.json").write_text("{}")
         expected = "attribute_schema"
-    else:
-        records = run_dir / "records.csv"
-        rows = list(csv.reader(records.read_text().splitlines()))
+    elif damage == "no_reward_column":
         keep = [i for i, col in enumerate(rows[0]) if col != "reward"]
         records.write_text("\n".join(",".join(r[i] for i in keep) for r in rows))
         expected = "header"
+    else:
+        # the third record gets a flag other than 0/1, a word in an int
+        # column or one cell too few
+        if damage == "word_flags":
+            rows[3][rows[0].index("accepted")] = "yes"
+            rows[3][rows[0].index("completed")] = "true"
+            expected = "records.csv line 4: accepted is 'yes'"
+        elif damage == "word_stress":
+            rows[3][rows[0].index("pre_stress")] = "high"
+            expected = "records.csv line 4: pre_stress is 'high'"
+        else:
+            rows[3].pop()
+            expected = f"records.csv line 4: {len(rows[0]) - 1} cells"
+        records.write_text("".join(",".join(r) + "\n" for r in rows))
     code = main(["report", "--log", str(run_dir), "--out", str(tmp_path / "rep")])
     assert code == 2
     captured = capsys.readouterr()

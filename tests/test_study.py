@@ -34,6 +34,7 @@ from pcar.study import (
     sweep,
     timing_comparison,
     weekly_summary,
+    write_sweep_csv,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -308,11 +309,24 @@ def test_config_hash_sensitivity():
 
 
 def test_log_save_and_load_round_trip(tmp_path, small_log):
-    small_log.save(tmp_path / "run")
-    again = load_log(tmp_path / "run")
-    assert again.log_hash() == small_log.log_hash()
-    assert len(again.records) == len(small_log.records)
-    assert again.records[0] == small_log.records[0]
+    """Every record comes back equal, field by field: content and clocks,
+    the EMAs, a declined contact's empty cells and a study with none."""
+    logs = {
+        "uniform": small_log,
+        "model": run_study({"seed": 17, "n_participants": 4, "weeks_per_phase": 1,
+                            "scheduler": {"mode": "model"}}),
+        "advance_on_decline": run_study({"seed": 23, "n_participants": 6,
+                                         "weeks_per_phase": 1,
+                                         "advance_on_decline": True}),
+        "no_contact": run_study({"n_participants": 2, "weeks_per_phase": 1,
+                                 "scheduler": {"trigger_rate": 0.0}}),
+    }
+    assert not logs["no_contact"].records
+    for name, log in logs.items():
+        log.save(tmp_path / name)
+        again = load_log(tmp_path / name)
+        assert again.records == log.records, name
+        assert again.log_hash() == log.log_hash(), name
 
 
 def test_report_outputs(tmp_path, small_log):
@@ -389,6 +403,21 @@ def test_sweep_rows_and_errors(tmp_path):
         sweep(dict(SMALL), "agent.lambda", [])
     with pytest.raises(ConfigError):
         sweep(dict(SMALL), "agent.nonsense", [1])
+
+
+def test_sweep_csv_writes_the_swept_value_as_given(tmp_path):
+    """The 10-significant-digit rule is for computed floats only: a swept
+    value is the user's own and keeps its spelling."""
+    rows = [{"parameter": "p", "value": value, "seed": 3, "group": "pcar",
+             "mean_acceptance": 0.5, "mean_reward": 1 / 3,
+             "final_week_reward": float("nan")}
+            for value in (1.0, True, None, "model", 0.1234567890123)]
+    write_sweep_csv(rows, tmp_path / "sweep.csv")
+    tail = ",3,pcar,0.5,0.3333333333,nan\n"
+    assert (tmp_path / "sweep.csv").read_bytes() == (
+        "parameter,value,seed,group,mean_acceptance,mean_reward,final_week_reward\n"
+        + "".join(f"p,{v}{tail}" for v in ("1.0", "True", "", "model", "0.1234567890123"))
+    ).encode()
 
 
 def test_sweep_checks_every_value_before_simulating(monkeypatch):
