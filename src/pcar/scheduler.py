@@ -19,9 +19,12 @@ library holds no second copy of them.
 Training merges identical (features, label) history rows into one row
 with a count (``TimingHistory``), so a night's refit costs as much as its
 distinct rows. In a study every participant shares one model and fires
-deterministically, so the cohort walks few distinct budget states. Scores
-are cached the same way: ``score_cache`` scores each budget state once
-per model.
+deterministically, so the cohort walks few distinct budget states.
+``ThresholdWalk`` walks a thresholded day by runs, not by ticks: until the
+next fire the allowed ticks are one run to the window end, each run is
+scored once per model and budget state, and the fire at a threshold is
+found by bisection over the run's prefix maxima. Calibration, the study's
+model mode and the trained policy of ``timing_comparison`` share it.
 
 Time is one integer clock, the study-minute: ``day * 1440 + minute of
 day``, where day 0 is a Monday, so the weekday is ``day % 7``.
@@ -30,6 +33,7 @@ day``, where day 0 is a Monday, so the weekday is ``day % 7``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -249,11 +253,25 @@ class TimingHistory:
 
     def append(self, row) -> None:
         x, y, day = row
-        x = np.asarray(x, dtype=float)
-        self._rows.setdefault((x.tobytes(), y), [x, 0])[1] += 1
+        self.add_rows((np.asarray(x, dtype=float),), y, day)
+
+    def add_rows(self, xs, y, day) -> None:
+        """Append the row ``(x, y, day)`` for each float array ``x`` of
+        ``xs``, in order: one call for a run of unlabeled ticks."""
+        if not len(xs):
+            return
+        rows = self._rows
+        for x in xs:
+            key = (x.tobytes(), y)
+            entry = rows.get(key)
+            if entry is None:
+                rows[key] = [x, 1]
+            else:
+                entry[1] += 1
         self._days.add(day)
-        self._n_rows += 1
-        self.n_labeled += y is not None
+        self._n_rows += len(xs)
+        if y is not None:
+            self.n_labeled += len(xs)
 
 
 def _unpack_history(history):
@@ -344,39 +362,142 @@ def expected_daily_triggers(model: TimingModel, history) -> float:
     return float(counts @ _probabilities(model, X)) / n_days
 
 
-def score_cache(model: TimingModel):
-    """Return ``scored(now, budget) -> (features, score)`` for ``model``.
+class _Run:
+    """The allowed ticks of one day from ``start`` to the window end while
+    a budget state holds, scanned lazily: the features of the ticks scanned
+    so far and the strict prefix maxima of their scores with the tick
+    indices where they occur."""
 
-    Features, and so the score, depend only on the tick and the budget
-    state (last delivery, contacts today) and shape (allowance, window),
-    so each such state is featurized and scored once. Callers that
-    walk the same states -- the bisection passes of a calibration, the
-    participants of a study sharing one model -- share the work. The
-    returned feature arrays are shared; do not modify them."""
-    memo: dict = {}
+    __slots__ = ("model", "budget", "start", "n", "xs", "maxima", "at")
 
-    def scored(now: int, budget: BudgetState) -> tuple[np.ndarray, float]:
+    def __init__(self, model: TimingModel, start: int, budget: BudgetState):
+        self.model = model
+        self.budget = replace(budget)  # frozen: the features of every tick read it
+        self.start = start
+        self.n = (_day_end(start // DAY_MINUTES, budget) - start - 1) // TICK_MINUTES + 1
+        self.xs: list[np.ndarray] = []
+        self.maxima: list[float] = []
+        self.at: list[int] = []
+
+    def first_at_least(self, theta: float) -> int:
+        """The index into ``maxima`` of the run's first score >= ``theta``,
+        or ``len(maxima)`` when none is. That score exceeds every score
+        before it, so it is a strict prefix maximum and bisection finds it
+        among those scanned; else the scan goes on only until one reaches
+        ``theta``."""
+        maxima = self.maxima
+        k = bisect_left(maxima, theta)
+        if k < len(maxima):
+            return k
+        xs = self.xs
+        top = maxima[-1] if maxima else -math.inf
+        while len(xs) < self.n:
+            i = len(xs)
+            x = features(self.start + i * TICK_MINUTES, self.budget)
+            s = score(self.model, x)
+            xs.append(x)
+            if s > top:
+                top = s
+                maxima.append(s)
+                self.at.append(i)
+                if s >= theta:
+                    return len(maxima) - 1
+        return len(maxima)
+
+    def tick(self, k: int) -> int:
+        """The study-minute of the run's ``k``-th prefix maximum."""
+        return self.start + self.at[k] * TICK_MINUTES
+
+
+class ThresholdWalk:
+    """Walks days of ticks under the budget rules by runs, firing where
+    ``model``'s score clears a threshold.
+
+    Until the next fire a day's allowed ticks are one run from
+    ``next_eligible`` to the window end, and their features depend only on
+    the tick and the budget state and shape. So each run is kept once per
+    state, shared by every walk over it (the passes of a calibration, the
+    participants of a study) and scanned only as far as a threshold needs.
+    Each tick is scored through ``features`` and ``score``, so fires and
+    history rows are those of scoring every allowed tick in turn. The
+    feature arrays handed out are shared; do not modify them."""
+
+    def __init__(self, model: TimingModel):
+        self.model = model
+        self._runs: dict = {}
+
+    def run(self, now: int, budget: BudgetState) -> _Run:
+        """The run of allowed ticks from ``now`` under ``budget``'s state;
+        ``now`` must be ``next_eligible``'s tick for it."""
         key = (now, budget.last_delivery, budget.delivered_today,
                budget.max_per_day, budget.window_start_minute,
                budget.window_end_minute)
-        hit = memo.get(key)
-        if hit is None:
-            x = features(now, budget)
-            hit = memo[key] = (x, score(model, x))
-        return hit
+        run = self._runs.get(key)
+        if run is None:
+            run = self._runs[key] = _Run(self.model, now, budget)
+        return run
 
-    return scored
+    def runs(self, day: int, budget: BudgetState,
+             theta: float) -> Iterator[tuple[_Run, int]]:
+        """Start the budget's day and yield ``(run, k)`` for each run of
+        calendar day ``day`` at threshold ``theta``: the run fires at its
+        ``k``-th prefix maximum, or not at all when ``k == len(run.maxima)``,
+        which ends the day. The caller records the delivery at each fire;
+        the budget is re-read after each yield."""
+        budget.start_day()
+        now = next_eligible(budget, day * DAY_MINUTES)
+        while now is not None:
+            run = self.run(now, budget)
+            k = run.first_at_least(theta)
+            fired = k < len(run.maxima)
+            yield run, k
+            if not fired:
+                return
+            now = next_eligible(budget, run.tick(k) + TICK_MINUTES)
+
+    def fires(self, day: int, budget: BudgetState, history=None,
+              key=None) -> Iterator[tuple[int, np.ndarray]]:
+        """Start the budget's day and yield ``(tick, features)`` at each
+        tick of calendar day ``day`` where the model's score clears its
+        threshold; the caller records each delivery. Each tick passed
+        without a fire is appended to ``history``, if given, as an
+        unlabeled ``(features, None, key)`` row before the next fire is
+        yielded: it still counts toward the budget term."""
+        for run, k in self.runs(day, budget, self.model.threshold):
+            fired = k < len(run.maxima)
+            i = run.at[k] if fired else run.n
+            if history is not None:
+                history.add_rows(run.xs[:i], None, key)
+            if fired:
+                yield run.tick(k), run.xs[i]
+
+    def outcome(self, days, shape: BudgetState,
+                theta: float) -> tuple[int, float, float]:
+        """``(fires, below, above)`` of walking each of ``days`` from a
+        fresh copy of ``shape`` at threshold ``theta``: the number of fires,
+        the highest score that did not fire and the lowest that did
+        (-inf and inf when there is none)."""
+        total, below, above = 0, -math.inf, math.inf
+        for day in days:
+            budget = replace(shape, delivered_today=0, last_delivery=None)
+            for run, k in self.runs(day, budget, theta):
+                if k:
+                    below = max(below, run.maxima[k - 1])
+                if k < len(run.maxima):
+                    above = min(above, run.maxima[k])
+                    budget.record_delivery(run.tick(k))
+                    total += 1
+        return total, below, above
 
 
 def calibrate_threshold(model: TimingModel, shape: BudgetState) -> TimingModel:
     """Post-processor step: pick the decision threshold by 40 passes of
     bisection so that, on five synthetic weekdays under the budget rules
     of ``shape`` (allowance, gap and window), the realized triggers per
-    day reach the allowance. Each pass walks the days with
-    ``eligible_ticks`` on a fresh copy of ``shape`` and fires where the
-    score clears the candidate threshold; scores evolve with the budget
-    state as triggers fire, as they do in a study. The passes share one
-    ``score_cache``.
+    day reach the allowance. Each pass walks the days on a fresh copy of
+    ``shape`` and fires where the score clears the candidate threshold;
+    scores evolve with the budget state as triggers fire, as they do in a
+    study. The passes share one ``ThresholdWalk``.
 
     A pass whose outcome is already known is not walked. A walk at
     threshold t compares the scores S of the ticks it visits against t.
@@ -389,7 +510,7 @@ def calibrate_threshold(model: TimingModel, shape: BudgetState) -> TimingModel:
     bisection keeps its midpoints and its final ``lo``, so the threshold
     is bit-identical to walking all 40 passes."""
     week = range(5)  # Monday to Friday
-    scored = score_cache(model)
+    walk = ThresholdWalk(model)
     daily_budget = shape.max_per_day
     known: list[tuple[float, float, float]] = []  # (below, above, rate)
 
@@ -397,18 +518,7 @@ def calibrate_threshold(model: TimingModel, shape: BudgetState) -> TimingModel:
         for below, above, rate in known:
             if below < theta <= above:
                 return rate
-        total = 0
-        below, above = -math.inf, math.inf
-        for day in week:
-            budget = replace(shape, delivered_today=0, last_delivery=None)
-            for now in eligible_ticks(day, budget):
-                s = scored(now, budget)[1]
-                if s >= theta:
-                    above = min(above, s)
-                    budget.record_delivery(now)
-                    total += 1
-                else:
-                    below = max(below, s)
+        total, below, above = walk.outcome(week, shape, theta)
         rate = total / len(week)
         known.append((below, above, rate))
         return rate

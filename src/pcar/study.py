@@ -61,11 +61,11 @@ from .scheduler import (
     WINDOW_END_MINUTE,
     WINDOW_START_MINUTE,
     BudgetState,
+    ThresholdWalk,
     TimingHistory,
     eligible_ticks,
     features,
     fit,
-    score_cache,
     uniform_fires,
 )
 from .stats import (
@@ -372,6 +372,28 @@ def _read_cell(kind: type, optional: bool, cell: str):
     return None if optional and cell == "" else kind(cell)
 
 
+def _impossible(rec: InterventionRecord, schema: AttributeSchema) -> str | None:
+    """Why no study could have written ``rec``, or None when one could."""
+    if rec.completed and not rec.accepted:
+        return "completed but not accepted"
+    if not rec.accepted and any(
+            v is not None for v in (rec.intervention_id, rec.attribute_values,
+                                    rec.taus_before, rec.pre_stress,
+                                    rec.post_stress, rec.reward)):
+        return "declined but has a stress, reward or intervention"
+    if (rec.reward is not None, rec.post_stress is not None) != (rec.completed,) * 2:
+        return "post_stress and reward must be set exactly when completed"
+    if rec.completed and (rec.pre_stress is None
+                          or rec.reward != rec.pre_stress - rec.post_stress):
+        return "reward is not pre_stress - post_stress"
+    if rec.attribute_values is not None:
+        try:
+            schema.validate_vector(rec.attribute_values)
+        except ValueError as err:
+            return str(err)
+    return None
+
+
 def load_log(path: str | Path) -> StudyLog:
     """Read a saved log; ``path`` is the run directory or its records.csv.
     Each cell is read back by its column in ``_record_columns``: a flag is
@@ -379,7 +401,11 @@ def load_log(path: str | Path) -> StudyLog:
     column is parsed with ``int``. A per-attribute field is None unless all
     of its cells are filled. Raises ValueError unless the meta names an
     attribute schema, the header is exactly the columns ``save`` writes for
-    it and every cell follows that rule."""
+    it, every cell follows that rule and every record is one a study could
+    write: completed implies accepted, a declined contact has no stress,
+    reward or intervention, ``post_stress`` and ``reward`` are set exactly
+    when the contact was completed, ``reward`` is ``pre_stress -
+    post_stress`` and attribute values are the schema's."""
     path = Path(path)
     if path.is_dir():
         records_path, meta_path = path / "records.csv", path / "meta.json"
@@ -413,12 +439,16 @@ def load_log(path: str | Path) -> StudyLog:
                     raise ValueError(f"{records_path} line {reader.line_num}: "
                                      f"{name} is {cell!r}") from None
             values, taus = cells[first:first + n], cells[first + n:first + 2 * n]
-            records.append(InterventionRecord(
+            rec = InterventionRecord(
                 *cells[:first],
                 tuple(values) if None not in values else None,
                 tuple(taus) if None not in taus else None,
                 *cells[first + 2 * n:],
-            ))
+            )
+            problem = _impossible(rec, schema)
+            if problem:
+                raise ValueError(f"{records_path} line {reader.line_num}: {problem}")
+            records.append(rec)
     return StudyLog(records=records, meta=meta, schema=schema)
 
 
@@ -505,25 +535,12 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
     scfg = cfg["scheduler"]
     model_mode = scfg["mode"] == "model"
     if model_mode:
-        # cold start: the untrained scorer's bar is set so it still delivers
-        timing_model = fit(None, shape, scfg)
-        # every participant shares the model, so each budget state is scored once
-        scored = score_cache(timing_model)
+        # cold start: the untrained scorer's bar is set so it still delivers;
+        # every participant shares the walk, so each run of ticks is scored once
+        timing_walk = ThresholdWalk(fit(None, shape, scfg))
         # (features, label, (pid, day_idx)): the budget term counts per
         # participant-day, the unit the allowance is set in
         timing_history = TimingHistory()
-
-    def model_fires(day, budget, key):
-        """(tick, features) of each eligible tick of ``day`` whose score
-        clears the model's threshold. A tick without a contact is kept as
-        an unlabeled history row as the walk passes it: it still counts
-        toward the budget term."""
-        for now in eligible_ticks(day, budget):
-            x, likelihood = scored(now, budget)
-            if likelihood >= timing_model.threshold:
-                yield now, x
-            else:
-                timing_history.append((x, None, key))
 
     records: list[InterventionRecord] = []
     epoch = datetime.combine(STUDY_START, time())  # study-minute 0
@@ -569,7 +586,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             st = states[pid]
             p = st.model
             if model_mode:
-                fires = model_fires(calendar_day, st.budget, (pid, day_idx))
+                fires = timing_walk.fires(calendar_day, st.budget, timing_history,
+                                          (pid, day_idx))
             else:
                 fires = zip(uniform_fires(calendar_day, st.budget, st.rng,
                                           scfg["trigger_rate"]), repeat(None))
@@ -636,8 +654,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
 
         if model_mode and timing_history.n_labeled:
             # nightly: refit from scratch on everything seen so far
-            timing_model = fit(timing_history, shape, scfg)
-            scored = score_cache(timing_model)
+            timing_walk = ThresholdWalk(fit(timing_history, shape, scfg))
 
     records.sort(key=lambda r: (r.pid, r.day, r.timestamp))
     meta = {
@@ -957,38 +974,44 @@ def timing_comparison(
         cohort = default_cohort(n_participants, rng,
                                 ccfg["mean_acceptance_intervention"], ccfg)
 
-        def walk(days, day0, fire, collect=False):
-            """(history rows if ``collect``, acceptance, contacts per
-            participant-day) of a walk that contacts where ``fire(now, budget)``."""
-            rows, hits, n = [], 0, 0
+        def walk(days, day0, fires, history=None):
+            """(acceptance, contacts per participant-day) of a walk that
+            contacts at each ``(tick, features)`` that ``fires(day, budget,
+            history, key)`` yields; with ``history``, each contact is
+            appended to it as a labeled row after the unlabeled rows that
+            ``fires`` appends."""
+            hits = n = 0
             for pi, participant in enumerate(cohort):
                 for d in range(days):
                     budget = replace(shape)
-                    for now in eligible_ticks(_calendar_day(day0 + d), budget):
-                        # features read the budget before this tick's delivery
-                        x = features(now, budget) if collect else None
-                        label = None
-                        if fire(now, budget):
-                            budget.record_delivery(now)
-                            ok = accept(participant, now % DAY_MINUTES // 60, rng)
-                            label = 1.0 if ok else 0.0
-                            hits += ok
-                            n += 1
-                        if collect:
-                            # budget pressure groups by participant-day
-                            rows.append((x, label, (pi, d)))
-            return rows, (hits / n if n else 0.0), n / (days * len(cohort))
+                    key = (pi, d)  # budget pressure groups by participant-day
+                    for now, x in fires(_calendar_day(day0 + d), budget, history, key):
+                        budget.record_delivery(now)
+                        ok = accept(participant, now % DAY_MINUTES // 60, rng)
+                        hits += ok
+                        n += 1
+                        if history is not None:
+                            history.append((x, 1.0 if ok else 0.0, key))
+            return (hits / n if n else 0.0), n / (days * len(cohort))
 
         def uniform(q):
-            return lambda now, budget: rng.random() < q
+            """Fire at each allowed tick where ``rng.random() < q``."""
+            def fires(day, budget, history, key):
+                for now in eligible_ticks(day, budget):
+                    # features read the budget before this tick's delivery
+                    x = features(now, budget) if history is not None else None
+                    if rng.random() < q:
+                        yield now, x
+                    elif history is not None:
+                        history.append((x, None, key))
+            return fires
 
-        rows, _, _ = walk(history_days, 0, uniform(3 / 84), collect=True)
+        rows = []
+        walk(history_days, 0, uniform(3 / 84), rows)
         model = fit(rows, shape, scfg)
 
-        # the trained policy walks the same states for every participant
-        scored = score_cache(model)
-        _, t_acc, t_rate = walk(eval_days, history_days,
-                                lambda now, budget: scored(now, budget)[1] >= model.threshold)
+        # the trained policy walks the same runs for every participant
+        t_acc, t_rate = walk(eval_days, history_days, ThresholdWalk(model).fires)
         trained_acc.append(t_acc)
         trained_daily.append(t_rate)
 
@@ -996,7 +1019,7 @@ def timing_comparison(
         # the 1.2 factor offsets truncation by the daily cap
         blocked = shape.min_gap_minutes / TICK_MINUTES
         q_matched = 1.2 * t_rate / max(len(SERVICE_TICKS) - blocked * t_rate, 1.0)
-        _, u_acc, u_rate = walk(eval_days, history_days + eval_days, uniform(q_matched))
+        u_acc, u_rate = walk(eval_days, history_days + eval_days, uniform(q_matched))
         uniform_acc.append(u_acc)
         uniform_daily.append(u_rate)
 

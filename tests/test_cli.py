@@ -79,7 +79,10 @@ def test_run_and_report_a_study_without_contacts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage", ["empty_meta", "no_reward_column", "word_flags",
-                                    "word_stress", "short_record"])
+                                    "word_stress", "short_record",
+                                    "completed_declined", "declined_with_stress",
+                                    "unfinished_with_reward", "wrong_reward",
+                                    "value_outside_schema"])
 def test_report_on_malformed_log_prints_one_json_line(tmp_path, config_path,
                                                       capsys, damage):
     run_dir = tmp_path / "run"
@@ -94,6 +97,34 @@ def test_report_on_malformed_log_prints_one_json_line(tmp_path, config_path,
         keep = [i for i, col in enumerate(rows[0]) if col != "reward"]
         records.write_text("\n".join(",".join(r[i] for i in keep) for r in rows))
         expected = "header"
+    elif damage not in ("word_flags", "word_stress", "short_record"):
+        # one record, well-formed cell by cell, that no study could write
+        col = {name: i for i, name in enumerate(rows[0])}
+        i = next(i for i, r in enumerate(rows[1:], 1) if {
+            "completed_declined": r[col["accepted"]] == "0",
+            "declined_with_stress": r[col["accepted"]] == "0",
+            "unfinished_with_reward": r[col["accepted"]] == "1" and r[col["completed"]] == "0",
+            "wrong_reward": r[col["completed"]] == "1",
+            "value_outside_schema": r[col["intervention_id"]] != "",
+        }[damage])
+        row = rows[i]
+        if damage == "completed_declined":
+            row[col["completed"]] = "1"
+            problem = "completed but not accepted"
+        elif damage == "declined_with_stress":
+            row[col["pre_stress"]] = "3"
+            problem = "declined but has a stress, reward or intervention"
+        elif damage == "unfinished_with_reward":
+            row[col["reward"]] = "0"
+            problem = "post_stress and reward must be set exactly when completed"
+        elif damage == "wrong_reward":
+            row[col["reward"]] = str(int(row[col["reward"]]) + 1)
+            problem = "reward is not pre_stress - post_stress"
+        else:  # the first attribute's column follows intervention_id
+            row[col["intervention_id"] + 1] = "bogus"
+            problem = "'bogus' is not a value of attribute"
+        records.write_text("".join(",".join(r) + "\n" for r in rows))
+        expected = f"records.csv line {i + 1}: {problem}"
     else:
         # the third record gets a flag other than 0/1, a word in an int
         # column or one cell too few

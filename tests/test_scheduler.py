@@ -11,6 +11,7 @@ import pcar.scheduler
 from pcar.scheduler import (
     N_FEATURES,
     BudgetState,
+    ThresholdWalk,
     TimingHistory,
     TimingModel,
     calibrate_threshold,
@@ -23,7 +24,6 @@ from pcar.scheduler import (
     fit,
     next_eligible,
     score,
-    score_cache,
     train,
     uniform_fires,
 )
@@ -500,15 +500,15 @@ def test_calibrate_threshold_ties_and_infeasible_allowance(model, shape, want):
 def test_cold_start_calibration_walks_at_most_three_passes(monkeypatch):
     """The cold model scores every tick alike, so one walk above that score
     and one at or below it decide all 40 bisection midpoints."""
-    walk, days = pcar.scheduler.eligible_ticks, []
+    runs, days = ThresholdWalk.runs, []
 
-    def counting_walk(day, budget):
+    def counting_runs(self, day, budget, theta):
         days.append(day)
-        return walk(day, budget)
+        return runs(self, day, budget, theta)
 
-    monkeypatch.setattr(pcar.scheduler, "eligible_ticks", counting_walk)
+    monkeypatch.setattr(pcar.scheduler.ThresholdWalk, "runs", counting_runs)
     fit(None, BudgetState(), DEFAULT_CONFIG["scheduler"])
-    assert len(days) <= 3 * 5
+    assert 0 < len(days) <= 3 * 5
 
 
 def _same_model(a, b):
@@ -534,9 +534,9 @@ def test_fit_is_budget_init_train_calibrate(daily_budget):
                     calibrate_threshold(trained, shape))
 
 
-def test_score_cache_keeps_budget_states_and_shapes_apart():
+def test_run_memo_keeps_budget_states_and_shapes_apart():
     m = TimingModel(weights=np.linspace(-1.0, 1.0, N_FEATURES), bias=0.3)
-    scored = score_cache(m)
+    walk = ThresholdWalk(m)
     now = at(TUESDAY, 12)
     base = dict(delivered_today=1, last_delivery=at(TUESDAY, 9))
     budgets = [BudgetState(**base)] + [
@@ -544,16 +544,99 @@ def test_score_cache_keeps_budget_states_and_shapes_apart():
             ("delivered_today", 2), ("last_delivery", at(TUESDAY, 8)),
             ("max_per_day", 4), ("max_per_day", 5), ("window_end_minute", 1200),
             ("window_start_minute", 600))]
-    hits = [scored(now, b) for b in budgets]
-    for b, (x, s) in zip(budgets, hits):
-        assert np.array_equal(x, features(now, b))
-        assert s == score(m, features(now, b))
-        assert scored(now, b)[0] is x  # a repeat is a hit
-    assert len({s for _, s in hits}) == len(budgets)
+    runs = [walk.run(now, b) for b in budgets]
+    for b, run in zip(budgets, runs):
+        run.first_at_least(math.inf)  # no score reaches it: the whole run
+        ticks = range(now, b.window_end_minute + TUESDAY * 1440, 5)
+        assert run.n == len(run.xs) == len(ticks)
+        for x, tick in zip(run.xs, ticks):
+            assert np.array_equal(x, features(tick, b))
+        assert run.maxima[0] == score(m, features(now, b))
+        assert walk.run(now, b) is run  # a repeat is a hit
+    assert len({run.maxima[0] for run in runs}) == len(budgets)
     # fresh budgets with different allowances have equal features, but
-    # still never share an entry
+    # still never share a run
     fresh = [BudgetState(max_per_day=k) for k in (3, 4, 5)]
-    assert len({id(scored(now, b)[0]) for b in fresh}) == len(fresh)
+    assert len({id(walk.run(now, b)) for b in fresh}) == len(fresh)
+
+
+def _per_tick_fires(model, day, budget, history, key):
+    """Reference: score every tick of ``eligible_ticks`` in turn."""
+    for now in eligible_ticks(day, budget):
+        x = features(now, budget)
+        if score(model, x) >= model.threshold:
+            yield now, x
+        else:
+            history.append((x, None, key))
+
+
+def _per_tick_outcome(model, days, shape, theta):
+    total, below, above = 0, -math.inf, math.inf
+    for day in days:
+        budget = replace(shape, delivered_today=0, last_delivery=None)
+        for now in eligible_ticks(day, budget):
+            s = score(model, features(now, budget))
+            if s >= theta:
+                above = min(above, s)
+                budget.record_delivery(now)
+                total += 1
+            else:
+                below = max(below, s)
+    return total, below, above
+
+
+def _contact_all(fires, budget, history, key):
+    """Drive a fire walk like a study does: deliver at every fire and
+    append its labeled row after the unlabeled ones."""
+    out = []
+    for now, x in fires:
+        budget.record_delivery(now)
+        history.append((x, float(now % 2), key))
+        out.append(now)
+    return out
+
+
+def _history_rows(history):
+    return ([(k, c) for k, (_, c) in history._rows.items()],
+            len(history), history.n_labeled, history._days)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_SHAPES,
+       weights=st.lists(st.floats(-3.0, 3.0), min_size=N_FEATURES,
+                        max_size=N_FEATURES),
+       bias=st.floats(-6.0, 6.0),
+       thetas=st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 155)),
+                       min_size=1, max_size=4))
+def test_threshold_walk_equals_per_tick_scoring(max_per_day, min_gap, window, day,
+                                                last_evening, weights, bias, thetas):
+    model = TimingModel(weights=np.asarray(weights), bias=bias)
+    shape = _shape(max_per_day, min_gap, window, day, last_evening)
+    fresh = replace(shape, delivered_today=0, last_delivery=None)
+
+    def theta_of(t):
+        # an integer picks the score of that tick of a fresh day: an exact tie
+        if isinstance(t, float):
+            return t
+        if not max_per_day or t * 5 >= window[1] - window[0]:
+            return 0.5
+        return score(model, features(at(day, 0, window[0] + t * 5), fresh))
+
+    thetas = [theta_of(t) for t in thetas]
+    walk = ThresholdWalk(model)  # one walk for every threshold: runs are reused
+    days = range(day, day + 3)
+    for theta in thetas:
+        assert walk.outcome(days, shape, theta) == _per_tick_outcome(
+            model, days, shape, theta)
+    model.threshold = thetas[-1]
+    a, b = replace(shape), replace(shape)
+    got, want = TimingHistory(), TimingHistory()
+    for d in days:  # the gap carries across days
+        key = (0, d)
+        fired = _contact_all(walk.fires(d, a, got, key), a, got, key)
+        assert fired == _contact_all(_per_tick_fires(model, d, b, want, key), b, want, key)
+        assert a == b
+    assert _history_rows(got) == _history_rows(want)
 
 
 def test_train_empty_history_rejected():
