@@ -24,7 +24,11 @@ deterministically, so the cohort walks few distinct budget states.
 next fire the allowed ticks are one run to the window end, each run is
 scored once per model and budget state, and the fire at a threshold is
 found by bisection over the run's prefix maxima. Calibration, the study's
-model mode and the trained policy of ``timing_comparison`` share it.
+model mode and the trained policy of ``timing_comparison`` share it. A
+tick's features do not read the model, so runs take them from one bounded
+memo keyed by the tick and the budget fields ``features`` reads: each
+night's calibration walks the same five weekdays and reuses them. The
+memo's rows are read-only.
 
 Time is one integer clock, the study-minute: ``day * 1440 + minute of
 day``, where day 0 is a Monday, so the weekday is ``day % 7``.
@@ -36,6 +40,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -326,7 +331,11 @@ def train(
     Each epoch costs as much as the distinct (features, label) rows: a
     merged row is weighted by its count. The budget term averages the
     expected triggers over the distinct day keys of the history, so a
-    study keys its rows by participant-day."""
+    study keys its rows by participant-day. The epochs allocate nothing:
+    each writes its intermediates into buffers made once per call, with
+    the same operations in the same order as the expressions in the
+    comments (at most the two operands of one product or sum trade places,
+    which is exact), so the fit is bit-identical to evaluating them."""
     X, y, labeled, counts, n_days = _unpack_history(history)
     n_rows = counts.sum()
     if model.feature_mean is None:
@@ -340,20 +349,37 @@ def train(
     b = model.bias
     n_labeled = counts[labeled].sum()
     y_fit = np.where(labeled, y, 0.0)
+    unlabeled = ~labeled
+    # one buffer per intermediate, reused by every epoch
+    z, p, sig_grad, g, tmp = (np.empty(len(X)) for _ in range(5))
+    dw = np.empty_like(w)
 
     for _ in range(epochs):
-        z = X @ w + b
-        p = 1.0 / (1.0 + np.exp(-z))
-        sig_grad = p * (1.0 - p)
-        # classification term over labeled rows
-        g = np.where(labeled, 2.0 * (p - y_fit) * sig_grad / n_labeled, 0.0)
+        np.matmul(X, w, out=z)
+        z += b
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=p)  # p = 1 / (1 + exp(-(X @ w + b)))
+        np.subtract(1.0, p, out=sig_grad)
+        sig_grad *= p  # p * (1 - p)
+        # classification term over labeled rows: 2 (p - y) p (1 - p) / n_labeled
+        np.subtract(p, y_fit, out=g)
+        g *= 2.0
+        g *= sig_grad
+        g /= n_labeled
+        np.copyto(g, 0.0, where=unlabeled)
         # budget-pressure term over every eligible tick
         pressure = 2.0 * budget_penalty * (
             float(counts @ p) / n_days - daily_budget)
-        g += pressure * sig_grad / n_days
+        np.multiply(sig_grad, pressure, out=tmp)
+        tmp /= n_days
+        g += tmp  # g += pressure * sig_grad / n_days
         g *= counts
-        w -= step * (X.T @ g)
-        b -= step * float(np.sum(g))
+        np.matmul(X.T, g, out=dw)
+        dw *= step
+        w -= dw  # w -= step * (X.T @ g)
+        b -= step * float(g.sum())
     return replace(model, weights=w, bias=b, feature_mean=mean, feature_scale=scale)
 
 
@@ -362,17 +388,38 @@ def expected_daily_triggers(model: TimingModel, history) -> float:
     return float(counts @ _probabilities(model, X)) / n_days
 
 
+def _state(budget: BudgetState) -> tuple:
+    """Every budget field that ``features`` reads."""
+    return (budget.last_delivery, budget.delivered_today, budget.max_per_day,
+            budget.window_start_minute, budget.window_end_minute)
+
+
+@lru_cache(maxsize=1024)
+def _tick_features(now: int, last_delivery: int | None, delivered_today: int,
+                   max_per_day: int, window_start_minute: int,
+                   window_end_minute: int) -> np.ndarray:
+    """``features(now, budget)`` for a budget in this state, computed once
+    and shared read-only: it does not depend on the model, so every
+    night's calibration and walk reads the same rows."""
+    x = features(now, BudgetState(
+        delivered_today=delivered_today, last_delivery=last_delivery,
+        max_per_day=max_per_day, window_start_minute=window_start_minute,
+        window_end_minute=window_end_minute))
+    x.flags.writeable = False
+    return x
+
+
 class _Run:
     """The allowed ticks of one day from ``start`` to the window end while
     a budget state holds, scanned lazily: the features of the ticks scanned
     so far and the strict prefix maxima of their scores with the tick
     indices where they occur."""
 
-    __slots__ = ("model", "budget", "start", "n", "xs", "maxima", "at")
+    __slots__ = ("model", "state", "start", "n", "xs", "maxima", "at")
 
     def __init__(self, model: TimingModel, start: int, budget: BudgetState):
         self.model = model
-        self.budget = replace(budget)  # frozen: the features of every tick read it
+        self.state = _state(budget)  # the features of every tick read it
         self.start = start
         self.n = (_day_end(start // DAY_MINUTES, budget) - start - 1) // TICK_MINUTES + 1
         self.xs: list[np.ndarray] = []
@@ -393,7 +440,7 @@ class _Run:
         top = maxima[-1] if maxima else -math.inf
         while len(xs) < self.n:
             i = len(xs)
-            x = features(self.start + i * TICK_MINUTES, self.budget)
+            x = _tick_features(self.start + i * TICK_MINUTES, *self.state)
             s = score(self.model, x)
             xs.append(x)
             if s > top:
@@ -418,9 +465,11 @@ class ThresholdWalk:
     the tick and the budget state and shape. So each run is kept once per
     state, shared by every walk over it (the passes of a calibration, the
     participants of a study) and scanned only as far as a threshold needs.
-    Each tick is scored through ``features`` and ``score``, so fires and
-    history rows are those of scoring every allowed tick in turn. The
-    feature arrays handed out are shared; do not modify them."""
+    Each tick is scored through ``features`` (by way of the module's
+    features memo, so a tick's row is computed once per budget state
+    across every model) and ``score``, so fires and history rows are those
+    of scoring every allowed tick in turn. The feature arrays handed out
+    are shared and read-only."""
 
     def __init__(self, model: TimingModel):
         self.model = model
@@ -429,9 +478,7 @@ class ThresholdWalk:
     def run(self, now: int, budget: BudgetState) -> _Run:
         """The run of allowed ticks from ``now`` under ``budget``'s state;
         ``now`` must be ``next_eligible``'s tick for it."""
-        key = (now, budget.last_delivery, budget.delivered_today,
-               budget.max_per_day, budget.window_start_minute,
-               budget.window_end_minute)
+        key = (now, *_state(budget))
         run = self._runs.get(key)
         if run is None:
             run = self._runs[key] = _Run(self.model, now, budget)

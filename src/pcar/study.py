@@ -151,6 +151,7 @@ _NULLABLE = {"agent.epsilon_decay_steps": int, "agent.q_tau_clip": int,
              "catalog_path": str, "output_dir": str}
 _MINIMUM = {"n_participants": 1, "weeks_per_phase": 1, "budget.max_per_day": 1,
             "budget.min_gap_minutes": 0, "scheduler.train_epochs": 0,
+            "scheduler.train_step": 0, "scheduler.budget_penalty": 0,
             "agent.epsilon_decay_steps": 0, "agent.tau_max": 1, "agent.q_tau_clip": 1,
             "cohort.recovery_rounds": 1, "cohort.noise_sigma": 0}
 _UNIT_INTERVAL = {

@@ -334,7 +334,8 @@ _BAD_VALUES = [
     ("seed", True), ("scheduler.mode", "bogus"),
     ("scheduler.trigger_rate", float("nan")), ("scheduler.trigger_rate", -0.1),
     ("scheduler.trigger_rate", "0.1"), ("scheduler.train_epochs", "5"),
-    ("scheduler.budget_penalty", "x"), ("budget", 3),
+    ("scheduler.budget_penalty", "x"), ("scheduler.budget_penalty", -5.0),
+    ("scheduler.train_step", -0.05), ("budget", 3),
     ("budget.max_per_day", 0), ("budget.max_per_day", 2.5),
     ("budget.min_gap_minutes", -5), ("budget.window_start", "8am"),
     ("budget.window_start", "07:59"), ("budget.window_start", "21:00"),

@@ -32,6 +32,7 @@ from pcar.study import DEFAULT_CONFIG
 # calendar days; day 0 is a Monday
 MONDAY = 0
 TUESDAY = 1
+WEDNESDAY = 2
 SATURDAY = 5
 
 
@@ -254,6 +255,31 @@ def test_features_hour_trig():
     assert (a[0], a[1]) == (c[0], c[1])
 
 
+def test_features_memo_rows_equal_features_and_are_read_only():
+    memo = pcar.scheduler._tick_features
+    now = at(WEDNESDAY, 13, 5)
+    budgets = [BudgetState(last_delivery=last) for last in (
+        None, 0, now - 5, now - 119, at(WEDNESDAY - 1, 20, 55), at(WEDNESDAY, 8))]
+    budgets += [BudgetState(delivered_today=k, last_delivery=at(WEDNESDAY, 9))
+                for k in (0, 1, 2, 3, 4)]
+    budgets += [BudgetState(max_per_day=k, delivered_today=1) for k in (1, 2, 5)]
+    budgets += [BudgetState(window_start_minute=lo, window_end_minute=hi)
+                for lo, hi in ((13 * 60, 13 * 60 + 5), (12 * 60, 14 * 60),
+                               (8 * 60, 8 * 60 + 30), (20 * 60, 21 * 60))]
+    for budget in budgets:
+        for tick in (now, at(WEDNESDAY, 8), at(WEDNESDAY, 20, 55), at(SATURDAY, 10)):
+            row = memo(tick, *pcar.scheduler._state(budget))
+            assert row.tobytes() == features(tick, budget).tobytes(), (tick, budget)
+            assert memo(tick, *pcar.scheduler._state(budget)) is row  # a hit
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+    bound = memo.cache_info().maxsize
+    assert bound is not None
+    for tick in range(0, (bound + 1) * 5, 5):
+        memo(tick, *pcar.scheduler._state(BudgetState()))
+    assert memo.cache_info().currsize == bound
+
+
 def test_score_zero_model_is_half():
     m = TimingModel(weights=np.zeros(N_FEATURES))
     assert score(m, np.zeros(N_FEATURES)) == 0.5
@@ -433,6 +459,77 @@ def test_timing_history_appended_row_by_row_trains_like_a_list():
     b = train(start, rows, daily_budget=3.0, budget_penalty=0.2, epochs=5, step=0.05)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
     assert expected_daily_triggers(a, history) == expected_daily_triggers(a, rows)
+
+
+def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step):
+    """Reference: ``train`` with a fresh array for every intermediate of
+    every epoch, as the plain expressions evaluate them."""
+    X, y, labeled, counts, n_days = pcar.scheduler._unpack_history(history)
+    n_rows = counts.sum()
+    if model.feature_mean is None:
+        mean = counts @ X / n_rows
+        scale = np.sqrt(counts @ (X - mean) ** 2 / n_rows)
+        scale[scale < 1e-9] = 1.0
+    else:
+        mean, scale = model.feature_mean, model.feature_scale
+    X = (X - mean) / scale
+    w = model.weights.astype(float).copy()
+    b = model.bias
+    n_labeled = counts[labeled].sum()
+    y_fit = np.where(labeled, y, 0.0)
+
+    for _ in range(epochs):
+        z = X @ w + b
+        p = 1.0 / (1.0 + np.exp(-z))
+        sig_grad = p * (1.0 - p)
+        # classification term over labeled rows
+        g = np.where(labeled, 2.0 * (p - y_fit) * sig_grad / n_labeled, 0.0)
+        # budget-pressure term over every eligible tick
+        pressure = 2.0 * budget_penalty * (
+            float(counts @ p) / n_days - daily_budget)
+        g += pressure * sig_grad / n_days
+        g *= counts
+        w -= step * (X.T @ g)
+        b -= step * float(np.sum(g))
+    return replace(model, weights=w, bias=b, feature_mean=mean, feature_scale=scale)
+
+
+@st.composite
+def _fit_cases(draw):
+    """A merged history with 1..all distinct rows labeled, a start model
+    (with a preset standardization or without) and descent settings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_distinct = draw(st.integers(1, 40))
+    n_labeled = draw(st.integers(1, n_distinct))
+    distinct = [(rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 5.0])),
+                            size=N_FEATURES),
+                 float(rng.integers(2)) if i < n_labeled else None)
+                for i in range(n_distinct)]
+    n_days = draw(st.integers(1, 6))
+    history = TimingHistory()
+    for i in [*range(n_distinct), *rng.integers(n_distinct, size=draw(st.integers(0, 80)))]:
+        x, y = distinct[i]
+        history.append((x.copy(), y, (int(rng.integers(3)), int(rng.integers(n_days)))))
+    model = TimingModel(weights=rng.normal(size=N_FEATURES) * draw(st.floats(0.0, 2.0)),
+                        bias=draw(st.floats(-6.0, 6.0)))
+    if draw(st.booleans()):
+        model.feature_mean = rng.normal(size=N_FEATURES)
+        model.feature_scale = rng.uniform(0.2, 3.0, size=N_FEATURES)
+    return (model, history, draw(st.integers(1, 5)), draw(st.floats(0.0, 10.0)),
+            draw(st.integers(0, 30)), draw(st.floats(0.0, 0.5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_fit_cases())
+def test_train_is_bit_identical_to_the_allocating_loop(case):
+    model, history, daily_budget, penalty, epochs, step = case
+    with np.errstate(over="ignore"):  # a steep sigmoid may saturate to 0
+        got = train(model, history, daily_budget, penalty, epochs, step)
+        want = _allocating_train(model, history, daily_budget, penalty, epochs, step)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+    assert got.feature_mean.tobytes() == want.feature_mean.tobytes()
+    assert got.feature_scale.tobytes() == want.feature_scale.tobytes()
 
 
 def _uncached_threshold(model, daily_budget=3, min_gap=120, window=(480, 1260),

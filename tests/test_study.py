@@ -157,6 +157,8 @@ BAD_CONFIGS = [
     ({"cohort": {"engagement": {"floor": 2.0, "ceiling": 1.0}}},
      "cohort.engagement.floor must be <= cohort.engagement.ceiling"),
     ({"budget": {"weekdays_only": False}}, "budget.weekdays_only must be one of"),
+    ({"scheduler": {"train_step": -0.05}}, "scheduler.train_step must be >= 0"),
+    ({"scheduler": {"budget_penalty": -5.0}}, "scheduler.budget_penalty must be >= 0"),
 ]
 
 
