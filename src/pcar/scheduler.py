@@ -4,31 +4,32 @@ Hard constraints: a daily cap (default three contacts), a minimum gap
 (default two hours) and a window (default 08:00-21:00, never wider), each
 set by the study's ``budget`` config, and weekdays only, always.
 ``eligible`` checks them at one tick; ``next_eligible`` gives the first
-allowed tick at or after a time in closed form, so the walks skip blocked
-ticks without looking at them. ``eligible_ticks`` yields a day's allowed
-ticks, and ``uniform_fires`` only those where a uniform random trigger
-fires, drawing each run of allowed ticks' uniforms in one block. On top of
-that sits a small trained model -- a linear scorer through a sigmoid --
-that estimates how likely a contact at the current 5-minute tick is to be
-engaged with. It is fit by full-batch gradient descent on a squared-error
-term plus a budget-pressure term that pulls the expected number of daily
-triggers toward the allowance. ``fit`` takes the pressure weight and the
-descent's epochs and step from a study config's ``scheduler`` block; the
-library holds no second copy of them.
+allowed tick at or after a time in closed form, so a walk skips blocked
+ticks without looking at them. There is one way to walk a day: until the
+next delivery its allowed ticks are one run from ``next_eligible`` to the
+window end, and ``_day_runs`` steps from run to run, each starting after
+the delivery the caller recorded in the last. Both trigger policies walk
+on it: ``uniform_fires`` fires where a uniform random draw falls below a
+rate, drawing each run's uniforms in one block, and ``ThresholdWalk``
+where a small trained model's score clears a threshold. The model -- a
+linear scorer through a sigmoid -- estimates how likely a contact at the
+current 5-minute tick is to be engaged with. It is fit by full-batch
+gradient descent on a squared-error term plus a budget-pressure term that
+pulls the expected number of daily triggers toward the allowance. ``fit``
+takes the pressure weight and the descent's epochs and step from a study
+config's ``scheduler`` block; the library holds no second copy of them.
 
 Training merges identical (features, label) history rows into one row
 with a count (``TimingHistory``), so a night's refit costs as much as its
 distinct rows. In a study every participant shares one model and fires
 deterministically, so the cohort walks few distinct budget states.
-``ThresholdWalk`` walks a thresholded day by runs, not by ticks: until the
-next fire the allowed ticks are one run to the window end, each run is
-scored once per model and budget state, and the fire at a threshold is
-found by bisection over the run's prefix maxima. Calibration, the study's
-model mode and the trained policy of ``timing_comparison`` share it. A
-tick's features do not read the model, so runs take them from one bounded
-memo keyed by the tick and the budget fields ``features`` reads: each
-night's calibration walks the same five weekdays and reuses them. The
-memo's rows are read-only.
+``ThresholdWalk`` scores each run once per model and budget state, and
+finds the fire at a threshold by bisection over the run's prefix maxima.
+Calibration, the study's model mode and the trained policy of
+``timing_comparison`` share it. A tick's features do not read the model,
+so runs take them from one bounded memo keyed by the tick and the budget
+fields ``features`` reads: each night's calibration walks the same five
+weekdays and reuses them. The memo's rows are read-only.
 
 Time is one integer clock, the study-minute: ``day * 1440 + minute of
 day``, where day 0 is a Monday, so the weekday is ``day % 7``.
@@ -115,52 +116,56 @@ def next_eligible(budget: BudgetState, now: int) -> int | None:
     return None if tick >= _day_end(day, budget) else tick
 
 
-def eligible_ticks(day: int, budget: BudgetState) -> Iterator[int]:
-    """Start the budget's day and yield each grid tick of calendar day
-    ``day`` at which the hard rules allow a contact. The budget's
-    deliveries are re-read after each yield, so a ``record_delivery`` the
-    caller makes for one tick blocks the ticks that follow."""
+def _day_runs(day: int, budget: BudgetState) -> Iterator[tuple[int, int]]:
+    """Start the budget's day and yield ``(start, n)`` for each run of
+    calendar day ``day``: the ``n`` allowed ticks from ``start`` to the
+    window end while the budget's state holds. The caller records the
+    delivery at a tick of the run, if any; the next run starts at the
+    first allowed tick after it, and a run with no delivery ends the day."""
     budget.start_day()
     end = _day_end(day, budget)
     now = next_eligible(budget, day * DAY_MINUTES)
     while now is not None:
-        seen = budget.delivered_today, budget.last_delivery
-        yield now
-        now += TICK_MINUTES
-        # without a new delivery, the allowed ticks run on to the window end
-        if now >= end or (budget.delivered_today, budget.last_delivery) != seen:
-            now = next_eligible(budget, now)
+        delivered = budget.delivered_today
+        yield now, (end - now - 1) // TICK_MINUTES + 1
+        if budget.delivered_today == delivered:
+            return
+        now = next_eligible(budget, budget.last_delivery + TICK_MINUTES)
 
 
 def uniform_fires(day: int, budget: BudgetState, rng: np.random.Generator,
-                  rate: float) -> Iterator[int]:
-    """Start the budget's day and yield each tick of calendar day ``day``
-    at which a uniform trigger fires: the ticks of ``eligible_ticks`` where
-    ``rng.random() < rate``. The ticks and ``rng``'s stream are exactly
-    those of drawing one uniform per eligible tick, and the budget is
-    re-read after each yield.
+                  rate: float, history=None,
+                  key=None) -> Iterator[tuple[int, np.ndarray | None]]:
+    """Start the budget's day and yield ``(tick, features)`` at each tick
+    of calendar day ``day`` where a uniform trigger fires: the allowed
+    ticks where ``rng.random() < rate``. The ticks and ``rng``'s stream
+    are exactly those of drawing one uniform per allowed tick; the caller
+    records each delivery. With ``history``, each tick passed without a
+    fire is appended to it as an unlabeled ``(features, None, key)`` row
+    before the next fire is yielded; without it, features are None and
+    none are computed.
 
-    Until the next fire the eligible ticks are one contiguous run that
-    ends at the window end, so the run's uniforms are drawn in one block.
-    When one fires, the state saved before the block is restored and only
-    the draws up to the fire are redrawn. Restoring the whole state keeps
-    the 32-bit half-word that ``integers`` buffers between calls, which
+    Each run of allowed ticks draws its uniforms in one block. When one
+    fires, the state saved before the block is restored and only the draws
+    up to the fire are redrawn. Restoring the whole state keeps the 32-bit
+    half-word that ``integers`` buffers between calls, which
     ``bit_generator.advance`` would clear."""
-    budget.start_day()
-    end = _day_end(day, budget)
     bit_generator = rng.bit_generator
-    now = next_eligible(budget, day * DAY_MINUTES)
-    while now is not None:
+    for start, n in _day_runs(day, budget):
         saved = bit_generator.state
-        fired = rng.random((end - now - 1) // TICK_MINUTES + 1) < rate
+        fired = rng.random(n) < rate
         k = int(fired.argmax())  # the first fire, or 0 when none fires
-        if not fired[k]:
-            return
-        bit_generator.state = saved
-        rng.random(k + 1)
-        now += k * TICK_MINUTES
-        yield now
-        now = next_eligible(budget, now + TICK_MINUTES)
+        if fired[k]:
+            bit_generator.state = saved
+            rng.random(k + 1)
+        else:
+            k = n  # none fires: every tick of the run passes
+        if history is not None:
+            history.add_rows([features(start + i * TICK_MINUTES, budget)
+                              for i in range(k)], None, key)
+        if k < n:
+            now = start + k * TICK_MINUTES
+            yield now, None if history is None else features(now, budget)
 
 
 def features(now: int, budget: BudgetState) -> np.ndarray:
@@ -245,13 +250,11 @@ class TimingHistory:
     appending keeps a nightly refit from re-reading old rows. ``len``
     counts the rows appended."""
 
-    def __init__(self, rows=()):
+    def __init__(self):
         self._rows: dict = {}  # (feature bytes, label) -> [features, count]
         self._days: set = set()
         self._n_rows = 0
         self.n_labeled = 0
-        for row in rows:
-            self.append(row)
 
     def __len__(self) -> int:
         return self._n_rows
@@ -279,12 +282,10 @@ class TimingHistory:
             self.n_labeled += len(xs)
 
 
-def _unpack_history(history):
-    """The distinct feature rows of a history (a ``TimingHistory`` or an
-    iterable of rows), their labels (NaN for unlabeled), the labeled mask,
-    the row counts and the number of distinct day keys."""
-    if not isinstance(history, TimingHistory):
-        history = TimingHistory(history)
+def _unpack_history(history: TimingHistory):
+    """The distinct feature rows of a history, their labels (NaN for
+    unlabeled), the labeled mask, the row counts and the number of
+    distinct day keys."""
     if not history:
         raise ValueError("history is empty")
     if not history.n_labeled:
@@ -301,8 +302,8 @@ def _probabilities(model: TimingModel, X: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def composite_loss(model: TimingModel, history, daily_budget: float,
-                   budget_penalty: float) -> float:
+def composite_loss(model: TimingModel, history: TimingHistory,
+                   daily_budget: float, budget_penalty: float) -> float:
     """mean squared error over labeled rows + budget_penalty * (mean
     expected daily triggers - allowance)^2, where a day's expected triggers
     is the sum of its ticks' probabilities."""
@@ -316,7 +317,7 @@ def composite_loss(model: TimingModel, history, daily_budget: float,
 
 def train(
     model: TimingModel,
-    history,
+    history: TimingHistory,
     daily_budget: float,
     budget_penalty: float,
     epochs: int,
@@ -383,7 +384,7 @@ def train(
     return replace(model, weights=w, bias=b, feature_mean=mean, feature_scale=scale)
 
 
-def expected_daily_triggers(model: TimingModel, history) -> float:
+def expected_daily_triggers(model: TimingModel, history: TimingHistory) -> float:
     X, _, _, counts, n_days = _unpack_history(history)
     return float(counts @ _probabilities(model, X)) / n_days
 
@@ -417,11 +418,11 @@ class _Run:
 
     __slots__ = ("model", "state", "start", "n", "xs", "maxima", "at")
 
-    def __init__(self, model: TimingModel, start: int, budget: BudgetState):
+    def __init__(self, model: TimingModel, start: int, n: int, budget: BudgetState):
         self.model = model
         self.state = _state(budget)  # the features of every tick read it
         self.start = start
-        self.n = (_day_end(start // DAY_MINUTES, budget) - start - 1) // TICK_MINUTES + 1
+        self.n = n
         self.xs: list[np.ndarray] = []
         self.maxima: list[float] = []
         self.at: list[int] = []
@@ -475,13 +476,14 @@ class ThresholdWalk:
         self.model = model
         self._runs: dict = {}
 
-    def run(self, now: int, budget: BudgetState) -> _Run:
-        """The run of allowed ticks from ``now`` under ``budget``'s state;
-        ``now`` must be ``next_eligible``'s tick for it."""
+    def run(self, now: int, n: int, budget: BudgetState) -> _Run:
+        """The run of the ``n`` allowed ticks from ``now`` under
+        ``budget``'s state, as ``_day_runs`` yields it; ``n`` follows from
+        ``now`` and the state's window end."""
         key = (now, *_state(budget))
         run = self._runs.get(key)
         if run is None:
-            run = self._runs[key] = _Run(self.model, now, budget)
+            run = self._runs[key] = _Run(self.model, now, n, budget)
         return run
 
     def runs(self, day: int, budget: BudgetState,
@@ -491,16 +493,9 @@ class ThresholdWalk:
         ``k``-th prefix maximum, or not at all when ``k == len(run.maxima)``,
         which ends the day. The caller records the delivery at each fire;
         the budget is re-read after each yield."""
-        budget.start_day()
-        now = next_eligible(budget, day * DAY_MINUTES)
-        while now is not None:
-            run = self.run(now, budget)
-            k = run.first_at_least(theta)
-            fired = k < len(run.maxima)
-            yield run, k
-            if not fired:
-                return
-            now = next_eligible(budget, run.tick(k) + TICK_MINUTES)
+        for start, n in _day_runs(day, budget):
+            run = self.run(start, n, budget)
+            yield run, run.first_at_least(theta)
 
     def fires(self, day: int, budget: BudgetState, history=None,
               key=None) -> Iterator[tuple[int, np.ndarray]]:
@@ -581,7 +576,8 @@ def calibrate_threshold(model: TimingModel, shape: BudgetState) -> TimingModel:
     return replace(model, threshold=theta)
 
 
-def fit(history, shape: BudgetState, settings: dict) -> TimingModel:
+def fit(history: TimingHistory | None, shape: BudgetState,
+        settings: dict) -> TimingModel:
     """The timing model's whole fit under the budget rules of ``shape``:
     start from ``TimingModel.budget_init``, ``train`` it on ``history``
     (skipped when ``history`` is None, the cold start of a study with no

@@ -25,7 +25,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import date, datetime, time, timedelta
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +62,6 @@ from .scheduler import (
     BudgetState,
     ThresholdWalk,
     TimingHistory,
-    eligible_ticks,
-    features,
     fit,
     uniform_fires,
 )
@@ -590,8 +587,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 fires = timing_walk.fires(calendar_day, st.budget, timing_history,
                                           (pid, day_idx))
             else:
-                fires = zip(uniform_fires(calendar_day, st.budget, st.rng,
-                                          scfg["trigger_rate"]), repeat(None))
+                fires = uniform_fires(calendar_day, st.budget, st.rng,
+                                      scfg["trigger_rate"])
             for now, x in fires:
                 st.budget.record_delivery(now)
                 hour = now % DAY_MINUTES // 60
@@ -997,19 +994,12 @@ def timing_comparison(
 
         def uniform(q):
             """Fire at each allowed tick where ``rng.random() < q``."""
-            def fires(day, budget, history, key):
-                for now in eligible_ticks(day, budget):
-                    # features read the budget before this tick's delivery
-                    x = features(now, budget) if history is not None else None
-                    if rng.random() < q:
-                        yield now, x
-                    elif history is not None:
-                        history.append((x, None, key))
-            return fires
+            return lambda day, budget, history, key: uniform_fires(
+                day, budget, rng, q, history, key)
 
-        rows = []
-        walk(history_days, 0, uniform(3 / 84), rows)
-        model = fit(rows, shape, scfg)
+        history = TimingHistory()
+        walk(history_days, 0, uniform(3 / 84), history)
+        model = fit(history, shape, scfg)
 
         # the trained policy walks the same runs for every participant
         t_acc, t_rate = walk(eval_days, history_days, ThresholdWalk(model).fires)

@@ -15,7 +15,7 @@ import pytest
 
 from pcar.agent import AgentBundle, AttributeSchema, ContextBucket, ghost_audit
 from pcar.lsd import advance, initial_state
-from pcar.scheduler import TimingModel, composite_loss, train
+from pcar.scheduler import TimingHistory, TimingModel, composite_loss, train
 from pcar.stats import pearson, pss_trend, welch_t
 from pcar.study import (
     DEFAULT_CONFIG,
@@ -286,19 +286,19 @@ def test_criterion_9_scheduler_learning():
     assert abs(np.mean(comparison.trained_daily)
                - np.mean(comparison.uniform_daily)) < 0.5
 
-    rows = []
+    history = TimingHistory()
     rng = np.random.default_rng(0xC9)
     for day in range(4):
         for _ in range(30):
             x = np.zeros(10)
             x[0] = float(rng.normal(3.0, 0.5)) * (1 if rng.random() < 0.5 else -1)
-            rows.append((x, 1.0 if x[0] > 0 else 0.0, day))
+            history.append((x, 1.0 if x[0] > 0 else 0.0, day))
     model = TimingModel(weights=np.zeros(10))
-    losses = [composite_loss(model, rows, 3.0, 0.1)]
+    losses = [composite_loss(model, history, 3.0, 0.1)]
     for _ in range(100):
-        model = train(model, rows, daily_budget=3.0, budget_penalty=0.1, epochs=1,
+        model = train(model, history, daily_budget=3.0, budget_penalty=0.1, epochs=1,
                       step=0.05)
-        losses.append(composite_loss(model, rows, 3.0, 0.1))
+        losses.append(composite_loss(model, history, 3.0, 0.1))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     elapsed = time.time() - t0
     assert elapsed < 60.0

@@ -218,7 +218,7 @@ def test_budget_recheck_failure_prints_one_json_line(tmp_path, capsys,
     def every_tick(day, budget, rng, rate):  # fires ignoring the hard rules
         budget.start_day()
         for minute in SERVICE_TICKS:
-            yield day * 1440 + minute
+            yield day * 1440 + minute, None
 
     monkeypatch.setattr(pcar.study, "uniform_fires", every_tick)
     user = {"n_participants": 1, "weeks_per_phase": 1,
@@ -354,6 +354,22 @@ _BAD_VALUES = [
 ]
 
 
+def _swap_in(user: dict, key: str, value) -> None:
+    """Set the dotted ``key`` of a user config to ``value``."""
+    *parents, leaf = key.split(".")
+    node = user
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+
+
+@pytest.mark.parametrize("key, value", _BAD_VALUES)
+def test_every_bad_value_is_rejected_with_one_json_line(tmp_path, capsys, key, value):
+    user = {"n_participants": 1, "weeks_per_phase": 1}
+    _swap_in(user, key, value)
+    _run_fails_with_one_json_line(tmp_path, capsys, user)
+
+
 @st.composite
 def fuzz_configs(draw):
     """A valid config of a tiny study and a (dotted key, bad value) pair
@@ -422,22 +438,16 @@ def _run_config(user: dict) -> tuple[int, str, str]:
 @given(case=fuzz_configs())
 def test_fuzzed_configs_exit_zero_or_print_one_json_error(case):
     """A valid tiny config runs and exits 0. With one bad value swapped in,
-    ``pcar run`` either still succeeds or prints exactly one JSON error
-    line on stderr and exits nonzero; it never raises."""
+    ``pcar run`` exits nonzero with nothing on stdout and exactly one JSON
+    error line on stderr; it never raises. Every entry of ``_BAD_VALUES``
+    is one that ``load_config`` rejects."""
     user, (key, value) = case
     code, out, err = _run_config(user)
     assert code == 0 and err == "", err
     assert json.loads(out)["records"] >= 0
-    *parents, leaf = key.split(".")
-    node = user
-    for part in parents:
-        node = node[part]
-    node[leaf] = value
+    _swap_in(user, key, value)
     code, out, err = _run_config(user)
-    if code == 0:
-        assert err == ""
-        assert json.loads(out)["records"] >= 0
-    else:
-        lines = err.splitlines()
-        assert out == "" and len(lines) == 1
-        assert set(json.loads(lines[0])) == {"error"}
+    lines = err.splitlines()
+    assert code != 0, (key, value)
+    assert out == "" and len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}

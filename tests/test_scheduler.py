@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from datetime import date, timedelta
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from pcar.scheduler import (
     composite_loss,
     decide,
     eligible,
-    eligible_ticks,
     expected_daily_triggers,
     features,
     fit,
@@ -68,17 +68,6 @@ def test_eligible_gap_spans_days():
     assert eligible(b, at(TUESDAY, 10))
 
 
-def _walk(ticks, budget, deliver_at):
-    """Drive a tick iterator like a study does: deliver at the yielded
-    ticks whose positions are in ``deliver_at``."""
-    out = []
-    for i, now in enumerate(ticks):
-        out.append(now)
-        if i in deliver_at:
-            budget.record_delivery(now)
-    return out
-
-
 def _plain_ticks(day, budget):
     """Reference walk, written out: every 5 minutes from 08:00 to 20:55,
     each hard rule checked by hand, the weekday read off the calendar and
@@ -95,46 +84,6 @@ def _plain_ticks(day, budget):
                      or now - budget.last_delivery >= budget.min_gap_minutes)):
             yield now
         minute += 5
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    max_per_day=st.integers(0, 5),
-    min_gap=st.integers(0, 300),
-    window=st.tuples(st.integers(8 * 60, 21 * 60), st.integers(8 * 60, 21 * 60))
-    .filter(lambda w: w[0] < w[1]),
-    day=st.integers(0, 27),  # four calendar weeks
-    last_evening=st.one_of(st.none(), st.integers(17 * 60, 24 * 60 - 1)),
-    deliver_at=st.sets(st.integers(0, 160), max_size=8),
-)
-def test_eligible_ticks_matches_plain_loop(max_per_day, min_gap, window, day,
-                                           last_evening, deliver_at):
-    def budget():
-        last = None if last_evening is None else at(day - 1, 0, last_evening)
-        # yesterday's count: both walks must reset it
-        return BudgetState(delivered_today=max_per_day, last_delivery=last,
-                           max_per_day=max_per_day, min_gap_minutes=min_gap,
-                           window_start_minute=window[0],
-                           window_end_minute=window[1])
-
-    a, b = budget(), budget()
-    got = _walk(eligible_ticks(day, a), a, deliver_at)
-    want = _walk(_plain_ticks(day, b), b, deliver_at)
-    assert got == want
-    assert a == b
-
-
-def test_eligible_ticks_delivery_blocks_two_hours_and_cap_ends_day():
-    b = BudgetState()
-    assert len(list(eligible_ticks(TUESDAY, b))) == 156
-    assert len(list(eligible_ticks(SATURDAY, b))) == 0
-    seen = _walk(eligible_ticks(TUESDAY, b), b, {0, 1, 2})
-    assert seen == [at(TUESDAY, 8), at(TUESDAY, 10), at(TUESDAY, 12)]
-    assert b.delivered_today == 3
-    ticks = eligible_ticks(TUESDAY, b)  # a new day resets the count
-    assert next(ticks) == at(TUESDAY, 14)  # but the gap still counts
-    b.record_delivery(at(TUESDAY, 14))
-    assert next(ticks) == at(TUESDAY, 16)
 
 
 # budget shapes for the closed-form walks: the window start may be off the
@@ -171,19 +120,25 @@ def test_next_eligible_is_the_first_eligible_grid_tick(
     assert next_eligible(b, now) == want
 
 
-def _plain_fires(day, budget, rng, rate):
-    """Reference trigger: one uniform per eligible tick of the plain walk."""
+def _plain_fires(day, budget, rng, rate, history=None, key=None):
+    """Reference trigger: one uniform per eligible tick of the plain walk.
+    With ``history``, also one ``features`` row per tick: a fire yields
+    its row and a passed tick is appended unlabeled."""
     for now in _plain_ticks(day, budget):
+        x = None if history is None else features(now, budget)
         if rng.random() < rate:
-            yield now
+            yield now, x
+        elif history is not None:
+            history.append((x, None, key))
 
 
 def _contacts(fires, budget, rng, pools):
-    """Drive a trigger walk like a study does: deliver at every fire, then
-    draw ``rng.integers``, which buffers half of a 64-bit output between
-    calls, as ``catalog.resolve`` does."""
+    """Drive a trigger walk without a history like a study does: deliver
+    at every fire, then draw ``rng.integers``, which buffers half of a
+    64-bit output between calls, as ``catalog.resolve`` does."""
     out = []
-    for i, now in enumerate(fires):
+    for i, (now, x) in enumerate(fires):
+        assert x is None  # no history: no features are computed
         budget.record_delivery(now)
         out.append((now, int(rng.integers(pools[i % len(pools)]))))
     return out
@@ -302,6 +257,14 @@ def test_score_dimension_mismatch():
         score(TimingModel(weights=np.zeros(N_FEATURES)), np.zeros(3))
 
 
+def _history(rows):
+    """A ``TimingHistory`` of ``rows``, appended one by one."""
+    history = TimingHistory()
+    for row in rows:
+        history.append(row)
+    return history
+
+
 def _separable_history(n_per_class=40):
     rows = []
     for i in range(n_per_class):
@@ -315,11 +278,11 @@ def _separable_history(n_per_class=40):
 
 
 def test_train_fits_separable_set():
-    history = _separable_history()
-    m = train(TimingModel(weights=np.zeros(N_FEATURES)), history, daily_budget=3.0,
-              budget_penalty=0.0, epochs=500, step=0.05)
-    X = np.vstack([x for x, _, _ in history])
-    y = np.asarray([lab for _, lab, _ in history])
+    rows = _separable_history()
+    m = train(TimingModel(weights=np.zeros(N_FEATURES)), _history(rows),
+              daily_budget=3.0, budget_penalty=0.0, epochs=500, step=0.05)
+    X = np.vstack([x for x, _, _ in rows])
+    y = np.asarray([lab for _, lab, _ in rows])
     p = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias)))
     assert float(np.mean((p - y) ** 2)) < 0.05
 
@@ -331,25 +294,26 @@ def test_train_budget_pressure_reaches_allowance():
         for _ in range(12):
             x = rng.normal(0, 0.1, size=N_FEATURES)
             rows.append((x, 1.0, day))
-    m = train(TimingModel(weights=np.zeros(N_FEATURES)), rows,
+    history = _history(rows)
+    m = train(TimingModel(weights=np.zeros(N_FEATURES)), history,
               daily_budget=3.0, budget_penalty=10.0, epochs=5000, step=0.005)
-    assert abs(expected_daily_triggers(m, rows) - 3.0) < 0.5
+    assert abs(expected_daily_triggers(m, history) - 3.0) < 0.5
 
 
 def test_train_zero_epochs_returns_unchanged():
     m = TimingModel(weights=np.zeros(N_FEATURES))
-    rows = _separable_history(4)
-    out = train(m, rows, daily_budget=3.0, budget_penalty=0.1, epochs=0, step=0.05)
+    history = _history(_separable_history(4))
+    out = train(m, history, daily_budget=3.0, budget_penalty=0.1, epochs=0, step=0.05)
     assert np.array_equal(out.weights, m.weights) and out.bias == m.bias
 
 
 def test_train_loss_non_increasing_per_epoch():
-    rows = _separable_history(10)
+    history = _history(_separable_history(10))
     m = TimingModel(weights=np.zeros(N_FEATURES))
-    losses = [composite_loss(m, rows, 3.0, 0.1)]
+    losses = [composite_loss(m, history, 3.0, 0.1)]
     for _ in range(60):
-        m = train(m, rows, daily_budget=3.0, budget_penalty=0.1, epochs=1, step=0.05)
-        losses.append(composite_loss(m, rows, 3.0, 0.1))
+        m = train(m, history, daily_budget=3.0, budget_penalty=0.1, epochs=1, step=0.05)
+        losses.append(composite_loss(m, history, 3.0, 0.1))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -366,10 +330,11 @@ def test_day_sums_equal_plain_loop_on_unsorted_keys():
     for pi, (_, _, day) in zip(p, rows):
         totals[day] = totals.get(day, 0.0) + pi
     want = float(np.mean([totals[d] for d in sorted(totals)]))
-    assert expected_daily_triggers(m, rows) == want
+    history = _history(rows)
+    assert expected_daily_triggers(m, history) == want
     y = np.asarray([np.nan if lab is None else lab for _, lab, _ in rows])
     mse = float(np.mean((p[~np.isnan(y)] - y[~np.isnan(y)]) ** 2))
-    assert composite_loss(m, rows, 3.0, 0.2) == mse + 0.2 * (want - 3.0) ** 2
+    assert composite_loss(m, history, 3.0, 0.2) == mse + 0.2 * (want - 3.0) ** 2
 
 
 def _reference_unpack(rows):
@@ -430,16 +395,18 @@ def _duplicated_history():
 
 def test_merged_rows_match_per_row_reference():
     rows = _duplicated_history()
+    history = _history(rows)
     rng = np.random.default_rng(8)
     m = TimingModel(weights=rng.normal(size=N_FEATURES) * 0.3, bias=-1.0)
     X, _, _, days = _reference_unpack(rows)
     p = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias)))
-    assert math.isclose(expected_daily_triggers(m, rows),
+    assert math.isclose(expected_daily_triggers(m, history),
                         _reference_day_mean(p, days), rel_tol=1e-12)
-    assert math.isclose(composite_loss(m, rows, 3.0, 0.2),
+    assert math.isclose(composite_loss(m, history, 3.0, 0.2),
                         _reference_loss(m, rows, 3.0, 0.2), rel_tol=1e-12)
     start = TimingModel.budget_init(BudgetState())
-    got = train(start, rows, daily_budget=3.0, budget_penalty=0.2, epochs=3, step=0.05)
+    got = train(start, history, daily_budget=3.0, budget_penalty=0.2, epochs=3,
+                step=0.05)
     w, b, mean, scale = _reference_train(start, rows, 3.0, 0.2, epochs=3, step=0.05)
     np.testing.assert_allclose(got.feature_mean, mean, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(got.feature_scale, scale, rtol=1e-10)
@@ -448,17 +415,22 @@ def test_merged_rows_match_per_row_reference():
 
 
 def test_timing_history_appended_row_by_row_trains_like_a_list():
+    """A history appended row by row equals one fed the same list of rows
+    through ``add_rows``, one call per run of rows with one label and day
+    key, as the walks feed it; both train alike."""
     rows = _duplicated_history()
-    history = TimingHistory()
-    for row in rows:
-        history.append(row)
+    history = _history(rows)
     assert len(history) == len(rows)
     assert history.n_labeled == sum(lab is not None for _, lab, _ in rows)
+    batched = TimingHistory()
+    for (y, day), run in groupby(rows, key=lambda row: (row[1], row[2])):
+        batched.add_rows([x for x, _, _ in run], y, day)
+    assert _history_rows(batched) == _history_rows(history)
     start = TimingModel.budget_init(BudgetState())
     a = train(start, history, daily_budget=3.0, budget_penalty=0.2, epochs=5, step=0.05)
-    b = train(start, rows, daily_budget=3.0, budget_penalty=0.2, epochs=5, step=0.05)
+    b = train(start, batched, daily_budget=3.0, budget_penalty=0.2, epochs=5, step=0.05)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
-    assert expected_daily_triggers(a, history) == expected_daily_triggers(a, rows)
+    assert expected_daily_triggers(a, history) == expected_daily_triggers(a, batched)
 
 
 def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step):
@@ -544,7 +516,7 @@ def _uncached_threshold(model, daily_budget=3, min_gap=120, window=(480, 1260),
             budget = BudgetState(max_per_day=daily_budget, min_gap_minutes=min_gap,
                                  window_start_minute=window[0],
                                  window_end_minute=window[1])
-            for now in eligible_ticks(day, budget):
+            for now in _plain_ticks(day, budget):
                 if score(model, features(now, budget)) >= theta:
                     budget.record_delivery(now)
                     total += 1
@@ -617,7 +589,7 @@ def _same_model(a, b):
 
 @pytest.mark.parametrize("daily_budget", [2, 3])
 def test_fit_is_budget_init_train_calibrate(daily_budget):
-    rows = _duplicated_history()
+    history = _history(_duplicated_history())
     block = dict(DEFAULT_CONFIG["scheduler"], budget_penalty=0.2, train_epochs=7,
                  train_step=0.03)
     for shape in (BudgetState(max_per_day=daily_budget),
@@ -625,9 +597,9 @@ def test_fit_is_budget_init_train_calibrate(daily_budget):
         cold = TimingModel.budget_init(shape)
         _same_model(fit(None, shape, block),
                     calibrate_threshold(cold, shape))
-        trained = train(cold, rows, daily_budget=daily_budget, budget_penalty=0.2,
+        trained = train(cold, history, daily_budget=daily_budget, budget_penalty=0.2,
                         epochs=7, step=0.03)
-        _same_model(fit(rows, shape, block),
+        _same_model(fit(history, shape, block),
                     calibrate_threshold(trained, shape))
 
 
@@ -641,7 +613,12 @@ def test_run_memo_keeps_budget_states_and_shapes_apart():
             ("delivered_today", 2), ("last_delivery", at(TUESDAY, 8)),
             ("max_per_day", 4), ("max_per_day", 5), ("window_end_minute", 1200),
             ("window_start_minute", 600))]
-    runs = [walk.run(now, b) for b in budgets]
+
+    def run_of(b):
+        """The run from ``now`` to ``b``'s window end."""
+        return walk.run(now, (b.window_end_minute - 12 * 60) // 5, b)
+
+    runs = [run_of(b) for b in budgets]
     for b, run in zip(budgets, runs):
         run.first_at_least(math.inf)  # no score reaches it: the whole run
         ticks = range(now, b.window_end_minute + TUESDAY * 1440, 5)
@@ -649,17 +626,17 @@ def test_run_memo_keeps_budget_states_and_shapes_apart():
         for x, tick in zip(run.xs, ticks):
             assert np.array_equal(x, features(tick, b))
         assert run.maxima[0] == score(m, features(now, b))
-        assert walk.run(now, b) is run  # a repeat is a hit
+        assert run_of(b) is run  # a repeat is a hit
     assert len({run.maxima[0] for run in runs}) == len(budgets)
     # fresh budgets with different allowances have equal features, but
     # still never share a run
     fresh = [BudgetState(max_per_day=k) for k in (3, 4, 5)]
-    assert len({id(walk.run(now, b)) for b in fresh}) == len(fresh)
+    assert len({id(run_of(b)) for b in fresh}) == len(fresh)
 
 
 def _per_tick_fires(model, day, budget, history, key):
-    """Reference: score every tick of ``eligible_ticks`` in turn."""
-    for now in eligible_ticks(day, budget):
+    """Reference: score every tick of the plain walk in turn."""
+    for now in _plain_ticks(day, budget):
         x = features(now, budget)
         if score(model, x) >= model.threshold:
             yield now, x
@@ -671,7 +648,7 @@ def _per_tick_outcome(model, days, shape, theta):
     total, below, above = 0, -math.inf, math.inf
     for day in days:
         budget = replace(shape, delivered_today=0, last_delivery=None)
-        for now in eligible_ticks(day, budget):
+        for now in _plain_ticks(day, budget):
             s = score(model, features(now, budget))
             if s >= theta:
                 above = min(above, s)
@@ -736,10 +713,30 @@ def test_threshold_walk_equals_per_tick_scoring(max_per_day, min_gap, window, da
     assert _history_rows(got) == _history_rows(want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(**_SHAPES,
+       rate=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_uniform_fires_with_a_history_matches_one_draw_and_row_per_tick(
+        max_per_day, min_gap, window, day, last_evening, rate, seed):
+    a = _shape(max_per_day, min_gap, window, day, last_evening)
+    b = replace(a)
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = TimingHistory(), TimingHistory()
+    for d in range(day, day + 3):  # the gap, the RNG and the history carry over
+        key = (0, d)
+        fired = _contact_all(uniform_fires(d, a, rng_a, rate, got, key), a, got, key)
+        assert fired == _contact_all(_plain_fires(d, b, rng_b, rate, want, key),
+                                     b, want, key)
+        assert a == b
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert _history_rows(got) == _history_rows(want)
+
+
 def test_train_empty_history_rejected():
     with pytest.raises(ValueError):
-        train(TimingModel(weights=np.zeros(N_FEATURES)), [], daily_budget=3.0,
-              budget_penalty=0.1, epochs=500, step=0.05)
+        train(TimingModel(weights=np.zeros(N_FEATURES)), TimingHistory(),
+              daily_budget=3.0, budget_penalty=0.1, epochs=500, step=0.05)
 
 
 def test_decide_requires_grid_alignment():
