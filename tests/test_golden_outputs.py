@@ -57,6 +57,9 @@ STUDIES = {
                             "weeks_per_phase": 1,
                             "agent": {"pretrain_on_phase1": False}},
 }
+# the study-model benchmark workload's shape and its two study seeds
+MODEL_WORKLOAD = [{"seed": seed, "n_participants": 28, "weeks_per_phase": 2,
+                   "scheduler": {"mode": "model"}} for seed in (4, 5)]
 TIMING = dict(seeds=2, n_participants=4, history_days=5, eval_days=3)
 # a default study with Welch rows in both phases
 REPORT_STUDY = {"seed": 2000}
@@ -86,6 +89,11 @@ def _sha256(text: str) -> str:
 
 def _records_digest(name: str) -> str:
     return _sha256(run_study(dict(STUDIES[name])).records_csv())
+
+
+def _model_workload_digest() -> str:
+    return _sha256("".join(run_study(dict(cfg)).records_csv()
+                           for cfg in MODEL_WORKLOAD))
 
 
 def _timing_digest() -> str:
@@ -142,6 +150,7 @@ def _learner_digest() -> str:
 
 def _compute() -> dict:
     out = {name: _records_digest(name) for name in STUDIES}
+    out["records_model_workload"] = _model_workload_digest()
     out["timing_comparison"] = _timing_digest()
     out.update(_report_digests())
     out["sweep_csv"] = _sweep_digest()
@@ -158,6 +167,10 @@ def golden() -> dict:
 @pytest.mark.parametrize("name", sorted(STUDIES))
 def test_records_csv_matches_golden(golden, name):
     assert _records_digest(name) == golden[name]
+
+
+def test_records_model_workload_matches_golden(golden):
+    assert _model_workload_digest() == golden["records_model_workload"]
 
 
 def test_timing_comparison_matches_golden(golden):
