@@ -23,8 +23,8 @@ Training merges identical (features, label) history rows into one row
 with a count (``TimingHistory``), so a night's refit costs as much as its
 distinct rows. In a study every participant shares one model and fires
 deterministically, so the cohort walks few distinct budget states.
-``ThresholdWalk`` scores each run once per model and budget state, and
-finds the fire at a threshold by bisection over the run's prefix maxima.
+``ThresholdWalk`` scores each run once per model and budget state, as
+``score`` does, and bisects the run's prefix maxima for a threshold.
 Calibration, the study's model mode and the trained policy of
 ``timing_comparison`` share it. A tick's features do not read the model,
 so runs take them from one bounded memo keyed by the tick and the budget
@@ -232,7 +232,10 @@ def score(model: TimingModel, x: np.ndarray) -> float:
         raise ValueError(
             f"feature dimension {x.shape} does not match model {model.weights.shape}"
         )
-    z = float(model.weights @ _standardized(model, x) + model.bias)
+    return _sigmoid(float(model.weights @ _standardized(model, x) + model.bias))
+
+
+def _sigmoid(z: float) -> float:
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
     ez = math.exp(z)
@@ -333,10 +336,14 @@ def train(
     merged row is weighted by its count. The budget term averages the
     expected triggers over the distinct day keys of the history, so a
     study keys its rows by participant-day. The epochs allocate nothing:
-    each writes its intermediates into buffers made once per call, with
-    the same operations in the same order as the expressions in the
-    comments (at most the two operands of one product or sum trade places,
-    which is exact), so the fit is bit-identical to evaluating them."""
+    they write into buffers made once per call, and the fit is
+    bit-identical to the expressions in the comments, no sum regrouped.
+    ``z`` is ``(-X) @ w - b``: rounding is symmetric in sign, and ``exp``
+    erases the sign of a zero ``z``. One factor, 2 on labeled rows and 0
+    elsewhere, stands for the 2 and the zeroing of unlabeled rows: there
+    ``p`` and ``p (1 - p)`` are >= +0, so each step gives +0.0.
+    ``X.T @ g`` keeps ``X``: a sum of zeros does not negate exactly
+    (``+0 + -0`` is +0), and with ``step`` 0 that sign reaches the weights."""
     X, y, labeled, counts, n_days = _unpack_history(history)
     n_rows = counts.sum()
     if model.feature_mean is None:
@@ -350,15 +357,15 @@ def train(
     b = model.bias
     n_labeled = counts[labeled].sum()
     y_fit = np.where(labeled, y, 0.0)
-    unlabeled = ~labeled
+    two_labeled = np.where(labeled, 2.0, 0.0)
+    Xn = -X
     # one buffer per intermediate, reused by every epoch
     z, p, sig_grad, g, tmp = (np.empty(len(X)) for _ in range(5))
     dw = np.empty_like(w)
 
     for _ in range(epochs):
-        np.matmul(X, w, out=z)
-        z += b
-        np.negative(z, out=z)
+        np.dot(Xn, w, z)
+        z -= b  # z = -(X @ w + b)
         np.exp(z, out=z)
         z += 1.0
         np.divide(1.0, z, out=p)  # p = 1 / (1 + exp(-(X @ w + b)))
@@ -366,21 +373,20 @@ def train(
         sig_grad *= p  # p * (1 - p)
         # classification term over labeled rows: 2 (p - y) p (1 - p) / n_labeled
         np.subtract(p, y_fit, out=g)
-        g *= 2.0
+        g *= two_labeled
         g *= sig_grad
         g /= n_labeled
-        np.copyto(g, 0.0, where=unlabeled)
         # budget-pressure term over every eligible tick
         pressure = 2.0 * budget_penalty * (
-            float(counts @ p) / n_days - daily_budget)
+            float(np.dot(counts, p)) / n_days - daily_budget)
         np.multiply(sig_grad, pressure, out=tmp)
         tmp /= n_days
         g += tmp  # g += pressure * sig_grad / n_days
         g *= counts
-        np.matmul(X.T, g, out=dw)
+        np.dot(X.T, g, dw)
         dw *= step
         w -= dw  # w -= step * (X.T @ g)
-        b -= step * float(g.sum())
+        b -= step * float(np.add.reduce(g))
     return replace(model, weights=w, bias=b, feature_mean=mean, feature_scale=scale)
 
 
@@ -439,10 +445,13 @@ class _Run:
             return k
         xs = self.xs
         top = maxima[-1] if maxima else -math.inf
+        m = self.model
+        w, b, mean, scale = m.weights, m.bias, m.feature_mean, m.feature_scale
         while len(xs) < self.n:
             i = len(xs)
             x = _tick_features(self.start + i * TICK_MINUTES, *self.state)
-            s = score(self.model, x)
+            # score(m, x) without its per-call checks
+            s = _sigmoid(float(w @ (x if mean is None else (x - mean) / scale) + b))
             xs.append(x)
             if s > top:
                 top = s
@@ -466,11 +475,11 @@ class ThresholdWalk:
     the tick and the budget state and shape. So each run is kept once per
     state, shared by every walk over it (the passes of a calibration, the
     participants of a study) and scanned only as far as a threshold needs.
-    Each tick is scored through ``features`` (by way of the module's
-    features memo, so a tick's row is computed once per budget state
-    across every model) and ``score``, so fires and history rows are those
-    of scoring every allowed tick in turn. The feature arrays handed out
-    are shared and read-only."""
+    Each tick's row comes from ``features`` by way of the module's memo
+    (computed once per budget state across every model) and is scored
+    with ``score``'s expression on the model, read once per scan, so fires
+    and history rows are those of ``score`` on every allowed tick in turn.
+    The feature arrays handed out are shared and read-only."""
 
     def __init__(self, model: TimingModel):
         self.model = model

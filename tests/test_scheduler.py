@@ -469,13 +469,17 @@ def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step
 @st.composite
 def _fit_cases(draw):
     """A merged history with 1..all distinct rows labeled, a start model
-    (with a preset standardization or without) and descent settings."""
+    (with a preset standardization or without) and descent settings. A
+    history has a few distinct rows or as many as a study's night does.
+    Up to three weekday columns hold one value in every row, as on a
+    night that saw one weekday: standardized, they are zeros."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_distinct = draw(st.integers(1, 40))
+    n_distinct = draw(st.one_of(st.integers(1, 40), st.integers(300, 700)))
     n_labeled = draw(st.integers(1, n_distinct))
-    distinct = [(rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 5.0])),
-                            size=N_FEATURES),
-                 float(rng.integers(2)) if i < n_labeled else None)
+    rows = rng.normal(size=(n_distinct, N_FEATURES)) * rng.choice(
+        [0.1, 1.0, 5.0], size=(n_distinct, 1))
+    rows[:, 2:2 + draw(st.integers(0, 3))] = float(rng.integers(2))
+    distinct = [(rows[i], float(rng.integers(2)) if i < n_labeled else None)
                 for i in range(n_distinct)]
     n_days = draw(st.integers(1, 6))
     history = TimingHistory()
@@ -494,7 +498,31 @@ def _fit_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=_fit_cases())
 def test_train_is_bit_identical_to_the_allocating_loop(case):
-    model, history, daily_budget, penalty, epochs, step = case
+    _assert_train_matches_the_allocating_loop(*case)
+
+
+def test_train_is_bit_identical_to_the_allocating_loop_past_10000_rows():
+    """A history as large as ``timing_comparison``'s fits, whose dot
+    products take BLAS's long-vector paths. Every row falls on a Monday,
+    so the weekday columns standardize to zeros, and the start weights
+    there are -0.0: only a sum of zeros computed as the plain loop does
+    keeps their sign."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(scale=2.0, size=(10_500, N_FEATURES))
+    X[:, 2:7] = [1.0, 0.0, 0.0, 0.0, 0.0]
+    history = TimingHistory()
+    for y, rows in ((1.0, X[:300]), (0.0, X[300:700]), (None, X[700:])):
+        history.add_rows(list(rows), y, (0, 0))
+    history.add_rows(list(X[:2000:3]), None, (0, 1))
+    assert len(history._rows) >= 10_001
+    weights = rng.normal(size=N_FEATURES)
+    weights[2:7] = -0.0
+    model = TimingModel(weights=weights, bias=-1.5)
+    _assert_train_matches_the_allocating_loop(model, history, 3, 0.1, 4, 0.05)
+
+
+def _assert_train_matches_the_allocating_loop(model, history, daily_budget,
+                                              penalty, epochs, step):
     with np.errstate(over="ignore"):  # a steep sigmoid may saturate to 0
         got = train(model, history, daily_budget, penalty, epochs, step)
         want = _allocating_train(model, history, daily_budget, penalty, epochs, step)
@@ -532,18 +560,32 @@ def _uncached_threshold(model, daily_budget=3, min_gap=120, window=(480, 1260),
     return min(max(lo, 1e-9), 1.0 - 1e-9)
 
 
+# a trained model's feature standardization, or none (a cold model's)
+_STANDARDIZATIONS = st.one_of(st.none(), st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=N_FEATURES, max_size=N_FEATURES),
+    st.lists(st.floats(0.05, 3.0), min_size=N_FEATURES, max_size=N_FEATURES)))
+
+
+def _model(weights, bias, standardization):
+    m = TimingModel(weights=np.asarray(weights), bias=bias)
+    if standardization is not None:
+        m.feature_mean, m.feature_scale = map(np.asarray, standardization)
+    return m
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     weights=st.lists(st.floats(-3.0, 3.0), min_size=N_FEATURES,
                      max_size=N_FEATURES),
     bias=st.floats(-6.0, 6.0),
+    standardization=_STANDARDIZATIONS,
     daily_budget=st.integers(1, 4),
     min_gap=st.sampled_from([30, 120]),
     window=st.sampled_from([(480, 1260), (480, 780), (600, 1020)]),
 )
-def test_calibrate_threshold_equals_uncached_bisection(weights, bias, daily_budget,
-                                                      min_gap, window):
-    m = TimingModel(weights=np.asarray(weights), bias=bias)
+def test_calibrate_threshold_equals_uncached_bisection(weights, bias, standardization,
+                                                      daily_budget, min_gap, window):
+    m = _model(weights, bias, standardization)
     shape = BudgetState(max_per_day=daily_budget, min_gap_minutes=min_gap,
                         window_start_minute=window[0], window_end_minute=window[1])
     got = calibrate_threshold(m, shape).threshold
@@ -680,11 +722,13 @@ def _history_rows(history):
        weights=st.lists(st.floats(-3.0, 3.0), min_size=N_FEATURES,
                         max_size=N_FEATURES),
        bias=st.floats(-6.0, 6.0),
+       standardization=_STANDARDIZATIONS,
        thetas=st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 155)),
                        min_size=1, max_size=4))
 def test_threshold_walk_equals_per_tick_scoring(max_per_day, min_gap, window, day,
-                                                last_evening, weights, bias, thetas):
-    model = TimingModel(weights=np.asarray(weights), bias=bias)
+                                                last_evening, weights, bias,
+                                                standardization, thetas):
+    model = _model(weights, bias, standardization)
     shape = _shape(max_per_day, min_gap, window, day, last_evening)
     fresh = replace(shape, delivered_today=0, last_delivery=None)
 
