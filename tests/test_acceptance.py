@@ -2,7 +2,9 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 The simulated-study criteria share one 20-seed batch of default-config
-runs; seeds are frozen so results are reproducible bit-for-bit.
+runs, the ``study_batch`` session fixture of ``conftest.py``; seeds are
+frozen so results are reproducible bit-for-bit. Criterion 3's oracle
+check is the ``oracle_default`` session fixture there.
 """
 
 import math
@@ -13,21 +15,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import ACCEPTANCE_SEEDS
 from pcar.agent import AgentBundle, AttributeSchema, ContextBucket, ghost_audit
 from pcar.lsd import advance, initial_state
 from pcar.scheduler import TimingHistory, TimingModel, composite_loss, train
 from pcar.stats import pearson, pss_trend, welch_t
-from pcar.study import (
-    DEFAULT_CONFIG,
-    load_config,
-    oracle_check,
-    run_study,
-    timing_comparison,
-)
+from pcar.study import DEFAULT_CONFIG, load_config, run_study, timing_comparison
 
 mpmath.mp.dps = 50
-
-ACCEPTANCE_SEEDS = list(range(2000, 2020))
 
 PERIOD_CTXS = [
     ContextBucket(period=p, trait_bucket=t)
@@ -38,16 +33,6 @@ PERIOD_CTXS = [
 
 def note(line: str) -> None:
     print(f"\n{line}")
-
-
-@pytest.fixture(scope="module")
-def study_batch():
-    logs = []
-    t0 = time.time()
-    for seed in ACCEPTANCE_SEEDS:
-        logs.append(run_study({"seed": seed}))
-    elapsed = time.time() - t0
-    return logs, elapsed
 
 
 def _mean_of_means(per_pid):
@@ -130,11 +115,8 @@ def test_criterion_2_ghost_factorization():
          f"({elapsed:.2f}s)")
 
 
-def test_criterion_3_oracle_equivalence():
-    t0 = time.time()
-    result = oracle_check(k=2, tau_max=2, horizon=10, seeds=20, episodes=5000,
-                          threshold=0.95, required=18)
-    elapsed = time.time() - t0
+def test_criterion_3_oracle_equivalence(oracle_default):
+    result, elapsed = oracle_default  # conftest.ORACLE_DEFAULT, timed
     reached = sum(f >= 0.95 for f in result.fractions)
     assert result.optimal_total == pytest.approx(10.5)
     assert reached >= 18, result.fractions

@@ -9,7 +9,12 @@ optimum): one the learner solves outright and one it does not, whose
 fractions below 1 move with the learner's values. The learner's own
 values are pinned too: the Q tables of a two-attribute bundle driven over
 a fixed set of trajectories, with a clock clip below the cap so that
-clocks share table entries.
+clocks share table entries. Two keys digest the session fixtures of
+``conftest.py``: the log hashes of the 20-seed acceptance batch and the
+fractions of criterion 3's oracle check. Criterion 9's
+``timing_comparison(seeds=20)`` is not pinned: its fits pass 10,000
+distinct rows, where numpy's BLAS may thread the ``counts @ p`` dot
+product, so its last bits could depend on the core count.
 
 The values in ``data/golden_outputs.json`` were recorded once; a refactor
 that claims to keep behaviour must leave every one of them unchanged.
@@ -27,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import acceptance_batch, default_oracle_check
 from pcar.agent import (
     PERIODS,
     AgentBundle,
@@ -120,7 +126,15 @@ def _sweep_digest() -> str:
 
 
 def _oracle_digest(name: str) -> str:
-    return _sha256(json.dumps(oracle_check(**ORACLE[name]).fractions))
+    return _fractions_digest(oracle_check(**ORACLE[name]))
+
+
+def _fractions_digest(result) -> str:
+    return _sha256(json.dumps(result.fractions))
+
+
+def _log_hashes_digest(logs) -> str:
+    return _sha256("".join(log.log_hash() for log in logs))
 
 
 def _learner_digest() -> str:
@@ -156,6 +170,8 @@ def _compute() -> dict:
     out["sweep_csv"] = _sweep_digest()
     out.update({name: _oracle_digest(name) for name in ORACLE})
     out["learner_q"] = _learner_digest()
+    out["acceptance_log_hashes"] = _log_hashes_digest(acceptance_batch())
+    out["oracle_fractions_default"] = _fractions_digest(default_oracle_check())
     return out
 
 
@@ -198,6 +214,16 @@ def test_oracle_fractions_unsolved_match_golden(golden):
 
 def test_learner_q_matches_golden(golden):
     assert _learner_digest() == golden["learner_q"]
+
+
+def test_acceptance_log_hashes_match_golden(golden, study_batch):
+    logs, _ = study_batch
+    assert _log_hashes_digest(logs) == golden["acceptance_log_hashes"]
+
+
+def test_oracle_fractions_default_match_golden(golden, oracle_default):
+    result, _ = oracle_default
+    assert _fractions_digest(result) == golden["oracle_fractions_default"]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
