@@ -103,6 +103,11 @@ class AttributeSchema:
             )
         return tuple(self.value_index(i, v) for i, v in enumerate(vector))
 
+    def value_names(self, indices: tuple[int, ...]) -> tuple[str, ...]:
+        """The value names at per-attribute indices: ``validate_vector``'s
+        inverse."""
+        return tuple(vs[i] for (_, vs), i in zip(self.attributes, indices, strict=True))
+
 
 class QModel:
     """Per-agent action-value table ``q``, keyed by (value index, clipped
@@ -153,12 +158,12 @@ class AgentBundle:
     """A team of independent per-attribute learners sharing one reward.
 
     Callers keep the clocks (e.g. one set per participant, or one per
-    episode), pass them to ``select_action``, record each choice as a
-    ``Selection`` and learn through ``td_step`` and ``end_episode``. The
-    bundle's internal clocks and the methods that step them (``step``,
-    ``update``, ``finish_episode``, ``greedy_action``, ``apply_action``,
-    ``snapshot_selection``) now serve only acceptance criterion 2 and the
-    tests; they run on the same ``select_action`` and ``td_step``.
+    episode), pass them to ``select_action``, learn from the ``Selection``
+    it returns through ``td_step`` and close trajectories with
+    ``end_episode``. The internal clocks and the name-based methods that
+    step them (``step``, ``update``, ``finish_episode``, ``greedy_action``,
+    ``apply_action``, ``snapshot_selection``) serve only the tests and the
+    benchmark's trace table; they run on ``select_action`` and ``td_step``.
 
     ``settings`` is a study config's ``agent`` block (see
     ``study.DEFAULT_CONFIG``) with an integer ``epsilon_decay_steps``: it
@@ -251,34 +256,36 @@ class AgentBundle:
 
     def select_action(
         self, ctx: ContextBucket, clocks: list[LsdState] | None = None
-    ) -> tuple[str, ...]:
+    ) -> Selection:
         """Epsilon-greedy choice per agent over the current (or supplied)
-        clocks. One uniform draw is consumed per agent regardless of
-        epsilon, so streams stay aligned across configurations. Clocks that
-        are not one state per agent with one clock per value raise ValueError
-        before any draw."""
+        clocks, as the Selection of the context's bucket, the chosen value
+        indices and their clocks. Each agent draws one uniform whatever
+        epsilon is, so streams stay aligned, then an integer when exploring.
+        Clocks that are not one state per agent with one clock per value, or
+        an unconfigured trait bucket, raise ValueError before any draw."""
         clocks = self._clocks if clocks is None else clocks
         if [len(c.taus) for c in clocks] != self._arms:
             raise ValueError(f"clocks must give {self._arms} arms per agent")
         bucket = ctx.index(self.n_trait_buckets)
         eps, rng = self.epsilon(), self.rng
-        out = []
-        for p, (_, values) in enumerate(self.schema.attributes):
+        idx, taus = [], []
+        for p, n in enumerate(self._arms):
+            state = clocks[p]
             if rng.random() < eps:
-                out.append(values[int(rng.integers(len(values)))])
+                i = int(rng.integers(n))
             else:
-                out.append(values[self._greedy_index(p, clocks[p], bucket)])
-        return tuple(out)
+                i = self._greedy_index(p, state, bucket)
+            idx.append(i)
+            taus.append(state.taus[i])
+        return Selection(bucket, tuple(idx), tuple(taus))
 
     def greedy_action(self, ctx: ContextBucket) -> tuple[str, ...]:
         """Pure argmax choice over the internal clocks; consumes no
         randomness."""
         bucket = ctx.index(self.n_trait_buckets)
-        idx = [
-            self._greedy_index(p, self._clocks[p], bucket)
-            for p in range(self.schema.n_attributes)
-        ]
-        return tuple(self.schema.values(p)[i] for p, i in enumerate(idx))
+        return self.schema.value_names(
+            [self._greedy_index(p, c, bucket) for p, c in enumerate(self._clocks)]
+        )
 
     def snapshot_selection(
         self, ctx: ContextBucket, action: tuple[str, ...], clocks: list[LsdState]
@@ -378,11 +385,10 @@ class AgentBundle:
         advance once. Returns that action."""
         prev = self.snapshot_selection(ctx, action, self._clocks)
         advanced = self._advanced(prev.value_indices)
-        next_action = self.select_action(next_ctx, advanced)
-        nxt = self.snapshot_selection(next_ctx, next_action, advanced)
+        nxt = self.select_action(next_ctx, advanced)
         self.td_step(prev, reward, nxt)
         self._clocks = advanced
-        return next_action
+        return self.schema.value_names(nxt.value_indices)
 
     def finish_episode(
         self, ctx: ContextBucket, action: tuple[str, ...], reward: float
@@ -506,11 +512,9 @@ def ghost_audit(
 
 def random_policy(
     schema: AttributeSchema, rng: np.random.Generator
-) -> tuple[str, ...]:
-    """Uniform independent draw per attribute."""
-    return tuple(
-        values[int(rng.integers(len(values)))] for _, values in schema.attributes
-    )
+) -> tuple[int, ...]:
+    """Value indices from one uniform integer draw per attribute, in order."""
+    return tuple(int(rng.integers(len(values))) for _, values in schema.attributes)
 
 
 # -- planning oracle -----------------------------------------------------------

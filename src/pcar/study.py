@@ -609,11 +609,13 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 if treated:
                     ctx = ContextBucket.from_hour(hour, p.trait_bucket)
                     if st.group == "pcar":
-                        action = bundle.select_action(ctx, clocks=st.clocks)
+                        sel = bundle.select_action(ctx, clocks=st.clocks)
                     else:
-                        action = random_policy(schema, st.rng)
-                    idx = schema.validate_vector(action)
-                    taus = tuple(st.clocks[a].taus[i] for a, i in enumerate(idx))
+                        idx = random_policy(schema, st.rng)
+                        sel = Selection(ctx.index(TRAIT_BUCKETS), idx, tuple(
+                            c.taus[i] for c, i in zip(st.clocks, idx)))
+                    idx, taus = sel.value_indices, sel.taus
+                    action = schema.value_names(idx)
                     rec.attribute_values, rec.taus_before = action, taus
                     rec.intervention_id = resolve(catalog, action, st.rng).id
                 rec.completed = st.rng.random() < ccfg["completion_rate"]
@@ -629,7 +631,6 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                     continue
                 if rec.completed:
                     st.engagement = update_engagement(p, st.engagement, felt)
-                    sel = Selection(ctx.index(TRAIT_BUCKETS), idx, taus)
                     if st.group == "pcar":
                         if st.pending is not None:
                             bundle.td_step(*st.pending, sel)
@@ -863,22 +864,16 @@ def train_on_instance(
                     epsilon_decay_steps=episodes * horizon)
     bundle = AgentBundle(schema, settings, n_trait_buckets=1, seed=seed)
     ctx = ContextBucket(period="morning", trait_bucket=0)
-    bucket = ctx.index(bundle.n_trait_buckets)
     start = initial_state(k, tau_max)
-
-    def choose(state: LsdState) -> Selection:
-        arm = int(bundle.select_action(ctx, [state])[0])
-        return Selection(bucket, (arm,), (state.taus[arm],))
-
     for _ in range(episodes):
         state = start
-        sel = choose(state)
+        sel = bundle.select_action(ctx, [state])
         for t in range(horizon):
             arm = sel.value_indices[0]
             r = reward_fn(arm, sel.taus[0])
             state = advance(state, arm)
             # the follow-up is chosen before the update, at the old epsilon
-            nxt = choose(state) if t < horizon - 1 else None
+            nxt = bundle.select_action(ctx, [state]) if t < horizon - 1 else None
             bundle.td_step(sel, r, nxt)
             sel = nxt
         bundle.end_episode()

@@ -92,12 +92,16 @@ def test_criterion_2_ghost_factorization():
                     epsilon_decay_steps=1000, q_tau_clip=None)
     bundle = AgentBundle(schema, settings, n_trait_buckets=2, seed=0xC2)
     rng = np.random.default_rng(0xC2)
-    ctx = PERIOD_CTXS[0]
-    action = bundle.select_action(ctx)
+    # one on-policy chain over caller-held clocks, starting all rested
+    clocks = [initial_state(len(values), bundle.tau_max)
+              for _, values in schema.attributes]
+    sel = bundle.select_action(PERIOD_CTXS[0], clocks)
     for _ in range(1000):
         nxt_ctx = PERIOD_CTXS[int(rng.integers(len(PERIOD_CTXS)))]
-        action = bundle.step(ctx, action, float(rng.normal()), nxt_ctx)
-        ctx = nxt_ctx
+        clocks = [advance(c, i) for c, i in zip(clocks, sel.value_indices)]
+        nxt = bundle.select_action(nxt_ctx, clocks)
+        bundle.td_step(sel, float(rng.normal()), nxt)
+        sel = nxt
     clean = ghost_audit(bundle, samples=500)
     assert clean.passed and not clean.counterexamples
 

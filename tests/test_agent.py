@@ -16,7 +16,7 @@ from pcar.agent import (
     plan_oracle,
     random_policy,
 )
-from pcar.lsd import LsdState
+from pcar.lsd import LsdState, advance, initial_state
 from pcar.study import DEFAULT_CONFIG
 
 SCHEMA = AttributeSchema(
@@ -70,8 +70,11 @@ def test_schema_validation():
         AttributeSchema((("a", ("x",)), ("a", ("y",))))
     idx = SCHEMA.validate_vector(("focus", "outdoor"))
     assert idx == (1, 1)
+    assert SCHEMA.value_names(idx) == ("focus", "outdoor")
     with pytest.raises(ValueError):
         SCHEMA.validate_vector(("focus", "underwater"))
+    with pytest.raises(ValueError):  # one index for two attributes
+        SCHEMA.value_names((1,))
 
 
 @pytest.mark.parametrize("change", [{"epsilon_decay_steps": None},
@@ -84,7 +87,8 @@ def test_bundle_rejects_settings_it_cannot_run(change):
 
 def test_select_all_zero_q_breaks_ties_low():
     b = make_bundle()
-    assert b.select_action(CTX) == ("calm", "indoor")
+    # internal clocks start at +tau_max
+    assert b.select_action(CTX) == Selection(CTX.index(2), (0, 0), (6, 6))
 
 
 def test_select_argmax_on_single_hot_q():
@@ -92,7 +96,7 @@ def test_select_argmax_on_single_hot_q():
     qm = b.models[0]
     ti = qm.tau_index(6)  # internal clocks start at +tau_max
     qm.q[2, ti, CTX.index(b.n_trait_buckets)] = 1.0
-    assert b.select_action(CTX) == ("move", "indoor")
+    assert b.select_action(CTX).value_indices == (2, 0)
 
 
 def test_select_epsilon_one_reproducible_and_replayable():
@@ -107,10 +111,10 @@ def test_select_epsilon_one_reproducible_and_replayable():
     # integer draw when exploring.
     rng = np.random.default_rng(123)
     expect = []
-    for values in ("calm", "focus", "move"), ("indoor", "outdoor"):
+    for n_values in (3, 2):
         assert rng.random() < 1.0
-        expect.append(values[int(rng.integers(len(values)))])
-    assert first == tuple(expect)
+        expect.append(int(rng.integers(n_values)))
+    assert first.value_indices == tuple(expect)
 
 
 def test_single_update_from_zero_tables():
@@ -241,6 +245,34 @@ def test_select_action_rejects_mismatched_clocks_before_any_draw(eps, clocks):
     with pytest.raises(ValueError, match="arms"):
         b.select_action(CTX, clocks)
     assert b.rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0], ids=["greedy", "explore"])
+@pytest.mark.parametrize("trait_bucket", [2, 3])
+def test_select_action_rejects_an_unconfigured_bucket_before_any_draw(
+    eps, trait_bucket
+):
+    b = make_bundle(block=agent_block(epsilon_start=eps, epsilon_end=eps))
+    before = b.rng.bit_generator.state
+    with pytest.raises(ValueError, match="trait_bucket"):
+        b.select_action(ContextBucket("evening", trait_bucket), b.clocks)
+    assert b.rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0], ids=["greedy", "explore"])
+def test_selection_taus_are_the_supplied_clocks_at_the_chosen_values(eps):
+    b = make_bundle(block=agent_block(epsilon_start=eps, epsilon_end=eps), seed=4)
+    rng = np.random.default_rng(6)
+    for qm in b.models:
+        qm.q[:] = rng.normal(size=qm.q.shape)
+    clocks = [initial_state(3, 6), initial_state(2, 6)]
+    for _ in range(40):
+        ctx = ContextBucket(PERIODS[int(rng.integers(3))], int(rng.integers(2)))
+        sel = b.select_action(ctx, clocks)
+        assert sel.bucket == ctx.index(2)
+        assert sel.taus == tuple(c.taus[i] for c, i in zip(clocks, sel.value_indices))
+        # play a random arm, so the clocks drift apart from any one policy
+        clocks = [advance(c, int(rng.integers(len(c.taus)))) for c in clocks]
 
 
 def _random_chain(seed, length=60):
@@ -385,13 +417,37 @@ def test_ghost_audit_after_random_updates_passes():
         for t in (0, 1)
     ]
     ctx = ctxs[0]
-    action = b.select_action(ctx)
+    action = SCHEMA.value_names(b.select_action(ctx).value_indices)
     for _ in range(1000):
         nxt_ctx = ctxs[int(rng.integers(len(ctxs)))]
         action = b.step(ctx, action, float(rng.normal()), nxt_ctx)
         ctx = nxt_ctx
     rep = ghost_audit(b, samples=300)
     assert rep.passed
+
+
+def test_step_matches_a_caller_held_chain():
+    # the internal-clock helper and a chain over the caller's own clocks
+    # make the same draws and the same updates
+    block = agent_block(epsilon_start=0.5, epsilon_end=0.1, alpha=0.5)
+    inner, outer = (AgentBundle(SCHEMA, block, n_trait_buckets=2, seed=12)
+                    for _ in range(2))
+    rng = np.random.default_rng(13)
+    ctx, clocks = CTX, [initial_state(3, 6), initial_state(2, 6)]
+    sel = outer.select_action(ctx, clocks)
+    action = SCHEMA.value_names(inner.select_action(ctx).value_indices)
+    for _ in range(300):
+        assert action == SCHEMA.value_names(sel.value_indices)
+        nxt_ctx = ContextBucket(PERIODS[int(rng.integers(3))], int(rng.integers(2)))
+        reward = float(rng.normal())
+        action = inner.step(ctx, action, reward, nxt_ctx)
+        clocks = [advance(c, i) for c, i in zip(clocks, sel.value_indices)]
+        nxt = outer.select_action(nxt_ctx, clocks)
+        outer.td_step(sel, reward, nxt)
+        sel, ctx = nxt, nxt_ctx
+    assert action == SCHEMA.value_names(sel.value_indices)
+    assert inner.clocks == tuple(clocks)
+    assert _tables(inner) == _tables(outer)
 
 
 def test_ghost_audit_catches_corrupted_lookup():
@@ -410,7 +466,7 @@ def test_random_policy_single_value_and_reproducible():
     schema = AttributeSchema((("only", ("x",)), ("pair", ("a", "b"))))
     rng = np.random.default_rng(5)
     for _ in range(10):
-        assert random_policy(schema, rng)[0] == "x"
+        assert random_policy(schema, rng)[0] == 0
     r1 = np.random.default_rng(42)
     r2 = np.random.default_rng(42)
     seq1 = [random_policy(SCHEMA, r1) for _ in range(5)]
@@ -427,8 +483,9 @@ def test_random_policy_uniform_marginals():
         for i, v in enumerate(vec):
             counts[i][v] = counts[i].get(v, 0) + 1
     for i, (_, values) in enumerate(SCHEMA.attributes):
-        for v in values:
-            assert abs(counts[i].get(v, 0) / n - 1 / len(values)) < 0.03
+        assert sorted(counts[i]) == list(range(len(values)))
+        for v in range(len(values)):
+            assert abs(counts[i][v] / n - 1 / len(values)) < 0.03
 
 
 def test_plan_oracle_single_arm():
@@ -497,13 +554,16 @@ def test_determinism_same_seed_bitwise():
         block = agent_block(epsilon_start=0.3, epsilon_end=0.05)
         b = AgentBundle(SCHEMA, block, n_trait_buckets=2, seed=55)
         rng = np.random.default_rng(17)
-        ctx = CTX
-        action = b.select_action(ctx)
-        actions = [action]
+        clocks = [initial_state(3, 6), initial_state(2, 6)]
+        sel = b.select_action(CTX, clocks)
+        selections = [sel]
         for _ in range(200):
-            action = b.step(ctx, action, float(rng.normal()), ctx)
-            actions.append(action)
-        return actions, [qm.q.copy() for qm in b.models]
+            clocks = [advance(c, i) for c, i in zip(clocks, sel.value_indices)]
+            nxt = b.select_action(CTX, clocks)
+            b.td_step(sel, float(rng.normal()), nxt)
+            sel = nxt
+            selections.append(sel)
+        return selections, [qm.q.copy() for qm in b.models]
 
     a1, q1 = run()
     a2, q2 = run()

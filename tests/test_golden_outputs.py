@@ -38,7 +38,6 @@ from pcar.agent import (
     AgentBundle,
     AttributeSchema,
     ContextBucket,
-    Selection,
 )
 from pcar.lsd import advance, initial_state
 from pcar.study import (
@@ -150,13 +149,11 @@ def _learner_digest() -> str:
         for _ in range(int(rng.integers(1, 9))):
             ctx = ContextBucket(PERIODS[int(rng.integers(len(PERIODS)))],
                                 int(rng.integers(LEARNER["n_trait_buckets"])))
-            idx = LEARNER_SCHEMA.validate_vector(bundle.select_action(ctx, clocks))
-            sel = Selection(ctx.index(LEARNER["n_trait_buckets"]), idx,
-                            tuple(clocks[a].taus[i] for a, i in enumerate(idx)))
+            sel = bundle.select_action(ctx, clocks)
             if pending is not None:
                 bundle.td_step(*pending, sel)
             pending = (sel, float(rng.normal()))
-            clocks = [advance(c, i) for c, i in zip(clocks, idx)]
+            clocks = [advance(c, i) for c, i in zip(clocks, sel.value_indices)]
         bundle.td_step(*pending, None)
         bundle.end_episode()
     return _sha256(json.dumps(bundle.q_snapshot()))
