@@ -33,12 +33,7 @@ import numpy as np
 import pytest
 
 from conftest import acceptance_batch, default_oracle_check
-from pcar.agent import (
-    PERIODS,
-    AgentBundle,
-    AttributeSchema,
-    ContextBucket,
-)
+from pcar.agent import PERIODS, AgentBundle, AttributeSchema, ContextBucket
 from pcar.lsd import advance, initial_state
 from pcar.study import (
     oracle_check,
