@@ -171,7 +171,10 @@ class AgentBundle:
     clip at the cap), the step size ``alpha``, discount ``gamma`` and trace
     decay ``lambda``, and the epsilon schedule, which moves linearly from
     ``epsilon_start`` to ``epsilon_end`` over ``epsilon_decay_steps`` TD
-    steps.
+    steps. They are read once, at construction. ``select_action`` keeps
+    the bucket of the last context object it was given and records the
+    table keys of the Selection it returns, for ``td_step``; it rejects a
+    clock state capped above ``tau_max``, so every recorded key exists.
 
     One trajectory is open at a time: its ``td_step``s share one trace per
     agent, and ``end_episode`` closes it before the next one starts, so no
@@ -189,7 +192,6 @@ class AgentBundle:
         if not isinstance(settings["epsilon_decay_steps"], int):
             raise ValueError("settings need an integer epsilon_decay_steps")
         self.schema = schema
-        self.settings = dict(settings)
         self.tau_max = tau_max = settings["tau_max"]
         self.n_trait_buckets = n_trait_buckets
         self.n_buckets = len(PERIODS) * n_trait_buckets
@@ -205,6 +207,12 @@ class AgentBundle:
         self._arms = [m.n_values for m in self.models]
         self._clocks = [initial_state(m.n_values, tau_max) for m in self.models]
         self.rounds = 0
+        self._alpha, self._gamma = settings["alpha"], settings["gamma"]
+        self._decay = settings["gamma"] * settings["lambda"]
+        start, end = settings["epsilon_start"], settings["epsilon_end"]
+        self._eps = (start, end - start, end, settings["epsilon_decay_steps"])
+        self._ctx = self._bucket = None  # select_action's last context and its bucket
+        self._picked = self._picked_keys = None  # select_action's last return, its keys
         self._last_sel = self._last_keys = None  # td_step's last nxt and its keys
 
     # -- state access ----------------------------------------------------
@@ -214,11 +222,10 @@ class AgentBundle:
         return tuple(self._clocks)
 
     def epsilon(self) -> float:
-        s = self.settings
-        start, end = s["epsilon_start"], s["epsilon_end"]
-        if s["epsilon_decay_steps"] <= 0:
+        start, span, end, steps = self._eps
+        if steps <= 0:
             return end
-        return start + (end - start) * min(1.0, self.rounds / s["epsilon_decay_steps"])
+        return start + span * min(1.0, self.rounds / steps)
 
     def action_value(
         self, agent: int, state: LsdState, value_index: int, ctx: ContextBucket
@@ -245,13 +252,10 @@ class AgentBundle:
         qm = self.models[agent]
         q, keys, taus = qm.q_flat, qm.keys, state.taus
         best, best_v = -math.inf, 0
-        try:
-            for v in range(qm.n_values):
-                s = q[keys[v, taus[v], bucket]]
-                if s > best:  # strict: ties keep the lowest index
-                    best, best_v = s, v
-        except KeyError as exc:
-            raise self._no_entry(exc) from None
+        for v in range(qm.n_values):
+            s = q[keys[v, taus[v], bucket]]
+            if s > best:  # strict: ties keep the lowest index
+                best, best_v = s, v
         return best_v
 
     def select_action(
@@ -261,23 +265,31 @@ class AgentBundle:
         clocks, as the Selection of the context's bucket, the chosen value
         indices and their clocks. Each agent draws one uniform whatever
         epsilon is, so streams stay aligned, then an integer when exploring.
-        Clocks that are not one state per agent with one clock per value, or
-        an unconfigured trait bucket, raise ValueError before any draw."""
+        Clocks that are not one state per agent with one clock per value,
+        a state capped above the bundle's ``tau_max``, or an unconfigured
+        trait bucket raise ValueError before any draw."""
         clocks = self._clocks if clocks is None else clocks
         if [len(c.taus) for c in clocks] != self._arms:
             raise ValueError(f"clocks must give {self._arms} arms per agent")
-        bucket = ctx.index(self.n_trait_buckets)
-        eps, rng = self.epsilon(), self.rng
-        idx, taus = [], []
+        for c in clocks:  # a state's own cap bounds each of its clocks
+            if c.tau_max > self.tau_max:
+                raise ValueError(f"clock cap {c.tau_max} exceeds tau_max {self.tau_max}")
+        if ctx is not self._ctx:
+            self._bucket, self._ctx = ctx.index(self.n_trait_buckets), ctx
+        bucket, eps, rng = self._bucket, self.epsilon(), self.rng
+        idx, taus, keys = [], [], []
         for p, n in enumerate(self._arms):
             state = clocks[p]
             if rng.random() < eps:
                 i = int(rng.integers(n))
             else:
                 i = self._greedy_index(p, state, bucket)
+            tau = state.taus[i]
             idx.append(i)
-            taus.append(state.taus[i])
-        return Selection(bucket, tuple(idx), tuple(taus))
+            taus.append(tau)
+            keys.append(self.models[p].keys[i, tau, bucket])
+        self._picked, self._picked_keys = Selection(bucket, tuple(idx), tuple(taus)), keys
+        return self._picked
 
     def greedy_action(self, ctx: ContextBucket) -> tuple[str, ...]:
         """Pure argmax choice over the internal clocks; consumes no
@@ -318,15 +330,17 @@ class AgentBundle:
         Raises ValueError, before any table changes, if a selection has a
         zero clock, a clock beyond +/-tau_max, or a value or bucket index
         out of range. A ``prev`` that is the last call's ``nxt`` object reuses
-        the keys found for it then: a Selection and its keys never change."""
+        the keys found for it then, and a ``nxt`` that ``select_action`` last
+        returned the keys it recorded: a Selection and its keys never change."""
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
         keys = self._last_keys if prev is self._last_sel else self._keys_of(prev)
-        next_keys = None if nxt is None else self._keys_of(nxt)
+        if nxt is self._picked:  # None too, before the first select_action
+            next_keys = self._picked_keys
+        else:
+            next_keys = None if nxt is None else self._keys_of(nxt)
         self._last_sel, self._last_keys = nxt, next_keys
-        s = self.settings
-        alpha, gamma = s["alpha"], s["gamma"]
-        decay = gamma * s["lambda"]
+        alpha, gamma, decay = self._alpha, self._gamma, self._decay
         for a, qm in enumerate(self.models):
             q, trace = qm.q_flat, qm.trace
             k = keys[a]

@@ -42,6 +42,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -255,6 +256,7 @@ class TimingHistory:
 
     def __init__(self):
         self._rows: dict = {}  # (feature bytes, label) -> [features, count]
+        self._X = None  # the first len(_X) feature rows of _rows, stacked
         self._days: set = set()
         self._n_rows = 0
         self.n_labeled = 0
@@ -288,14 +290,21 @@ class TimingHistory:
 def _unpack_history(history: TimingHistory):
     """The distinct feature rows of a history, their labels (NaN for
     unlabeled), the labeled mask, the row counts and the number of
-    distinct day keys."""
+    distinct day keys. The feature matrix is read-only and kept on the
+    history: rows are only ever added, in first-seen order, so each call
+    stacks just the rows that are new since the last."""
     if not history:
         raise ValueError("history is empty")
     if not history.n_labeled:
         raise ValueError("history has no labeled rows")
-    merged = history._rows
+    merged, X = history._rows, history._X
+    n = 0 if X is None else len(X)
+    if n < len(merged):
+        new = [x for x, _ in islice(merged.values(), n, None)]
+        history._X = X = np.vstack(new if X is None else [X, *new])
+        X.flags.writeable = False
     y = np.asarray([np.nan if lab is None else lab for _, lab in merged], dtype=float)
-    return (np.vstack([x for x, _ in merged.values()]), y, ~np.isnan(y),
+    return (X, y, ~np.isnan(y),
             np.asarray([c for _, c in merged.values()], dtype=float),
             len(history._days))
 

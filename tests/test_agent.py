@@ -233,16 +233,18 @@ def test_selection_and_clock_lookups_reject_what_has_no_entry():
 
 @pytest.mark.parametrize("eps", [0.0, 1.0], ids=["greedy", "explore"])
 @pytest.mark.parametrize(
-    "clocks",
-    [[LsdState((6,) * 5, 6)], [LsdState((6, 6), 6)] * 2, []],
-    ids=["five-arm-state", "extra-clock-list", "no-clocks"],
+    "clocks, match",
+    [([LsdState((6,) * 5, 6)], "arms"), ([LsdState((6, 6), 6)] * 2, "arms"),
+     ([], "arms"), ([LsdState((7, 7), 7)], "cap")],
+    ids=["five-arm-state", "extra-clock-list", "no-clocks", "wide-state"],
 )
-def test_select_action_rejects_mismatched_clocks_before_any_draw(eps, clocks):
+def test_select_action_rejects_mismatched_clocks_before_any_draw(eps, clocks, match):
     schema = AttributeSchema((("place", ("indoor", "outdoor")),))
     b = AgentBundle(schema, agent_block(epsilon_start=eps, epsilon_end=eps),
                     n_trait_buckets=2)
+    assert b.tau_max == 6
     before = b.rng.bit_generator.state
-    with pytest.raises(ValueError, match="arms"):
+    with pytest.raises(ValueError, match=match):
         b.select_action(CTX, clocks)
     assert b.rng.bit_generator.state == before
 
@@ -257,6 +259,23 @@ def test_select_action_rejects_an_unconfigured_bucket_before_any_draw(
     with pytest.raises(ValueError, match="trait_bucket"):
         b.select_action(ContextBucket("evening", trait_bucket), b.clocks)
     assert b.rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0], ids=["greedy", "explore"])
+def test_select_action_buckets_each_context_object_it_is_given(eps):
+    """Alternating context objects each get their own bucket, and an
+    unconfigured trait bucket still raises before any draw right after a
+    context whose bucket is kept."""
+    b = make_bundle(block=agent_block(epsilon_start=eps, epsilon_end=eps))
+    ctxs = [ContextBucket("evening", 0), ContextBucket("evening", 1),
+            ContextBucket("morning", 1)]
+    for j in [0, 1, 0, 1, 1, 2, 0, 2]:
+        assert b.select_action(ctxs[j]).bucket == ctxs[j].index(2)
+    before = b.rng.bit_generator.state
+    with pytest.raises(ValueError, match="trait_bucket"):
+        b.select_action(ContextBucket("evening", 2))
+    assert b.rng.bit_generator.state == before
+    assert b.select_action(ctxs[2]).bucket == ctxs[2].index(2)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0], ids=["greedy", "explore"])
@@ -327,6 +346,49 @@ def test_td_step_after_a_rejected_follow_up_matches_a_clean_run():
         b.td_step(s2, 3.0, None)
     assert _tables(dirty) == _tables(clean)
     assert dirty.rounds == clean.rounds == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from([CTX, ContextBucket("evening", 1)]),
+            st.floats(-10, 10),
+            st.integers(0, 3),  # 0: the trajectory ends after this step
+            st.booleans(),  # another selection comes between choice and update
+        ),
+        min_size=1, max_size=30),
+    eps=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recorded_selection_keys_match_fresh_keys(steps, eps, seed):
+    """One bundle learns from the Selections ``select_action`` returns, the
+    other from equal copies, whose keys ``td_step`` must look up afresh."""
+    block = agent_block(alpha=0.5, gamma=0.9, lam=0.8, epsilon_start=eps,
+                        epsilon_end=0.0, epsilon_decay_steps=20)
+    given_b, copied_b = (make_bundle(block=block, seed=seed) for _ in range(2))
+    clocks = [initial_state(3, 6), initial_state(2, 6)]
+    prev = reward = None
+    for ctx, r, end, detour in steps:
+        sel = given_b.select_action(ctx, clocks)
+        assert copied_b.select_action(ctx, clocks) == sel
+        if detour:  # moves select_action's record off sel in both bundles
+            for b in (given_b, copied_b):
+                b.select_action(ContextBucket("afternoon", 0), clocks)
+        if prev is not None:
+            given_b.td_step(prev, reward, sel)
+            copied_b.td_step(Selection(*prev), reward, Selection(*sel))
+        prev, reward = sel, r
+        clocks = [advance(c, i) for c, i in zip(clocks, sel.value_indices)]
+        if end == 0:
+            given_b.td_step(prev, reward, None)
+            copied_b.td_step(Selection(*prev), reward, None)
+            for b in (given_b, copied_b):
+                b.end_episode()
+            prev = None
+        assert _tables(given_b) == _tables(copied_b)
+        assert given_b.rounds == copied_b.rounds
+        assert given_b.rng.bit_generator.state == copied_b.rng.bit_generator.state
 
 
 def test_selection_is_a_named_tuple_with_fixed_fields():

@@ -433,6 +433,28 @@ def test_timing_history_appended_row_by_row_trains_like_a_list():
     assert expected_daily_triggers(a, history) == expected_daily_triggers(a, batched)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    batches=st.lists(
+        st.lists(st.tuples(st.integers(0, 7), st.sampled_from([None, 0.0, 1.0])),
+                 max_size=12),
+        min_size=1, max_size=8),
+)
+def test_unpacked_features_equal_a_fresh_stack_of_every_distinct_row(batches):
+    """Unpacking between batches of appends, repeated rows included, gives
+    the bytes of one ``vstack`` over the distinct rows in first-seen order."""
+    pool = np.random.default_rng(3).normal(size=(8, N_FEATURES))
+    history = TimingHistory()
+    history.append((pool[0], 1.0, 0))  # unpacking needs a labeled row
+    for day, batch in enumerate(batches, 1):
+        for i, y in batch:
+            history.append((pool[i], y, day))
+        X = pcar.scheduler._unpack_history(history)[0]
+        fresh = np.vstack([x for x, _ in history._rows.values()])
+        assert X.shape == fresh.shape and X.tobytes() == fresh.tobytes()
+        assert not X.flags.writeable
+
+
 def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step):
     """Reference: ``train`` with a fresh array for every intermediate of
     every epoch, as the plain expressions evaluate them."""
