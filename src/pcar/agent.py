@@ -159,11 +159,12 @@ class AgentBundle:
 
     Callers keep the clocks (e.g. one set per participant, or one per
     episode), pass them to ``select_action``, learn from the ``Selection``
-    it returns through ``td_step`` and close trajectories with
-    ``end_episode``. The internal clocks and the name-based methods that
-    step them (``step``, ``update``, ``finish_episode``, ``greedy_action``,
-    ``apply_action``, ``snapshot_selection``) serve only the tests and the
-    benchmark's trace table; they run on ``select_action`` and ``td_step``.
+    it returns (or one from ``random_policy``) through ``td_step`` and
+    close trajectories with ``end_episode``. The internal clocks and the
+    name-based methods that step them (``step``, ``update``,
+    ``finish_episode``, ``greedy_action``, ``apply_action``,
+    ``snapshot_selection``) serve only the tests and the benchmark's trace
+    table; they run on ``select_action`` and ``td_step``.
 
     ``settings`` is a study config's ``agent`` block (see
     ``study.DEFAULT_CONFIG``) with an integer ``epsilon_decay_steps``: it
@@ -248,27 +249,27 @@ class AgentBundle:
 
     # -- action selection -------------------------------------------------
 
-    def _greedy_index(self, agent: int, state: LsdState, bucket: int) -> int:
+    def _greedy_index(self, agent: int, state: LsdState,
+                      bucket: int) -> tuple[int, int]:
+        """The argmax value index and its table key."""
         qm = self.models[agent]
         q, keys, taus = qm.q_flat, qm.keys, state.taus
-        best, best_v = -math.inf, 0
+        best, best_v, best_k = -math.inf, 0, None
         for v in range(qm.n_values):
-            s = q[keys[v, taus[v], bucket]]
+            s = q[k := keys[v, taus[v], bucket]]
             if s > best:  # strict: ties keep the lowest index
-                best, best_v = s, v
-        return best_v
+                best, best_v, best_k = s, v, k
+        # no key only if no value beats -inf (every Q -inf or NaN): value 0
+        return best_v, keys[0, taus[0], bucket] if best_k is None else best_k
 
-    def select_action(
-        self, ctx: ContextBucket, clocks: list[LsdState] | None = None
-    ) -> Selection:
-        """Epsilon-greedy choice per agent over the current (or supplied)
-        clocks, as the Selection of the context's bucket, the chosen value
-        indices and their clocks. Each agent draws one uniform whatever
-        epsilon is, so streams stay aligned, then an integer when exploring.
-        Clocks that are not one state per agent with one clock per value,
-        a state capped above the bundle's ``tau_max``, or an unconfigured
-        trait bucket raise ValueError before any draw."""
-        clocks = self._clocks if clocks is None else clocks
+    def select_action(self, ctx: ContextBucket, clocks: list[LsdState]) -> Selection:
+        """Epsilon-greedy choice per agent over the caller's clocks, as the
+        Selection of the context's bucket, the chosen value indices and
+        their clocks. Each agent draws one uniform whatever epsilon is, so
+        streams stay aligned, then an integer when exploring. Clocks that
+        are not one state per agent with one clock per value, a state capped
+        above the bundle's ``tau_max``, or an unconfigured trait bucket
+        raise ValueError before any draw."""
         if [len(c.taus) for c in clocks] != self._arms:
             raise ValueError(f"clocks must give {self._arms} arms per agent")
         for c in clocks:  # a state's own cap bounds each of its clocks
@@ -282,12 +283,12 @@ class AgentBundle:
             state = clocks[p]
             if rng.random() < eps:
                 i = int(rng.integers(n))
+                k = self.models[p].keys[i, state.taus[i], bucket]
             else:
-                i = self._greedy_index(p, state, bucket)
-            tau = state.taus[i]
+                i, k = self._greedy_index(p, state, bucket)
             idx.append(i)
-            taus.append(tau)
-            keys.append(self.models[p].keys[i, tau, bucket])
+            taus.append(state.taus[i])
+            keys.append(k)
         self._picked, self._picked_keys = Selection(bucket, tuple(idx), tuple(taus)), keys
         return self._picked
 
@@ -296,7 +297,7 @@ class AgentBundle:
         randomness."""
         bucket = ctx.index(self.n_trait_buckets)
         return self.schema.value_names(
-            [self._greedy_index(p, c, bucket) for p, c in enumerate(self._clocks)]
+            [self._greedy_index(p, c, bucket)[0] for p, c in enumerate(self._clocks)]
         )
 
     def snapshot_selection(
@@ -524,11 +525,12 @@ def ghost_audit(
 # -- baseline policy -----------------------------------------------------------
 
 
-def random_policy(
-    schema: AttributeSchema, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Value indices from one uniform integer draw per attribute, in order."""
-    return tuple(int(rng.integers(len(values))) for _, values in schema.attributes)
+def random_policy(schema: AttributeSchema, rng: np.random.Generator, bucket: int,
+                  clocks: list[LsdState]) -> Selection:
+    """The Selection of one uniform integer draw per attribute, in order,
+    in context bucket ``bucket``, with the chosen values' clocks."""
+    idx = tuple(int(rng.integers(len(values))) for _, values in schema.attributes)
+    return Selection(bucket, idx, tuple(c.taus[i] for c, i in zip(clocks, idx)))
 
 
 # -- planning oracle -----------------------------------------------------------

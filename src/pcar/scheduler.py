@@ -256,7 +256,8 @@ class TimingHistory:
 
     def __init__(self):
         self._rows: dict = {}  # (feature bytes, label) -> [features, count]
-        self._X = None  # the first len(_X) feature rows of _rows, stacked
+        # the first len(_y) rows of _rows stacked: features, labels, labeled mask
+        self._X, self._y, self._labeled = None, np.empty(0), None
         self._days: set = set()
         self._n_rows = 0
         self.n_labeled = 0
@@ -290,21 +291,25 @@ class TimingHistory:
 def _unpack_history(history: TimingHistory):
     """The distinct feature rows of a history, their labels (NaN for
     unlabeled), the labeled mask, the row counts and the number of
-    distinct day keys. The feature matrix is read-only and kept on the
-    history: rows are only ever added, in first-seen order, so each call
-    stacks just the rows that are new since the last."""
+    distinct day keys. All but the counts are read-only and kept on the
+    history: rows are only ever added, in first-seen order, and a row's
+    label never changes, so each call stacks just the rows that are new
+    since the last."""
     if not history:
         raise ValueError("history is empty")
     if not history.n_labeled:
         raise ValueError("history has no labeled rows")
-    merged, X = history._rows, history._X
-    n = 0 if X is None else len(X)
-    if n < len(merged):
-        new = [x for x, _ in islice(merged.values(), n, None)]
-        history._X = X = np.vstack(new if X is None else [X, *new])
-        X.flags.writeable = False
-    y = np.asarray([np.nan if lab is None else lab for _, lab in merged], dtype=float)
-    return (X, y, ~np.isnan(y),
+    merged, X, y = history._rows, history._X, history._y
+    if len(y) < len(merged):
+        new = list(islice(merged.items(), len(y), None))
+        xs = [x for _, (x, _) in new]
+        history._X = X = np.vstack(xs if X is None else [X, *xs])
+        history._y = y = np.append(y, [np.nan if lab is None else lab
+                                       for (_, lab), _ in new])
+        history._labeled = ~np.isnan(y)
+        for a in (X, y, history._labeled):
+            a.flags.writeable = False
+    return (X, y, history._labeled,
             np.asarray([c for _, c in merged.values()], dtype=float),
             len(history._days))
 

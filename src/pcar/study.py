@@ -23,7 +23,7 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 
@@ -34,7 +34,6 @@ from .agent import (
     AgentBundle,
     AttributeSchema,
     ContextBucket,
-    Selection,
     plan_oracle,
     random_policy,
 )
@@ -452,13 +451,18 @@ def load_log(path: str | Path) -> StudyLog:
 
 @dataclass
 class _ParticipantState:
+    """One participant's run state. ``pending`` holds a pcar contact's
+    (Selection, reward) until its successor is chosen; ``replay`` holds the
+    random group's phase-1 chains in day order: day index -> [(Selection, reward)]."""
+
     model: ParticipantModel
     group: str
     rng: np.random.Generator
     clocks: list[LsdState]
     budget: BudgetState
     engagement: float = 1.0
-    pending: tuple | None = None  # (Selection, reward) awaiting its successor
+    pending: tuple | None = None
+    replay: dict = field(default_factory=dict)
 
 
 def _calendar_day(day_idx: int) -> int:
@@ -482,13 +486,10 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
     days_total = weeks * 2 * 5
     phase2_first_day = weeks * 5
 
-    catalog = (
-        load_catalog(cfg["catalog_path"])
-        if cfg["catalog_path"]
-        else load_starter_catalog()
-    )
+    catalog = (load_catalog(cfg["catalog_path"]) if cfg["catalog_path"]
+               else load_starter_catalog())
     schema = catalog.schema
-    ccfg = cfg["cohort"]
+    ccfg, acfg = cfg["cohort"], cfg["agent"]
 
     pids = [f"p{i + 1:03d}" for i in range(n)]
     alloc_rng = np.random.default_rng(hash64(seed, "alloc"))
@@ -506,29 +507,20 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
     )
     states: dict[str, _ParticipantState] = {}
     for i, pid in enumerate(pids):
-        target = (
-            ccfg["mean_acceptance_control"]
-            if group_of[pid] == "control"
-            else ccfg["mean_acceptance_intervention"]
-        )
+        target = ccfg["mean_acceptance_control" if group_of[pid] == "control"
+                      else "mean_acceptance_intervention"]
         model_rng = np.random.default_rng(hash64(seed, pid, "model"))
         model = build_participant(i, model_rng, prefs, target, ccfg)
         states[pid] = _ParticipantState(
             model=model,
             group=group_of[pid],
             rng=np.random.default_rng(hash64(seed, pid, "sim")),
-            clocks=[
-                initial_state(len(schema.values(a)), cfg["agent"]["tau_max"])
-                for a in range(schema.n_attributes)
-            ],
+            clocks=[initial_state(len(vs), acfg["tau_max"])
+                    for _, vs in schema.attributes],
             budget=replace(shape),
         )
 
-    acfg = cfg["agent"]
     bundle: AgentBundle | None = None
-    # phase-1 feedback chains, replayed into the learner at the boundary
-    # when pretrain_on_phase1 is set: pid -> day index -> [(selection, reward)]
-    replay_buffer: dict[str, dict[int, list]] = {}
 
     scfg = cfg["scheduler"]
     model_mode = scfg["mode"] == "model"
@@ -552,11 +544,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         if decay is None:
             # size the schedule to replayed plus expected live feedback
             n_pcar = sum(1 for st in states.values() if st.group == "pcar")
-            replay_n = sum(
-                len(chain)
-                for chains in replay_buffer.values()
-                for chain in chains.values()
-            )
+            replay_n = sum(len(c) for st in states.values() for c in st.replay.values())
             expected_live = (
                 n_pcar * weeks * 5 * bcfg["max_per_day"]
                 * ccfg["mean_acceptance_intervention"] * ccfg["completion_rate"]
@@ -564,9 +552,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             decay = max(1, replay_n + int(expected_live))
         new_bundle = AgentBundle(schema, dict(acfg, epsilon_decay_steps=decay),
                                  TRAIT_BUCKETS, seed=hash64(seed, "bundle"))
-        for pid in pids:  # fixed order keeps the run reproducible
-            for day in sorted(replay_buffer.get(pid, {})):
-                chain = replay_buffer[pid][day]
+        for st in states.values():  # pid order keeps the run reproducible
+            for chain in st.replay.values():
                 for j, (sel, r) in enumerate(chain):
                     nxt = chain[j + 1][0] if j + 1 < len(chain) else None
                     new_bundle.td_step(sel, r, nxt)
@@ -605,48 +592,38 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 if not engaged:
                     continue
                 rec.pre_stress = pre_stress(p, hour, st.rng)
-                treated = st.group != "control"
-                if treated:
-                    ctx = ContextBucket.from_hour(hour, p.trait_bucket)
-                    if st.group == "pcar":
-                        sel = bundle.select_action(ctx, clocks=st.clocks)
-                    else:
-                        idx = random_policy(schema, st.rng)
-                        sel = Selection(ctx.index(TRAIT_BUCKETS), idx, tuple(
-                            c.taus[i] for c, i in zip(st.clocks, idx)))
-                    idx, taus = sel.value_indices, sel.taus
-                    action = schema.value_names(idx)
-                    rec.attribute_values, rec.taus_before = action, taus
-                    rec.intervention_id = resolve(catalog, action, st.rng).id
-                rec.completed = st.rng.random() < ccfg["completion_rate"]
-                if rec.completed:
-                    if treated:
-                        felt = effect_strength(p, idx, taus, ctx)
-                        post = post_stress(p, rec.pre_stress, felt, st.rng)
-                    else:
+                if st.group == "control":  # prompt only: no content, no learning
+                    rec.completed = st.rng.random() < ccfg["completion_rate"]
+                    if rec.completed:
                         post_hour = (now + POST_EMA_DELAY_MINUTES) % DAY_MINUTES // 60
                         post = control_post_stress(p, post_hour, st.rng)
-                    rec.post_stress, rec.reward = post, rec.pre_stress - post
-                if not treated:
+                        rec.post_stress, rec.reward = post, rec.pre_stress - post
                     continue
+                ctx = ContextBucket.from_hour(hour, p.trait_bucket)
+                sel = (bundle.select_action(ctx, st.clocks) if st.group == "pcar" else
+                       random_policy(schema, st.rng, ctx.index(TRAIT_BUCKETS), st.clocks))
+                action = schema.value_names(sel.value_indices)
+                rec.attribute_values, rec.taus_before = action, sel.taus
+                rec.intervention_id = resolve(catalog, action, st.rng).id
+                rec.completed = st.rng.random() < ccfg["completion_rate"]
                 if rec.completed:
+                    felt = effect_strength(p, sel.value_indices, sel.taus, ctx)
+                    post = post_stress(p, rec.pre_stress, felt, st.rng)
+                    rec.post_stress, rec.reward = post, rec.pre_stress - post
                     st.engagement = update_engagement(p, st.engagement, felt)
                     if st.group == "pcar":
                         if st.pending is not None:
                             bundle.td_step(*st.pending, sel)
                         st.pending = (sel, rec.reward)
                     elif phase == 1 and acfg["pretrain_on_phase1"]:
-                        replay_buffer.setdefault(pid, {}).setdefault(
-                            day_idx, []
-                        ).append((sel, rec.reward))
+                        st.replay.setdefault(day_idx, []).append((sel, rec.reward))
                 # advance_on_decline (opt-in) counts delivered-but-unfinished
                 # content as a round
                 if rec.completed or cfg["advance_on_decline"]:
-                    st.clocks = [
-                        advance(st.clocks[a], i) for a, i in enumerate(idx)
-                    ]
+                    st.clocks = [advance(c, i)
+                                 for c, i in zip(st.clocks, sel.value_indices)]
             # participant-day end: flush the open transition, close the trajectory
-            if st.pending is not None and bundle is not None:
+            if st.pending is not None:  # only a pcar participant has one
                 bundle.td_step(*st.pending, None)
                 bundle.end_episode()
                 st.pending = None

@@ -88,7 +88,7 @@ def test_bundle_rejects_settings_it_cannot_run(change):
 def test_select_all_zero_q_breaks_ties_low():
     b = make_bundle()
     # internal clocks start at +tau_max
-    assert b.select_action(CTX) == Selection(CTX.index(2), (0, 0), (6, 6))
+    assert b.select_action(CTX, b.clocks) == Selection(CTX.index(2), (0, 0), (6, 6))
 
 
 def test_select_argmax_on_single_hot_q():
@@ -96,16 +96,16 @@ def test_select_argmax_on_single_hot_q():
     qm = b.models[0]
     ti = qm.tau_index(6)  # internal clocks start at +tau_max
     qm.q[2, ti, CTX.index(b.n_trait_buckets)] = 1.0
-    assert b.select_action(CTX).value_indices == (2, 0)
+    assert b.select_action(CTX, b.clocks).value_indices == (2, 0)
 
 
 def test_select_epsilon_one_reproducible_and_replayable():
     block = agent_block(epsilon_start=1.0, epsilon_end=1.0)
     b1 = AgentBundle(SCHEMA, block, n_trait_buckets=2, seed=123)
     b2 = AgentBundle(SCHEMA, block, n_trait_buckets=2, seed=123)
-    first = b1.select_action(CTX)
-    assert first == b2.select_action(CTX)
-    assert b1.select_action(CTX) == b2.select_action(CTX)
+    first = b1.select_action(CTX, b1.clocks)
+    assert first == b2.select_action(CTX, b2.clocks)
+    assert b1.select_action(CTX, b1.clocks) == b2.select_action(CTX, b2.clocks)
 
     # Replay the documented draw pattern: per agent one uniform, then an
     # integer draw when exploring.
@@ -270,12 +270,12 @@ def test_select_action_buckets_each_context_object_it_is_given(eps):
     ctxs = [ContextBucket("evening", 0), ContextBucket("evening", 1),
             ContextBucket("morning", 1)]
     for j in [0, 1, 0, 1, 1, 2, 0, 2]:
-        assert b.select_action(ctxs[j]).bucket == ctxs[j].index(2)
+        assert b.select_action(ctxs[j], b.clocks).bucket == ctxs[j].index(2)
     before = b.rng.bit_generator.state
     with pytest.raises(ValueError, match="trait_bucket"):
-        b.select_action(ContextBucket("evening", 2))
+        b.select_action(ContextBucket("evening", 2), b.clocks)
     assert b.rng.bit_generator.state == before
-    assert b.select_action(ctxs[2]).bucket == ctxs[2].index(2)
+    assert b.select_action(ctxs[2], b.clocks).bucket == ctxs[2].index(2)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0], ids=["greedy", "explore"])
@@ -479,7 +479,7 @@ def test_ghost_audit_after_random_updates_passes():
         for t in (0, 1)
     ]
     ctx = ctxs[0]
-    action = SCHEMA.value_names(b.select_action(ctx).value_indices)
+    action = SCHEMA.value_names(b.select_action(ctx, b.clocks).value_indices)
     for _ in range(1000):
         nxt_ctx = ctxs[int(rng.integers(len(ctxs)))]
         action = b.step(ctx, action, float(rng.normal()), nxt_ctx)
@@ -497,7 +497,7 @@ def test_step_matches_a_caller_held_chain():
     rng = np.random.default_rng(13)
     ctx, clocks = CTX, [initial_state(3, 6), initial_state(2, 6)]
     sel = outer.select_action(ctx, clocks)
-    action = SCHEMA.value_names(inner.select_action(ctx).value_indices)
+    action = SCHEMA.value_names(inner.select_action(ctx, inner.clocks).value_indices)
     for _ in range(300):
         assert action == SCHEMA.value_names(sel.value_indices)
         nxt_ctx = ContextBucket(PERIODS[int(rng.integers(3))], int(rng.integers(2)))
@@ -526,13 +526,15 @@ def test_ghost_audit_catches_corrupted_lookup():
 
 def test_random_policy_single_value_and_reproducible():
     schema = AttributeSchema((("only", ("x",)), ("pair", ("a", "b"))))
+    clocks = [initial_state(1, 6), initial_state(2, 6)]
     rng = np.random.default_rng(5)
     for _ in range(10):
-        assert random_policy(schema, rng)[0] == 0
+        assert random_policy(schema, rng, 0, clocks).value_indices[0] == 0
     r1 = np.random.default_rng(42)
     r2 = np.random.default_rng(42)
-    seq1 = [random_policy(SCHEMA, r1) for _ in range(5)]
-    seq2 = [random_policy(SCHEMA, r2) for _ in range(5)]
+    b = make_bundle()
+    seq1 = [random_policy(SCHEMA, r1, 0, b.clocks) for _ in range(5)]
+    seq2 = [random_policy(SCHEMA, r2, 0, b.clocks) for _ in range(5)]
     assert seq1 == seq2
 
 
@@ -540,14 +542,33 @@ def test_random_policy_uniform_marginals():
     rng = np.random.default_rng(2024)
     n = 10_000
     counts = {0: {}, 1: {}}
+    clocks = make_bundle().clocks
     for _ in range(n):
-        vec = random_policy(SCHEMA, rng)
+        vec = random_policy(SCHEMA, rng, 0, clocks).value_indices
         for i, v in enumerate(vec):
             counts[i][v] = counts[i].get(v, 0) + 1
     for i, (_, values) in enumerate(SCHEMA.attributes):
         assert sorted(counts[i]) == list(range(len(values)))
         for v in range(len(values)):
             assert abs(counts[i][v] / n - 1 / len(values)) < 0.03
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bucket=st.integers(0, 5),
+       plays=st.lists(st.integers(0, 2), max_size=12))
+def test_random_policy_selection_draws_buckets_and_clocks(seed, bucket, plays):
+    """One ``integers`` draw per attribute, in order, and nothing else; the
+    bucket passes through, and the taus are the supplied clocks at the
+    chosen values."""
+    clocks = [initial_state(3, 6), initial_state(2, 6)]
+    for v in plays:  # clocks the rest position does not give
+        clocks = [advance(clocks[0], v), advance(clocks[1], v % 2)]
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    sel = random_policy(SCHEMA, rng, bucket, clocks)
+    want = tuple(int(ref.integers(n)) for n in (3, 2))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert sel == Selection(bucket, want, tuple(
+        clocks[a].taus[i] for a, i in enumerate(want)))
 
 
 def test_plan_oracle_single_arm():

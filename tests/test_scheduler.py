@@ -442,17 +442,29 @@ def test_timing_history_appended_row_by_row_trains_like_a_list():
 )
 def test_unpacked_features_equal_a_fresh_stack_of_every_distinct_row(batches):
     """Unpacking between batches of appends, repeated rows included, gives
-    the bytes of one ``vstack`` over the distinct rows in first-seen order."""
+    the bytes of one ``vstack`` over the distinct rows in first-seen order,
+    and of labels, labeled mask and counts built afresh from those rows."""
     pool = np.random.default_rng(3).normal(size=(8, N_FEATURES))
     history = TimingHistory()
     history.append((pool[0], 1.0, 0))  # unpacking needs a labeled row
+    seen = {(0, 1.0): 1}  # (pool index, label) -> count, in first-seen order
     for day, batch in enumerate(batches, 1):
         for i, y in batch:
             history.append((pool[i], y, day))
-        X = pcar.scheduler._unpack_history(history)[0]
+            seen[i, y] = seen.get((i, y), 0) + 1
+        X, y, labeled, counts, _ = pcar.scheduler._unpack_history(history)
         fresh = np.vstack([x for x, _ in history._rows.values()])
         assert X.shape == fresh.shape and X.tobytes() == fresh.tobytes()
         assert not X.flags.writeable
+        labels = [lab for _, lab in seen]
+        fresh_y = np.asarray([np.nan if lab is None else lab for lab in labels])
+        fresh_labeled = np.asarray([lab is not None for lab in labels])
+        fresh_counts = np.asarray(list(seen.values()), dtype=float)
+        for got, want in ((y, fresh_y), (labeled, fresh_labeled),
+                          (counts, fresh_counts)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert not y.flags.writeable and not labeled.flags.writeable
 
 
 def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step):
