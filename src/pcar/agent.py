@@ -172,10 +172,9 @@ class AgentBundle:
     clip at the cap), the step size ``alpha``, discount ``gamma`` and trace
     decay ``lambda``, and the epsilon schedule, which moves linearly from
     ``epsilon_start`` to ``epsilon_end`` over ``epsilon_decay_steps`` TD
-    steps. They are read once, at construction. ``select_action`` keeps
-    the bucket of the last context object it was given and records the
-    table keys of the Selection it returns, for ``td_step``; it rejects a
-    clock state capped above ``tau_max``, so every recorded key exists.
+    steps. They are read once, at construction. ``select_action`` records
+    the table keys of the Selection it returns, for ``td_step``; it rejects
+    a clock state capped above ``tau_max``, so every recorded key exists.
 
     One trajectory is open at a time: its ``td_step``s share one trace per
     agent, and ``end_episode`` closes it before the next one starts, so no
@@ -212,7 +211,6 @@ class AgentBundle:
         self._decay = settings["gamma"] * settings["lambda"]
         start, end = settings["epsilon_start"], settings["epsilon_end"]
         self._eps = (start, end - start, end, settings["epsilon_decay_steps"])
-        self._ctx = self._bucket = None  # select_action's last context and its bucket
         self._picked = self._picked_keys = None  # select_action's last return, its keys
         self._last_sel = self._last_keys = None  # td_step's last nxt and its keys
 
@@ -275,9 +273,7 @@ class AgentBundle:
         for c in clocks:  # a state's own cap bounds each of its clocks
             if c.tau_max > self.tau_max:
                 raise ValueError(f"clock cap {c.tau_max} exceeds tau_max {self.tau_max}")
-        if ctx is not self._ctx:
-            self._bucket, self._ctx = ctx.index(self.n_trait_buckets), ctx
-        bucket, eps, rng = self._bucket, self.epsilon(), self.rng
+        bucket, eps, rng = ctx.index(self.n_trait_buckets), self.epsilon(), self.rng
         idx, taus, keys = [], [], []
         for p, n in enumerate(self._arms):
             state = clocks[p]

@@ -40,8 +40,6 @@ def initial_state(k: int, tau_max: int) -> LsdState:
     """Start state: every arm fully rested at +tau_max."""
     if k < 1:
         raise ValueError(f"arm count must be >= 1, got {k}")
-    if tau_max < 1:
-        raise ValueError(f"tau_max must be >= 1, got {tau_max}")
     return LsdState(taus=(tau_max,) * k, tau_max=tau_max)
 
 

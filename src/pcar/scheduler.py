@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import islice
 
@@ -61,7 +61,9 @@ N_FEATURES = 10
 class BudgetState:
     """Per-participant delivery budget; ``last_delivery`` is a study-minute.
     ``delivered_today`` counts initiated contacts; call ``start_day`` at
-    each day boundary. ``eligible`` rejects weekends without a setting."""
+    each day boundary. ``eligible`` rejects weekends without a setting.
+    A window outside 08:00-21:00, or one not starting before it ends,
+    raises ValueError: every tick the window allows is on the walks' grid."""
 
     delivered_today: int = 0
     last_delivery: int | None = None
@@ -69,6 +71,13 @@ class BudgetState:
     min_gap_minutes: int = 120
     window_start_minute: int = WINDOW_START_MINUTE
     window_end_minute: int = WINDOW_END_MINUTE
+
+    def __post_init__(self) -> None:
+        if not (WINDOW_START_MINUTE <= self.window_start_minute
+                < self.window_end_minute <= WINDOW_END_MINUTE):
+            raise ValueError(
+                f"window {self.window_start_minute}-{self.window_end_minute} must "
+                f"hold {WINDOW_START_MINUTE} <= start < end <= {WINDOW_END_MINUTE}")
 
     def start_day(self) -> None:
         self.delivered_today = 0
@@ -93,12 +102,6 @@ def eligible(budget: BudgetState, now: int) -> bool:
             or now - budget.last_delivery >= budget.min_gap_minutes)
 
 
-def _day_end(day: int, budget: BudgetState) -> int:
-    """The study-minute at which calendar day ``day``'s allowed ticks
-    stop: the window end, never past the grid's."""
-    return day * DAY_MINUTES + min(budget.window_end_minute, WINDOW_END_MINUTE)
-
-
 def next_eligible(budget: BudgetState, now: int) -> int | None:
     """The first grid tick of ``now``'s calendar day at or after ``now``
     at which the hard rules allow a contact, or None. In closed form: the
@@ -110,11 +113,11 @@ def next_eligible(budget: BudgetState, now: int) -> int | None:
     if day % 7 >= 5 or budget.delivered_today >= budget.max_per_day:
         return None
     midnight = now - minute
-    start = max(now, midnight + max(budget.window_start_minute, WINDOW_START_MINUTE))
+    start = max(now, midnight + budget.window_start_minute)
     if budget.last_delivery is not None:
         start = max(start, budget.last_delivery + budget.min_gap_minutes)
     tick = -(-start // TICK_MINUTES) * TICK_MINUTES
-    return None if tick >= _day_end(day, budget) else tick
+    return None if tick >= midnight + budget.window_end_minute else tick
 
 
 def _day_runs(day: int, budget: BudgetState) -> Iterator[tuple[int, int]]:
@@ -124,7 +127,7 @@ def _day_runs(day: int, budget: BudgetState) -> Iterator[tuple[int, int]]:
     delivery at a tick of the run, if any; the next run starts at the
     first allowed tick after it, and a run with no delivery ends the day."""
     budget.start_day()
-    end = _day_end(day, budget)
+    end = day * DAY_MINUTES + budget.window_end_minute
     now = next_eligible(budget, day * DAY_MINUTES)
     while now is not None:
         delivered = budget.delivered_today
@@ -194,19 +197,21 @@ def features(now: int, budget: BudgetState) -> np.ndarray:
     return x
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimingModel:
     """Linear scorer with a decision threshold.
 
     ``feature_mean``/``feature_scale`` hold the standardization fitted at
-    training time (identity until trained); scoring applies it, so the
-    model is self-contained."""
+    training time; scoring applies it, so the model is self-contained.
+    Untrained, they are zeros and ones: ``x - 0.0`` and ``x / 1.0`` keep
+    every bit of ``x``, -0.0 included. Frozen: no field changes under a
+    ``ThresholdWalk``'s runs; ``replace`` makes a changed copy."""
 
     weights: np.ndarray
     bias: float = 0.0
     threshold: float = 0.5
-    feature_mean: np.ndarray | None = None
-    feature_scale: np.ndarray | None = None
+    feature_mean: np.ndarray = field(default_factory=lambda: np.zeros(N_FEATURES))
+    feature_scale: np.ndarray = field(default_factory=lambda: np.ones(N_FEATURES))
 
     @classmethod
     def budget_init(cls, budget: BudgetState) -> "TimingModel":
@@ -219,12 +224,6 @@ class TimingModel:
         return cls(weights=np.zeros(N_FEATURES), bias=math.log(rate / (1.0 - rate)))
 
 
-def _standardized(model: TimingModel, X: np.ndarray) -> np.ndarray:
-    if model.feature_mean is None:
-        return X
-    return (X - model.feature_mean) / model.feature_scale
-
-
 def score(model: TimingModel, x: np.ndarray) -> float:
     """sigmoid(w . x + b) on the (standardized) features: the engagement
     likelihood at this tick."""
@@ -233,7 +232,8 @@ def score(model: TimingModel, x: np.ndarray) -> float:
         raise ValueError(
             f"feature dimension {x.shape} does not match model {model.weights.shape}"
         )
-    return _sigmoid(float(model.weights @ _standardized(model, x) + model.bias))
+    x = (x - model.feature_mean) / model.feature_scale
+    return _sigmoid(float(model.weights @ x + model.bias))
 
 
 def _sigmoid(z: float) -> float:
@@ -315,7 +315,7 @@ def _unpack_history(history: TimingHistory):
 
 
 def _probabilities(model: TimingModel, X: np.ndarray) -> np.ndarray:
-    z = _standardized(model, X) @ model.weights + model.bias
+    z = ((X - model.feature_mean) / model.feature_scale) @ model.weights + model.bias
     return 1.0 / (1.0 + np.exp(-z))
 
 
@@ -344,7 +344,8 @@ def train(
     ``composite_loss`` with budget-pressure weight ``budget_penalty``.
     Features are standardized over the history first (per feature axis,
     like the sensing pipeline's preprocessing); the fitted transform ships
-    inside the returned model. Deterministic; leaves the input untouched.
+    inside the returned model in place of ``model``'s. Deterministic;
+    leaves the input untouched.
 
     Each epoch costs as much as the distinct (features, label) rows: a
     merged row is weighted by its count. The budget term averages the
@@ -360,12 +361,9 @@ def train(
     (``+0 + -0`` is +0), and with ``step`` 0 that sign reaches the weights."""
     X, y, labeled, counts, n_days = _unpack_history(history)
     n_rows = counts.sum()
-    if model.feature_mean is None:
-        mean = counts @ X / n_rows
-        scale = np.sqrt(counts @ (X - mean) ** 2 / n_rows)
-        scale[scale < 1e-9] = 1.0
-    else:
-        mean, scale = model.feature_mean, model.feature_scale
+    mean = counts @ X / n_rows
+    scale = np.sqrt(counts @ (X - mean) ** 2 / n_rows)
+    scale[scale < 1e-9] = 1.0
     X = (X - mean) / scale
     w = model.weights.astype(float).copy()
     b = model.bias
@@ -465,7 +463,7 @@ class _Run:
             i = len(xs)
             x = _tick_features(self.start + i * TICK_MINUTES, *self.state)
             # score(m, x) without its per-call checks
-            s = _sigmoid(float(w @ (x if mean is None else (x - mean) / scale) + b))
+            s = _sigmoid(float(w @ ((x - mean) / scale) + b))
             xs.append(x)
             if s > top:
                 top = s

@@ -20,34 +20,27 @@ _BETACF_FPMIN = 1e-300
 _BETACF_MAX_ITER = 400
 
 
+def _off_zero(v: float) -> float:
+    """``v``, or ``_BETACF_FPMIN`` when ``|v|`` is below it: Lentz's guard
+    against dividing by a near-zero."""
+    return _BETACF_FPMIN if abs(v) < _BETACF_FPMIN else v
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETACF_FPMIN:
-        d = _BETACF_FPMIN
-    d = 1.0 / d
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
+        d = 1.0 / _off_zero(1.0 + aa * d)
+        c = _off_zero(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
+        d = 1.0 / _off_zero(1.0 + aa * d)
+        c = _off_zero(1.0 + aa / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _BETACF_EPS:

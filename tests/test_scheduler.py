@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date, timedelta
 from itertools import groupby
 
@@ -66,6 +66,20 @@ def test_eligible_daily_cap():
 def test_eligible_gap_spans_days():
     b = BudgetState(delivered_today=2, last_delivery=at(MONDAY, 7, 50))
     assert eligible(b, at(TUESDAY, 10))
+
+
+@pytest.mark.parametrize("start, end", [
+    (7 * 60 + 55, 21 * 60),  # starts before 08:00
+    (8 * 60, 21 * 60 + 5),  # ends after 21:00
+    (7 * 60, 22 * 60),  # wider on both sides
+    (12 * 60, 12 * 60),  # empty
+    (13 * 60, 12 * 60),  # reversed
+])
+def test_budget_state_rejects_a_window_off_the_grid_or_empty(start, end):
+    with pytest.raises(ValueError, match="window"):
+        BudgetState(window_start_minute=start, window_end_minute=end)
+    with pytest.raises(ValueError, match="window"):
+        replace(BudgetState(), window_start_minute=start, window_end_minute=end)
 
 
 def _plain_ticks(day, budget):
@@ -257,6 +271,48 @@ def test_score_dimension_mismatch():
         score(TimingModel(weights=np.zeros(N_FEATURES)), np.zeros(3))
 
 
+# floats at the edges of the double range: signed zeros, subnormals and
+# magnitudes whose products overflow
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0e-310, -2.0e-310, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_EDGE_FLOATS, min_size=N_FEATURES, max_size=N_FEATURES),
+                     min_size=1, max_size=6),
+       weights=st.lists(st.floats(-3.0, 3.0), min_size=N_FEATURES, max_size=N_FEATURES),
+       bias=st.floats(-6.0, 6.0),
+       max_per_day=st.integers(1, 5),
+       window=_SHAPES["window"])
+def test_untrained_standardization_is_byte_exact_identity(rows, weights, bias,
+                                                          max_per_day, window):
+    X = np.asarray(rows, dtype=float)
+    shape = BudgetState(max_per_day=max_per_day, window_start_minute=window[0],
+                        window_end_minute=window[1])
+    cold = TimingModel.budget_init(shape)
+    for m in (cold, TimingModel(weights=np.asarray(weights), bias=bias)):
+        assert (X - m.feature_mean).tobytes() == X.tobytes()
+        assert ((X - m.feature_mean) / m.feature_scale).tobytes() == X.tobytes()
+        with np.errstate(all="ignore"):  # w @ x may overflow to inf or nan
+            for x in X:
+                want = pcar.scheduler._sigmoid(float(m.weights @ x + m.bias))
+                assert _bits(score(m, x)) == _bits(want)
+            plain = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias)))
+            assert pcar.scheduler._probabilities(m, X).tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(TimingModel)])
+def test_timing_model_fields_cannot_be_assigned(name):
+    m = TimingModel(weights=np.zeros(N_FEATURES))
+    with pytest.raises(FrozenInstanceError):
+        setattr(m, name, getattr(m, name))
+
+
 def _history(rows):
     """A ``TimingHistory`` of ``rows``, appended one by one."""
     history = TimingHistory()
@@ -305,6 +361,23 @@ def test_train_zero_epochs_returns_unchanged():
     history = _history(_separable_history(4))
     out = train(m, history, daily_budget=3.0, budget_penalty=0.1, epochs=0, step=0.05)
     assert np.array_equal(out.weights, m.weights) and out.bias == m.bias
+
+
+def test_train_refits_the_standardization_to_each_history():
+    first = _history(_separable_history(10))
+    second = _history(_duplicated_history())
+    trained = train(TimingModel(weights=np.zeros(N_FEATURES)), first,
+                    daily_budget=3.0, budget_penalty=0.1, epochs=5, step=0.05)
+    again = train(trained, second, daily_budget=3.0, budget_penalty=0.1, epochs=5,
+                  step=0.05)
+    fresh = train(TimingModel(weights=np.zeros(N_FEATURES)), second,
+                  daily_budget=3.0, budget_penalty=0.1, epochs=5, step=0.05)
+    assert again.feature_mean.tobytes() == fresh.feature_mean.tobytes()
+    assert again.feature_scale.tobytes() == fresh.feature_scale.tobytes()
+    assert not np.array_equal(again.feature_mean, trained.feature_mean)
+    X = np.vstack([x for x, _, _ in _duplicated_history()])
+    np.testing.assert_allclose(again.feature_mean, X.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(again.feature_scale, X.std(axis=0), rtol=1e-12)
 
 
 def test_train_loss_non_increasing_per_epoch():
@@ -472,12 +545,9 @@ def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step
     every epoch, as the plain expressions evaluate them."""
     X, y, labeled, counts, n_days = pcar.scheduler._unpack_history(history)
     n_rows = counts.sum()
-    if model.feature_mean is None:
-        mean = counts @ X / n_rows
-        scale = np.sqrt(counts @ (X - mean) ** 2 / n_rows)
-        scale[scale < 1e-9] = 1.0
-    else:
-        mean, scale = model.feature_mean, model.feature_scale
+    mean = counts @ X / n_rows
+    scale = np.sqrt(counts @ (X - mean) ** 2 / n_rows)
+    scale[scale < 1e-9] = 1.0
     X = (X - mean) / scale
     w = model.weights.astype(float).copy()
     b = model.bias
@@ -503,10 +573,10 @@ def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step
 @st.composite
 def _fit_cases(draw):
     """A merged history with 1..all distinct rows labeled, a start model
-    (with a preset standardization or without) and descent settings. A
-    history has a few distinct rows or as many as a study's night does.
-    Up to three weekday columns hold one value in every row, as on a
-    night that saw one weekday: standardized, they are zeros."""
+    and descent settings. A history has a few distinct rows or as many as
+    a study's night does. Up to three weekday columns hold one value in
+    every row, as on a night that saw one weekday: standardized, they are
+    zeros."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_distinct = draw(st.one_of(st.integers(1, 40), st.integers(300, 700)))
     n_labeled = draw(st.integers(1, n_distinct))
@@ -522,9 +592,6 @@ def _fit_cases(draw):
         history.append((x.copy(), y, (int(rng.integers(3)), int(rng.integers(n_days)))))
     model = TimingModel(weights=rng.normal(size=N_FEATURES) * draw(st.floats(0.0, 2.0)),
                         bias=draw(st.floats(-6.0, 6.0)))
-    if draw(st.booleans()):
-        model.feature_mean = rng.normal(size=N_FEATURES)
-        model.feature_scale = rng.uniform(0.2, 3.0, size=N_FEATURES)
     return (model, history, draw(st.integers(1, 5)), draw(st.floats(0.0, 10.0)),
             draw(st.integers(0, 30)), draw(st.floats(0.0, 0.5)))
 
@@ -601,10 +668,11 @@ _STANDARDIZATIONS = st.one_of(st.none(), st.tuples(
 
 
 def _model(weights, bias, standardization):
-    m = TimingModel(weights=np.asarray(weights), bias=bias)
-    if standardization is not None:
-        m.feature_mean, m.feature_scale = map(np.asarray, standardization)
-    return m
+    if standardization is None:
+        return TimingModel(weights=np.asarray(weights), bias=bias)
+    mean, scale = map(np.asarray, standardization)
+    return TimingModel(weights=np.asarray(weights), bias=bias,
+                       feature_mean=mean, feature_scale=scale)
 
 
 @settings(max_examples=15, deadline=None)
@@ -658,8 +726,7 @@ def test_cold_start_calibration_walks_at_most_three_passes(monkeypatch):
 
 def _same_model(a, b):
     for field in ("weights", "feature_mean", "feature_scale"):
-        u, v = getattr(a, field), getattr(b, field)
-        assert (u is None and v is None) or np.array_equal(u, v)
+        assert np.array_equal(getattr(a, field), getattr(b, field))
     assert (a.bias, a.threshold) == (b.bias, b.threshold)
 
 
@@ -780,7 +847,8 @@ def test_threshold_walk_equals_per_tick_scoring(max_per_day, min_gap, window, da
     for theta in thetas:
         assert walk.outcome(days, shape, theta) == _per_tick_outcome(
             model, days, shape, theta)
-    model.threshold = thetas[-1]
+    # the same weights and standardization: the runs scanned above still hold
+    walk.model = model = replace(model, threshold=thetas[-1])
     a, b = replace(shape), replace(shape)
     got, want = TimingHistory(), TimingHistory()
     for d in days:  # the gap carries across days
