@@ -1,5 +1,6 @@
 """Session fixtures for the results that more than one test module reads:
-the 20-seed acceptance batch and criterion 3's oracle check. Each is
+the 20-seed acceptance batch, criterion 3's oracle check and criterion
+9's timing comparison. Each is
 computed once per session, together with its wall time, so the acceptance
 criteria and the golden digests share one run of each."""
 
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from pcar.study import oracle_check, run_study
+from pcar.study import oracle_check, run_study, timing_comparison
 
 ACCEPTANCE_SEEDS = list(range(2000, 2020))
 # criterion 3's call: the benchmark instance at its default depth
@@ -22,6 +23,11 @@ def acceptance_batch() -> list:
 
 def default_oracle_check():
     return oracle_check(**ORACLE_DEFAULT)
+
+
+def default_timing_comparison():
+    """Criterion 9's call: trained against uniform triggering on 20 seeds."""
+    return timing_comparison(seeds=20)
 
 
 def _timed(fn):
@@ -40,3 +46,9 @@ def study_batch():
 def oracle_default():
     """(OracleCheckResult, elapsed seconds) of criterion 3's oracle check."""
     return _timed(default_oracle_check)
+
+
+@pytest.fixture(scope="session")
+def timing_default():
+    """(TimingComparison, elapsed seconds) of criterion 9's timing comparison."""
+    return _timed(default_timing_comparison)

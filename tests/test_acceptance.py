@@ -20,7 +20,7 @@ from pcar.agent import AgentBundle, AttributeSchema, ContextBucket, ghost_audit
 from pcar.lsd import advance, initial_state
 from pcar.scheduler import TimingHistory, TimingModel, composite_loss, train
 from pcar.stats import pearson, pss_trend, welch_t
-from pcar.study import DEFAULT_CONFIG, load_config, run_study, timing_comparison
+from pcar.study import DEFAULT_CONFIG, load_config, run_study
 
 mpmath.mp.dps = 50
 
@@ -261,9 +261,9 @@ def test_criterion_8_stats_against_arbitrary_precision():
          f"fixture = {slope:.12f}")
 
 
-def test_criterion_9_scheduler_learning():
+def test_criterion_9_scheduler_learning(timing_default):
     t0 = time.time()
-    comparison = timing_comparison(seeds=20)
+    comparison, fixture_elapsed = timing_default  # timing_comparison(seeds=20)
     assert np.mean(comparison.trained_acceptance) > np.mean(
         comparison.uniform_acceptance
     )
@@ -286,7 +286,7 @@ def test_criterion_9_scheduler_learning():
                       step=0.05)
         losses.append(composite_loss(model, history, 3.0, 0.1))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-    elapsed = time.time() - t0
+    elapsed = fixture_elapsed + time.time() - t0
     assert elapsed < 60.0
     note(f"criterion 9 PASS: trained timing acceptance "
          f"{np.mean(comparison.trained_acceptance):.3f} vs uniform "

@@ -9,12 +9,10 @@ optimum): one the learner solves outright and one it does not, whose
 fractions below 1 move with the learner's values. The learner's own
 values are pinned too: the Q tables of a two-attribute bundle driven over
 a fixed set of trajectories, with a clock clip below the cap so that
-clocks share table entries. Two keys digest the session fixtures of
-``conftest.py``: the log hashes of the 20-seed acceptance batch and the
-fractions of criterion 3's oracle check. Criterion 9's
-``timing_comparison(seeds=20)`` is not pinned: its fits pass 10,000
-distinct rows, where numpy's BLAS may thread the ``counts @ p`` dot
-product, so its last bits could depend on the core count.
+clocks share table entries. Three keys digest the session fixtures of
+``conftest.py``: the log hashes of the 20-seed acceptance batch, the
+fractions of criterion 3's oracle check and the ``repr`` of criterion 9's
+``timing_comparison(seeds=20)``.
 
 The values in ``data/golden_outputs.json`` were recorded once; a refactor
 that claims to keep behaviour must leave every one of them unchanged.
@@ -32,7 +30,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import acceptance_batch, default_oracle_check
+from conftest import (acceptance_batch, default_oracle_check,
+                      default_timing_comparison)
 from pcar.agent import PERIODS, AgentBundle, AttributeSchema, ContextBucket
 from pcar.lsd import advance, initial_state
 from pcar.study import (
@@ -164,6 +163,7 @@ def _compute() -> dict:
     out["learner_q"] = _learner_digest()
     out["acceptance_log_hashes"] = _log_hashes_digest(acceptance_batch())
     out["oracle_fractions_default"] = _fractions_digest(default_oracle_check())
+    out["timing_comparison_default"] = _sha256(repr(default_timing_comparison()))
     return out
 
 
@@ -216,6 +216,11 @@ def test_acceptance_log_hashes_match_golden(golden, study_batch):
 def test_oracle_fractions_default_match_golden(golden, oracle_default):
     result, _ = oracle_default
     assert _fractions_digest(result) == golden["oracle_fractions_default"]
+
+
+def test_timing_comparison_default_matches_golden(golden, timing_default):
+    comparison, _ = timing_default
+    assert _sha256(repr(comparison)) == golden["timing_comparison_default"]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
