@@ -114,11 +114,11 @@ def _validate_entry(entry_id: str, rows: list[tuple[int, dict]]) -> Intervention
             raise CatalogError(
                 f"{value!r} is not a valid {DEFAULT_SCHEMA.name(i)}", first_line
             )
-    raw = first["duration_seconds"].strip()
-    duration = MAX_DURATION_SECONDS if not raw else int(raw)
+    raw = first["duration_seconds"].strip() or str(MAX_DURATION_SECONDS)
+    duration = int(raw) if raw.isascii() and raw.isdigit() else 0
     if not 1 <= duration <= MAX_DURATION_SECONDS:
         raise CatalogError(
-            f"duration {duration}s outside 1..{MAX_DURATION_SECONDS}", first_line
+            f"duration {raw!r} is not 1..{MAX_DURATION_SECONDS} seconds", first_line
         )
     nodes = []
     seen = set()

@@ -19,9 +19,11 @@ pulls the expected number of daily triggers toward the allowance. ``fit``
 takes the pressure weight and the descent's epochs and step from a study
 config's ``scheduler`` block; the library holds no second copy of them.
 
-Training merges identical (features, label) history rows into one row
-with a count (``TimingHistory``), so a night's refit costs as much as its
-distinct rows. In a study every participant shares one model and fires
+Training counts identical (features, label) history rows as one row
+(``TimingHistory``) and reads them sorted, summing 1-D products with
+``np.add.reduce``: a refit costs as much as its distinct rows, and its
+bits depend only on their multiset, under any arrival order or thread
+count. In a study every participant shares one model and fires
 deterministically, so the cohort walks few distinct budget states.
 ``ThresholdWalk`` scores each run once per model and budget state, as
 ``score`` does, and bisects the run's prefix maxima for a threshold.
@@ -39,10 +41,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -204,14 +206,20 @@ class TimingModel:
     ``feature_mean``/``feature_scale`` hold the standardization fitted at
     training time; scoring applies it, so the model is self-contained.
     Untrained, they are zeros and ones: ``x - 0.0`` and ``x / 1.0`` keep
-    every bit of ``x``, -0.0 included. Frozen: no field changes under a
-    ``ThresholdWalk``'s runs; ``replace`` makes a changed copy."""
+    every bit of ``x``, -0.0 included. Frozen, its arrays read-only copies:
+    nothing changes under a ``ThresholdWalk``'s runs; ``replace`` copies."""
 
     weights: np.ndarray
     bias: float = 0.0
     threshold: float = 0.5
     feature_mean: np.ndarray = field(default_factory=lambda: np.zeros(N_FEATURES))
     feature_scale: np.ndarray = field(default_factory=lambda: np.ones(N_FEATURES))
+
+    def __post_init__(self) -> None:
+        for name in ("weights", "feature_mean", "feature_scale"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @classmethod
     def budget_init(cls, budget: BudgetState) -> "TimingModel":
@@ -244,26 +252,25 @@ def _sigmoid(z: float) -> float:
 
 
 class TimingHistory:
-    """Training rows of the timing model, merged as they arrive.
+    """Training rows of the timing model, counted as they arrive.
 
     A row is (features, label, day key) for an eligible tick. The label
     is 1/0 engagement feedback for ticks where a contact went out and None
     for the rest; unlabeled ticks still count toward the expected-daily-
-    triggers budget term. Identical (features, label) rows merge into one
-    row with a count, so a history costs what its distinct rows cost, and
-    appending keeps a nightly refit from re-reading old rows. ``len``
-    counts the rows appended."""
+    triggers budget term. Identical (features, label) rows are one count,
+    so a history costs what its distinct rows cost and keeps no arrival
+    order. ``len`` counts the rows appended."""
 
     def __init__(self):
-        self._rows: dict = {}  # (feature bytes, label) -> [features, count]
-        # the first len(_y) rows of _rows stacked: features, labels, labeled mask
-        self._X, self._y, self._labeled = None, np.empty(0), None
+        self._rows: Counter = Counter()  # (feature bytes, label) -> count
         self._days: set = set()
-        self._n_rows = 0
-        self.n_labeled = 0
 
     def __len__(self) -> int:
-        return self._n_rows
+        return self._rows.total()
+
+    @property
+    def n_labeled(self) -> int:
+        return sum(c for (_, y), c in self._rows.items() if y is not None)
 
     def append(self, row) -> None:
         x, y, day = row
@@ -271,47 +278,24 @@ class TimingHistory:
 
     def add_rows(self, xs, y, day) -> None:
         """Append the row ``(x, y, day)`` for each float array ``x`` of
-        ``xs``, in order: one call for a run of unlabeled ticks."""
-        if not len(xs):
-            return
-        rows = self._rows
-        for x in xs:
-            key = (x.tobytes(), y)
-            entry = rows.get(key)
-            if entry is None:
-                rows[key] = [x, 1]
-            else:
-                entry[1] += 1
-        self._days.add(day)
-        self._n_rows += len(xs)
-        if y is not None:
-            self.n_labeled += len(xs)
+        ``xs``: one call for a run of unlabeled ticks."""
+        if len(xs):
+            self._rows.update([(x.tobytes(), y) for x in xs])
+            self._days.add(day)
 
 
 def _unpack_history(history: TimingHistory):
-    """The distinct feature rows of a history, their labels (NaN for
-    unlabeled), the labeled mask, the row counts and the number of
-    distinct day keys. All but the counts are read-only and kept on the
-    history: rows are only ever added, in first-seen order, and a row's
-    label never changes, so each call stacks just the rows that are new
-    since the last."""
-    if not history:
-        raise ValueError("history is empty")
+    """The distinct feature rows of a history (read-only), their labels
+    (NaN for unlabeled), the labeled mask, the row counts and the number
+    of distinct day keys, built afresh sorted by feature bytes, then label,
+    None after every float label."""
     if not history.n_labeled:
         raise ValueError("history has no labeled rows")
-    merged, X, y = history._rows, history._X, history._y
-    if len(y) < len(merged):
-        new = list(islice(merged.items(), len(y), None))
-        xs = [x for _, (x, _) in new]
-        history._X = X = np.vstack(xs if X is None else [X, *xs])
-        history._y = y = np.append(y, [np.nan if lab is None else lab
-                                       for (_, lab), _ in new])
-        history._labeled = ~np.isnan(y)
-        for a in (X, y, history._labeled):
-            a.flags.writeable = False
-    return (X, y, history._labeled,
-            np.asarray([c for _, c in merged.values()], dtype=float),
-            len(history._days))
+    keys = sorted(history._rows, key=lambda k: (k[0], k[1] is None, k[1]))
+    X = np.frombuffer(b"".join(x for x, _ in keys)).reshape(len(keys), -1)
+    y = np.array([np.nan if lab is None else lab for _, lab in keys])
+    counts = np.array([history._rows[k] for k in keys], dtype=float)
+    return X, y, ~np.isnan(y), counts, len(history._days)
 
 
 def _probabilities(model: TimingModel, X: np.ndarray) -> np.ndarray:
@@ -327,8 +311,8 @@ def composite_loss(model: TimingModel, history: TimingHistory,
     X, y, labeled, counts, n_days = _unpack_history(history)
     p = _probabilities(model, X)
     c = counts[labeled]
-    mse = float(c @ (p[labeled] - y[labeled]) ** 2 / c.sum())
-    mean_triggers = float(counts @ p) / n_days
+    mse = float(np.add.reduce(c * (p[labeled] - y[labeled]) ** 2) / c.sum())
+    mean_triggers = float(np.add.reduce(counts * p)) / n_days
     return mse + budget_penalty * (mean_triggers - daily_budget) ** 2
 
 
@@ -351,8 +335,8 @@ def train(
     merged row is weighted by its count. The budget term averages the
     expected triggers over the distinct day keys of the history, so a
     study keys its rows by participant-day. The epochs allocate nothing:
-    they write into buffers made once per call, and the fit is
-    bit-identical to the expressions in the comments, no sum regrouped.
+    they write into buffers made once per call, and the fit is bit-identical
+    to the expressions in the comments, its 1-D sums ``np.add.reduce``.
     ``z`` is ``(-X) @ w - b``: rounding is symmetric in sign, and ``exp``
     erases the sign of a zero ``z``. One factor, 2 on labeled rows and 0
     elsewhere, stands for the 2 and the zeroing of unlabeled rows: there
@@ -365,7 +349,7 @@ def train(
     scale = np.sqrt(counts @ (X - mean) ** 2 / n_rows)
     scale[scale < 1e-9] = 1.0
     X = (X - mean) / scale
-    w = model.weights.astype(float).copy()
+    w = model.weights.copy()
     b = model.bias
     n_labeled = counts[labeled].sum()
     y_fit = np.where(labeled, y, 0.0)
@@ -389,8 +373,9 @@ def train(
         g *= sig_grad
         g /= n_labeled
         # budget-pressure term over every eligible tick
+        np.multiply(counts, p, out=tmp)
         pressure = 2.0 * budget_penalty * (
-            float(np.dot(counts, p)) / n_days - daily_budget)
+            float(np.add.reduce(tmp)) / n_days - daily_budget)
         np.multiply(sig_grad, pressure, out=tmp)
         tmp /= n_days
         g += tmp  # g += pressure * sig_grad / n_days
@@ -404,7 +389,7 @@ def train(
 
 def expected_daily_triggers(model: TimingModel, history: TimingHistory) -> float:
     X, _, _, counts, n_days = _unpack_history(history)
-    return float(counts @ _probabilities(model, X)) / n_days
+    return float(np.add.reduce(counts * _probabilities(model, X))) / n_days
 
 
 def _state(budget: BudgetState) -> tuple:
@@ -478,6 +463,7 @@ class _Run:
         return self.start + self.at[k] * TICK_MINUTES
 
 
+@dataclass(frozen=True)
 class ThresholdWalk:
     """Walks days of ticks under the budget rules by runs, firing where
     ``model``'s score clears a threshold.
@@ -491,11 +477,10 @@ class ThresholdWalk:
     (computed once per budget state across every model) and is scored
     with ``score``'s expression on the model, read once per scan, so fires
     and history rows are those of ``score`` on every allowed tick in turn.
-    The feature arrays handed out are shared and read-only."""
+    Frozen, so its runs hold; the feature arrays it hands out are read-only."""
 
-    def __init__(self, model: TimingModel):
-        self.model = model
-        self._runs: dict = {}
+    model: TimingModel
+    _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def run(self, now: int, n: int, budget: BudgetState) -> _Run:
         """The run of the ``n`` allowed ticks from ``now`` under

@@ -88,6 +88,18 @@ def test_inconsistent_entry_attributes_rejected(tmp_path):
         load_catalog(path)
 
 
+@pytest.mark.parametrize("dur", ["abc", "\uff11\uff15", "1.5", "+15", "0"])
+def test_duration_must_be_ascii_digits_in_range(tmp_path, dur):
+    """A duration cell that is not 1..60 in ASCII digits is a CatalogError
+    naming the row, full-width digits included."""
+    path = write_catalog(
+        tmp_path,
+        [row("a", "node_id_1", "response_modulation", "somatic", "indoor", dur=dur)],
+    )
+    with pytest.raises(CatalogError, match="^row 2: duration"):
+        load_catalog(path)
+
+
 def test_duration_and_node_bounds(tmp_path):
     path = write_catalog(
         tmp_path,

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date, timedelta
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +317,23 @@ def test_timing_model_fields_cannot_be_assigned(name):
         setattr(m, name, getattr(m, name))
 
 
+@pytest.mark.parametrize("name", ["weights", "feature_mean", "feature_scale"])
+def test_timing_model_arrays_are_read_only_copies(name):
+    given = np.full(N_FEATURES, -0.0)
+    m = TimingModel(**{"weights": np.zeros(N_FEATURES), name: given})
+    assert getattr(m, name).tobytes() == given.tobytes()  # -0.0 kept
+    with pytest.raises(ValueError):
+        getattr(m, name)[0] = 1.0
+    given[0] = 1.0  # the caller's array is not the model's
+    assert getattr(m, name)[0] == 0.0
+
+
+def test_threshold_walk_model_cannot_be_rebound():
+    walk = ThresholdWalk(TimingModel(weights=np.zeros(N_FEATURES)))
+    with pytest.raises(FrozenInstanceError):
+        walk.model = TimingModel(weights=np.ones(N_FEATURES))
+
+
 def _history(rows):
     """A ``TimingHistory`` of ``rows``, appended one by one."""
     history = TimingHistory()
@@ -515,29 +536,31 @@ def test_timing_history_appended_row_by_row_trains_like_a_list():
 )
 def test_unpacked_features_equal_a_fresh_stack_of_every_distinct_row(batches):
     """Unpacking between batches of appends, repeated rows included, gives
-    the bytes of one ``vstack`` over the distinct rows in first-seen order,
-    and of labels, labeled mask and counts built afresh from those rows."""
+    the bytes of one ``vstack`` over the distinct rows sorted by feature
+    bytes, then label with None last, and of labels, labeled mask and
+    counts built afresh from those rows."""
     pool = np.random.default_rng(3).normal(size=(8, N_FEATURES))
     history = TimingHistory()
     history.append((pool[0], 1.0, 0))  # unpacking needs a labeled row
-    seen = {(0, 1.0): 1}  # (pool index, label) -> count, in first-seen order
+    seen = {(0, 1.0): 1}  # (pool index, label) -> count
     for day, batch in enumerate(batches, 1):
         for i, y in batch:
             history.append((pool[i], y, day))
             seen[i, y] = seen.get((i, y), 0) + 1
         X, y, labeled, counts, _ = pcar.scheduler._unpack_history(history)
-        fresh = np.vstack([x for x, _ in history._rows.values()])
+        order = sorted(seen, key=lambda k: (pool[k[0]].tobytes(), k[1] is None,
+                                            k[1] or 0.0))
+        fresh = np.vstack([pool[i] for i, _ in order])
         assert X.shape == fresh.shape and X.tobytes() == fresh.tobytes()
         assert not X.flags.writeable
-        labels = [lab for _, lab in seen]
+        labels = [lab for _, lab in order]
         fresh_y = np.asarray([np.nan if lab is None else lab for lab in labels])
         fresh_labeled = np.asarray([lab is not None for lab in labels])
-        fresh_counts = np.asarray(list(seen.values()), dtype=float)
+        fresh_counts = np.asarray([seen[k] for k in order], dtype=float)
         for got, want in ((y, fresh_y), (labeled, fresh_labeled),
                           (counts, fresh_counts)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        assert not y.flags.writeable and not labeled.flags.writeable
 
 
 def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step):
@@ -562,7 +585,7 @@ def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step
         g = np.where(labeled, 2.0 * (p - y_fit) * sig_grad / n_labeled, 0.0)
         # budget-pressure term over every eligible tick
         pressure = 2.0 * budget_penalty * (
-            float(counts @ p) / n_days - daily_budget)
+            float(np.add.reduce(counts * p)) / n_days - daily_budget)
         g += pressure * sig_grad / n_days
         g *= counts
         w -= step * (X.T @ g)
@@ -620,6 +643,58 @@ def test_train_is_bit_identical_to_the_allocating_loop_past_10000_rows():
     weights[2:7] = -0.0
     model = TimingModel(weights=weights, bias=-1.5)
     _assert_train_matches_the_allocating_loop(model, history, 3, 0.1, 4, 0.05)
+
+
+def _model_bytes(m):
+    return (m.weights.tobytes(), np.float64(m.bias).tobytes(),
+            m.feature_mean.tobytes(), m.feature_scale.tobytes())
+
+
+def test_train_depends_only_on_the_multiset_of_rows():
+    """Five arrival orders of one 2,400-row history fit to the same bytes:
+    the fit reads the distinct rows in one sorted order, not as they came."""
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(800, N_FEATURES))
+    rows = [(X[i], float(rng.integers(2)) if i < 300 else None,
+             (int(rng.integers(4)), int(rng.integers(5))))
+            for i in rng.integers(800, size=2400)]
+    start = TimingModel.budget_init(BudgetState())
+    fitted = set()
+    for _ in range(5):
+        history = _history([rows[i] for i in rng.permutation(len(rows))])
+        fitted.add(_model_bytes(train(start, history, daily_budget=3.0,
+                                      budget_penalty=0.1, epochs=40, step=0.05)))
+    assert len(fitted) == 1
+
+
+# a 12,000-distinct-row fit, whose sums pass the length where OpenBLAS
+# threads a dot product; prints the sha256 of the model's bytes
+_THREADED_FIT = """
+import hashlib
+import numpy as np
+from pcar.scheduler import BudgetState, TimingHistory, TimingModel, train
+rng = np.random.default_rng(9)
+X = rng.normal(scale=2.0, size=(12_000, 10))
+history = TimingHistory()
+history.add_rows(list(X[:600]), 1.0, 0)
+history.add_rows(list(X[600:1200]), 0.0, 1)
+history.add_rows(list(X[1200:]), None, 2)
+m = train(TimingModel.budget_init(BudgetState()), history, 3.0, 0.1, 20, 0.05)
+print(hashlib.sha256(m.weights.tobytes() + np.float64(m.bias).tobytes()
+                     + m.feature_mean.tobytes() + m.feature_scale.tobytes()).hexdigest())
+"""
+
+
+def test_train_does_not_depend_on_the_blas_thread_count():
+    path = [str(Path(pcar.scheduler.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        digests.append(subprocess.run([sys.executable, "-c", _THREADED_FIT], env=env,
+                                      capture_output=True, text=True, check=True,
+                                      timeout=120).stdout)
+    assert digests[0] == digests[1] and len(digests[0]) == 65
 
 
 def _assert_train_matches_the_allocating_loop(model, history, daily_budget,
@@ -814,8 +889,7 @@ def _contact_all(fires, budget, history, key):
 
 
 def _history_rows(history):
-    return ([(k, c) for k, (_, c) in history._rows.items()],
-            len(history), history.n_labeled, history._days)
+    return history._rows, history._days
 
 
 @settings(max_examples=150, deadline=None)
@@ -842,13 +916,14 @@ def test_threshold_walk_equals_per_tick_scoring(max_per_day, min_gap, window, da
         return score(model, features(at(day, 0, window[0] + t * 5), fresh))
 
     thetas = [theta_of(t) for t in thetas]
-    walk = ThresholdWalk(model)  # one walk for every threshold: runs are reused
+    # one walk for every threshold, and then for the fires at the model's
+    # own: the runs scanned by the outcomes are reused
+    model = replace(model, threshold=thetas[-1])
+    walk = ThresholdWalk(model)
     days = range(day, day + 3)
     for theta in thetas:
         assert walk.outcome(days, shape, theta) == _per_tick_outcome(
             model, days, shape, theta)
-    # the same weights and standardization: the runs scanned above still hold
-    walk.model = model = replace(model, threshold=thetas[-1])
     a, b = replace(shape), replace(shape)
     got, want = TimingHistory(), TimingHistory()
     for d in days:  # the gap carries across days
