@@ -28,10 +28,11 @@ deterministically, so the cohort walks few distinct budget states.
 ``ThresholdWalk`` scores each run once per model and budget state, as
 ``score`` does, and bisects the run's prefix maxima for a threshold.
 Calibration, the study's model mode and the trained policy of
-``timing_comparison`` share it. A tick's features do not read the model,
-so runs take them from one bounded memo keyed by the tick and the budget
-fields ``features`` reads: each night's calibration walks the same five
-weekdays and reuses them. The memo's rows are read-only.
+``timing_comparison`` share it. Runs are built, scored and recorded as
+blocks: ``_run_rows`` memoizes a run's rows, equal to ``features`` at
+each tick, by what they read, so each night's calibration and the
+study's days share them; a run scores its block at once, and a history
+takes a run's passed rows in one call.
 
 Time is one integer clock, the study-minute: ``day * 1440 + minute of
 day``, where day 0 is a Monday, so the weekday is ``day % 7``.
@@ -45,6 +46,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -167,11 +169,10 @@ def uniform_fires(day: int, budget: BudgetState, rng: np.random.Generator,
         else:
             k = n  # none fires: every tick of the run passes
         if history is not None:
-            history.add_rows([features(start + i * TICK_MINUTES, budget)
-                              for i in range(k)], None, key)
+            xs = _run_rows(start, n, budget)
+            history.add_rows(xs[:k], None, key)
         if k < n:
-            now = start + k * TICK_MINUTES
-            yield now, None if history is None else features(now, budget)
+            yield start + k * TICK_MINUTES, None if history is None else xs[k]
 
 
 def features(now: int, budget: BudgetState) -> np.ndarray:
@@ -196,6 +197,42 @@ def features(now: int, budget: BudgetState) -> np.ndarray:
     remaining = max(0, budget.window_end_minute - minute)
     window = budget.window_end_minute - budget.window_start_minute
     x[9] = min(remaining, window) / window
+    return x
+
+
+# sin and cos hour of each minute of the day, on features' own expressions
+_TRIG = np.array([(math.sin(a), math.cos(a)) for a in (
+    2.0 * math.pi * minute / DAY_MINUTES for minute in range(DAY_MINUTES))])
+
+
+def _run_rows(start: int, n: int, budget: BudgetState) -> np.ndarray:
+    """``features`` at each of the ``n`` ticks from ``start`` on its
+    calendar day under ``budget``'s state, as one read-only ``(n, 10)``
+    block. A distance of at least the gap cap from the last delivery
+    reads as no delivery: both give a gap column of 1.0."""
+    day, minute = divmod(start, DAY_MINUTES)
+    gap = None if budget.last_delivery is None else start - budget.last_delivery
+    return _rows(day % 7, minute, n, None if gap is None or gap >= GAP_CAP_MINUTES
+                 else gap, budget.delivered_today, budget.max_per_day,
+                 budget.window_start_minute, budget.window_end_minute)
+
+
+@lru_cache(maxsize=512)
+def _rows(weekday: int, minute: int, n: int, gap: int | None, delivered_today: int,
+          max_per_day: int, window_start_minute: int,
+          window_end_minute: int) -> np.ndarray:
+    """``_run_rows``' block, in vector steps that round as ``features``' do."""
+    minutes = np.arange(minute, minute + n * TICK_MINUTES, TICK_MINUTES)
+    x = np.zeros((n, N_FEATURES))
+    x[:, :2] = _TRIG[minutes]
+    if weekday < 5:
+        x[:, 2 + weekday] = 1.0
+    gaps = GAP_CAP_MINUTES if gap is None else np.maximum(minutes - minute + gap, 0)
+    x[:, 7] = np.minimum(gaps, GAP_CAP_MINUTES) / GAP_CAP_MINUTES
+    x[:, 8] = max(0, max_per_day - delivered_today) / max_per_day
+    window = window_end_minute - window_start_minute
+    x[:, 9] = np.minimum(np.maximum(window_end_minute - minutes, 0), window) / window
+    x.flags.writeable = False
     return x
 
 
@@ -244,6 +281,14 @@ def score(model: TimingModel, x: np.ndarray) -> float:
     return _sigmoid(float(model.weights @ x + model.bias))
 
 
+def _logits(model: TimingModel, xs: np.ndarray) -> np.ndarray:
+    """``score``'s logit of each row of ``xs``, bit for bit: standardized
+    elementwise, then a stacked product, one dot per row as ``w @ x``
+    (a plain ``xs @ w`` rounds differently)."""
+    xs = (xs - model.feature_mean) / model.feature_scale
+    return (xs[:, None, :] @ model.weights).ravel() + model.bias
+
+
 def _sigmoid(z: float) -> float:
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
@@ -274,13 +319,15 @@ class TimingHistory:
 
     def append(self, row) -> None:
         x, y, day = row
-        self.add_rows((np.asarray(x, dtype=float),), y, day)
+        self.add_rows((x,), y, day)
 
     def add_rows(self, xs, y, day) -> None:
-        """Append the row ``(x, y, day)`` for each float array ``x`` of
-        ``xs``: one call for a run of unlabeled ticks."""
+        """Append ``(x, y, day)`` for each row ``x`` of the 2-D block ``xs``,
+        converted to float once: one call for a run of unlabeled ticks."""
+        xs = np.ascontiguousarray(xs, dtype=float)
         if len(xs):
-            self._rows.update([(x.tobytes(), y) for x in xs])
+            rows = xs.view(np.dtype((np.void, xs.shape[1] * xs.itemsize)))
+            self._rows.update(zip(rows.ravel().tolist(), repeat(y)))
             self._days.add(day)
 
 
@@ -392,41 +439,20 @@ def expected_daily_triggers(model: TimingModel, history: TimingHistory) -> float
     return float(np.add.reduce(counts * _probabilities(model, X))) / n_days
 
 
-def _state(budget: BudgetState) -> tuple:
-    """Every budget field that ``features`` reads."""
-    return (budget.last_delivery, budget.delivered_today, budget.max_per_day,
-            budget.window_start_minute, budget.window_end_minute)
-
-
-@lru_cache(maxsize=1024)
-def _tick_features(now: int, last_delivery: int | None, delivered_today: int,
-                   max_per_day: int, window_start_minute: int,
-                   window_end_minute: int) -> np.ndarray:
-    """``features(now, budget)`` for a budget in this state, computed once
-    and shared read-only: it does not depend on the model, so every
-    night's calibration and walk reads the same rows."""
-    x = features(now, BudgetState(
-        delivered_today=delivered_today, last_delivery=last_delivery,
-        max_per_day=max_per_day, window_start_minute=window_start_minute,
-        window_end_minute=window_end_minute))
-    x.flags.writeable = False
-    return x
-
-
 class _Run:
     """The allowed ticks of one day from ``start`` to the window end while
-    a budget state holds, scanned lazily: the features of the ticks scanned
-    so far and the strict prefix maxima of their scores with the tick
-    indices where they occur."""
+    a budget state holds: their rows, their logits, and the strict prefix
+    maxima of the scores scanned so far with the tick indices where they
+    occur. The sigmoid is applied lazily, tick by tick."""
 
-    __slots__ = ("model", "state", "start", "n", "xs", "maxima", "at")
+    __slots__ = ("start", "n", "xs", "logits", "scanned", "maxima", "at")
 
     def __init__(self, model: TimingModel, start: int, n: int, budget: BudgetState):
-        self.model = model
-        self.state = _state(budget)  # the features of every tick read it
         self.start = start
         self.n = n
-        self.xs: list[np.ndarray] = []
+        self.xs = _run_rows(start, n, budget)
+        self.logits = _logits(model, self.xs).tolist()
+        self.scanned = 0
         self.maxima: list[float] = []
         self.at: list[int] = []
 
@@ -440,22 +466,18 @@ class _Run:
         k = bisect_left(maxima, theta)
         if k < len(maxima):
             return k
-        xs = self.xs
         top = maxima[-1] if maxima else -math.inf
-        m = self.model
-        w, b, mean, scale = m.weights, m.bias, m.feature_mean, m.feature_scale
-        while len(xs) < self.n:
-            i = len(xs)
-            x = _tick_features(self.start + i * TICK_MINUTES, *self.state)
-            # score(m, x) without its per-call checks
-            s = _sigmoid(float(w @ ((x - mean) / scale) + b))
-            xs.append(x)
+        logits = self.logits
+        for i in range(self.scanned, self.n):
+            s = _sigmoid(logits[i])
             if s > top:
                 top = s
                 maxima.append(s)
                 self.at.append(i)
                 if s >= theta:
+                    self.scanned = i + 1
                     return len(maxima) - 1
+        self.scanned = self.n
         return len(maxima)
 
     def tick(self, k: int) -> int:
@@ -473,11 +495,10 @@ class ThresholdWalk:
     the tick and the budget state and shape. So each run is kept once per
     state, shared by every walk over it (the passes of a calibration, the
     participants of a study) and scanned only as far as a threshold needs.
-    Each tick's row comes from ``features`` by way of the module's memo
-    (computed once per budget state across every model) and is scored
-    with ``score``'s expression on the model, read once per scan, so fires
-    and history rows are those of ``score`` on every allowed tick in turn.
-    Frozen, so its runs hold; the feature arrays it hands out are read-only."""
+    A run's rows are ``_run_rows``' block (shared across every model) and
+    its logits those of ``score``, so fires and history rows are those of
+    ``score`` on every allowed tick in turn. Frozen, so its runs hold; the
+    feature arrays it hands out are read-only."""
 
     model: TimingModel
     _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -486,7 +507,9 @@ class ThresholdWalk:
         """The run of the ``n`` allowed ticks from ``now`` under
         ``budget``'s state, as ``_day_runs`` yields it; ``n`` follows from
         ``now`` and the state's window end."""
-        key = (now, *_state(budget))
+        b = budget  # every field that features reads
+        key = (now, b.last_delivery, b.delivered_today, b.max_per_day,
+               b.window_start_minute, b.window_end_minute)
         run = self._runs.get(key)
         if run is None:
             run = self._runs[key] = _Run(self.model, now, n, budget)

@@ -228,29 +228,37 @@ def test_features_hour_trig():
     assert (a[0], a[1]) == (c[0], c[1])
 
 
-def test_features_memo_rows_equal_features_and_are_read_only():
-    memo = pcar.scheduler._tick_features
-    now = at(WEDNESDAY, 13, 5)
-    budgets = [BudgetState(last_delivery=last) for last in (
-        None, 0, now - 5, now - 119, at(WEDNESDAY - 1, 20, 55), at(WEDNESDAY, 8))]
-    budgets += [BudgetState(delivered_today=k, last_delivery=at(WEDNESDAY, 9))
-                for k in (0, 1, 2, 3, 4)]
-    budgets += [BudgetState(max_per_day=k, delivered_today=1) for k in (1, 2, 5)]
-    budgets += [BudgetState(window_start_minute=lo, window_end_minute=hi)
-                for lo, hi in ((13 * 60, 13 * 60 + 5), (12 * 60, 14 * 60),
-                               (8 * 60, 8 * 60 + 30), (20 * 60, 21 * 60))]
-    for budget in budgets:
-        for tick in (now, at(WEDNESDAY, 8), at(WEDNESDAY, 20, 55), at(SATURDAY, 10)):
-            row = memo(tick, *pcar.scheduler._state(budget))
-            assert row.tobytes() == features(tick, budget).tobytes(), (tick, budget)
-            assert memo(tick, *pcar.scheduler._state(budget)) is row  # a hit
-            with pytest.raises(ValueError):
-                row[0] = 1.0
-    bound = memo.cache_info().maxsize
-    assert bound is not None
-    for tick in range(0, (bound + 1) * 5, 5):
-        memo(tick, *pcar.scheduler._state(BudgetState()))
-    assert memo.cache_info().currsize == bound
+@settings(max_examples=300, deadline=None)
+@given(delivered=st.integers(0, 6), max_per_day=st.integers(1, 5),
+       window=_SHAPES["window"], day=st.integers(0, 27),
+       minute=st.integers(0, 24 * 60 - 1), data=st.data(),
+       distance=st.one_of(st.none(), st.sampled_from([780, 781, 779, 0, 5]),
+                          st.integers(-300, 2000)))
+def test_run_rows_block_equals_features_at_every_tick(delivered, max_per_day, window,
+                                                     day, minute, data, distance):
+    """A run's block is byte-equal to ``features`` at each of its ticks,
+    read-only and memoized: a repeat, the same run a week later and a gap
+    past the cap (which reads as no delivery) are hits."""
+    n = data.draw(st.integers(1, (24 * 60 - 1 - minute) // 5 + 1), label="n")
+    start = at(day, 0, minute)
+    budget = BudgetState(
+        delivered_today=delivered, max_per_day=max_per_day,
+        last_delivery=None if distance is None else start - distance,
+        window_start_minute=window[0], window_end_minute=window[1])
+    block = pcar.scheduler._run_rows(start, n, budget)
+    assert block.shape == (n, N_FEATURES)
+    for i, x in enumerate(block):
+        assert x.tobytes() == features(start + i * 5, budget).tobytes(), i
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+    assert pcar.scheduler._run_rows(start, n, budget) is block
+    later = replace(budget, last_delivery=None if distance is None
+                    else budget.last_delivery + 7 * 1440)
+    assert pcar.scheduler._run_rows(start + 7 * 1440, n, later) is block
+    if distance is None or distance >= 780:
+        for gap in (None, 780, 10**6):
+            capped = replace(budget, last_delivery=None if gap is None else start - gap)
+            assert pcar.scheduler._run_rows(start, n, capped) is block
 
 
 def test_score_zero_model_is_half():
@@ -308,6 +316,29 @@ def test_untrained_standardization_is_byte_exact_identity(rows, weights, bias,
                 assert _bits(score(m, x)) == _bits(want)
             plain = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias)))
             assert pcar.scheduler._probabilities(m, X).tobytes() == plain.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_EDGE_FLOATS, min_size=N_FEATURES, max_size=N_FEATURES),
+                     min_size=1, max_size=8),
+       weights=st.lists(st.floats(-3.0, 3.0), min_size=N_FEATURES, max_size=N_FEATURES),
+       bias=st.floats(-6.0, 6.0),
+       standardization=st.one_of(st.none(), st.tuples(
+           st.lists(_EDGE_FLOATS, min_size=N_FEATURES, max_size=N_FEATURES),
+           st.lists(st.floats(1e-3, 1e3), min_size=N_FEATURES, max_size=N_FEATURES))))
+def test_batched_block_logits_score_like_score(rows, weights, bias, standardization):
+    """A run's logits, computed for its whole block at once, give
+    ``score`` byte for byte through ``_sigmoid`` on every row, for
+    untrained and trained models alike."""
+    X = np.asarray(rows, dtype=float)
+    trained = train(TimingModel.budget_init(BudgetState()), _history(_separable_history(5)),
+                    daily_budget=3.0, budget_penalty=0.2, epochs=3, step=0.05)
+    for m in (_model(weights, bias, standardization), trained,
+              TimingModel.budget_init(BudgetState())):
+        with np.errstate(all="ignore"):  # w @ x may overflow to inf or nan
+            got = [pcar.scheduler._sigmoid(z)
+                   for z in pcar.scheduler._logits(m, X).tolist()]
+            assert [_bits(s) for s in got] == [_bits(score(m, x)) for x in X]
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(TimingModel)])
@@ -525,6 +556,24 @@ def test_timing_history_appended_row_by_row_trains_like_a_list():
     b = train(start, batched, daily_budget=3.0, budget_penalty=0.2, epochs=5, step=0.05)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
     assert expected_daily_triggers(a, history) == expected_daily_triggers(a, batched)
+
+
+def test_add_rows_converts_an_integer_block_to_float():
+    """Rows are converted to float once per block, so an integer row is
+    kept and trained as its values, not read back from its int64 bytes."""
+    got, want = TimingHistory(), TimingHistory()
+    got.add_rows([np.arange(10)], 1.0, 0)
+    got.add_rows(np.arange(20).reshape(2, 10) % 3, None, 0)
+    want.add_rows(np.arange(10.0)[None, :], 1.0, 0)
+    want.add_rows(np.arange(20.0).reshape(2, 10) % 3, None, 0)
+    X = pcar.scheduler._unpack_history(got)[0]
+    assert sorted(map(tuple, X)) == sorted(
+        [tuple(range(10)), (0, 1, 2, 0, 1, 2, 0, 1, 2, 0), (1, 2, 0, 1, 2, 0, 1, 2, 0, 1)])
+    assert _history_rows(got) == _history_rows(want)
+    start = TimingModel.budget_init(BudgetState())
+    a, b = (train(start, h, daily_budget=3.0, budget_penalty=0.2, epochs=5, step=0.05)
+            for h in (got, want))
+    assert _model_bytes(a) == _model_bytes(b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -952,6 +1001,42 @@ def test_uniform_fires_with_a_history_matches_one_draw_and_row_per_tick(
         assert a == b
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
     assert _history_rows(got) == _history_rows(want)
+
+
+@pytest.mark.parametrize("max_per_day, min_gap, window, last_evening", [
+    (3, 120, (8 * 60, 21 * 60), None),
+    (2, 45, (9 * 60 + 30, 17 * 60), 20 * 60),
+    (5, 0, (8 * 60, 12 * 60), 23 * 60 + 55),
+])
+def test_walks_with_a_history_build_rows_by_block_not_by_tick(
+        monkeypatch, max_per_day, min_gap, window, last_evening):
+    """Neither walk calls ``features``: the threshold walk (with its
+    calibration) and the uniform walk take their rows from run blocks,
+    and still give the per-tick references' ticks and history rows."""
+    calls = []
+    counted = pcar.scheduler.features
+    monkeypatch.setattr(pcar.scheduler, "features",
+                        lambda *args: calls.append(args) or counted(*args))
+    shape = _shape(max_per_day, min_gap, window, MONDAY, last_evening, delivered=0)
+    m = TimingModel(weights=np.linspace(-1.0, 1.0, N_FEATURES), bias=0.3,
+                    feature_mean=np.full(N_FEATURES, 0.1))
+    model = calibrate_threshold(m, shape)
+    walks = [(lambda d, b, h, k: ThresholdWalk(model).fires(d, b, h, k),
+              lambda d, b, h, k: _per_tick_fires(model, d, b, h, k))]
+    rngs = [np.random.default_rng(7) for _ in range(2)]
+    walks.append((lambda d, b, h, k: uniform_fires(d, b, rngs[0], 0.05, h, k),
+                  lambda d, b, h, k: _plain_fires(d, b, rngs[1], 0.05, h, k)))
+    for fires, reference in walks:
+        a, b = replace(shape), replace(shape)
+        got, want = TimingHistory(), TimingHistory()
+        for d in range(MONDAY, MONDAY + 7):
+            key = (0, d)
+            fired = _contact_all(fires(d, a, got, key), a, got, key)
+            assert fired == _contact_all(reference(d, b, want, key), b, want, key)
+            assert a == b
+        assert _history_rows(got) == _history_rows(want)
+        assert len(got) > 0
+    assert calls == []
 
 
 def test_train_empty_history_rejected():
