@@ -59,6 +59,7 @@ DAY_MINUTES = 24 * 60
 SERVICE_TICKS = range(WINDOW_START_MINUTE, WINDOW_END_MINUTE, TICK_MINUTES)
 GAP_CAP_MINUTES = 780.0  # normalization cap for "minutes since last"
 N_FEATURES = 10
+_ROW_BYTES = np.dtype((np.void, N_FEATURES * 8))  # one float64 feature row
 
 
 @dataclass
@@ -319,15 +320,16 @@ class TimingHistory:
 
     def append(self, row) -> None:
         x, y, day = row
-        self.add_rows((x,), y, day)
+        self._rows[np.asarray(x, dtype=float).tobytes(), y] += 1
+        self._days.add(day)
 
     def add_rows(self, xs, y, day) -> None:
         """Append ``(x, y, day)`` for each row ``x`` of the 2-D block ``xs``,
         converted to float once: one call for a run of unlabeled ticks."""
         xs = np.ascontiguousarray(xs, dtype=float)
-        if len(xs):
-            rows = xs.view(np.dtype((np.void, xs.shape[1] * xs.itemsize)))
-            self._rows.update(zip(rows.ravel().tolist(), repeat(y)))
+        if len(xs):  # each row's bytes as one key; another width raises
+            keys = xs.view(_ROW_BYTES).reshape(len(xs)).tolist()
+            self._rows.update(zip(keys, repeat(y)))
             self._days.add(day)
 
 
