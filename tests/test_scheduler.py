@@ -252,6 +252,7 @@ def test_run_rows_block_equals_features_at_every_tick(delivered, max_per_day, wi
     with pytest.raises(ValueError):
         block[0, 0] = 1.0
     assert pcar.scheduler._run_rows(start, n, budget) is block
+    assert pcar.scheduler._rows.cache_info().maxsize is not None  # bounded
     later = replace(budget, last_delivery=None if distance is None
                     else budget.last_delivery + 7 * 1440)
     assert pcar.scheduler._run_rows(start + 7 * 1440, n, later) is block
@@ -1021,7 +1022,7 @@ def test_walks_with_a_history_build_rows_by_block_not_by_tick(
     m = TimingModel(weights=np.linspace(-1.0, 1.0, N_FEATURES), bias=0.3,
                     feature_mean=np.full(N_FEATURES, 0.1))
     model = calibrate_threshold(m, shape)
-    walks = [(lambda d, b, h, k: ThresholdWalk(model).fires(d, b, h, k),
+    walks = [(ThresholdWalk(model).fires,
               lambda d, b, h, k: _per_tick_fires(model, d, b, h, k))]
     rngs = [np.random.default_rng(7) for _ in range(2)]
     walks.append((lambda d, b, h, k: uniform_fires(d, b, rngs[0], 0.05, h, k),
