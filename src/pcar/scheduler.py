@@ -25,14 +25,14 @@ Training counts identical (features, label) history rows as one row
 bits depend only on their multiset, under any arrival order or thread
 count. In a study every participant shares one model and fires
 deterministically, so the cohort walks few distinct budget states.
-``ThresholdWalk`` scores each run once per model and budget state, as
+``ThresholdWalk`` scores each run once per model and run key, as
 ``score`` does, and bisects the run's prefix maxima for a threshold.
 Calibration, the study's model mode and the trained policy of
 ``timing_comparison`` share it. Runs are built, scored and recorded as
-blocks: ``_run_rows`` memoizes a run's rows, equal to ``features`` at
-each tick, by what they read, so each night's calibration and the
-study's days share them; a run scores its block at once, and a history
-takes a run's passed rows in one call.
+blocks keyed by what their rows read (``_run_key``): ``_rows`` memoizes
+a run's rows, equal to ``features`` at each tick, so each night's
+calibration and the study's days share them; a walk keeps a run per key,
+which scores its block at once; a history takes its passed rows at once.
 
 Time is one integer clock, the study-minute: ``day * 1440 + minute of
 day``, where day 0 is a Monday, so the weekday is ``day % 7``.
@@ -170,7 +170,7 @@ def uniform_fires(day: int, budget: BudgetState, rng: np.random.Generator,
         else:
             k = n  # none fires: every tick of the run passes
         if history is not None:
-            xs = _run_rows(start, n, budget)
+            xs = _rows(_run_key(start, n, budget))
             history.add_rows(xs[:k], None, key)
         if k < n:
             yield start + k * TICK_MINUTES, None if history is None else xs[k]
@@ -206,23 +206,23 @@ _TRIG = np.array([(math.sin(a), math.cos(a)) for a in (
     2.0 * math.pi * minute / DAY_MINUTES for minute in range(DAY_MINUTES))])
 
 
-def _run_rows(start: int, n: int, budget: BudgetState) -> np.ndarray:
-    """``features`` at each of the ``n`` ticks from ``start`` on its
-    calendar day under ``budget``'s state, as one read-only ``(n, 10)``
-    block. A distance of at least the gap cap from the last delivery
-    reads as no delivery: both give a gap column of 1.0."""
+def _run_key(start: int, n: int, budget: BudgetState) -> tuple:
+    """What the rows of the ``n`` ticks from ``start`` under ``budget``'s
+    state read: weekday, minute of day, ``n``, the gap since the last
+    delivery (None when there was none or it is at least the gap cap: both
+    give a gap column of 1.0), contacts today, allowance and window."""
     day, minute = divmod(start, DAY_MINUTES)
     gap = None if budget.last_delivery is None else start - budget.last_delivery
-    return _rows(day % 7, minute, n, None if gap is None or gap >= GAP_CAP_MINUTES
-                 else gap, budget.delivered_today, budget.max_per_day,
-                 budget.window_start_minute, budget.window_end_minute)
+    return (day % 7, minute, n, None if gap is None or gap >= GAP_CAP_MINUTES else gap,
+            budget.delivered_today, budget.max_per_day,
+            budget.window_start_minute, budget.window_end_minute)
 
 
 @lru_cache(maxsize=512)
-def _rows(weekday: int, minute: int, n: int, gap: int | None, delivered_today: int,
-          max_per_day: int, window_start_minute: int,
-          window_end_minute: int) -> np.ndarray:
-    """``_run_rows``' block, in vector steps that round as ``features``' do."""
+def _rows(key: tuple) -> np.ndarray:
+    """``features`` at each tick of the run ``key`` names, as one read-only
+    ``(n, 10)`` block, in vector steps that round as ``features``' do."""
+    weekday, minute, n, gap, delivered, allowance, window_start, window_end = key
     minutes = np.arange(minute, minute + n * TICK_MINUTES, TICK_MINUTES)
     x = np.zeros((n, N_FEATURES))
     x[:, :2] = _TRIG[minutes]
@@ -230,9 +230,9 @@ def _rows(weekday: int, minute: int, n: int, gap: int | None, delivered_today: i
         x[:, 2 + weekday] = 1.0
     gaps = GAP_CAP_MINUTES if gap is None else np.maximum(minutes - minute + gap, 0)
     x[:, 7] = np.minimum(gaps, GAP_CAP_MINUTES) / GAP_CAP_MINUTES
-    x[:, 8] = max(0, max_per_day - delivered_today) / max_per_day
-    window = window_end_minute - window_start_minute
-    x[:, 9] = np.minimum(np.maximum(window_end_minute - minutes, 0), window) / window
+    x[:, 8] = max(0, allowance - delivered) / allowance
+    window = window_end - window_start
+    x[:, 9] = np.minimum(np.maximum(window_end - minutes, 0), window) / window
     x.flags.writeable = False
     return x
 
@@ -302,10 +302,10 @@ class TimingHistory:
 
     A row is (features, label, day key) for an eligible tick. The label
     is 1/0 engagement feedback for ticks where a contact went out and None
-    for the rest; unlabeled ticks still count toward the expected-daily-
-    triggers budget term. Identical (features, label) rows are one count,
-    so a history costs what its distinct rows cost and keeps no arrival
-    order. ``len`` counts the rows appended."""
+    (kept as ``math.inf``) for the rest; unlabeled ticks still count toward
+    the expected-daily-triggers budget term. Identical (features, label)
+    rows are one count, so a history costs what its distinct rows cost and
+    keeps no arrival order. ``len`` counts the rows appended."""
 
     def __init__(self):
         self._rows: Counter = Counter()  # (feature bytes, label) -> count
@@ -316,11 +316,12 @@ class TimingHistory:
 
     @property
     def n_labeled(self) -> int:
-        return sum(c for (_, y), c in self._rows.items() if y is not None)
+        return sum(c for (_, y), c in self._rows.items() if y < math.inf)
 
     def append(self, row) -> None:
-        x, y, day = row
-        self._rows[np.asarray(x, dtype=float).tobytes(), y] += 1
+        x, y, day = row  # one row's key, cut as add_rows cuts it; another width raises
+        x = np.ascontiguousarray(x, dtype=float).view(_ROW_BYTES).item()
+        self._rows[x, math.inf if y is None else y] += 1
         self._days.add(day)
 
     def add_rows(self, xs, y, day) -> None:
@@ -329,22 +330,22 @@ class TimingHistory:
         xs = np.ascontiguousarray(xs, dtype=float)
         if len(xs):  # each row's bytes as one key; another width raises
             keys = xs.view(_ROW_BYTES).reshape(len(xs)).tolist()
-            self._rows.update(zip(keys, repeat(y)))
+            self._rows.update(zip(keys, repeat(math.inf if y is None else y)))
             self._days.add(day)
 
 
 def _unpack_history(history: TimingHistory):
     """The distinct feature rows of a history (read-only), their labels
-    (NaN for unlabeled), the labeled mask, the row counts and the number
-    of distinct day keys, built afresh sorted by feature bytes, then label,
-    None after every float label."""
+    (+inf for unlabeled), the labeled mask, the row counts and the number
+    of distinct day keys, built afresh in the keys' natural order: by
+    feature bytes, then label, +inf after every finite label."""
     if not history.n_labeled:
         raise ValueError("history has no labeled rows")
-    keys = sorted(history._rows, key=lambda k: (k[0], k[1] is None, k[1]))
+    keys = sorted(history._rows)
     X = np.frombuffer(b"".join(x for x, _ in keys)).reshape(len(keys), -1)
-    y = np.array([np.nan if lab is None else lab for _, lab in keys])
+    y = np.array([lab for _, lab in keys], dtype=float)
     counts = np.array([history._rows[k] for k in keys], dtype=float)
-    return X, y, ~np.isnan(y), counts, len(history._days)
+    return X, y, y < math.inf, counts, len(history._days)
 
 
 def _probabilities(model: TimingModel, X: np.ndarray) -> np.ndarray:
@@ -442,17 +443,16 @@ def expected_daily_triggers(model: TimingModel, history: TimingHistory) -> float
 
 
 class _Run:
-    """The allowed ticks of one day from ``start`` to the window end while
-    a budget state holds: their rows, their logits, and the strict prefix
-    maxima of the scores scanned so far with the tick indices where they
-    occur. The sigmoid is applied lazily, tick by tick."""
+    """A run's allowed ticks, wherever it starts: their rows ``xs``, their
+    logits, and the strict prefix maxima of the scores scanned so far with
+    the tick indices, from the run's first, where they occur. The sigmoid
+    is applied lazily, tick by tick."""
 
-    __slots__ = ("start", "n", "xs", "logits", "scanned", "maxima", "at")
+    __slots__ = ("n", "xs", "logits", "scanned", "maxima", "at")
 
-    def __init__(self, model: TimingModel, start: int, n: int, budget: BudgetState):
-        self.start = start
-        self.n = n
-        self.xs = _run_rows(start, n, budget)
+    def __init__(self, model: TimingModel, xs: np.ndarray):
+        self.n = len(xs)
+        self.xs = xs
         self.logits = _logits(model, self.xs).tolist()
         self.scanned = 0
         self.maxima: list[float] = []
@@ -482,10 +482,6 @@ class _Run:
         self.scanned = self.n
         return len(maxima)
 
-    def tick(self, k: int) -> int:
-        """The study-minute of the run's ``k``-th prefix maximum."""
-        return self.start + self.at[k] * TICK_MINUTES
-
 
 @dataclass(frozen=True)
 class ThresholdWalk:
@@ -494,10 +490,10 @@ class ThresholdWalk:
 
     Until the next fire a day's allowed ticks are one run from
     ``next_eligible`` to the window end, and their features depend only on
-    the tick and the budget state and shape. So each run is kept once per
-    state, shared by every walk over it (the passes of a calibration, the
-    participants of a study) and scanned only as far as a threshold needs.
-    A run's rows are ``_run_rows``' block (shared across every model) and
+    what ``_run_key`` reads. So each run is kept once per key, shared by
+    every walk over it (the passes of a calibration, the participants of a
+    study, its days a week apart) and scanned only as far as a threshold
+    needs. A run's rows are ``_rows``' block (shared across every model) and
     its logits those of ``score``, so fires and history rows are those of
     ``score`` on every allowed tick in turn. Frozen, so its runs hold; the
     feature arrays it hands out are read-only."""
@@ -509,24 +505,22 @@ class ThresholdWalk:
         """The run of the ``n`` allowed ticks from ``now`` under
         ``budget``'s state, as ``_day_runs`` yields it; ``n`` follows from
         ``now`` and the state's window end."""
-        b = budget  # every field that features reads
-        key = (now, b.last_delivery, b.delivered_today, b.max_per_day,
-               b.window_start_minute, b.window_end_minute)
+        key = _run_key(now, n, budget)
         run = self._runs.get(key)
         if run is None:
-            run = self._runs[key] = _Run(self.model, now, n, budget)
+            run = self._runs[key] = _Run(self.model, _rows(key))
         return run
 
     def runs(self, day: int, budget: BudgetState,
-             theta: float) -> Iterator[tuple[_Run, int]]:
-        """Start the budget's day and yield ``(run, k)`` for each run of
-        calendar day ``day`` at threshold ``theta``: the run fires at its
-        ``k``-th prefix maximum, or not at all when ``k == len(run.maxima)``,
-        which ends the day. The caller records the delivery at each fire;
-        the budget is re-read after each yield."""
+             theta: float) -> Iterator[tuple[int, _Run, int]]:
+        """Start the budget's day and yield ``(start, run, k)`` for each run
+        of calendar day ``day`` at threshold ``theta``: the run from tick
+        ``start`` fires at its ``k``-th prefix maximum, or not at all when
+        ``k == len(run.maxima)``, which ends the day. The caller records the
+        delivery at each fire; the budget is re-read after each yield."""
         for start, n in _day_runs(day, budget):
             run = self.run(start, n, budget)
-            yield run, run.first_at_least(theta)
+            yield start, run, run.first_at_least(theta)
 
     def fires(self, day: int, budget: BudgetState, history=None,
               key=None) -> Iterator[tuple[int, np.ndarray]]:
@@ -536,13 +530,13 @@ class ThresholdWalk:
         without a fire is appended to ``history``, if given, as an
         unlabeled ``(features, None, key)`` row before the next fire is
         yielded: it still counts toward the budget term."""
-        for run, k in self.runs(day, budget, self.model.threshold):
+        for start, run, k in self.runs(day, budget, self.model.threshold):
             fired = k < len(run.maxima)
             i = run.at[k] if fired else run.n
             if history is not None:
                 history.add_rows(run.xs[:i], None, key)
             if fired:
-                yield run.tick(k), run.xs[i]
+                yield start + i * TICK_MINUTES, run.xs[i]
 
     def outcome(self, days, shape: BudgetState,
                 theta: float) -> tuple[int, float, float]:
@@ -553,12 +547,12 @@ class ThresholdWalk:
         total, below, above = 0, -math.inf, math.inf
         for day in days:
             budget = replace(shape, delivered_today=0, last_delivery=None)
-            for run, k in self.runs(day, budget, theta):
+            for start, run, k in self.runs(day, budget, theta):
                 if k:
                     below = max(below, run.maxima[k - 1])
                 if k < len(run.maxima):
                     above = min(above, run.maxima[k])
-                    budget.record_delivery(run.tick(k))
+                    budget.record_delivery(start + run.at[k] * TICK_MINUTES)
                     total += 1
         return total, below, above
 

@@ -395,14 +395,14 @@ def load_log(path: str | Path) -> StudyLog:
     """Read a saved log; ``path`` is the run directory or its records.csv.
     Each cell is read back by its column in ``_record_columns``: a flag is
     0 or 1, an empty cell of a field that may be None is None, and an int
-    column is parsed with ``int``. A per-attribute field is None unless all
-    of its cells are filled. Raises ValueError unless the meta names an
-    attribute schema, the header is exactly the columns ``save`` writes for
-    it, every cell follows that rule and every record is one a study could
-    write: completed implies accepted, a declined contact has no stress,
-    reward or intervention, ``post_stress`` and ``reward`` are set exactly
-    when the contact was completed, ``reward`` is ``pre_stress -
-    post_stress`` and attribute values are the schema's."""
+    column is parsed with ``int``. Raises ValueError unless the meta names
+    an attribute schema, the header is exactly the columns ``save`` writes
+    for it, every cell follows that rule and every record is one a study
+    could write: ``intervention_id``, the attribute values and the clocks
+    are all set or all empty, completed implies accepted, a declined
+    contact has no stress, reward or intervention, ``post_stress`` and
+    ``reward`` are set exactly when the contact was completed, ``reward``
+    is ``pre_stress - post_stress`` and attribute values are the schema's."""
     path = Path(path)
     if path.is_dir():
         records_path, meta_path = path / "records.csv", path / "meta.json"
@@ -435,6 +435,10 @@ def load_log(path: str | Path) -> StudyLog:
                 except (KeyError, ValueError):
                     raise ValueError(f"{records_path} line {reader.line_num}: "
                                      f"{name} is {cell!r}") from None
+            if len({cell is None for cell in cells[optional:first + 2 * n]}) > 1:
+                raise ValueError(f"{records_path} line {reader.line_num}: "
+                                 "intervention_id, attribute values and clocks "
+                                 "are not all set or all empty")
             values, taus = cells[first:first + n], cells[first + n:first + 2 * n]
             rec = InterventionRecord(
                 *cells[:first],

@@ -148,6 +148,30 @@ def test_report_on_malformed_log_prints_one_json_line(tmp_path, config_path,
     assert not (tmp_path / "rep").exists()
 
 
+def test_report_on_a_half_filled_attribute_field_prints_one_json_line(
+        tmp_path, config_path, capsys):
+    """A content record with one attribute cell blanked is one no study
+    writes: ``pcar report`` prints one JSON error line naming its line and
+    exits 2 before writing a report."""
+    run_dir = tmp_path / "run"
+    main(["run", "--config", str(config_path), "--out", str(run_dir), "--no-report"])
+    capsys.readouterr()
+    records = run_dir / "records.csv"
+    rows = list(csv.reader(records.read_text().splitlines()))
+    col = {name: i for i, name in enumerate(rows[0])}
+    i = next(i for i, r in enumerate(rows[1:], 1) if r[col["intervention_id"]])
+    rows[i][col["location"]] = ""
+    records.write_text("".join(",".join(r) + "\n" for r in rows))
+    code = main(["report", "--log", str(run_dir), "--out", str(tmp_path / "rep")])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert (f"records.csv line {i + 1}: intervention_id, attribute values and clocks "
+            "are not all set or all empty") in json.loads(lines[0])["error"]
+    assert not (tmp_path / "rep").exists()
+
+
 def test_bad_config_fails_with_json_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     # the last two are removed knobs: the threshold is always calibrated and

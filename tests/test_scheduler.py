@@ -237,29 +237,33 @@ def test_features_hour_trig():
 def test_run_rows_block_equals_features_at_every_tick(delivered, max_per_day, window,
                                                      day, minute, data, distance):
     """A run's block is byte-equal to ``features`` at each of its ticks,
-    read-only and memoized: a repeat, the same run a week later and a gap
-    past the cap (which reads as no delivery) are hits."""
+    read-only and memoized by its run key: a repeat, the same run a week
+    later and a gap past the cap (which reads as no delivery) are hits."""
     n = data.draw(st.integers(1, (24 * 60 - 1 - minute) // 5 + 1), label="n")
     start = at(day, 0, minute)
     budget = BudgetState(
         delivered_today=delivered, max_per_day=max_per_day,
         last_delivery=None if distance is None else start - distance,
         window_start_minute=window[0], window_end_minute=window[1])
-    block = pcar.scheduler._run_rows(start, n, budget)
+
+    def block_of(start, budget):
+        return pcar.scheduler._rows(pcar.scheduler._run_key(start, n, budget))
+
+    block = block_of(start, budget)
     assert block.shape == (n, N_FEATURES)
     for i, x in enumerate(block):
         assert x.tobytes() == features(start + i * 5, budget).tobytes(), i
     with pytest.raises(ValueError):
         block[0, 0] = 1.0
-    assert pcar.scheduler._run_rows(start, n, budget) is block
+    assert block_of(start, budget) is block
     assert pcar.scheduler._rows.cache_info().maxsize is not None  # bounded
     later = replace(budget, last_delivery=None if distance is None
                     else budget.last_delivery + 7 * 1440)
-    assert pcar.scheduler._run_rows(start + 7 * 1440, n, later) is block
+    assert block_of(start + 7 * 1440, later) is block
     if distance is None or distance >= 780:
         for gap in (None, 780, 10**6):
             capped = replace(budget, last_delivery=None if gap is None else start - gap)
-            assert pcar.scheduler._run_rows(start, n, capped) is block
+            assert block_of(start, capped) is block
 
 
 def test_score_zero_model_is_half():
@@ -577,6 +581,18 @@ def test_add_rows_converts_an_integer_block_to_float():
     assert _model_bytes(a) == _model_bytes(b)
 
 
+@pytest.mark.parametrize("width", [9, 12, 20])
+def test_append_rejects_a_row_of_another_width(width):
+    """``append`` cuts a row's key as ``add_rows`` does, so a row that is
+    not 10 floats raises instead of being counted as other bytes."""
+    history = TimingHistory()
+    with pytest.raises(ValueError):
+        history.append((np.arange(float(width)), 1.0, 0))
+    with pytest.raises(ValueError):
+        history.add_rows([np.arange(float(width))], 1.0, 0)
+    assert len(history) == 0 and not history._days
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     batches=st.lists(
@@ -587,8 +603,8 @@ def test_add_rows_converts_an_integer_block_to_float():
 def test_unpacked_features_equal_a_fresh_stack_of_every_distinct_row(batches):
     """Unpacking between batches of appends, repeated rows included, gives
     the bytes of one ``vstack`` over the distinct rows sorted by feature
-    bytes, then label with None last, and of labels, labeled mask and
-    counts built afresh from those rows."""
+    bytes, then label with None last, and of labels (+inf for None),
+    labeled mask and counts built afresh from those rows."""
     pool = np.random.default_rng(3).normal(size=(8, N_FEATURES))
     history = TimingHistory()
     history.append((pool[0], 1.0, 0))  # unpacking needs a labeled row
@@ -604,7 +620,7 @@ def test_unpacked_features_equal_a_fresh_stack_of_every_distinct_row(batches):
         assert X.shape == fresh.shape and X.tobytes() == fresh.tobytes()
         assert not X.flags.writeable
         labels = [lab for _, lab in order]
-        fresh_y = np.asarray([np.nan if lab is None else lab for lab in labels])
+        fresh_y = np.asarray([math.inf if lab is None else lab for lab in labels])
         fresh_labeled = np.asarray([lab is not None for lab in labels])
         fresh_counts = np.asarray([seen[k] for k in order], dtype=float)
         for got, want in ((y, fresh_y), (labeled, fresh_labeled),
@@ -900,6 +916,46 @@ def test_run_memo_keeps_budget_states_and_shapes_apart():
     # still never share a run
     fresh = [BudgetState(max_per_day=k) for k in (3, 4, 5)]
     assert len({id(run_of(b)) for b in fresh}) == len(fresh)
+
+
+_MEMO_NOW, _MEMO_N = at(TUESDAY, 12), (21 - 12) * 60 // 5
+
+
+def _memo_walk():
+    """A walk and a run of it, from noon with one delivery at 09:00."""
+    walk = ThresholdWalk(TimingModel(weights=np.linspace(-1.0, 1.0, N_FEATURES),
+                                     bias=0.3))
+    budget = BudgetState(delivered_today=1, last_delivery=at(TUESDAY, 9))
+    return walk, budget, walk.run(_MEMO_NOW, _MEMO_N, budget)
+
+
+def test_run_memo_shares_a_run_a_week_later():
+    """A walk keeps a run by what its rows read, not where it starts: the
+    same run a week later is the same ``_Run``, and a walked day a week
+    later builds no run and fires at the same times of day."""
+    walk, budget, run = _memo_walk()
+    week = 7 * 1440
+    later = replace(budget, last_delivery=budget.last_delivery + week)
+    assert walk.run(_MEMO_NOW + week, _MEMO_N, later) is run
+    fired = []
+    for day in (TUESDAY, TUESDAY + 7):
+        b = BudgetState()
+        fired.append([t - day * 1440 for t in _contact_all(
+            walk.fires(day, b, None, None), b, TimingHistory(), None)])
+        if day == TUESDAY:
+            built = len(walk._runs)
+    assert fired[0] == fired[1] and fired[0] and len(walk._runs) == built
+
+
+def test_run_memo_shares_a_run_after_any_gap_at_or_past_the_cap():
+    """A gap at or past the 780-minute cap reads as no delivery, so every
+    such run is one ``_Run``; gaps under the cap stay apart."""
+    walk, budget, run = _memo_walk()
+    capped = [walk.run(_MEMO_NOW, _MEMO_N, replace(budget, last_delivery=last))
+              for last in (None, *(_MEMO_NOW - gap for gap in (780, 781, 3 * 1440)))]
+    assert all(r is capped[0] for r in capped) and capped[0] is not run
+    under = replace(budget, last_delivery=_MEMO_NOW - 779)
+    assert walk.run(_MEMO_NOW, _MEMO_N, under) is not capped[0]
 
 
 def _per_tick_fires(model, day, budget, history, key):

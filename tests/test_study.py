@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import inspect
 import json
@@ -329,6 +330,37 @@ def test_log_save_and_load_round_trip(tmp_path, small_log):
         again = load_log(tmp_path / name)
         assert again.records == log.records, name
         assert again.log_hash() == log.log_hash(), name
+
+
+@pytest.mark.parametrize("blank", [
+    ("location",),
+    ("tau_therapy_group",),
+    ("intervention_id",),
+    ("tau_emotional_regulation", "tau_therapy_group", "tau_location"),
+    ("intervention_id", "emotional_regulation", "therapy_group", "location"),
+])
+def test_load_log_rejects_content_cells_not_all_set_or_all_empty(tmp_path, small_log,
+                                                                 blank):
+    """A content record's ``intervention_id``, attribute values and clocks
+    are all set or all empty: a half-filled per-attribute field, or one of
+    the three blanked without the others, raises ValueError naming the
+    line; blanking all of them reads back as a record without content."""
+    small_log.save(tmp_path)
+    records = tmp_path / "records.csv"
+    rows = list(csv.reader(records.read_text().splitlines()))
+    col = {name: i for i, name in enumerate(rows[0])}
+    i = next(i for i, r in enumerate(rows[1:], 1) if r[col["intervention_id"]])
+    content = rows[i][col["intervention_id"]:col["tau_location"] + 1]
+    for name in blank:
+        rows[i][col[name]] = ""
+    records.write_text("".join(",".join(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=f"records.csv line {i + 1}: intervention_id, "
+                       "attribute values and clocks are not all set or all empty"):
+        load_log(tmp_path)
+    rows[i][col["intervention_id"]:col["tau_location"] + 1] = [""] * len(content)
+    records.write_text("".join(",".join(r) + "\n" for r in rows))
+    rec = load_log(tmp_path).records[i - 1]
+    assert (rec.intervention_id, rec.attribute_values, rec.taus_before) == (None,) * 3
 
 
 def test_report_outputs(tmp_path, small_log):
