@@ -453,7 +453,7 @@ class _Run:
     def __init__(self, model: TimingModel, xs: np.ndarray):
         self.n = len(xs)
         self.xs = xs
-        self.logits = _logits(model, self.xs).tolist()
+        self.logits = _logits(model, xs).tolist()
         self.scanned = 0
         self.maxima: list[float] = []
         self.at: list[int] = []
@@ -492,11 +492,11 @@ class ThresholdWalk:
     ``next_eligible`` to the window end, and their features depend only on
     what ``_run_key`` reads. So each run is kept once per key, shared by
     every walk over it (the passes of a calibration, the participants of a
-    study, its days a week apart) and scanned only as far as a threshold
-    needs. A run's rows are ``_rows``' block (shared across every model) and
-    its logits those of ``score``, so fires and history rows are those of
-    ``score`` on every allowed tick in turn. Frozen, so its runs hold; the
-    feature arrays it hands out are read-only."""
+    study, a week later, after any gap past the cap) and scanned only as
+    far as a threshold needs. A run's rows are ``_rows``' block (shared
+    across every model) and its logits those of ``score``, so fires and
+    history rows are those of ``score`` on every allowed tick in turn.
+    Frozen, so its runs hold; the feature arrays it hands out are read-only."""
 
     model: TimingModel
     _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)

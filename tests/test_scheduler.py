@@ -937,14 +937,15 @@ def test_run_memo_shares_a_run_a_week_later():
     week = 7 * 1440
     later = replace(budget, last_delivery=budget.last_delivery + week)
     assert walk.run(_MEMO_NOW + week, _MEMO_N, later) is run
-    fired = []
-    for day in (TUESDAY, TUESDAY + 7):
+
+    def fires_on(day):  # the minutes of day at which a fresh day fires
         b = BudgetState()
-        fired.append([t - day * 1440 for t in _contact_all(
-            walk.fires(day, b, None, None), b, TimingHistory(), None)])
-        if day == TUESDAY:
-            built = len(walk._runs)
-    assert fired[0] == fired[1] and fired[0] and len(walk._runs) == built
+        ticks = _contact_all(walk.fires(day, b, None, None), b, TimingHistory(), None)
+        return [t - day * 1440 for t in ticks]
+
+    first = fires_on(TUESDAY)
+    built = len(walk._runs)
+    assert first and fires_on(TUESDAY + 7) == first and len(walk._runs) == built
 
 
 def test_run_memo_shares_a_run_after_any_gap_at_or_past_the_cap():

@@ -350,14 +350,14 @@ def test_load_log_rejects_content_cells_not_all_set_or_all_empty(tmp_path, small
     rows = list(csv.reader(records.read_text().splitlines()))
     col = {name: i for i, name in enumerate(rows[0])}
     i = next(i for i, r in enumerate(rows[1:], 1) if r[col["intervention_id"]])
-    content = rows[i][col["intervention_id"]:col["tau_location"] + 1]
     for name in blank:
         rows[i][col[name]] = ""
     records.write_text("".join(",".join(r) + "\n" for r in rows))
     with pytest.raises(ValueError, match=f"records.csv line {i + 1}: intervention_id, "
                        "attribute values and clocks are not all set or all empty"):
         load_log(tmp_path)
-    rows[i][col["intervention_id"]:col["tau_location"] + 1] = [""] * len(content)
+    content = slice(col["intervention_id"], col["tau_location"] + 1)
+    rows[i][content] = [""] * len(rows[i][content])
     records.write_text("".join(",".join(r) + "\n" for r in rows))
     rec = load_log(tmp_path).records[i - 1]
     assert (rec.intervention_id, rec.attribute_values, rec.taus_before) == (None,) * 3
