@@ -26,13 +26,14 @@ bits depend only on their multiset, under any arrival order or thread
 count. In a study every participant shares one model and fires
 deterministically, so the cohort walks few distinct budget states.
 ``ThresholdWalk`` scores each run once per model and run key, as
-``score`` does, and bisects the run's prefix maxima for a threshold.
-Calibration, the study's model mode and the trained policy of
-``timing_comparison`` share it. Runs are built, scored and recorded as
-blocks keyed by what their rows read (``_run_key``): ``_rows`` memoizes
-a run's rows, equal to ``features`` at each tick, so each night's
-calibration and the study's days share them; a walk keeps a run per key,
-which scores its block at once; a history takes its passed rows at once.
+``score`` does, keeps the running maximum of its scores and bisects that
+for a threshold. Calibration, the study's model mode and the trained
+policy of ``timing_comparison`` share it. Runs are built, scored and
+recorded as blocks keyed by what their rows read (``_run_key``):
+``_rows`` memoizes a run's rows, equal to ``features`` at each tick, so
+each night's calibration and the study's days share them; a walk keeps a
+run per key, which scores its block at once; a history takes its passed
+rows at once.
 
 Time is one integer clock, the study-minute: ``day * 1440 + minute of
 day``, where day 0 is a Monday, so the weekday is ``day % 7``.
@@ -46,7 +47,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -218,7 +219,7 @@ def _run_key(start: int, n: int, budget: BudgetState) -> tuple:
             budget.window_start_minute, budget.window_end_minute)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=2048)  # holds timing_comparison(seeds=20)'s 1,181 run keys
 def _rows(key: tuple) -> np.ndarray:
     """``features`` at each tick of the run ``key`` names, as one read-only
     ``(n, 10)`` block, in vector steps that round as ``features``' do."""
@@ -442,47 +443,6 @@ def expected_daily_triggers(model: TimingModel, history: TimingHistory) -> float
     return float(np.add.reduce(counts * _probabilities(model, X))) / n_days
 
 
-class _Run:
-    """A run's allowed ticks, wherever it starts: their rows ``xs``, their
-    logits, and the strict prefix maxima of the scores scanned so far with
-    the tick indices, from the run's first, where they occur. The sigmoid
-    is applied lazily, tick by tick."""
-
-    __slots__ = ("n", "xs", "logits", "scanned", "maxima", "at")
-
-    def __init__(self, model: TimingModel, xs: np.ndarray):
-        self.n = len(xs)
-        self.xs = xs
-        self.logits = _logits(model, xs).tolist()
-        self.scanned = 0
-        self.maxima: list[float] = []
-        self.at: list[int] = []
-
-    def first_at_least(self, theta: float) -> int:
-        """The index into ``maxima`` of the run's first score >= ``theta``,
-        or ``len(maxima)`` when none is. That score exceeds every score
-        before it, so it is a strict prefix maximum and bisection finds it
-        among those scanned; else the scan goes on only until one reaches
-        ``theta``."""
-        maxima = self.maxima
-        k = bisect_left(maxima, theta)
-        if k < len(maxima):
-            return k
-        top = maxima[-1] if maxima else -math.inf
-        logits = self.logits
-        for i in range(self.scanned, self.n):
-            s = _sigmoid(logits[i])
-            if s > top:
-                top = s
-                maxima.append(s)
-                self.at.append(i)
-                if s >= theta:
-                    self.scanned = i + 1
-                    return len(maxima) - 1
-        self.scanned = self.n
-        return len(maxima)
-
-
 @dataclass(frozen=True)
 class ThresholdWalk:
     """Walks days of ticks under the budget rules by runs, firing where
@@ -492,35 +452,41 @@ class ThresholdWalk:
     ``next_eligible`` to the window end, and their features depend only on
     what ``_run_key`` reads. So each run is kept once per key, shared by
     every walk over it (the passes of a calibration, the participants of a
-    study, a week later, after any gap past the cap) and scanned only as
-    far as a threshold needs. A run's rows are ``_rows``' block (shared
-    across every model) and its logits those of ``score``, so fires and
-    history rows are those of ``score`` on every allowed tick in turn.
+    study, a week later, after any gap past the cap), as its rows and the
+    running maximum of their scores. A run's rows are ``_rows``' block
+    (shared across every model) and its scores those of ``score``, so fires
+    and history rows are those of ``score`` on every allowed tick in turn.
     Frozen, so its runs hold; the feature arrays it hands out are read-only."""
 
     model: TimingModel
     _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def run(self, now: int, n: int, budget: BudgetState) -> _Run:
-        """The run of the ``n`` allowed ticks from ``now`` under
-        ``budget``'s state, as ``_day_runs`` yields it; ``n`` follows from
-        ``now`` and the state's window end."""
+    def run(self, now: int, n: int,
+            budget: BudgetState) -> tuple[np.ndarray, list[float]]:
+        """``(xs, peaks)`` of the run of the ``n`` allowed ticks from ``now``
+        under ``budget``'s state, as ``_day_runs`` yields it (``n`` follows
+        from ``now`` and the state's window end): its rows and, at each
+        tick, the highest score up to and including it."""
         key = _run_key(now, n, budget)
         run = self._runs.get(key)
         if run is None:
-            run = self._runs[key] = _Run(self.model, _rows(key))
+            xs = _rows(key)
+            scores = map(_sigmoid, _logits(self.model, xs).tolist())
+            run = self._runs[key] = xs, list(accumulate(scores, max))
         return run
 
-    def runs(self, day: int, budget: BudgetState,
-             theta: float) -> Iterator[tuple[int, _Run, int]]:
-        """Start the budget's day and yield ``(start, run, k)`` for each run
-        of calendar day ``day`` at threshold ``theta``: the run from tick
-        ``start`` fires at its ``k``-th prefix maximum, or not at all when
-        ``k == len(run.maxima)``, which ends the day. The caller records the
-        delivery at each fire; the budget is re-read after each yield."""
+    def runs(self, day: int, budget: BudgetState, theta: float
+             ) -> Iterator[tuple[int, np.ndarray, list[float], int]]:
+        """Start the budget's day and yield ``(start, xs, peaks, i)`` for
+        each run of calendar day ``day`` at threshold ``theta``: the run
+        from tick ``start`` fires at its tick ``i``, the first whose score
+        is at least ``theta`` (``peaks`` never falls, so bisection finds
+        it), or not at all when ``i == len(xs)``, which ends the day. The
+        caller records the delivery at each fire; the budget is re-read
+        after each yield."""
         for start, n in _day_runs(day, budget):
-            run = self.run(start, n, budget)
-            yield start, run, run.first_at_least(theta)
+            xs, peaks = self.run(start, n, budget)
+            yield start, xs, peaks, bisect_left(peaks, theta)
 
     def fires(self, day: int, budget: BudgetState, history=None,
               key=None) -> Iterator[tuple[int, np.ndarray]]:
@@ -530,13 +496,11 @@ class ThresholdWalk:
         without a fire is appended to ``history``, if given, as an
         unlabeled ``(features, None, key)`` row before the next fire is
         yielded: it still counts toward the budget term."""
-        for start, run, k in self.runs(day, budget, self.model.threshold):
-            fired = k < len(run.maxima)
-            i = run.at[k] if fired else run.n
+        for start, xs, _, i in self.runs(day, budget, self.model.threshold):
             if history is not None:
-                history.add_rows(run.xs[:i], None, key)
-            if fired:
-                yield start + i * TICK_MINUTES, run.xs[i]
+                history.add_rows(xs[:i], None, key)
+            if i < len(xs):
+                yield start + i * TICK_MINUTES, xs[i]
 
     def outcome(self, days, shape: BudgetState,
                 theta: float) -> tuple[int, float, float]:
@@ -547,12 +511,12 @@ class ThresholdWalk:
         total, below, above = 0, -math.inf, math.inf
         for day in days:
             budget = replace(shape, delivered_today=0, last_delivery=None)
-            for start, run, k in self.runs(day, budget, theta):
-                if k:
-                    below = max(below, run.maxima[k - 1])
-                if k < len(run.maxima):
-                    above = min(above, run.maxima[k])
-                    budget.record_delivery(start + run.at[k] * TICK_MINUTES)
+            for start, _, peaks, i in self.runs(day, budget, theta):
+                if i:
+                    below = max(below, peaks[i - 1])
+                if i < len(peaks):
+                    above = min(above, peaks[i])
+                    budget.record_delivery(start + i * TICK_MINUTES)
                     total += 1
         return total, below, above
 

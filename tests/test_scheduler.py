@@ -4,7 +4,7 @@ import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date, timedelta
-from itertools import groupby
+from itertools import accumulate, groupby
 from pathlib import Path
 
 import numpy as np
@@ -904,14 +904,14 @@ def test_run_memo_keeps_budget_states_and_shapes_apart():
 
     runs = [run_of(b) for b in budgets]
     for b, run in zip(budgets, runs):
-        run.first_at_least(math.inf)  # no score reaches it: the whole run
+        xs, peaks = run
         ticks = range(now, b.window_end_minute + TUESDAY * 1440, 5)
-        assert run.n == len(run.xs) == len(ticks)
-        for x, tick in zip(run.xs, ticks):
+        assert len(xs) == len(ticks)
+        for x, tick in zip(xs, ticks):
             assert np.array_equal(x, features(tick, b))
-        assert run.maxima[0] == score(m, features(now, b))
+        assert peaks == list(accumulate((score(m, features(t, b)) for t in ticks), max))
         assert run_of(b) is run  # a repeat is a hit
-    assert len({run.maxima[0] for run in runs}) == len(budgets)
+    assert len({peaks[0] for _, peaks in runs}) == len(budgets)
     # fresh budgets with different allowances have equal features, but
     # still never share a run
     fresh = [BudgetState(max_per_day=k) for k in (3, 4, 5)]
@@ -931,8 +931,8 @@ def _memo_walk():
 
 def test_run_memo_shares_a_run_a_week_later():
     """A walk keeps a run by what its rows read, not where it starts: the
-    same run a week later is the same ``_Run``, and a walked day a week
-    later builds no run and fires at the same times of day."""
+    same run a week later is the same ``(xs, peaks)`` pair, and a walked
+    day a week later builds no run and fires at the same times of day."""
     walk, budget, run = _memo_walk()
     week = 7 * 1440
     later = replace(budget, last_delivery=budget.last_delivery + week)
@@ -950,7 +950,7 @@ def test_run_memo_shares_a_run_a_week_later():
 
 def test_run_memo_shares_a_run_after_any_gap_at_or_past_the_cap():
     """A gap at or past the 780-minute cap reads as no delivery, so every
-    such run is one ``_Run``; gaps under the cap stay apart."""
+    such run is one ``(xs, peaks)`` pair; gaps under the cap stay apart."""
     walk, budget, run = _memo_walk()
     capped = [walk.run(_MEMO_NOW, _MEMO_N, replace(budget, last_delivery=last))
               for last in (None, *(_MEMO_NOW - gap for gap in (780, 781, 3 * 1440)))]
