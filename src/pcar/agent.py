@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +51,10 @@ class ContextBucket:
             raise ValueError("trait_bucket must be >= 0")
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def from_hour(cls, hour: int, trait_bucket: int = 0) -> "ContextBucket":
+        """The bucket of ``hour``, one shared frozen value per argument
+        list; an hour outside 8-21 raises and is not kept."""
         return cls(period=period_of_hour(hour), trait_bucket=trait_bucket)
 
     def index(self, n_trait_buckets: int) -> int:

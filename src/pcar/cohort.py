@@ -29,6 +29,8 @@ from .catalog import DEFAULT_SCHEMA
 
 HOURS = tuple(range(8, 22))  # curve slots for hours 08..21
 TRAIT_BUCKETS = 2  # participant trait buckets in the learner's context
+# base effects per participant: one per (attribute value, period)
+_N_EFFECTS = sum(len(vs) for _, vs in DEFAULT_SCHEMA.attributes) * len(PERIODS)
 
 # Receptivity shape (relative, later scaled to a target mean): peaks at
 # 16:00 and 19:00, dips at 08:00 and 18:00.
@@ -177,16 +179,17 @@ def build_participant(index: int, rng: np.random.Generator, prefs: dict,
     """One participant drawn around the default profile, with the effect
     sizes and shared laws of the validated ``cohort`` config ``block``.
     ``index`` fixes the trait bucket (alternating, so both buckets stay
-    populated)."""
+    populated). Each group of jitters is one block draw, which a
+    ``Generator`` makes as that many scalar draws in turn."""
     trait = index % TRAIT_BUCKETS
     shape = np.asarray(DEFAULT_RECEPTIVITY_SHAPE)
     curve = shape / shape.mean() * mean_acceptance
     curve = curve + rng.normal(0.0, 0.02, size=len(HOURS))
     curve = np.clip(curve, 0.02, 0.98)
-    baseline = float(np.clip(4.0 + rng.normal(0.0, 0.35), 2.5, 5.5))
-    offsets = tuple(
-        float(o + rng.normal(0.0, 0.1)) for o in DEFAULT_STRESS_OFFSETS
-    )
+    baseline = min(5.5, max(2.5, 4.0 + rng.normal(0.0, 0.35)))
+    jitter = rng.normal(0.0, 0.1, size=len(DEFAULT_STRESS_OFFSETS)).tolist()
+    offsets = tuple(o + j for o, j in zip(DEFAULT_STRESS_OFFSETS, jitter))
+    jitter = iter(rng.normal(0.0, 0.08, size=_N_EFFECTS).tolist())
     effects = {}
     for attr in range(DEFAULT_SCHEMA.n_attributes):
         n_values = len(DEFAULT_SCHEMA.values(attr))
@@ -196,12 +199,11 @@ def build_participant(index: int, rng: np.random.Generator, prefs: dict,
                 base = (block["effect_best"] if v == first
                         else block["effect_second"] if v == second
                         else block["effect_other"])
-                b = base + float(rng.normal(0.0, 0.08))
-                effects[(attr, v, period)] = float(np.clip(b, -3.0, 3.0))
+                effects[(attr, v, period)] = min(3.0, max(-3.0, base + next(jitter)))
     return ParticipantModel(
         baseline_stress=baseline,
         hourly_stress_offsets=offsets,
-        receptivity_curve=tuple(float(c) for c in curve),
+        receptivity_curve=tuple(curve.tolist()),
         base_effects=effects,
         trait_bucket=trait,
         laws=block,

@@ -298,6 +298,19 @@ def _sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
+def _peaks(z: np.ndarray) -> list[float]:
+    """``list(accumulate(map(_sigmoid, z.tolist()), max))``, bit for bit:
+    only ``math.exp`` of ``-|z|`` is a call per element; ``1 + e``, the
+    division by sign and the running maximum are numpy's. ``max`` keeps a
+    leading NaN and skips a later one where ``np.maximum`` takes it, so a
+    run with a NaN score is scored the scalar way."""
+    e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), float, len(z))
+    p = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    if np.isnan(p).any():
+        return list(accumulate(map(_sigmoid, z.tolist()), max))
+    return np.maximum.accumulate(p).tolist()
+
+
 class TimingHistory:
     """Training rows of the timing model, counted as they arrive.
 
@@ -471,8 +484,7 @@ class ThresholdWalk:
         run = self._runs.get(key)
         if run is None:
             xs = _rows(key)
-            scores = map(_sigmoid, _logits(self.model, xs).tolist())
-            run = self._runs[key] = xs, list(accumulate(scores, max))
+            run = self._runs[key] = xs, _peaks(_logits(self.model, xs))
         return run
 
     def runs(self, day: int, budget: BudgetState, theta: float

@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 _BETACF_EPS = 1e-14
@@ -169,10 +170,13 @@ def participant_means(records, group_by) -> dict[tuple, list[float]]:
     group_by fields) into cells keyed by their group_by values, and give
     each cell its per-participant means, participants in first-seen order.
     Cells with no records do not appear."""
+    group_by = tuple(group_by)
+    # itemgetter of two or more fields gives their tuple, of one a scalar
+    key_of = (itemgetter(*group_by) if len(group_by) > 1
+              else lambda rec: tuple(rec[field] for field in group_by))
     cells: dict[tuple, dict[str, list[float]]] = {}
     for rec in records:
-        key = tuple(rec[field] for field in group_by)
-        cells.setdefault(key, {}).setdefault(rec["pid"], []).append(float(rec["value"]))
+        cells.setdefault(key_of(rec), {}).setdefault(rec["pid"], []).append(float(rec["value"]))
     return {key: [_mean(vals) for vals in per_pid.values()]
             for key, per_pid in cells.items()}
 

@@ -25,6 +25,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +539,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
 
     records: list[InterventionRecord] = []
     epoch = datetime.combine(STUDY_START, time())  # study-minute 0
+    stamps: dict[int, str] = {}  # study-minute -> its timestamp, as rendered
 
     def reallocate_phase2() -> AgentBundle:
         random_pids = [pid for pid in pids if states[pid].group == "random"]
@@ -582,6 +584,9 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                                       scfg["trigger_rate"])
             for now, x in fires:
                 st.budget.record_delivery(now)
+                stamp = stamps.get(now)
+                if stamp is None:
+                    stamp = stamps[now] = (epoch + timedelta(minutes=now)).isoformat()
                 hour = now % DAY_MINUTES // 60
                 engaged = accept(p, hour, st.rng, engagement=st.engagement)
                 if model_mode:
@@ -589,7 +594,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 # one contact: its record is filled in as the contact proceeds
                 rec = InterventionRecord(
                     seed=seed, pid=pid, group=st.group, phase=phase, week=week,
-                    day=day_idx + 1, timestamp=(epoch + timedelta(minutes=now)).isoformat(),
+                    day=day_idx + 1, timestamp=stamp,
                     accepted=engaged, completed=False,
                 )
                 records.append(rec)
@@ -636,7 +641,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             # nightly: refit from scratch on everything seen so far
             timing_walk = ThresholdWalk(fit(timing_history, shape, scfg))
 
-    records.sort(key=lambda r: (r.pid, r.day, r.timestamp))
+    records.sort(key=attrgetter("pid", "day", "timestamp"))
     meta = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,

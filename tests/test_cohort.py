@@ -1,12 +1,21 @@
+import struct
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcar.agent import ContextBucket
+from pcar.agent import PERIODS, ContextBucket
+from pcar.catalog import DEFAULT_SCHEMA
 from pcar.cohort import (
     DEFAULT_RECEPTIVITY_SHAPE,
+    DEFAULT_STRESS_OFFSETS,
     HOURS,
+    TRAIT_BUCKETS,
     ParticipantModel,
     accept,
+    build_participant,
     control_post_stress,
     default_cohort,
     draw_preference_map,
@@ -210,3 +219,66 @@ def test_participant_validation():
         make_participant(receptivity_curve=(1.5,) * len(HOURS))
     with pytest.raises(ValueError):
         make_participant(base_effects={(0, 0, 0): 4.0})
+
+
+def _per_draw_participant(index, rng, prefs, mean_acceptance, block):
+    """``build_participant`` drawing each jitter on its own and clamping
+    with ``np.clip``: the reference its block draws must reproduce."""
+    trait = index % TRAIT_BUCKETS
+    shape = np.asarray(DEFAULT_RECEPTIVITY_SHAPE)
+    curve = shape / shape.mean() * mean_acceptance
+    curve = curve + rng.normal(0.0, 0.02, size=len(HOURS))
+    curve = np.clip(curve, 0.02, 0.98)
+    baseline = float(np.clip(4.0 + rng.normal(0.0, 0.35), 2.5, 5.5))
+    offsets = tuple(float(o + rng.normal(0.0, 0.1)) for o in DEFAULT_STRESS_OFFSETS)
+    effects = {}
+    for attr in range(DEFAULT_SCHEMA.n_attributes):
+        n_values = len(DEFAULT_SCHEMA.values(attr))
+        for period in range(len(PERIODS)):
+            first, second = prefs[(trait, attr, period)]
+            for v in range(n_values):
+                base = (block["effect_best"] if v == first
+                        else block["effect_second"] if v == second
+                        else block["effect_other"])
+                b = base + float(rng.normal(0.0, 0.08))
+                effects[(attr, v, period)] = float(np.clip(b, -3.0, 3.0))
+    return ParticipantModel(
+        baseline_stress=baseline, hourly_stress_offsets=offsets,
+        receptivity_curve=tuple(float(c) for c in curve), base_effects=effects,
+        trait_bucket=trait, laws=block)
+
+
+def _exact(v):
+    """``v`` with each float as its type and bytes, containers in order."""
+    if isinstance(v, float):
+        return type(v), struct.pack("<d", v)
+    if isinstance(v, dict):
+        return dict, tuple((_exact(k), _exact(x)) for k, x in v.items())
+    if isinstance(v, (tuple, list)):
+        return type(v), tuple(map(_exact, v))
+    return type(v), v
+
+
+# effect sizes a validated cohort block can hold, past the +-3 clamp included
+_EFFECTS = st.one_of(st.floats(-4.0, 4.0), st.integers(-4, 4),
+                     st.sampled_from([3.0, -3.0, 2.95, -2.95, 1e300, -1e300]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(index=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1),
+       prefs_seed=st.integers(0, 2**32 - 1), mean_acceptance=st.floats(0.0, 1.0),
+       best=_EFFECTS, second=_EFFECTS, other=_EFFECTS)
+def test_block_drawn_participant_equals_the_per_draw_loop(
+        index, seed, prefs_seed, mean_acceptance, best, second, other):
+    """Byte for byte, every field (effects in insertion order) and the
+    generator's state afterwards."""
+    block = load_config({"cohort": {"effect_best": best, "effect_second": second,
+                                    "effect_other": other}})["cohort"]
+    prefs = draw_preference_map(np.random.default_rng(prefs_seed))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = build_participant(index, rng, prefs, mean_acceptance, block)
+    want = _per_draw_participant(index, ref_rng, prefs, mean_acceptance, block)
+    for f in fields(ParticipantModel):
+        assert _exact(getattr(got, f.name)) == _exact(getattr(want, f.name)), f.name
+    assert got.laws is block
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -802,6 +802,55 @@ def _uncached_threshold(model, daily_budget=3, min_gap=120, window=(480, 1260),
     return min(max(lo, 1e-9), 1.0 - 1e-9)
 
 
+# logits a run can meet: signed zeros, exact ties, magnitudes whose exp
+# underflows, the infinities and NaN
+_LOGITS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats())
+
+
+def _scalar_peaks(z):
+    """A run's running maximum scored one logit at a time."""
+    return list(accumulate(map(pcar.scheduler._sigmoid, z.tolist()), max))
+
+
+def _float_bits(values):
+    return [(type(v), _bits(v)) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.lists(_LOGITS, max_size=40))
+def test_run_peaks_equal_the_scalar_running_max(z):
+    """Bit for bit, a NaN first, later or alone included (``max`` and
+    ``np.maximum`` part ways there)."""
+    z = np.asarray(z, dtype=float)
+    assert _float_bits(pcar.scheduler._peaks(z)) == _float_bits(_scalar_peaks(z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_EDGE_FLOATS, min_size=N_FEATURES, max_size=N_FEATURES),
+                     min_size=1, max_size=8),
+       repeat=st.integers(1, 3),
+       weights=st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                  st.sampled_from([math.inf, -math.inf, math.nan, 1e300])),
+                        min_size=N_FEATURES, max_size=N_FEATURES),
+       bias=st.one_of(st.floats(-6.0, 6.0), st.sampled_from([-0.0, math.inf, math.nan])))
+def test_run_peaks_of_edge_rows_equal_per_tick_scoring(rows, repeat, weights, bias):
+    """A run's peaks from its block's logits equal the scalar running
+    maximum of those logits bit for bit, and the running maximum of
+    ``score`` on each row (NaN where it is NaN: a stacked product and
+    ``w @ x`` may set a NaN's sign bit differently), for rows of +-1e300,
+    repeated rows (exact ties) and weights or bias that are not finite."""
+    X = np.asarray(rows * repeat, dtype=float)
+    m = TimingModel(weights=np.asarray(weights), bias=bias)
+    with np.errstate(all="ignore"):  # w @ x may overflow to inf or nan
+        z = pcar.scheduler._logits(m, X)
+        got = pcar.scheduler._peaks(z)
+        per_tick = list(accumulate((score(m, x) for x in X), max))
+    assert _float_bits(got) == _float_bits(_scalar_peaks(z))
+    assert np.array_equal(got, per_tick, equal_nan=True)
+
+
 # a trained model's feature standardization, or none (a cold model's)
 _STANDARDIZATIONS = st.one_of(st.none(), st.tuples(
     st.lists(st.floats(-1.0, 1.0), min_size=N_FEATURES, max_size=N_FEATURES),

@@ -1,10 +1,12 @@
 import math
+import random
 
 import mpmath
 import pytest
 
 from pcar.stats import (
     mean_of_means,
+    participant_means,
     pearson,
     pss_trend,
     reg_inc_beta,
@@ -213,6 +215,33 @@ def test_mean_of_means_invariant_to_duplicating_a_participant():
     doubled = mean_of_means(records + [_rec("a", "p1", 1.0)])[0]
     assert doubled.mean == pytest.approx(base.mean)
     assert doubled.ci_low == pytest.approx(base.ci_low)
+
+
+def _tuple_key_means(records, group_by):
+    cells = {}
+    for rec in records:
+        key = tuple(rec[field] for field in group_by)
+        cells.setdefault(key, {}).setdefault(rec["pid"], []).append(float(rec["value"]))
+    return {key: [sum(vals) / len(vals) for vals in per_pid.values()]
+            for key, per_pid in cells.items()}
+
+
+@pytest.mark.parametrize("group_by", [
+    (), ("group",), ("group", "metric"), ("metric", "phase", "group"),
+    ("group", "phase", "week", "metric")])
+def test_participant_means_equals_a_tuple_key_reference(group_by):
+    """Cells keyed by the tuple of their group_by values, a 1-tuple for one
+    field, in first-seen order, from a list or a one-pass iterator."""
+    rnd = random.Random(7)
+    records = [_rec(rnd.choice("abc"), f"p{rnd.randrange(9)}", rnd.uniform(-6, 6),
+                    phase=rnd.choice([1, 2]), week=rnd.randrange(1, 5),
+                    metric=rnd.choice(["reward", "acceptance"]))
+               for _ in range(400)]
+    want = _tuple_key_means(records, group_by)
+    for source in (records, iter(records)):
+        got = participant_means(source, group_by)
+        assert list(got.items()) == list(want.items())
+        assert all(type(key) is tuple and len(key) == len(group_by) for key in got)
 
 
 def test_mean_of_means_empty_warns():

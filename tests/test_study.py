@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import inspect
 import json
+from datetime import datetime, time, timedelta
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import pcar.agent
 import pcar.scheduler
 import pcar.study
-from pcar.agent import AgentBundle
+from pcar.agent import AgentBundle, ContextBucket, period_of_hour
 from pcar.scheduler import (
     TimingModel,
     composite_loss,
@@ -20,6 +21,7 @@ from pcar.scheduler import (
 )
 from pcar.study import (
     DEFAULT_CONFIG,
+    STUDY_START,
     ConfigError,
     benchmark_reward_fn,
     config_hash,
@@ -288,6 +290,48 @@ def test_timestamps_nondecreasing_per_participant(small_log):
         if r.pid in last:
             assert r.timestamp >= last[r.pid]
         last[r.pid] = r.timestamp
+
+
+def test_every_contact_timestamp_renders_its_study_minute(monkeypatch):
+    """Over a 4-week study, each record's timestamp is its fire's
+    study-minute rendered afresh, whichever participant first fired there."""
+    cfg = dict(SMALL, weeks_per_phase=2)
+    fired = []  # the fired minutes of each uniform_fires call: day by day, pid by pid
+
+    def recording_fires(*args):
+        nows = []
+        fired.append(nows)
+        for now, x in pcar.scheduler.uniform_fires(*args):
+            nows.append(now)
+            yield now, x
+
+    monkeypatch.setattr(pcar.study, "uniform_fires", recording_fires)
+    log = run_study(cfg)
+    n = cfg["n_participants"]
+    epoch = datetime.combine(STUDY_START, time())
+    want = sorted((f"p{call % n + 1:03d}", call // n + 1,
+                   (epoch + timedelta(minutes=now)).isoformat())
+                  for call, nows in enumerate(fired) for now in nows)
+    assert len(fired) == n * 4 * 5
+    assert [(r.pid, r.day, r.timestamp) for r in log.records] == want
+    assert len({ts for _, _, ts in want}) < len(want)  # some minute fired twice
+
+
+@pytest.mark.parametrize("hour", [7, 22])
+def test_context_from_hour_outside_the_window_still_raises(hour):
+    for _ in range(2):  # a failed call leaves nothing behind to return
+        for trait in (0, 1):
+            with pytest.raises(ValueError, match="outside"):
+                ContextBucket.from_hour(hour, trait)
+
+
+def test_context_from_hour_is_the_fresh_bucket():
+    for hour in range(8, 22):
+        for trait in (0, 1):
+            ctx = ContextBucket.from_hour(hour, trait)
+            assert ctx == ContextBucket(period=period_of_hour(hour), trait_bucket=trait)
+            assert type(ctx.trait_bucket) is int
+            assert ContextBucket.from_hour(hour, trait) is ctx
 
 
 def test_determinism_same_seed_same_hash():
