@@ -13,13 +13,15 @@ on it: ``uniform_fires`` fires where a uniform random draw falls below a
 rate, drawing each run's uniforms in one block, and ``ThresholdWalk``
 where a small trained model's score clears a threshold. The model -- a
 linear scorer through a sigmoid -- estimates how likely a contact at the
-current 5-minute tick is to be engaged with. It is fit by full-batch
-gradient descent on a squared-error term plus a budget-pressure term that
-pulls the expected number of daily triggers toward the allowance. ``fit``
+current 5-minute tick is to be engaged with. It is fit on the feedback
+of the contacts that went out, by full-batch gradient descent on a
+squared-error term plus a budget-pressure term that pulls the contacts'
+summed scores per day toward the allowance; the threshold is calibrated
+afterwards so that the model fires the allowance each day. ``fit``
 takes the pressure weight and the descent's epochs and step from a study
 config's ``scheduler`` block; the library holds no second copy of them.
 
-Training counts identical (features, label) history rows as one row
+Training counts identical (features, label) contact rows as one row
 (``TimingHistory``) and reads them sorted, summing 1-D products with
 ``np.add.reduce``: a refit costs as much as its distinct rows, and its
 bits depend only on their multiset, under any arrival order or thread
@@ -28,12 +30,12 @@ deterministically, so the cohort walks few distinct budget states.
 ``ThresholdWalk`` scores each run once per model and run key, as
 ``score`` does, keeps the running maximum of its scores and bisects that
 for a threshold. Calibration, the study's model mode and the trained
-policy of ``timing_comparison`` share it. Runs are built, scored and
-recorded as blocks keyed by what their rows read (``_run_key``):
-``_rows`` memoizes a run's rows, equal to ``features`` at each tick, so
-each night's calibration and the study's days share them; a walk keeps a
-run per key, which scores its block at once; a history takes its passed
-rows at once.
+policy of ``timing_comparison`` share it. Runs are built and scored as
+blocks keyed by what their rows read (``_run_key``): ``_rows``
+memoizes a run's rows, equal to ``features`` at each tick, so each
+night's calibration and the study's days share them, and a walk keeps a
+run per key, which scores its block at once and hands out a fire's row
+from it.
 
 Time is one integer clock, the study-minute: ``day * 1440 + minute of
 day``, where day 0 is a Monday, so the weekday is ``day % 7``.
@@ -47,7 +49,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
@@ -144,16 +146,11 @@ def _day_runs(day: int, budget: BudgetState) -> Iterator[tuple[int, int]]:
 
 
 def uniform_fires(day: int, budget: BudgetState, rng: np.random.Generator,
-                  rate: float, history=None,
-                  key=None) -> Iterator[tuple[int, np.ndarray | None]]:
-    """Start the budget's day and yield ``(tick, features)`` at each tick
-    of calendar day ``day`` where a uniform trigger fires: the allowed
-    ticks where ``rng.random() < rate``. The ticks and ``rng``'s stream
-    are exactly those of drawing one uniform per allowed tick; the caller
-    records each delivery. With ``history``, each tick passed without a
-    fire is appended to it as an unlabeled ``(features, None, key)`` row
-    before the next fire is yielded; without it, features are None and
-    none are computed.
+                  rate: float) -> Iterator[int]:
+    """Start the budget's day and yield each tick of calendar day ``day``
+    where a uniform trigger fires: the allowed ticks where ``rng.random()
+    < rate``. The ticks and ``rng``'s stream are exactly those of drawing
+    one uniform per allowed tick; the caller records each delivery.
 
     Each run of allowed ticks draws its uniforms in one block. When one
     fires, the state saved before the block is restored and only the draws
@@ -165,16 +162,10 @@ def uniform_fires(day: int, budget: BudgetState, rng: np.random.Generator,
         saved = bit_generator.state
         fired = rng.random(n) < rate
         k = int(fired.argmax())  # the first fire, or 0 when none fires
-        if fired[k]:
+        if fired[k]:  # otherwise none fires, which ends the day
             bit_generator.state = saved
             rng.random(k + 1)
-        else:
-            k = n  # none fires: every tick of the run passes
-        if history is not None:
-            xs = _rows(_run_key(start, n, budget))
-            history.add_rows(xs[:k], None, key)
-        if k < n:
-            yield start + k * TICK_MINUTES, None if history is None else xs[k]
+            yield start + k * TICK_MINUTES
 
 
 def features(now: int, budget: BudgetState) -> np.ndarray:
@@ -219,7 +210,7 @@ def _run_key(start: int, n: int, budget: BudgetState) -> tuple:
             budget.window_start_minute, budget.window_end_minute)
 
 
-@lru_cache(maxsize=2048)  # holds timing_comparison(seeds=20)'s 1,181 run keys
+@lru_cache(maxsize=2048)  # model seeds 4 and 5 read 658 run keys
 def _rows(key: tuple) -> np.ndarray:
     """``features`` at each tick of the run ``key`` names, as one read-only
     ``(n, 10)`` block, in vector steps that round as ``features``' do."""
@@ -284,9 +275,9 @@ def score(model: TimingModel, x: np.ndarray) -> float:
 
 
 def _logits(model: TimingModel, xs: np.ndarray) -> np.ndarray:
-    """``score``'s logit of each row of ``xs``, bit for bit: standardized
-    elementwise, then a stacked product, one dot per row as ``w @ x``
-    (a plain ``xs @ w`` rounds differently)."""
+    """``score``'s logit of each row of ``xs``, bit for bit, a NaN's sign
+    aside: standardized elementwise, then a stacked product, one dot per
+    row as ``w @ x`` (a plain ``xs @ w`` rounds differently)."""
     xs = (xs - model.feature_mean) / model.feature_scale
     return (xs[:, None, :] @ model.weights).ravel() + model.bias
 
@@ -314,12 +305,11 @@ def _peaks(z: np.ndarray) -> list[float]:
 class TimingHistory:
     """Training rows of the timing model, counted as they arrive.
 
-    A row is (features, label, day key) for an eligible tick. The label
-    is 1/0 engagement feedback for ticks where a contact went out and None
-    (kept as ``math.inf``) for the rest; unlabeled ticks still count toward
-    the expected-daily-triggers budget term. Identical (features, label)
-    rows are one count, so a history costs what its distinct rows cost and
-    keeps no arrival order. ``len`` counts the rows appended."""
+    A row is (features, label, day key) for a tick where a contact went
+    out, labeled with its 1/0 engagement feedback; only those ticks carry
+    feedback. Identical (features, label) rows are one count, so a history
+    costs what its distinct rows cost and keeps no arrival order. ``len``
+    counts the rows appended."""
 
     def __init__(self):
         self._rows: Counter = Counter()  # (feature bytes, label) -> count
@@ -328,38 +318,24 @@ class TimingHistory:
     def __len__(self) -> int:
         return self._rows.total()
 
-    @property
-    def n_labeled(self) -> int:
-        return sum(c for (_, y), c in self._rows.items() if y < math.inf)
-
     def append(self, row) -> None:
-        x, y, day = row  # one row's key, cut as add_rows cuts it; another width raises
+        x, y, day = row  # the row's float bytes are its key; another width raises
         x = np.ascontiguousarray(x, dtype=float).view(_ROW_BYTES).item()
-        self._rows[x, math.inf if y is None else y] += 1
+        self._rows[x, float(y)] += 1
         self._days.add(day)
-
-    def add_rows(self, xs, y, day) -> None:
-        """Append ``(x, y, day)`` for each row ``x`` of the 2-D block ``xs``,
-        converted to float once: one call for a run of unlabeled ticks."""
-        xs = np.ascontiguousarray(xs, dtype=float)
-        if len(xs):  # each row's bytes as one key; another width raises
-            keys = xs.view(_ROW_BYTES).reshape(len(xs)).tolist()
-            self._rows.update(zip(keys, repeat(math.inf if y is None else y)))
-            self._days.add(day)
 
 
 def _unpack_history(history: TimingHistory):
-    """The distinct feature rows of a history (read-only), their labels
-    (+inf for unlabeled), the labeled mask, the row counts and the number
-    of distinct day keys, built afresh in the keys' natural order: by
-    feature bytes, then label, +inf after every finite label."""
-    if not history.n_labeled:
-        raise ValueError("history has no labeled rows")
+    """The distinct feature rows of a history (read-only), their labels,
+    the row counts and the number of distinct day keys, built afresh in
+    the keys' natural order: by feature bytes, then label."""
+    if not history:
+        raise ValueError("history is empty")
     keys = sorted(history._rows)
     X = np.frombuffer(b"".join(x for x, _ in keys)).reshape(len(keys), -1)
     y = np.array([lab for _, lab in keys], dtype=float)
     counts = np.array([history._rows[k] for k in keys], dtype=float)
-    return X, y, y < math.inf, counts, len(history._days)
+    return X, y, counts, len(history._days)
 
 
 def _probabilities(model: TimingModel, X: np.ndarray) -> np.ndarray:
@@ -369,13 +345,12 @@ def _probabilities(model: TimingModel, X: np.ndarray) -> np.ndarray:
 
 def composite_loss(model: TimingModel, history: TimingHistory,
                    daily_budget: float, budget_penalty: float) -> float:
-    """mean squared error over labeled rows + budget_penalty * (mean
-    expected daily triggers - allowance)^2, where a day's expected triggers
-    is the sum of its ticks' probabilities."""
-    X, y, labeled, counts, n_days = _unpack_history(history)
+    """mean squared error + budget_penalty * (mean expected daily triggers
+    - allowance)^2, where a day's expected triggers is the sum of its
+    contacts' probabilities, averaged over the day keys that had one."""
+    X, y, counts, n_days = _unpack_history(history)
     p = _probabilities(model, X)
-    c = counts[labeled]
-    mse = float(np.add.reduce(c * (p[labeled] - y[labeled]) ** 2) / c.sum())
+    mse = float(np.add.reduce(counts * (p - y) ** 2) / counts.sum())
     mean_triggers = float(np.add.reduce(counts * p)) / n_days
     return mse + budget_penalty * (mean_triggers - daily_budget) ** 2
 
@@ -397,17 +372,16 @@ def train(
 
     Each epoch costs as much as the distinct (features, label) rows: a
     merged row is weighted by its count. The budget term averages the
-    expected triggers over the distinct day keys of the history, so a
-    study keys its rows by participant-day. The epochs allocate nothing:
-    they write into buffers made once per call, and the fit is bit-identical
-    to the expressions in the comments, its 1-D sums ``np.add.reduce``.
-    ``z`` is ``(-X) @ w - b``: rounding is symmetric in sign, and ``exp``
-    erases the sign of a zero ``z``. One factor, 2 on labeled rows and 0
-    elsewhere, stands for the 2 and the zeroing of unlabeled rows: there
-    ``p`` and ``p (1 - p)`` are >= +0, so each step gives +0.0.
-    ``X.T @ g`` keeps ``X``: a sum of zeros does not negate exactly
-    (``+0 + -0`` is +0), and with ``step`` 0 that sign reaches the weights."""
-    X, y, labeled, counts, n_days = _unpack_history(history)
+    expected triggers of the history's contacts over its distinct day
+    keys, so a study keys its rows by participant-day and the term averages
+    over the participant-days that had a contact. The epochs allocate
+    nothing: they write into buffers made once per call, and the fit is
+    bit-identical to the expressions in the comments, its 1-D sums
+    ``np.add.reduce``. ``z`` is ``(-X) @ w - b``: rounding is symmetric in
+    sign, and ``exp`` erases the sign of a zero ``z``. ``X.T @ g`` keeps
+    ``X``: a sum of zeros does not negate exactly (``+0 + -0`` is +0), and
+    with ``step`` 0 that sign reaches the weights."""
+    X, y, counts, n_days = _unpack_history(history)
     n_rows = counts.sum()
     mean = counts @ X / n_rows
     scale = np.sqrt(counts @ (X - mean) ** 2 / n_rows)
@@ -415,9 +389,6 @@ def train(
     X = (X - mean) / scale
     w = model.weights.copy()
     b = model.bias
-    n_labeled = counts[labeled].sum()
-    y_fit = np.where(labeled, y, 0.0)
-    two_labeled = np.where(labeled, 2.0, 0.0)
     Xn = -X
     # one buffer per intermediate, reused by every epoch
     z, p, sig_grad, g, tmp = (np.empty(len(X)) for _ in range(5))
@@ -431,12 +402,12 @@ def train(
         np.divide(1.0, z, out=p)  # p = 1 / (1 + exp(-(X @ w + b)))
         np.subtract(1.0, p, out=sig_grad)
         sig_grad *= p  # p * (1 - p)
-        # classification term over labeled rows: 2 (p - y) p (1 - p) / n_labeled
-        np.subtract(p, y_fit, out=g)
-        g *= two_labeled
+        # classification term: 2 (p - y) p (1 - p) / n_rows
+        np.subtract(p, y, out=g)
+        g *= 2.0
         g *= sig_grad
-        g /= n_labeled
-        # budget-pressure term over every eligible tick
+        g /= n_rows
+        # budget-pressure term over every contact
         np.multiply(counts, p, out=tmp)
         pressure = 2.0 * budget_penalty * (
             float(np.add.reduce(tmp)) / n_days - daily_budget)
@@ -451,11 +422,6 @@ def train(
     return replace(model, weights=w, bias=b, feature_mean=mean, feature_scale=scale)
 
 
-def expected_daily_triggers(model: TimingModel, history: TimingHistory) -> float:
-    X, _, _, counts, n_days = _unpack_history(history)
-    return float(np.add.reduce(counts * _probabilities(model, X))) / n_days
-
-
 @dataclass(frozen=True)
 class ThresholdWalk:
     """Walks days of ticks under the budget rules by runs, firing where
@@ -468,7 +434,7 @@ class ThresholdWalk:
     study, a week later, after any gap past the cap), as its rows and the
     running maximum of their scores. A run's rows are ``_rows``' block
     (shared across every model) and its scores those of ``score``, so fires
-    and history rows are those of ``score`` on every allowed tick in turn.
+    and their rows are those of ``score`` on every allowed tick in turn.
     Frozen, so its runs hold; the feature arrays it hands out are read-only."""
 
     model: TimingModel
@@ -500,17 +466,12 @@ class ThresholdWalk:
             xs, peaks = self.run(start, n, budget)
             yield start, xs, peaks, bisect_left(peaks, theta)
 
-    def fires(self, day: int, budget: BudgetState, history=None,
-              key=None) -> Iterator[tuple[int, np.ndarray]]:
+    def fires(self, day: int, budget: BudgetState) -> Iterator[tuple[int, np.ndarray]]:
         """Start the budget's day and yield ``(tick, features)`` at each
         tick of calendar day ``day`` where the model's score clears its
-        threshold; the caller records each delivery. Each tick passed
-        without a fire is appended to ``history``, if given, as an
-        unlabeled ``(features, None, key)`` row before the next fire is
-        yielded: it still counts toward the budget term."""
+        threshold, the fire's row taken from its run's block; the caller
+        records each delivery."""
         for start, xs, _, i in self.runs(day, budget, self.model.threshold):
-            if history is not None:
-                history.add_rows(xs[:i], None, key)
             if i < len(xs):
                 yield start + i * TICK_MINUTES, xs[i]
 

@@ -62,6 +62,7 @@ from .scheduler import (
     BudgetState,
     ThresholdWalk,
     TimingHistory,
+    features,
     fit,
     uniform_fires,
 )
@@ -533,8 +534,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         # cold start: the untrained scorer's bar is set so it still delivers;
         # every participant shares the walk, so each run of ticks is scored once
         timing_walk = ThresholdWalk(fit(None, shape, scfg))
-        # (features, label, (pid, day_idx)): the budget term counts per
-        # participant-day, the unit the allowance is set in
+        # a contact's (features, accepted, (pid, day_idx)): the budget term
+        # counts per participant-day, the unit the allowance is set in
         timing_history = TimingHistory()
 
     records: list[InterventionRecord] = []
@@ -577,11 +578,10 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             st = states[pid]
             p = st.model
             if model_mode:
-                fires = timing_walk.fires(calendar_day, st.budget, timing_history,
-                                          (pid, day_idx))
+                fires = timing_walk.fires(calendar_day, st.budget)
             else:
-                fires = uniform_fires(calendar_day, st.budget, st.rng,
-                                      scfg["trigger_rate"])
+                fires = ((now, None) for now in uniform_fires(
+                    calendar_day, st.budget, st.rng, scfg["trigger_rate"]))
             for now, x in fires:
                 st.budget.record_delivery(now)
                 stamp = stamps.get(now)
@@ -637,7 +637,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 bundle.end_episode()
                 st.pending = None
 
-        if model_mode and timing_history.n_labeled:
+        if model_mode and timing_history:
             # nightly: refit from scratch on everything seen so far
             timing_walk = ThresholdWalk(fit(timing_history, shape, scfg))
 
@@ -955,35 +955,36 @@ def timing_comparison(
 
         def walk(days, day0, fires, history=None):
             """(acceptance, contacts per participant-day) of a walk that
-            contacts at each ``(tick, features)`` that ``fires(day, budget,
-            history, key)`` yields; with ``history``, each contact is
-            appended to it as a labeled row after the unlabeled rows that
-            ``fires`` appends."""
+            contacts at each tick that ``fires(day, budget)`` yields; with
+            ``history``, each contact is appended to it as a labeled row of
+            the features at its tick, read before the delivery."""
             hits = n = 0
             for pi, participant in enumerate(cohort):
                 for d in range(days):
                     budget = replace(shape)
-                    key = (pi, d)  # budget pressure groups by participant-day
-                    for now, x in fires(_calendar_day(day0 + d), budget, history, key):
+                    for now in fires(_calendar_day(day0 + d), budget):
+                        if history is not None:
+                            x = features(now, budget)
                         budget.record_delivery(now)
                         ok = accept(participant, now % DAY_MINUTES // 60, rng)
                         hits += ok
                         n += 1
-                        if history is not None:
-                            history.append((x, 1.0 if ok else 0.0, key))
+                        if history is not None:  # pressure groups by participant-day
+                            history.append((x, 1.0 if ok else 0.0, (pi, d)))
             return (hits / n if n else 0.0), n / (days * len(cohort))
 
         def uniform(q):
             """Fire at each allowed tick where ``rng.random() < q``."""
-            return lambda day, budget, history, key: uniform_fires(
-                day, budget, rng, q, history, key)
+            return lambda day, budget: uniform_fires(day, budget, rng, q)
 
         history = TimingHistory()
         walk(history_days, 0, uniform(3 / 84), history)
         model = fit(history, shape, scfg)
 
         # the trained policy walks the same runs for every participant
-        t_acc, t_rate = walk(eval_days, history_days, ThresholdWalk(model).fires)
+        trained = ThresholdWalk(model)
+        t_acc, t_rate = walk(eval_days, history_days, lambda day, budget: (
+            now for now, _ in trained.fires(day, budget)))
         trained_acc.append(t_acc)
         trained_daily.append(t_rate)
 

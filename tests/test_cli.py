@@ -242,7 +242,7 @@ def test_budget_recheck_failure_prints_one_json_line(tmp_path, capsys,
     def every_tick(day, budget, rng, rate):  # fires ignoring the hard rules
         budget.start_day()
         for minute in SERVICE_TICKS:
-            yield day * 1440 + minute, None
+            yield day * 1440 + minute
 
     monkeypatch.setattr(pcar.study, "uniform_fires", every_tick)
     user = {"n_participants": 1, "weeks_per_phase": 1,

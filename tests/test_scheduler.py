@@ -4,7 +4,7 @@ import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date, timedelta
-from itertools import accumulate, groupby
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ from pcar.scheduler import (
     composite_loss,
     decide,
     eligible,
-    expected_daily_triggers,
     features,
     fit,
     next_eligible,
@@ -138,25 +137,19 @@ def test_next_eligible_is_the_first_eligible_grid_tick(
     assert next_eligible(b, now) == want
 
 
-def _plain_fires(day, budget, rng, rate, history=None, key=None):
-    """Reference trigger: one uniform per eligible tick of the plain walk.
-    With ``history``, also one ``features`` row per tick: a fire yields
-    its row and a passed tick is appended unlabeled."""
+def _plain_fires(day, budget, rng, rate):
+    """Reference trigger: one uniform per eligible tick of the plain walk."""
     for now in _plain_ticks(day, budget):
-        x = None if history is None else features(now, budget)
         if rng.random() < rate:
-            yield now, x
-        elif history is not None:
-            history.append((x, None, key))
+            yield now
 
 
 def _contacts(fires, budget, rng, pools):
-    """Drive a trigger walk without a history like a study does: deliver
-    at every fire, then draw ``rng.integers``, which buffers half of a
-    64-bit output between calls, as ``catalog.resolve`` does."""
+    """Drive a uniform trigger walk like a study does: deliver at every
+    fire, then draw ``rng.integers``, which buffers half of a 64-bit
+    output between calls, as ``catalog.resolve`` does."""
     out = []
-    for i, (now, x) in enumerate(fires):
-        assert x is None  # no history: no features are computed
+    for i, now in enumerate(fires):
         budget.record_delivery(now)
         out.append((now, int(rng.integers(pools[i % len(pools)]))))
     return out
@@ -410,7 +403,7 @@ def test_train_budget_pressure_reaches_allowance():
     history = _history(rows)
     m = train(TimingModel(weights=np.zeros(N_FEATURES)), history,
               daily_budget=3.0, budget_penalty=10.0, epochs=5000, step=0.005)
-    assert abs(expected_daily_triggers(m, history) - 3.0) < 0.5
+    assert abs(_expected_daily_triggers(m, history) - 3.0) < 0.5
 
 
 def test_train_zero_epochs_returns_unchanged():
@@ -447,11 +440,19 @@ def test_train_loss_non_increasing_per_epoch():
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+def _expected_daily_triggers(model, history):
+    """The budget term's mean: the scores of the history's distinct rows,
+    each times its count, summed and averaged over its day keys."""
+    X, _, counts, n_days = pcar.scheduler._unpack_history(history)
+    p = pcar.scheduler._probabilities(model, X)
+    return float(np.add.reduce(counts * p)) / n_days
+
+
 def test_day_sums_equal_plain_loop_on_unsorted_keys():
     rng = np.random.default_rng(3)
     keys = [(pid, d) for pid in (2, 0, 1) for d in (3, 1, 2)]  # unsorted
     rows = [(rng.normal(size=N_FEATURES),
-             float(rng.random() < 0.5) if i % 3 == 0 else None,
+             float(rng.random() < 0.5) if i % 3 == 0 else float(i % 2),
              keys[rng.integers(len(keys))]) for i in range(200)]
     m = TimingModel(weights=rng.normal(size=N_FEATURES) * 0.3, bias=-1.0)
     X = np.vstack([x for x, _, _ in rows])
@@ -461,17 +462,17 @@ def test_day_sums_equal_plain_loop_on_unsorted_keys():
         totals[day] = totals.get(day, 0.0) + pi
     want = float(np.mean([totals[d] for d in sorted(totals)]))
     history = _history(rows)
-    assert expected_daily_triggers(m, history) == want
-    y = np.asarray([np.nan if lab is None else lab for _, lab, _ in rows])
-    mse = float(np.mean((p[~np.isnan(y)] - y[~np.isnan(y)]) ** 2))
+    assert _expected_daily_triggers(m, history) == want
+    y = np.asarray([lab for _, lab, _ in rows])
+    mse = float(np.mean((p - y) ** 2))
     assert composite_loss(m, history, 3.0, 0.2) == mse + 0.2 * (want - 3.0) ** 2
 
 
 def _reference_unpack(rows):
     """Per-row arrays of a history, one row per tick, no merging."""
     X = np.vstack([np.asarray(x, dtype=float) for x, _, _ in rows])
-    y = np.asarray([np.nan if lab is None else lab for _, lab, _ in rows])
-    return X, y, ~np.isnan(y), [day for _, _, day in rows]
+    y = np.asarray([lab for _, lab, _ in rows])
+    return X, y, [day for _, _, day in rows]
 
 
 def _reference_day_mean(p, days):
@@ -482,15 +483,15 @@ def _reference_day_mean(p, days):
 
 
 def _reference_loss(model, rows, daily_budget, budget_penalty):
-    X, y, labeled, days = _reference_unpack(rows)
+    X, y, days = _reference_unpack(rows)
     p = 1.0 / (1.0 + np.exp(-(X @ model.weights + model.bias)))
-    mse = float(np.mean((p[labeled] - y[labeled]) ** 2))
+    mse = float(np.mean((p - y) ** 2))
     return mse + budget_penalty * (_reference_day_mean(p, days) - daily_budget) ** 2
 
 
 def _reference_train(model, rows, daily_budget, budget_penalty, epochs, step):
     """The composite-loss gradient descent, one term per history row."""
-    X, y, labeled, days = _reference_unpack(rows)
+    X, y, days = _reference_unpack(rows)
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
     scale[scale < 1e-9] = 1.0
@@ -502,10 +503,9 @@ def _reference_train(model, rows, daily_budget, budget_penalty, epochs, step):
         pressure = 2.0 * budget_penalty * (
             _reference_day_mean(p, days) - daily_budget)
         grad_w, grad_b = np.zeros_like(w), 0.0
-        for xi, pi, yi, li in zip(X, p, y, labeled):
+        for xi, pi, yi in zip(X, p, y):
             g = pressure * pi * (1.0 - pi) / n_days
-            if li:
-                g += 2.0 * (pi - yi) * pi * (1.0 - pi) / labeled.sum()
+            g += 2.0 * (pi - yi) * pi * (1.0 - pi) / len(X)
             grad_w += g * xi
             grad_b += g
         w, b = w - step * grad_w, b - step * grad_b
@@ -513,11 +513,11 @@ def _reference_train(model, rows, daily_budget, budget_penalty, epochs, step):
 
 
 def _duplicated_history():
-    """Few distinct rows, each repeated, with unlabeled duplicates and
-    tuple (participant, day) keys in no particular order."""
+    """Few distinct rows, each repeated, with tuple (participant, day)
+    keys in no particular order."""
     rng = np.random.default_rng(7)
     distinct = [(rng.normal(size=N_FEATURES), lab)
-                for lab in (None, None, None, 1.0, 0.0, 1.0)]
+                for lab in (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)]
     keys = [(pid, d) for pid in (3, 0, 2) for d in (4, 1)]
     return [(distinct[i][0].copy(), distinct[i][1], keys[rng.integers(len(keys))])
             for i in rng.integers(len(distinct), size=300)]
@@ -528,9 +528,9 @@ def test_merged_rows_match_per_row_reference():
     history = _history(rows)
     rng = np.random.default_rng(8)
     m = TimingModel(weights=rng.normal(size=N_FEATURES) * 0.3, bias=-1.0)
-    X, _, _, days = _reference_unpack(rows)
+    X, _, days = _reference_unpack(rows)
     p = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias)))
-    assert math.isclose(expected_daily_triggers(m, history),
+    assert math.isclose(_expected_daily_triggers(m, history),
                         _reference_day_mean(p, days), rel_tol=1e-12)
     assert math.isclose(composite_loss(m, history, 3.0, 0.2),
                         _reference_loss(m, rows, 3.0, 0.2), rel_tol=1e-12)
@@ -544,33 +544,16 @@ def test_merged_rows_match_per_row_reference():
     assert math.isclose(got.bias, b, rel_tol=1e-10)
 
 
-def test_timing_history_appended_row_by_row_trains_like_a_list():
-    """A history appended row by row equals one fed the same list of rows
-    through ``add_rows``, one call per run of rows with one label and day
-    key, as the walks feed it; both train alike."""
-    rows = _duplicated_history()
-    history = _history(rows)
-    assert len(history) == len(rows)
-    assert history.n_labeled == sum(lab is not None for _, lab, _ in rows)
-    batched = TimingHistory()
-    for (y, day), run in groupby(rows, key=lambda row: (row[1], row[2])):
-        batched.add_rows([x for x, _, _ in run], y, day)
-    assert _history_rows(batched) == _history_rows(history)
-    start = TimingModel.budget_init(BudgetState())
-    a = train(start, history, daily_budget=3.0, budget_penalty=0.2, epochs=5, step=0.05)
-    b = train(start, batched, daily_budget=3.0, budget_penalty=0.2, epochs=5, step=0.05)
-    assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
-    assert expected_daily_triggers(a, history) == expected_daily_triggers(a, batched)
-
-
-def test_add_rows_converts_an_integer_block_to_float():
-    """Rows are converted to float once per block, so an integer row is
-    kept and trained as its values, not read back from its int64 bytes."""
+def test_append_converts_an_integer_row_to_float():
+    """A row and its label are converted to float before they key a row,
+    so an integer row is kept and trained as its values, not read back
+    from its int64 bytes."""
     got, want = TimingHistory(), TimingHistory()
-    got.add_rows([np.arange(10)], 1.0, 0)
-    got.add_rows(np.arange(20).reshape(2, 10) % 3, None, 0)
-    want.add_rows(np.arange(10.0)[None, :], 1.0, 0)
-    want.add_rows(np.arange(20.0).reshape(2, 10) % 3, None, 0)
+    got.append((np.arange(10), 1, 0))
+    want.append((np.arange(10.0), 1.0, 0))
+    for x in np.arange(20).reshape(2, 10) % 3:
+        got.append((x, 0, 0))
+        want.append((x.astype(float), 0.0, 0))
     X = pcar.scheduler._unpack_history(got)[0]
     assert sorted(map(tuple, X)) == sorted(
         [tuple(range(10)), (0, 1, 2, 0, 1, 2, 0, 1, 2, 0), (1, 2, 0, 1, 2, 0, 1, 2, 0, 1)])
@@ -583,48 +566,42 @@ def test_add_rows_converts_an_integer_block_to_float():
 
 @pytest.mark.parametrize("width", [9, 12, 20])
 def test_append_rejects_a_row_of_another_width(width):
-    """``append`` cuts a row's key as ``add_rows`` does, so a row that is
-    not 10 floats raises instead of being counted as other bytes."""
+    """``append`` keys a row by the bytes of exactly 10 floats, so a row
+    of another width raises instead of being counted as other bytes."""
     history = TimingHistory()
     with pytest.raises(ValueError):
         history.append((np.arange(float(width)), 1.0, 0))
-    with pytest.raises(ValueError):
-        history.add_rows([np.arange(float(width))], 1.0, 0)
     assert len(history) == 0 and not history._days
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     batches=st.lists(
-        st.lists(st.tuples(st.integers(0, 7), st.sampled_from([None, 0.0, 1.0])),
+        st.lists(st.tuples(st.integers(0, 7), st.sampled_from([0.0, 1.0])),
                  max_size=12),
         min_size=1, max_size=8),
 )
 def test_unpacked_features_equal_a_fresh_stack_of_every_distinct_row(batches):
     """Unpacking between batches of appends, repeated rows included, gives
     the bytes of one ``vstack`` over the distinct rows sorted by feature
-    bytes, then label with None last, and of labels (+inf for None),
-    labeled mask and counts built afresh from those rows."""
+    bytes, then label, and of labels and counts built afresh from those
+    rows."""
     pool = np.random.default_rng(3).normal(size=(8, N_FEATURES))
     history = TimingHistory()
-    history.append((pool[0], 1.0, 0))  # unpacking needs a labeled row
+    history.append((pool[0], 1.0, 0))  # unpacking needs a row
     seen = {(0, 1.0): 1}  # (pool index, label) -> count
     for day, batch in enumerate(batches, 1):
         for i, y in batch:
             history.append((pool[i], y, day))
             seen[i, y] = seen.get((i, y), 0) + 1
-        X, y, labeled, counts, _ = pcar.scheduler._unpack_history(history)
-        order = sorted(seen, key=lambda k: (pool[k[0]].tobytes(), k[1] is None,
-                                            k[1] or 0.0))
+        X, y, counts, _ = pcar.scheduler._unpack_history(history)
+        order = sorted(seen, key=lambda k: (pool[k[0]].tobytes(), k[1]))
         fresh = np.vstack([pool[i] for i, _ in order])
         assert X.shape == fresh.shape and X.tobytes() == fresh.tobytes()
         assert not X.flags.writeable
-        labels = [lab for _, lab in order]
-        fresh_y = np.asarray([math.inf if lab is None else lab for lab in labels])
-        fresh_labeled = np.asarray([lab is not None for lab in labels])
+        fresh_y = np.asarray([lab for _, lab in order])
         fresh_counts = np.asarray([seen[k] for k in order], dtype=float)
-        for got, want in ((y, fresh_y), (labeled, fresh_labeled),
-                          (counts, fresh_counts)):
+        for got, want in ((y, fresh_y), (counts, fresh_counts)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -632,7 +609,7 @@ def test_unpacked_features_equal_a_fresh_stack_of_every_distinct_row(batches):
 def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step):
     """Reference: ``train`` with a fresh array for every intermediate of
     every epoch, as the plain expressions evaluate them."""
-    X, y, labeled, counts, n_days = pcar.scheduler._unpack_history(history)
+    X, y, counts, n_days = pcar.scheduler._unpack_history(history)
     n_rows = counts.sum()
     mean = counts @ X / n_rows
     scale = np.sqrt(counts @ (X - mean) ** 2 / n_rows)
@@ -640,16 +617,14 @@ def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step
     X = (X - mean) / scale
     w = model.weights.astype(float).copy()
     b = model.bias
-    n_labeled = counts[labeled].sum()
-    y_fit = np.where(labeled, y, 0.0)
 
     for _ in range(epochs):
         z = X @ w + b
         p = 1.0 / (1.0 + np.exp(-z))
         sig_grad = p * (1.0 - p)
-        # classification term over labeled rows
-        g = np.where(labeled, 2.0 * (p - y_fit) * sig_grad / n_labeled, 0.0)
-        # budget-pressure term over every eligible tick
+        # classification term
+        g = 2.0 * (p - y) * sig_grad / n_rows
+        # budget-pressure term over every contact
         pressure = 2.0 * budget_penalty * (
             float(np.add.reduce(counts * p)) / n_days - daily_budget)
         g += pressure * sig_grad / n_days
@@ -661,19 +636,16 @@ def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step
 
 @st.composite
 def _fit_cases(draw):
-    """A merged history with 1..all distinct rows labeled, a start model
-    and descent settings. A history has a few distinct rows or as many as
-    a study's night does. Up to three weekday columns hold one value in
-    every row, as on a night that saw one weekday: standardized, they are
-    zeros."""
+    """A merged history, a start model and descent settings. A history has
+    a few distinct rows or several hundred. Up to three weekday columns
+    hold one value in every row, as on a night that saw one weekday:
+    standardized, they are zeros."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_distinct = draw(st.one_of(st.integers(1, 40), st.integers(300, 700)))
-    n_labeled = draw(st.integers(1, n_distinct))
     rows = rng.normal(size=(n_distinct, N_FEATURES)) * rng.choice(
         [0.1, 1.0, 5.0], size=(n_distinct, 1))
     rows[:, 2:2 + draw(st.integers(0, 3))] = float(rng.integers(2))
-    distinct = [(rows[i], float(rng.integers(2)) if i < n_labeled else None)
-                for i in range(n_distinct)]
+    distinct = [(rows[i], float(rng.integers(2))) for i in range(n_distinct)]
     n_days = draw(st.integers(1, 6))
     history = TimingHistory()
     for i in [*range(n_distinct), *rng.integers(n_distinct, size=draw(st.integers(0, 80)))]:
@@ -701,9 +673,10 @@ def test_train_is_bit_identical_to_the_allocating_loop_past_10000_rows():
     X = rng.normal(scale=2.0, size=(10_500, N_FEATURES))
     X[:, 2:7] = [1.0, 0.0, 0.0, 0.0, 0.0]
     history = TimingHistory()
-    for y, rows in ((1.0, X[:300]), (0.0, X[300:700]), (None, X[700:])):
-        history.add_rows(list(rows), y, (0, 0))
-    history.add_rows(list(X[:2000:3]), None, (0, 1))
+    for i, x in enumerate(X):
+        history.append((x, float(i < 5000), (0, 0)))
+    for x in X[:2000:3]:  # merged into counts of 2
+        history.append((x, 1.0, (0, 1)))
     assert len(history._rows) >= 10_001
     weights = rng.normal(size=N_FEATURES)
     weights[2:7] = -0.0
@@ -721,8 +694,7 @@ def test_train_depends_only_on_the_multiset_of_rows():
     the fit reads the distinct rows in one sorted order, not as they came."""
     rng = np.random.default_rng(12)
     X = rng.normal(size=(800, N_FEATURES))
-    rows = [(X[i], float(rng.integers(2)) if i < 300 else None,
-             (int(rng.integers(4)), int(rng.integers(5))))
+    rows = [(X[i], float(rng.integers(2)), (int(rng.integers(4)), int(rng.integers(5))))
             for i in rng.integers(800, size=2400)]
     start = TimingModel.budget_init(BudgetState())
     fitted = set()
@@ -742,9 +714,8 @@ from pcar.scheduler import BudgetState, TimingHistory, TimingModel, train
 rng = np.random.default_rng(9)
 X = rng.normal(scale=2.0, size=(12_000, 10))
 history = TimingHistory()
-history.add_rows(list(X[:600]), 1.0, 0)
-history.add_rows(list(X[600:1200]), 0.0, 1)
-history.add_rows(list(X[1200:]), None, 2)
+for i, x in enumerate(X):
+    history.append((x, float(i % 2), i % 3))
 m = train(TimingModel.budget_init(BudgetState()), history, 3.0, 0.1, 20, 0.05)
 print(hashlib.sha256(m.weights.tobytes() + np.float64(m.bias).tobytes()
                      + m.feature_mean.tobytes() + m.feature_scale.tobytes()).hexdigest())
@@ -989,7 +960,7 @@ def test_run_memo_shares_a_run_a_week_later():
 
     def fires_on(day):  # the minutes of day at which a fresh day fires
         b = BudgetState()
-        ticks = _contact_all(walk.fires(day, b, None, None), b, TimingHistory(), None)
+        ticks = _contact_all(walk.fires(day, b), b, TimingHistory(), None)
         return [t - day * 1440 for t in ticks]
 
     first = fires_on(TUESDAY)
@@ -1008,14 +979,12 @@ def test_run_memo_shares_a_run_after_any_gap_at_or_past_the_cap():
     assert walk.run(_MEMO_NOW, _MEMO_N, under) is not capped[0]
 
 
-def _per_tick_fires(model, day, budget, history, key):
+def _per_tick_fires(model, day, budget):
     """Reference: score every tick of the plain walk in turn."""
     for now in _plain_ticks(day, budget):
         x = features(now, budget)
         if score(model, x) >= model.threshold:
             yield now, x
-        else:
-            history.append((x, None, key))
 
 
 def _per_tick_outcome(model, days, shape, theta):
@@ -1034,8 +1003,8 @@ def _per_tick_outcome(model, days, shape, theta):
 
 
 def _contact_all(fires, budget, history, key):
-    """Drive a fire walk like a study does: deliver at every fire and
-    append its labeled row after the unlabeled ones."""
+    """Drive a threshold walk like a study does: deliver at every fire and
+    append its row, labeled, to ``history``."""
     out = []
     for now, x in fires:
         budget.record_delivery(now)
@@ -1084,29 +1053,9 @@ def test_threshold_walk_equals_per_tick_scoring(max_per_day, min_gap, window, da
     got, want = TimingHistory(), TimingHistory()
     for d in days:  # the gap carries across days
         key = (0, d)
-        fired = _contact_all(walk.fires(d, a, got, key), a, got, key)
-        assert fired == _contact_all(_per_tick_fires(model, d, b, want, key), b, want, key)
+        fired = _contact_all(walk.fires(d, a), a, got, key)
+        assert fired == _contact_all(_per_tick_fires(model, d, b), b, want, key)
         assert a == b
-    assert _history_rows(got) == _history_rows(want)
-
-
-@settings(max_examples=300, deadline=None)
-@given(**_SHAPES,
-       rate=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
-       seed=st.integers(0, 2**32 - 1))
-def test_uniform_fires_with_a_history_matches_one_draw_and_row_per_tick(
-        max_per_day, min_gap, window, day, last_evening, rate, seed):
-    a = _shape(max_per_day, min_gap, window, day, last_evening)
-    b = replace(a)
-    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, want = TimingHistory(), TimingHistory()
-    for d in range(day, day + 3):  # the gap, the RNG and the history carry over
-        key = (0, d)
-        fired = _contact_all(uniform_fires(d, a, rng_a, rate, got, key), a, got, key)
-        assert fired == _contact_all(_plain_fires(d, b, rng_b, rate, want, key),
-                                     b, want, key)
-        assert a == b
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
     assert _history_rows(got) == _history_rows(want)
 
 
@@ -1118,8 +1067,9 @@ def test_uniform_fires_with_a_history_matches_one_draw_and_row_per_tick(
 def test_walks_with_a_history_build_rows_by_block_not_by_tick(
         monkeypatch, max_per_day, min_gap, window, last_evening):
     """Neither walk calls ``features``: the threshold walk (with its
-    calibration) and the uniform walk take their rows from run blocks,
-    and still give the per-tick references' ticks and history rows."""
+    calibration) hands out the fires' rows for a history from run blocks,
+    and the uniform walk builds no rows. Both still give the per-tick
+    references' ticks, and the threshold walk their history rows."""
     calls = []
     counted = pcar.scheduler.features
     monkeypatch.setattr(pcar.scheduler, "features",
@@ -1128,21 +1078,20 @@ def test_walks_with_a_history_build_rows_by_block_not_by_tick(
     m = TimingModel(weights=np.linspace(-1.0, 1.0, N_FEATURES), bias=0.3,
                     feature_mean=np.full(N_FEATURES, 0.1))
     model = calibrate_threshold(m, shape)
-    walks = [(ThresholdWalk(model).fires,
-              lambda d, b, h, k: _per_tick_fires(model, d, b, h, k))]
-    rngs = [np.random.default_rng(7) for _ in range(2)]
-    walks.append((lambda d, b, h, k: uniform_fires(d, b, rngs[0], 0.05, h, k),
-                  lambda d, b, h, k: _plain_fires(d, b, rngs[1], 0.05, h, k)))
-    for fires, reference in walks:
-        a, b = replace(shape), replace(shape)
-        got, want = TimingHistory(), TimingHistory()
-        for d in range(MONDAY, MONDAY + 7):
-            key = (0, d)
-            fired = _contact_all(fires(d, a, got, key), a, got, key)
-            assert fired == _contact_all(reference(d, b, want, key), b, want, key)
-            assert a == b
-        assert _history_rows(got) == _history_rows(want)
-        assert len(got) > 0
+    walk = ThresholdWalk(model)
+    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+    a, b, ua, ub = (replace(shape) for _ in range(4))
+    got, want = TimingHistory(), TimingHistory()
+    for d in range(MONDAY, MONDAY + 7):
+        key = (0, d)
+        fired = _contact_all(walk.fires(d, a), a, got, key)
+        assert fired == _contact_all(_per_tick_fires(model, d, b), b, want, key)
+        assert a == b
+        fired = _contacts(uniform_fires(d, ua, rng_a, 0.05), ua, rng_a, [16])
+        assert fired == _contacts(_plain_fires(d, ub, rng_b, 0.05), ub, rng_b, [16])
+        assert ua == ub
+    assert _history_rows(got) == _history_rows(want)
+    assert len(got) > 0
     assert calls == []
 
 

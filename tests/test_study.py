@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import inspect
 import json
+from collections import Counter
 from datetime import datetime, time, timedelta
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from pcar.agent import AgentBundle, ContextBucket, period_of_hour
 from pcar.scheduler import (
     TimingModel,
     composite_loss,
-    expected_daily_triggers,
     fit,
     train,
 )
@@ -301,9 +301,9 @@ def test_every_contact_timestamp_renders_its_study_minute(monkeypatch):
     def recording_fires(*args):
         nows = []
         fired.append(nows)
-        for now, x in pcar.scheduler.uniform_fires(*args):
+        for now in pcar.scheduler.uniform_fires(*args):
             nows.append(now)
-            yield now, x
+            yield now
 
     monkeypatch.setattr(pcar.study, "uniform_fires", recording_fires)
     log = run_study(cfg)
@@ -531,20 +531,36 @@ def test_model_scheduler_mode_runs_and_respects_budget():
 
 @pytest.mark.parametrize("seed", [4, 5])
 def test_model_mode_budget_term_counts_participant_days(monkeypatch, seed):
-    """The nightly model aims at the allowance per participant-day: on the
-    study's own final history, its expected triggers per day key land near
-    ``max_per_day``."""
-    fit, fits = pcar.scheduler.train, []
+    """The nightly fit reads the contacts' feedback only, keyed by
+    participant-day, the unit its budget term averages over: the final
+    fit's history holds one row per record, labeled with that record's
+    ``accepted``, its day keys are the records' participant-days, and each
+    of those gets exactly ``max_per_day`` contacts."""
+    train, fits, appended = pcar.scheduler.train, [], {}
+    append = pcar.scheduler.TimingHistory.append
 
     def recording_train(model, history, **kwargs):
-        fitted = fit(model, history, **kwargs)
-        fits.append((fitted, history))
-        return fitted
+        fits.append(history)
+        return train(model, history, **kwargs)
+
+    def recording_append(history, row):
+        appended.setdefault(row[2], []).append(row[1])
+        append(history, row)
 
     monkeypatch.setattr(pcar.scheduler, "train", recording_train)
-    run_study({"seed": seed, "scheduler": {"mode": "model"}})
-    fitted, history = fits[-1]
-    assert 2.5 <= expected_daily_triggers(fitted, history) <= 3.5
+    monkeypatch.setattr(pcar.scheduler.TimingHistory, "append", recording_append)
+    log = run_study({"seed": seed, "scheduler": {"mode": "model"}})
+    history = fits[-1]
+    accepted = {}  # (pid, day key) -> accepted flags in time order
+    for r in log.records:
+        accepted.setdefault((r.pid, r.day - 1), []).append(float(r.accepted))
+    assert len(history) == len(log.records)
+    assert appended == accepted
+    assert history._days == set(accepted)
+    per_day = Counter((r.pid, r.day) for r in log.records)
+    days = DEFAULT_CONFIG["n_participants"] * 2 * 5 * DEFAULT_CONFIG["weeks_per_phase"]
+    assert len(per_day) == days
+    assert set(per_day.values()) == {DEFAULT_CONFIG["budget"]["max_per_day"]}
 
 
 @pytest.mark.parametrize("seed", [4, 5])
