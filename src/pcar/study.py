@@ -25,6 +25,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -580,8 +581,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             if model_mode:
                 fires = timing_walk.fires(calendar_day, st.budget)
             else:
-                fires = ((now, None) for now in uniform_fires(
-                    calendar_day, st.budget, st.rng, scfg["trigger_rate"]))
+                fires = zip(uniform_fires(calendar_day, st.budget, st.rng,
+                                          scfg["trigger_rate"]), repeat(None))
             for now, x in fires:
                 st.budget.record_delivery(now)
                 stamp = stamps.get(now)
