@@ -393,6 +393,14 @@ def test_train_fits_separable_set():
     assert float(np.mean((p - y) ** 2)) < 0.05
 
 
+def _expected_daily_triggers(model, history):
+    """The budget term's mean: the scores of the history's distinct rows,
+    each times its count, summed and averaged over its day keys."""
+    X, _, counts, n_days = pcar.scheduler._unpack_history(history)
+    p = pcar.scheduler._probabilities(model, X)
+    return float(np.add.reduce(counts * p)) / n_days
+
+
 def test_train_budget_pressure_reaches_allowance():
     rng = np.random.default_rng(0)
     rows = []
@@ -438,14 +446,6 @@ def test_train_loss_non_increasing_per_epoch():
         m = train(m, history, daily_budget=3.0, budget_penalty=0.1, epochs=1, step=0.05)
         losses.append(composite_loss(m, history, 3.0, 0.1))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-
-
-def _expected_daily_triggers(model, history):
-    """The budget term's mean: the scores of the history's distinct rows,
-    each times its count, summed and averaged over its day keys."""
-    X, _, counts, n_days = pcar.scheduler._unpack_history(history)
-    p = pcar.scheduler._probabilities(model, X)
-    return float(np.add.reduce(counts * p)) / n_days
 
 
 def test_day_sums_equal_plain_loop_on_unsorted_keys():
