@@ -374,52 +374,53 @@ def train(
     merged row is weighted by its count. The budget term averages the
     expected triggers of the history's contacts over its distinct day
     keys, so a study keys its rows by participant-day and the term averages
-    over the participant-days that had a contact. The epochs allocate
-    nothing: they write into buffers made once per call, and the fit is
-    bit-identical to the expressions in the comments, its 1-D sums
-    ``np.add.reduce``. ``z`` is ``(-X) @ w - b``: rounding is symmetric in
-    sign, and ``exp`` erases the sign of a zero ``z``. ``X.T @ g`` keeps
-    ``X``: a sum of zeros does not negate exactly (``+0 + -0`` is +0), and
-    with ``step`` 0 that sign reaches the weights."""
+    over the participant-days that had a contact. With the bias as the
+    last weight, ``theta = [w; b]`` on rows ``Xa = [X | 1]``, an epoch is
+    ``p = 1 / (1 + exp((-Xa) @ theta))``, ``pressure = 2 budget_penalty
+    (add.reduce(counts p) / n_days - daily_budget)``, ``g = ((p - y) c2n +
+    cd pressure) ((1 - p) p)`` and ``theta -= step (Xa.T @ g)``, with
+    ``c2n = 2 counts / n_rows`` and ``cd = counts / n_days``: 16 numpy
+    calls into buffers made once per call, bit-identical to those
+    expressions. The 1-D sum is ``np.add.reduce``, which no BLAS thread
+    count regroups. ``(-Xa) @ theta`` is ``-(Xa @ theta)``: rounding is
+    symmetric in sign, and ``exp`` erases the sign of a zero. ``Xa.T`` is
+    a view: a sum of zeros does not negate exactly (``+0 + -0`` is +0),
+    and with ``step`` 0 that sign reaches the weights."""
     X, y, counts, n_days = _unpack_history(history)
     n_rows = counts.sum()
     mean = counts @ X / n_rows
     scale = np.sqrt(counts @ (X - mean) ** 2 / n_rows)
     scale[scale < 1e-9] = 1.0
-    X = (X - mean) / scale
-    w = model.weights.copy()
-    b = model.bias
-    Xn = -X
+    Xa = np.ones((len(X), N_FEATURES + 1))
+    Xa[:, :-1] = (X - mean) / scale
+    Xn = -Xa
+    theta = np.append(model.weights, model.bias)
+    c2n = 2.0 * counts / n_rows
+    cd = counts / n_days
     # one buffer per intermediate, reused by every epoch
-    z, p, sig_grad, g, tmp = (np.empty(len(X)) for _ in range(5))
-    dw = np.empty_like(w)
+    p, sig_grad, g, tmp = (np.empty(len(X)) for _ in range(4))
+    dtheta = np.empty_like(theta)
 
     for _ in range(epochs):
-        np.dot(Xn, w, z)
-        z -= b  # z = -(X @ w + b)
-        np.exp(z, out=z)
-        z += 1.0
-        np.divide(1.0, z, out=p)  # p = 1 / (1 + exp(-(X @ w + b)))
-        np.subtract(1.0, p, out=sig_grad)
-        sig_grad *= p  # p * (1 - p)
-        # classification term: 2 (p - y) p (1 - p) / n_rows
-        np.subtract(p, y, out=g)
-        g *= 2.0
-        g *= sig_grad
-        g /= n_rows
-        # budget-pressure term over every contact
+        np.dot(Xn, theta, p)
+        np.exp(p, out=p)
+        p += 1.0
+        np.divide(1.0, p, out=p)
         np.multiply(counts, p, out=tmp)
         pressure = 2.0 * budget_penalty * (
             float(np.add.reduce(tmp)) / n_days - daily_budget)
-        np.multiply(sig_grad, pressure, out=tmp)
-        tmp /= n_days
-        g += tmp  # g += pressure * sig_grad / n_days
-        g *= counts
-        np.dot(X.T, g, dw)
-        dw *= step
-        w -= dw  # w -= step * (X.T @ g)
-        b -= step * float(np.add.reduce(g))
-    return replace(model, weights=w, bias=b, feature_mean=mean, feature_scale=scale)
+        np.subtract(1.0, p, out=sig_grad)
+        sig_grad *= p
+        np.subtract(p, y, out=g)
+        g *= c2n
+        np.multiply(cd, pressure, out=tmp)
+        g += tmp
+        g *= sig_grad
+        np.dot(Xa.T, g, dtheta)
+        dtheta *= step
+        theta -= dtheta
+    return replace(model, weights=theta[:-1], bias=float(theta[-1]),
+                   feature_mean=mean, feature_scale=scale)
 
 
 @dataclass(frozen=True)
@@ -498,39 +499,38 @@ def calibrate_threshold(model: TimingModel, shape: BudgetState) -> TimingModel:
     """Post-processor step: pick the decision threshold by 40 passes of
     bisection so that, on five synthetic weekdays under the budget rules
     of ``shape`` (allowance, gap and window), the realized triggers per
-    day reach the allowance. Each pass walks the days on a fresh copy of
-    ``shape`` and fires where the score clears the candidate threshold;
+    day reach the allowance. Each weekday is walked on a fresh copy of
+    ``shape``, firing where the score clears the candidate threshold;
     scores evolve with the budget state as triggers fire, as they do in a
     study. The passes share one ``ThresholdWalk``.
 
-    A pass whose outcome is already known is not walked. A walk at
-    threshold t compares the scores S of the ticks it visits against t.
-    Every t' in ``(max{s in S: s < t}, min{s in S: s >= t}]`` makes the
-    same fire/no-fire choice at each of those ticks, and the ticks a walk
-    visits depend only on its earlier choices, so by induction a walk at
-    t' visits the same ticks, fires at the same ones and realizes the same
-    triggers per day. Each walk records that interval with its rate; a
-    later midpoint inside a recorded interval takes the rate from it. The
-    bisection keeps its midpoints and its final ``lo``, so the threshold
-    is bit-identical to walking all 40 passes."""
-    week = range(5)  # Monday to Friday
+    No day fires more than the allowance, so five days average it exactly
+    when each fires it: a pass asks the weekdays in order and stops at the
+    first that falls short. A weekday whose answer is known is not walked.
+    A day's walk at threshold t compares the scores S of the ticks it
+    visits against t. Every t' in ``(max{s in S: s < t}, min{s in S: s >=
+    t}]`` makes the same fire/no-fire choice at each of those ticks, and
+    the ticks a walk visits depend only on its earlier choices, so by
+    induction a walk at t' visits the same ticks and fires at the same
+    ones. Each walk records that interval for its weekday with whether the
+    day fired the allowance; a later midpoint inside it takes the answer.
+    The bisection keeps its midpoints and its final ``lo``, so the
+    threshold is bit-identical to walking all five days on all 40 passes."""
     walk = ThresholdWalk(model)
-    daily_budget = shape.max_per_day
-    known: list[tuple[float, float, float]] = []  # (below, above, rate)
+    known: list[list[tuple[float, float, bool]]] = [[] for _ in range(5)]
 
-    def triggers_per_day(theta: float) -> float:
-        for below, above, rate in known:
+    def full(day: int, theta: float) -> bool:  # day 0 to 4: Monday to Friday
+        for below, above, answer in known[day]:
             if below < theta <= above:
-                return rate
-        total, below, above = walk.outcome(week, shape, theta)
-        rate = total / len(week)
-        known.append((below, above, rate))
-        return rate
+                return answer
+        fires, below, above = walk.outcome((day,), shape, theta)
+        known[day].append((below, above, fires >= shape.max_per_day))
+        return fires >= shape.max_per_day
 
     lo, hi = 0.0, 1.0
     for _ in range(40):
         mid = (lo + hi) / 2.0
-        if triggers_per_day(mid) >= daily_budget:
+        if all(full(day, mid) for day in range(5)):
             lo = mid
         else:
             hi = mid

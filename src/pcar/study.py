@@ -80,6 +80,9 @@ from .stats import (
 SCHEMA_VERSION = 1
 STUDY_START = date(2024, 1, 1)  # a Monday; weeks align with calendar weeks
 POST_EMA_DELAY_MINUTES = 10
+# a contact's timestamp is its day's "YYYY-MM-DDT" and this "HH:MM:SS" of
+# its minute of day, the text of the datetime's isoformat()
+_CLOCK = [time(*divmod(minute, 60)).isoformat() for minute in range(DAY_MINUTES)]
 
 DEFAULT_CONFIG: dict = {
     "schema_version": SCHEMA_VERSION,
@@ -540,8 +543,6 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         timing_history = TimingHistory()
 
     records: list[InterventionRecord] = []
-    epoch = datetime.combine(STUDY_START, time())  # study-minute 0
-    stamps: dict[int, str] = {}  # study-minute -> its timestamp, as rendered
 
     def reallocate_phase2() -> AgentBundle:
         random_pids = [pid for pid in pids if states[pid].group == "random"]
@@ -569,12 +570,17 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         return new_bundle
 
     for day_idx in range(days_total):
+        if model_mode and timing_history:
+            # nightly: refit from scratch on everything seen so far; no
+            # walk reads a refit after the last day, so none runs
+            timing_walk = ThresholdWalk(fit(timing_history, shape, scfg))
         if day_idx == phase2_first_day:
             bundle = reallocate_phase2()
         phase = 1 if day_idx < phase2_first_day else 2
         week = day_idx // 5 + 1
 
         calendar_day = _calendar_day(day_idx)
+        date_stamp = f"{STUDY_START + timedelta(calendar_day)}T"
         for pid in pids:
             st = states[pid]
             p = st.model
@@ -585,17 +591,15 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                                           scfg["trigger_rate"]), repeat(None))
             for now, x in fires:
                 st.budget.record_delivery(now)
-                stamp = stamps.get(now)
-                if stamp is None:
-                    stamp = stamps[now] = (epoch + timedelta(minutes=now)).isoformat()
-                hour = now % DAY_MINUTES // 60
+                minute = now % DAY_MINUTES
+                hour = minute // 60
                 engaged = accept(p, hour, st.rng, engagement=st.engagement)
                 if model_mode:
                     timing_history.append((x, float(engaged), (pid, day_idx)))
                 # one contact: its record is filled in as the contact proceeds
                 rec = InterventionRecord(
                     seed=seed, pid=pid, group=st.group, phase=phase, week=week,
-                    day=day_idx + 1, timestamp=stamp,
+                    day=day_idx + 1, timestamp=date_stamp + _CLOCK[minute],
                     accepted=engaged, completed=False,
                 )
                 records.append(rec)
@@ -637,10 +641,6 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 bundle.td_step(*st.pending, None)
                 bundle.end_episode()
                 st.pending = None
-
-        if model_mode and timing_history:
-            # nightly: refit from scratch on everything seen so far
-            timing_walk = ThresholdWalk(fit(timing_history, shape, scfg))
 
     records.sort(key=attrgetter("pid", "day", "timestamp"))
     meta = {

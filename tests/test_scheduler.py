@@ -607,31 +607,27 @@ def test_unpacked_features_equal_a_fresh_stack_of_every_distinct_row(batches):
 
 
 def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step):
-    """Reference: ``train`` with a fresh array for every intermediate of
-    every epoch, as the plain expressions evaluate them."""
+    """Reference: ``train``'s epoch as its four plain expressions, with a
+    fresh array for every intermediate of every epoch. The bias is the last
+    weight, on a column of ones."""
     X, y, counts, n_days = pcar.scheduler._unpack_history(history)
     n_rows = counts.sum()
     mean = counts @ X / n_rows
     scale = np.sqrt(counts @ (X - mean) ** 2 / n_rows)
     scale[scale < 1e-9] = 1.0
-    X = (X - mean) / scale
-    w = model.weights.astype(float).copy()
-    b = model.bias
+    Xa = np.column_stack([(X - mean) / scale, np.ones(len(X))])
+    theta = np.append(model.weights, model.bias)
+    c2n = 2.0 * counts / n_rows
+    cd = counts / n_days
 
     for _ in range(epochs):
-        z = X @ w + b
-        p = 1.0 / (1.0 + np.exp(-z))
-        sig_grad = p * (1.0 - p)
-        # classification term
-        g = 2.0 * (p - y) * sig_grad / n_rows
-        # budget-pressure term over every contact
+        p = 1.0 / (1.0 + np.exp((-Xa) @ theta))
         pressure = 2.0 * budget_penalty * (
             float(np.add.reduce(counts * p)) / n_days - daily_budget)
-        g += pressure * sig_grad / n_days
-        g *= counts
-        w -= step * (X.T @ g)
-        b -= step * float(np.sum(g))
-    return replace(model, weights=w, bias=b, feature_mean=mean, feature_scale=scale)
+        g = ((p - y) * c2n + cd * pressure) * ((1.0 - p) * p)
+        theta = theta - step * (Xa.T @ g)
+    return replace(model, weights=theta[:-1], bias=float(theta[-1]),
+                   feature_mean=mean, feature_scale=scale)
 
 
 @st.composite
@@ -883,6 +879,50 @@ def test_cold_start_calibration_walks_at_most_three_passes(monkeypatch):
     monkeypatch.setattr(pcar.scheduler.ThresholdWalk, "runs", counting_runs)
     fit(None, BudgetState(), DEFAULT_CONFIG["scheduler"])
     assert 0 < len(days) <= 3 * 5
+
+
+# weekday weights apart, so each weekday reaches the allowance at its own
+# threshold
+_WEEKDAY_MODEL = TimingModel(
+    weights=np.array([0.6, -0.3, 0.9, -0.4, 0.3, -0.8, 0.1, 0.5, 0.2, -0.7]), bias=-1.0)
+
+
+@pytest.mark.parametrize("model", [_WEEKDAY_MODEL, TimingModel.budget_init(BudgetState())])
+def test_calibration_walks_weekdays_in_order_and_stops_at_the_first_short_one(
+        monkeypatch, model):
+    """Each pass asks Monday to Friday in turn, walking one weekday at a
+    time, and stops at the first that fires fewer than the allowance; a
+    weekday is never walked at a threshold inside an interval its earlier
+    walks recorded, where its answer is known."""
+    outcome, walks = ThresholdWalk.outcome, []
+
+    def recording_outcome(self, days, shape, theta):
+        got = outcome(self, days, shape, theta)
+        walks.append((tuple(days), theta, got))
+        return got
+
+    monkeypatch.setattr(pcar.scheduler.ThresholdWalk, "outcome", recording_outcome)
+    shape = BudgetState()
+    got = calibrate_threshold(model, shape).threshold
+    assert got == _uncached_threshold(model)
+    known = {day: [] for day in range(5)}  # (below, above, fired the allowance)
+    asked = {}  # theta -> the weekdays its pass has walked, with their answers
+    for days, theta, (fires, below, above) in walks:
+        (day,) = days
+        assert not any(b < theta <= a for b, a, _ in known[day])
+        answers = asked.setdefault(theta, {})
+        assert all(answers.values())  # no walk after a short weekday
+        for earlier in range(day):  # each earlier weekday already full at theta
+            assert answers.get(earlier, False) or any(
+                b < theta <= a and full for b, a, full in known[earlier])
+        assert all(earlier < day for earlier in answers)
+        answers[day] = fires >= shape.max_per_day
+        known[day].append((below, above, answers[day]))
+    if model is _WEEKDAY_MODEL:  # passes stop short at several weekdays
+        short = {day for answers in asked.values() for day, full in answers.items()
+                 if not full}
+        assert len(short) >= 2
+        assert len(walks) < 5 * len(asked)
 
 
 def _same_model(a, b):

@@ -532,8 +532,9 @@ def test_model_scheduler_mode_runs_and_respects_budget():
 @pytest.mark.parametrize("seed", [4, 5])
 def test_model_mode_budget_term_counts_participant_days(monkeypatch, seed):
     """The nightly fit reads the contacts' feedback only, keyed by
-    participant-day, the unit its budget term averages over: the final
-    fit's history holds one row per record, labeled with that record's
+    participant-day, the unit its budget term averages over. No fit reads
+    the last day's rows, but the history the fits share receives them: it
+    ends holding one row per record, labeled with that record's
     ``accepted``, its day keys are the records' participant-days, and each
     of those gets exactly ``max_per_day`` contacts."""
     train, fits, appended = pcar.scheduler.train, [], {}
@@ -561,6 +562,24 @@ def test_model_mode_budget_term_counts_participant_days(monkeypatch, seed):
     days = DEFAULT_CONFIG["n_participants"] * 2 * 5 * DEFAULT_CONFIG["weeks_per_phase"]
     assert len(per_day) == days
     assert set(per_day.values()) == {DEFAULT_CONFIG["budget"]["max_per_day"]}
+
+
+def test_model_mode_fits_once_before_each_study_day(monkeypatch):
+    """One cold start, then one refit before each later day on the rows of
+    the days before it; none after the last day, which no walk would read."""
+    fitted = []  # the rows each fit read, None for the cold start
+
+    def recording_fit(history, shape, settings):
+        fitted.append(None if history is None else len(history))
+        return fit(history, shape, settings)
+
+    monkeypatch.setattr(pcar.study, "fit", recording_fit)
+    cfg = dict(SMALL, scheduler={"mode": "model"})
+    log = run_study(cfg)
+    days_total = 2 * 5 * cfg["weeks_per_phase"]
+    before = Counter(r.day for r in log.records)
+    assert fitted == [None, *(sum(before[d] for d in range(1, day + 1))
+                              for day in range(1, days_total))]
 
 
 @pytest.mark.parametrize("seed", [4, 5])
