@@ -42,16 +42,8 @@ DEFAULT_SCHEMA = AttributeSchema(
     )
 )
 
-COLUMNS = (
-    "id",
-    "node",
-    "text",
-    "intervention_type",
-    "emotional_regulation",
-    "therapy_group",
-    "location",
-    "duration_seconds",
-)
+_ATTRIBUTES = tuple(name for name, _ in DEFAULT_SCHEMA.attributes)
+COLUMNS = ("id", "node", "text", "intervention_type", *_ATTRIBUTES, "duration_seconds")
 
 MAX_DURATION_SECONDS = 60
 _NODE_RE = re.compile(r"^node_id_([1-9])$")
@@ -68,24 +60,18 @@ class CatalogError(ValueError):
 
 @dataclass(frozen=True)
 class InterventionSpec:
-    """One deliverable exercise: ordered dialog lines plus its tags."""
+    """One deliverable exercise: ordered dialog lines plus its tags, its
+    attribute values in ``DEFAULT_SCHEMA``'s order."""
 
     id: str
     intervention_type: str
-    emotional_regulation: str
-    therapy_group: str
-    location: str
+    attribute_values: tuple[str, ...]
     duration_seconds: int
     node_texts: tuple[tuple[str, str], ...]  # (node id, line), ordered
-
-    @property
-    def attribute_values(self) -> tuple[str, str, str]:
-        return (self.emotional_regulation, self.therapy_group, self.location)
 
 
 @dataclass(frozen=True)
 class Catalog:
-    schema: AttributeSchema
     entries: tuple[InterventionSpec, ...]
     # resolve's memo: validated action vector -> its best-match pool
     pools: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -98,17 +84,12 @@ class Catalog:
 def _validate_entry(entry_id: str, rows: list[tuple[int, dict]]) -> InterventionSpec:
     first_line, first = rows[0]
     for line, row in rows[1:]:
-        for col in ("intervention_type", "emotional_regulation", "therapy_group",
-                    "location", "duration_seconds"):
+        for col in COLUMNS[3:]:  # type, attributes and duration
             if row[col] != first[col]:
                 raise CatalogError(
                     f"entry {entry_id!r} changes {col} across its rows", line
                 )
-    attrs = (
-        first["emotional_regulation"],
-        first["therapy_group"],
-        first["location"],
-    )
+    attrs = tuple(first[name] for name in _ATTRIBUTES)
     for i, value in enumerate(attrs):
         if value not in DEFAULT_SCHEMA.values(i):
             raise CatalogError(
@@ -138,9 +119,7 @@ def _validate_entry(entry_id: str, rows: list[tuple[int, dict]]) -> Intervention
     return InterventionSpec(
         id=entry_id,
         intervention_type=first["intervention_type"],
-        emotional_regulation=attrs[0],
-        therapy_group=attrs[1],
-        location=attrs[2],
+        attribute_values=attrs,
         duration_seconds=duration,
         node_texts=tuple(nodes),
     )
@@ -165,7 +144,6 @@ def load_catalog(path: str | Path) -> Catalog:
                 f"header must be {list(COLUMNS)}, got {header}", 1
             )
         grouped: dict[str, list[tuple[int, dict]]] = {}
-        order: list[str] = []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -177,12 +155,8 @@ def load_catalog(path: str | Path) -> Catalog:
             entry_id = record["id"].strip()
             if not entry_id:
                 raise CatalogError("empty id", line_no)
-            if entry_id not in grouped:
-                grouped[entry_id] = []
-                order.append(entry_id)
-            grouped[entry_id].append((line_no, record))
-    entries = tuple(_validate_entry(eid, grouped[eid]) for eid in order)
-    return Catalog(schema=DEFAULT_SCHEMA, entries=entries)
+            grouped.setdefault(entry_id, []).append((line_no, record))
+    return Catalog(tuple(_validate_entry(eid, rows) for eid, rows in grouped.items()))
 
 
 def starter_catalog_path() -> Path:
@@ -194,9 +168,7 @@ def load_starter_catalog() -> Catalog:
     return load_catalog(starter_catalog_path())
 
 
-def match_score(
-    entry: InterventionSpec, vector: tuple[str, ...], schema: AttributeSchema
-) -> tuple[int, int]:
+def match_score(entry: InterventionSpec, vector: tuple[str, ...]) -> tuple[int, int]:
     """(matched, exact) attribute counts for ranking. A location of
     "both" on either side counts as matched but not exact."""
     matched = exact = 0
@@ -204,7 +176,7 @@ def match_score(
         if want == have:
             matched += 1
             exact += 1
-        elif schema.name(i) == "location" and "both" in (want, have):
+        elif _ATTRIBUTES[i] == "location" and "both" in (want, have):
             matched += 1
     return matched, exact
 
@@ -219,10 +191,8 @@ def resolve(
     stored there, so a repeat skips the validation too."""
     pool = catalog.pools.get(vector)
     if pool is None:
-        catalog.schema.validate_vector(vector)
-        scored = [
-            (match_score(e, vector, catalog.schema), e) for e in catalog.entries
-        ]
+        DEFAULT_SCHEMA.validate_vector(vector)
+        scored = [(match_score(e, vector), e) for e in catalog.entries]
         best = max(score for score, _ in scored)
         pool = catalog.pools[vector] = tuple(e for score, e in scored if score == best)
     return pool[int(rng.integers(len(pool)))]

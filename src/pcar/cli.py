@@ -94,7 +94,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = [json.loads(v) for v in args.values.split(",")]
+    values = json.loads(f"[{args.values}]")
     rows = sweep(args.config, args.param, values)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--config", required=True)
     p_sw.add_argument("--param", required=True, help="dotted path, e.g. agent.lambda")
     p_sw.add_argument(
-        "--values", required=True, help="comma-separated JSON values, e.g. 0,0.6,0.9"
+        "--values", required=True, help="JSON values, comma-separated as in a JSON "
+        "list, so an object's commas stay in it: e.g. 0,0.6,0.9",
     )
     p_sw.add_argument("--out", default="sweep.csv")
     p_sw.set_defaults(func=cmd_sweep)

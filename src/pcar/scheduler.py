@@ -210,7 +210,7 @@ def _run_key(start: int, n: int, budget: BudgetState) -> tuple:
             budget.window_start_minute, budget.window_end_minute)
 
 
-@lru_cache(maxsize=2048)  # model seeds 4 and 5 read 658 run keys
+@lru_cache(maxsize=2048)  # model seeds 4 and 5 read 483 run keys
 def _rows(key: tuple) -> np.ndarray:
     """``features`` at each tick of the run ``key`` names, as one read-only
     ``(n, 10)`` block, in vector steps that round as ``features``' do."""
@@ -476,22 +476,21 @@ class ThresholdWalk:
             if i < len(xs):
                 yield start + i * TICK_MINUTES, xs[i]
 
-    def outcome(self, days, shape: BudgetState,
+    def outcome(self, day: int, shape: BudgetState,
                 theta: float) -> tuple[int, float, float]:
-        """``(fires, below, above)`` of walking each of ``days`` from a
+        """``(fires, below, above)`` of walking calendar day ``day`` from a
         fresh copy of ``shape`` at threshold ``theta``: the number of fires,
         the highest score that did not fire and the lowest that did
         (-inf and inf when there is none)."""
         total, below, above = 0, -math.inf, math.inf
-        for day in days:
-            budget = replace(shape, delivered_today=0, last_delivery=None)
-            for start, _, peaks, i in self.runs(day, budget, theta):
-                if i:
-                    below = max(below, peaks[i - 1])
-                if i < len(peaks):
-                    above = min(above, peaks[i])
-                    budget.record_delivery(start + i * TICK_MINUTES)
-                    total += 1
+        budget = replace(shape, delivered_today=0, last_delivery=None)
+        for start, _, peaks, i in self.runs(day, budget, theta):
+            if i:
+                below = max(below, peaks[i - 1])
+            if i < len(peaks):
+                above = min(above, peaks[i])
+                budget.record_delivery(start + i * TICK_MINUTES)
+                total += 1
         return total, below, above
 
 
@@ -523,7 +522,7 @@ def calibrate_threshold(model: TimingModel, shape: BudgetState) -> TimingModel:
         for below, above, answer in known[day]:
             if below < theta <= above:
                 return answer
-        fires, below, above = walk.outcome((day,), shape, theta)
+        fires, below, above = walk.outcome(day, shape, theta)
         known[day].append((below, above, fires >= shape.max_per_day))
         return fires >= shape.max_per_day
 
@@ -538,18 +537,17 @@ def calibrate_threshold(model: TimingModel, shape: BudgetState) -> TimingModel:
     return replace(model, threshold=theta)
 
 
-def fit(history: TimingHistory | None, shape: BudgetState,
-        settings: dict) -> TimingModel:
+def fit(history: TimingHistory, shape: BudgetState, settings: dict) -> TimingModel:
     """The timing model's whole fit under the budget rules of ``shape``:
     start from ``TimingModel.budget_init``, ``train`` it on ``history``
-    (skipped when ``history`` is None, the cold start of a study with no
-    feedback yet), then ``calibrate_threshold`` so the model fires
-    ``shape.max_per_day`` times a day. ``settings`` is a study config's
-    ``scheduler`` block: training reads its ``budget_penalty``,
+    when it holds a row (an empty history, a study's cold start with no
+    feedback yet, is not trained), then ``calibrate_threshold`` so the
+    model fires ``shape.max_per_day`` times a day. ``settings`` is a study
+    config's ``scheduler`` block: training reads its ``budget_penalty``,
     ``train_epochs`` and ``train_step``. The threshold is always
     calibrated, never configured."""
     model = TimingModel.budget_init(shape)
-    if history is not None:
+    if history:
         model = train(model, history, daily_budget=shape.max_per_day,
                       budget_penalty=settings["budget_penalty"],
                       epochs=settings["train_epochs"], step=settings["train_step"])

@@ -39,7 +39,7 @@ from .agent import (
     plan_oracle,
     random_policy,
 )
-from .catalog import load_catalog, load_starter_catalog, resolve
+from .catalog import DEFAULT_SCHEMA, load_catalog, load_starter_catalog, resolve
 from .cohort import (
     TRAIT_BUCKETS,
     ParticipantModel,
@@ -498,7 +498,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
 
     catalog = (load_catalog(cfg["catalog_path"]) if cfg["catalog_path"]
                else load_starter_catalog())
-    schema = catalog.schema
+    schema = DEFAULT_SCHEMA
     ccfg, acfg = cfg["cohort"], cfg["agent"]
 
     pids = [f"p{i + 1:03d}" for i in range(n)]
@@ -534,13 +534,9 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
 
     scfg = cfg["scheduler"]
     model_mode = scfg["mode"] == "model"
-    if model_mode:
-        # cold start: the untrained scorer's bar is set so it still delivers;
-        # every participant shares the walk, so each run of ticks is scored once
-        timing_walk = ThresholdWalk(fit(None, shape, scfg))
-        # a contact's (features, accepted, (pid, day_idx)): the budget term
-        # counts per participant-day, the unit the allowance is set in
-        timing_history = TimingHistory()
+    # a contact's (features, accepted, (pid, day_idx)): the budget term
+    # counts per participant-day, the unit the allowance is set in
+    timing_history = TimingHistory()
 
     records: list[InterventionRecord] = []
 
@@ -570,9 +566,12 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         return new_bundle
 
     for day_idx in range(days_total):
-        if model_mode and timing_history:
-            # nightly: refit from scratch on everything seen so far; no
-            # walk reads a refit after the last day, so none runs
+        if model_mode:
+            # nightly: refit from scratch on everything seen so far, before
+            # the day that reads it (none after the last); the first day's
+            # empty history is the cold start, whose untrained scorer's bar
+            # is set so it still delivers. Every participant shares the
+            # walk, so each run of ticks is scored once
             timing_walk = ThresholdWalk(fit(timing_history, shape, scfg))
         if day_idx == phase2_first_day:
             bundle = reallocate_phase2()

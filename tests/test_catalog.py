@@ -39,16 +39,33 @@ def test_starter_catalog_loads_with_sixteen_entries():
 def test_starter_meditation_attributes():
     cat = load_starter_catalog()
     (e,) = [e for e in cat.entries if e.id == "meditation"]
-    assert e.emotional_regulation == "response_modulation"
-    assert e.therapy_group == "meta_cognitive"
-    assert e.location == "both"
+    assert e.attribute_values == ("response_modulation", "meta_cognitive", "both")
 
 
 def test_starter_scribbling_attributes():
     (e,) = [e for e in load_starter_catalog().entries if e.id == "scribbling"]
-    assert e.emotional_regulation == "attention_deployment"
-    assert e.therapy_group == "meta_cognitive"
-    assert e.location == "both"
+    assert e.attribute_values == ("attention_deployment", "meta_cognitive", "both")
+
+
+def test_starter_attribute_values_are_schema_vectors():
+    for e in load_starter_catalog().entries:
+        indices = DEFAULT_SCHEMA.validate_vector(e.attribute_values)
+        assert DEFAULT_SCHEMA.value_names(indices) == e.attribute_values
+
+
+def test_interleaved_ids_group_into_entries_in_first_seen_order(tmp_path):
+    path = write_catalog(
+        tmp_path,
+        [
+            row("a", "node_id_2", "response_modulation", "somatic", "indoor", "a2"),
+            row("b", "node_id_1", "cognitive_change", "meta_cognitive", "both", "b1"),
+            row("a", "node_id_1", "response_modulation", "somatic", "indoor", "a1"),
+        ],
+    )
+    a, b = load_catalog(path).entries
+    assert (a.id, b.id) == ("a", "b")
+    assert a.node_texts == (("node_id_1", "a1"), ("node_id_2", "a2"))
+    assert b.node_texts == (("node_id_1", "b1"),)
 
 
 def test_unknown_location_rejected_with_row_number(tmp_path):
@@ -148,8 +165,8 @@ def test_resolve_best_partial_match_verified_by_scoring():
     vec = ("response_modulation", "positive_psychology", "indoor")
     rng = np.random.default_rng(3)
     chosen = resolve(cat, vec, rng)
-    scores = [match_score(e, vec, cat.schema) for e in cat.entries]
-    assert match_score(chosen, vec, cat.schema) == max(scores)
+    scores = [match_score(e, vec) for e in cat.entries]
+    assert match_score(chosen, vec) == max(scores)
 
 
 def test_resolve_matched_count_always_maximal():
@@ -161,10 +178,8 @@ def test_resolve_matched_count_always_maximal():
             for loc in values[2]:
                 vec = (er, tg, loc)
                 chosen = resolve(cat, vec, rng)
-                best_matched = max(
-                    match_score(e, vec, cat.schema)[0] for e in cat.entries
-                )
-                assert match_score(chosen, vec, cat.schema)[0] == best_matched
+                best_matched = max(match_score(e, vec)[0] for e in cat.entries)
+                assert match_score(chosen, vec)[0] == best_matched
 
 
 def test_resolve_rejects_invalid_vector():
@@ -175,8 +190,8 @@ def test_resolve_rejects_invalid_vector():
 
 def _ranked(catalog, vector, rng):
     """resolve without the memo: rank every entry on each call."""
-    catalog.schema.validate_vector(vector)
-    scores = [match_score(e, vector, catalog.schema) for e in catalog.entries]
+    DEFAULT_SCHEMA.validate_vector(vector)
+    scores = [match_score(e, vector) for e in catalog.entries]
     pool = [e for sc, e in zip(scores, catalog.entries) if sc == max(scores)]
     return pool[int(rng.integers(len(pool)))]
 
@@ -202,11 +217,11 @@ def test_resolve_memo_matches_uncached_ranking_fresh_and_warm():
 def test_resolve_memo_belongs_to_one_catalog():
     full = load_starter_catalog()
     _assert_matches_ranking(full, 0)
-    other = Catalog(full.schema, full.entries[::3])
+    other = Catalog(full.entries[::3])
     assert not other.pools
     _assert_matches_ranking(other, 0)
     assert any(other.pools[v] != full.pools[v] for v in _VECTORS)
-    assert other != full and Catalog(full.schema, full.entries) == full
+    assert other != full and Catalog(full.entries) == full
 
 
 def test_resolve_memo_still_rejects_invalid_vectors():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pcar.cli
 import pcar.study
 from pcar.cli import main
 from pcar.scheduler import SERVICE_TICKS
@@ -335,6 +336,33 @@ def test_sweep_command(tmp_path, config_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("parameter,value,seed,group")
     assert len(lines) > 2
+
+
+def test_sweep_carries_values_that_hold_commas(tmp_path, config_path, monkeypatch,
+                                              capsys):
+    """--values reads as one JSON list, so an allocation object keeps its
+    commas, and a plain list reads as it always did."""
+    swept, sweep = [], pcar.study.sweep
+
+    def recording_sweep(cfg, param, values):
+        swept.append((param, values))
+        return sweep(cfg, param, values)
+
+    monkeypatch.setattr(pcar.cli, "sweep", recording_sweep)
+    out = tmp_path / "sweep.csv"
+    allocations = [{"control": 0.5, "random": 0.5}, {"control": 0.25, "random": 0.75}]
+    code = main(["sweep", "--config", str(config_path), "--param", "phase1_allocation",
+                 "--values", ",".join(json.dumps(a) for a in allocations),
+                 "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert swept == [("phase1_allocation", allocations)]
+    with out.open(newline="") as fh:
+        values = {row["value"] for row in csv.DictReader(fh)}
+    assert len(values) == 2  # one study per allocation
+    for spelled in ("0,0.6", "0, 0.6", " 0 ,0.6 "):
+        assert main(["sweep", "--config", str(config_path), "--param", "agent.lambda",
+                     "--values", spelled, "--out", str(out)]) == 0
+    assert swept[1:] == [("agent.lambda", [0, 0.6])] * 3
 
 
 def test_sweep_of_a_study_without_contacts_writes_the_header(tmp_path, capsys):

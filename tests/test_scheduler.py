@@ -448,13 +448,37 @@ def test_train_loss_non_increasing_per_epoch():
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
-def test_day_sums_equal_plain_loop_on_unsorted_keys():
+def _day_sum_rows():
     rng = np.random.default_rng(3)
     keys = [(pid, d) for pid in (2, 0, 1) for d in (3, 1, 2)]  # unsorted
     rows = [(rng.normal(size=N_FEATURES),
              float(rng.random() < 0.5) if i % 3 == 0 else float(i % 2),
              keys[rng.integers(len(keys))]) for i in range(200)]
-    m = TimingModel(weights=rng.normal(size=N_FEATURES) * 0.3, bias=-1.0)
+    return rows, TimingModel(weights=rng.normal(size=N_FEATURES) * 0.3, bias=-1.0)
+
+
+def test_day_sums_do_not_depend_on_append_order():
+    """A history reads its rows sorted, so the same rows appended in any
+    order give the same bytes."""
+    rows, m = _day_sum_rows()
+    history = _history(rows)
+    for order in (rows[::-1], [rows[i] for i in np.random.default_rng(5).permutation(
+            len(rows))]):
+        other = _history(order)
+        assert _expected_daily_triggers(m, other).hex() == (
+            _expected_daily_triggers(m, history).hex())
+        assert composite_loss(m, other, 3.0, 0.2).hex() == (
+            composite_loss(m, history, 3.0, 0.2).hex())
+
+
+def test_day_sums_equal_plain_loop_on_unsorted_keys():
+    """Against a per-day plain loop the sums agree only up to their order.
+    Any order of a sum of n positive terms is within ``(n - 1) u`` of the
+    exact sum (``u = eps / 2``, the unit roundoff), so two orders, each
+    divided once, differ by under ``n * eps`` relative. The loss's budget
+    term squares ``mean - 3``, so its error is ``2 |mean - 3|`` times the
+    mean's."""
+    rows, m = _day_sum_rows()
     X = np.vstack([x for x, _, _ in rows])
     p = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias)))
     totals = {}
@@ -462,10 +486,13 @@ def test_day_sums_equal_plain_loop_on_unsorted_keys():
         totals[day] = totals.get(day, 0.0) + pi
     want = float(np.mean([totals[d] for d in sorted(totals)]))
     history = _history(rows)
-    assert _expected_daily_triggers(m, history) == want
+    rel = len(rows) * sys.float_info.epsilon
+    assert math.isclose(_expected_daily_triggers(m, history), want, rel_tol=rel)
     y = np.asarray([lab for _, lab, _ in rows])
     mse = float(np.mean((p - y) ** 2))
-    assert composite_loss(m, history, 3.0, 0.2) == mse + 0.2 * (want - 3.0) ** 2
+    assert math.isclose(composite_loss(m, history, 3.0, 0.2),
+                        mse + 0.2 * (want - 3.0) ** 2, rel_tol=0.0,
+                        abs_tol=rel * (mse + 0.2 * 2 * abs(want - 3.0) * want))
 
 
 def _reference_unpack(rows):
@@ -877,7 +904,7 @@ def test_cold_start_calibration_walks_at_most_three_passes(monkeypatch):
         return runs(self, day, budget, theta)
 
     monkeypatch.setattr(pcar.scheduler.ThresholdWalk, "runs", counting_runs)
-    fit(None, BudgetState(), DEFAULT_CONFIG["scheduler"])
+    fit(TimingHistory(), BudgetState(), DEFAULT_CONFIG["scheduler"])
     assert 0 < len(days) <= 3 * 5
 
 
@@ -896,9 +923,9 @@ def test_calibration_walks_weekdays_in_order_and_stops_at_the_first_short_one(
     walks recorded, where its answer is known."""
     outcome, walks = ThresholdWalk.outcome, []
 
-    def recording_outcome(self, days, shape, theta):
-        got = outcome(self, days, shape, theta)
-        walks.append((tuple(days), theta, got))
+    def recording_outcome(self, day, shape, theta):
+        got = outcome(self, day, shape, theta)
+        walks.append((day, theta, got))
         return got
 
     monkeypatch.setattr(pcar.scheduler.ThresholdWalk, "outcome", recording_outcome)
@@ -907,8 +934,7 @@ def test_calibration_walks_weekdays_in_order_and_stops_at_the_first_short_one(
     assert got == _uncached_threshold(model)
     known = {day: [] for day in range(5)}  # (below, above, fired the allowance)
     asked = {}  # theta -> the weekdays its pass has walked, with their answers
-    for days, theta, (fires, below, above) in walks:
-        (day,) = days
+    for day, theta, (fires, below, above) in walks:
         assert not any(b < theta <= a for b, a, _ in known[day])
         answers = asked.setdefault(theta, {})
         assert all(answers.values())  # no walk after a short weekday
@@ -926,9 +952,10 @@ def test_calibration_walks_weekdays_in_order_and_stops_at_the_first_short_one(
 
 
 def _same_model(a, b):
+    """Byte for byte: -0.0 and 0.0 differ."""
     for field in ("weights", "feature_mean", "feature_scale"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
-    assert (a.bias, a.threshold) == (b.bias, b.threshold)
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    assert (a.bias.hex(), a.threshold.hex()) == (b.bias.hex(), b.threshold.hex())
 
 
 @pytest.mark.parametrize("daily_budget", [2, 3])
@@ -939,12 +966,25 @@ def test_fit_is_budget_init_train_calibrate(daily_budget):
     for shape in (BudgetState(max_per_day=daily_budget),
                   BudgetState(max_per_day=daily_budget, window_end_minute=13 * 60)):
         cold = TimingModel.budget_init(shape)
-        _same_model(fit(None, shape, block),
+        _same_model(fit(TimingHistory(), shape, block),
                     calibrate_threshold(cold, shape))
         trained = train(cold, history, daily_budget=daily_budget, budget_penalty=0.2,
                         epochs=7, step=0.03)
         _same_model(fit(history, shape, block),
                     calibrate_threshold(trained, shape))
+
+
+def test_fit_on_an_empty_history_is_the_calibrated_budget_init():
+    """An empty history is the cold start: ``fit`` does not train on it
+    (``train`` itself still refuses one) and returns the calibrated
+    ``budget_init`` model."""
+    shape = BudgetState()
+    cold = TimingModel.budget_init(shape)
+    _same_model(fit(TimingHistory(), shape, DEFAULT_CONFIG["scheduler"]),
+                calibrate_threshold(cold, shape))
+    with pytest.raises(ValueError, match="history is empty"):
+        train(cold, TimingHistory(), daily_budget=3, budget_penalty=0.1, epochs=1,
+              step=0.05)
 
 
 def test_run_memo_keeps_budget_states_and_shapes_apart():
@@ -1027,18 +1067,17 @@ def _per_tick_fires(model, day, budget):
             yield now, x
 
 
-def _per_tick_outcome(model, days, shape, theta):
+def _per_tick_outcome(model, day, shape, theta):
     total, below, above = 0, -math.inf, math.inf
-    for day in days:
-        budget = replace(shape, delivered_today=0, last_delivery=None)
-        for now in _plain_ticks(day, budget):
-            s = score(model, features(now, budget))
-            if s >= theta:
-                above = min(above, s)
-                budget.record_delivery(now)
-                total += 1
-            else:
-                below = max(below, s)
+    budget = replace(shape, delivered_today=0, last_delivery=None)
+    for now in _plain_ticks(day, budget):
+        s = score(model, features(now, budget))
+        if s >= theta:
+            above = min(above, s)
+            budget.record_delivery(now)
+            total += 1
+        else:
+            below = max(below, s)
     return total, below, above
 
 
@@ -1087,8 +1126,9 @@ def test_threshold_walk_equals_per_tick_scoring(max_per_day, min_gap, window, da
     walk = ThresholdWalk(model)
     days = range(day, day + 3)
     for theta in thetas:
-        assert walk.outcome(days, shape, theta) == _per_tick_outcome(
-            model, days, shape, theta)
+        for d in days:  # each day from a fresh copy of shape
+            assert walk.outcome(d, shape, theta) == _per_tick_outcome(
+                model, d, shape, theta)
     a, b = replace(shape), replace(shape)
     got, want = TimingHistory(), TimingHistory()
     for d in days:  # the gap carries across days

@@ -565,12 +565,14 @@ def test_model_mode_budget_term_counts_participant_days(monkeypatch, seed):
 
 
 def test_model_mode_fits_once_before_each_study_day(monkeypatch):
-    """One cold start, then one refit before each later day on the rows of
-    the days before it; none after the last day, which no walk would read."""
-    fitted = []  # the rows each fit read, None for the cold start
+    """One fit before each day on the rows of the days before it, the first
+    day's on the empty history (the cold start); none after the last day,
+    which no walk would read. Every fit reads the study's one history."""
+    fitted, histories = [], set()  # the rows each fit read; the histories
 
     def recording_fit(history, shape, settings):
-        fitted.append(None if history is None else len(history))
+        fitted.append(len(history))
+        histories.add(id(history))
         return fit(history, shape, settings)
 
     monkeypatch.setattr(pcar.study, "fit", recording_fit)
@@ -578,8 +580,9 @@ def test_model_mode_fits_once_before_each_study_day(monkeypatch):
     log = run_study(cfg)
     days_total = 2 * 5 * cfg["weeks_per_phase"]
     before = Counter(r.day for r in log.records)
-    assert fitted == [None, *(sum(before[d] for d in range(1, day + 1))
-                              for day in range(1, days_total))]
+    assert fitted == [sum(before[d] for d in range(1, day + 1))
+                      for day in range(days_total)]
+    assert fitted[0] == 0 and len(histories) == 1
 
 
 @pytest.mark.parametrize("seed", [4, 5])
