@@ -25,17 +25,17 @@ Training counts identical (features, label) contact rows as one row
 (``TimingHistory``) and reads them sorted, summing 1-D products with
 ``np.add.reduce``: a refit costs as much as its distinct rows, and its
 bits depend only on their multiset, under any arrival order or thread
-count. In a study every participant shares one model and fires
-deterministically, so the cohort walks few distinct budget states.
+count. In a study every participant shares one model and starts each
+day from the same budget state, so the cohort walks each day once.
 ``ThresholdWalk`` scores each run once per model and run key, as
 ``score`` does, keeps the running maximum of its scores and bisects that
-for a threshold. Calibration, the study's model mode and the trained
-policy of ``timing_comparison`` share it. Runs are built and scored as
-blocks keyed by what their rows read (``_run_key``): ``_rows``
-memoizes a run's rows, equal to ``features`` at each tick, so each
-night's calibration and the study's days share them, and a walk keeps a
-run per key, which scores its block at once and hands out a fire's row
-from it.
+for a threshold; ``fit`` returns the walk its calibration scored, so a
+run is scored once per model across calibration and the day, in a study
+as in ``timing_comparison``. Runs are built and scored as blocks keyed
+by what their rows read (``_run_key``): ``_rows`` memoizes a run's rows,
+equal to ``features`` at each tick, so each night's calibration and the
+study's days share them, and a walk keeps a run per key, which scores
+its block at once and hands out a fire's row from it.
 
 Time is one integer clock, the study-minute: ``day * 1440 + minute of
 day``, where day 0 is a Monday, so the weekday is ``day % 7``.
@@ -319,10 +319,18 @@ class TimingHistory:
         return self._rows.total()
 
     def append(self, row) -> None:
-        x, y, day = row  # the row's float bytes are its key; another width raises
-        x = np.ascontiguousarray(x, dtype=float).view(_ROW_BYTES).item()
-        self._rows[x, float(y)] += 1
+        x, y, day = row
+        self.add(row_key(x), y, day)
+
+    def add(self, key: bytes, y, day) -> None:
+        """``append`` of a row by its ``row_key``, which one fire's rows share."""
+        self._rows[key, float(y)] += 1
         self._days.add(day)
+
+
+def row_key(x) -> bytes:
+    """A row's key in a ``TimingHistory``: its float64 bytes; another width raises."""
+    return np.ascontiguousarray(x, dtype=float).view(_ROW_BYTES).item()
 
 
 def _unpack_history(history: TimingHistory):
@@ -376,16 +384,19 @@ def train(
     keys, so a study keys its rows by participant-day and the term averages
     over the participant-days that had a contact. With the bias as the
     last weight, ``theta = [w; b]`` on rows ``Xa = [X | 1]``, an epoch is
-    ``p = 1 / (1 + exp((-Xa) @ theta))``, ``pressure = 2 budget_penalty
-    (add.reduce(counts p) / n_days - daily_budget)``, ``g = ((p - y) c2n +
-    cd pressure) ((1 - p) p)`` and ``theta -= step (Xa.T @ g)``, with
-    ``c2n = 2 counts / n_rows`` and ``cd = counts / n_days``: 16 numpy
-    calls into buffers made once per call, bit-identical to those
-    expressions. The 1-D sum is ``np.add.reduce``, which no BLAS thread
-    count regroups. ``(-Xa) @ theta`` is ``-(Xa @ theta)``: rounding is
-    symmetric in sign, and ``exp`` erases the sign of a zero. ``Xa.T`` is
-    a view: a sum of zeros does not negate exactly (``+0 + -0`` is +0),
-    and with ``step`` 0 that sign reaches the weights."""
+    ``p = ones / (ones + exp((-Xa) @ theta))``, ``g = ((p - y) + shift)
+    (ones - p) p`` and ``theta -= W @ g``: 13 numpy calls into buffers made
+    once per call, none with a Python-float operand, bit-identical to those
+    expressions, where ``W = (Xa (step c2n)).T``, ``c2n = 2 counts /
+    n_rows``, ``shift = ratio pressure``, ``ratio = n_rows / (2 n_days)``
+    and ``pressure = 2 budget_penalty (add.reduce(counts p) / n_days -
+    daily_budget)``, a sum no BLAS thread count regroups. As ``counts /
+    n_days = c2n ratio``, that is exactly, in real arithmetic, ``theta -=
+    step Xa.T @ (((p - y) c2n + pressure counts / n_days) (1 - p) p)``.
+    ``(-Xa) @ theta`` is ``-(Xa @ theta)`` (rounding is symmetric in sign,
+    ``exp`` erases the sign of a zero). ``W`` scales ``Xa``, not ``-Xa``: a
+    sum of zeros does not negate exactly (``+0 + -0`` is +0), and with
+    ``step`` 0 that sign reaches the weights."""
     X, y, counts, n_days = _unpack_history(history)
     n_rows = counts.sum()
     mean = counts @ X / n_rows
@@ -394,30 +405,27 @@ def train(
     Xa = np.ones((len(X), N_FEATURES + 1))
     Xa[:, :-1] = (X - mean) / scale
     Xn = -Xa
+    W = (Xa * (step * (2.0 * counts / n_rows))[:, None]).T
+    pull = n_rows / n_days * budget_penalty  # ratio * 2 * budget_penalty, exactly
     theta = np.append(model.weights, model.bias)
-    c2n = 2.0 * counts / n_rows
-    cd = counts / n_days
+    ones = np.ones(len(X))
     # one buffer per intermediate, reused by every epoch
-    p, sig_grad, g, tmp = (np.empty(len(X)) for _ in range(4))
-    dtheta = np.empty_like(theta)
+    p, g, tmp = (np.empty(len(X)) for _ in range(3))
+    dtheta, shift = np.empty_like(theta), np.empty(1)
 
     for _ in range(epochs):
         np.dot(Xn, theta, p)
         np.exp(p, out=p)
-        p += 1.0
-        np.divide(1.0, p, out=p)
+        np.add(ones, p, out=p)
+        np.divide(ones, p, out=p)
         np.multiply(counts, p, out=tmp)
-        pressure = 2.0 * budget_penalty * (
-            float(np.add.reduce(tmp)) / n_days - daily_budget)
-        np.subtract(1.0, p, out=sig_grad)
-        sig_grad *= p
+        shift[0] = pull * (float(np.add.reduce(tmp)) / n_days - daily_budget)
         np.subtract(p, y, out=g)
-        g *= c2n
-        np.multiply(cd, pressure, out=tmp)
-        g += tmp
-        g *= sig_grad
-        np.dot(Xa.T, g, dtheta)
-        dtheta *= step
+        g += shift
+        np.subtract(ones, p, out=tmp)
+        tmp *= p
+        g *= tmp
+        np.dot(W, g, dtheta)
         theta -= dtheta
     return replace(model, weights=theta[:-1], bias=float(theta[-1]),
                    feature_mean=mean, feature_scale=scale)
@@ -435,11 +443,12 @@ class ThresholdWalk:
     study, a week later, after any gap past the cap), as its rows and the
     running maximum of their scores. A run's rows are ``_rows``' block
     (shared across every model) and its scores those of ``score``, so fires
-    and their rows are those of ``score`` on every allowed tick in turn.
+    and their rows are those of ``score`` on every allowed tick in turn. No
+    score reads the threshold, so walks at other thresholds may share ``_runs``.
     Frozen, so its runs hold; the feature arrays it hands out are read-only."""
 
     model: TimingModel
-    _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _runs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def run(self, now: int, n: int,
             budget: BudgetState) -> tuple[np.ndarray, list[float]]:
@@ -483,7 +492,8 @@ class ThresholdWalk:
         the highest score that did not fire and the lowest that did
         (-inf and inf when there is none)."""
         total, below, above = 0, -math.inf, math.inf
-        budget = replace(shape, delivered_today=0, last_delivery=None)
+        budget = BudgetState(0, None, shape.max_per_day, shape.min_gap_minutes,
+                             shape.window_start_minute, shape.window_end_minute)
         for start, _, peaks, i in self.runs(day, budget, theta):
             if i:
                 below = max(below, peaks[i - 1])
@@ -494,14 +504,14 @@ class ThresholdWalk:
         return total, below, above
 
 
-def calibrate_threshold(model: TimingModel, shape: BudgetState) -> TimingModel:
+def calibrate_threshold(model: TimingModel, shape: BudgetState) -> ThresholdWalk:
     """Post-processor step: pick the decision threshold by 40 passes of
     bisection so that, on five synthetic weekdays under the budget rules
     of ``shape`` (allowance, gap and window), the realized triggers per
     day reach the allowance. Each weekday is walked on a fresh copy of
     ``shape``, firing where the score clears the candidate threshold;
     scores evolve with the budget state as triggers fire, as they do in a
-    study. The passes share one ``ThresholdWalk``.
+    study. The passes share one ``ThresholdWalk``, returned calibrated.
 
     No day fires more than the allowance, so five days average it exactly
     when each fires it: a pass asks the weekdays in order and stops at the
@@ -533,16 +543,16 @@ def calibrate_threshold(model: TimingModel, shape: BudgetState) -> TimingModel:
             lo = mid
         else:
             hi = mid
-    theta = min(max(lo, 1e-9), 1.0 - 1e-9)
-    return replace(model, threshold=theta)
+    return ThresholdWalk(replace(model, threshold=min(max(lo, 1e-9), 1.0 - 1e-9)),
+                         walk._runs)
 
 
-def fit(history: TimingHistory, shape: BudgetState, settings: dict) -> TimingModel:
+def fit(history: TimingHistory, shape: BudgetState, settings: dict) -> ThresholdWalk:
     """The timing model's whole fit under the budget rules of ``shape``:
     start from ``TimingModel.budget_init``, ``train`` it on ``history``
     when it holds a row (an empty history, a study's cold start with no
-    feedback yet, is not trained), then ``calibrate_threshold`` so the
-    model fires ``shape.max_per_day`` times a day. ``settings`` is a study
+    feedback yet, is not trained), and return ``calibrate_threshold``'s
+    walk, which fires ``shape.max_per_day`` times a day. ``settings`` is a study
     config's ``scheduler`` block: training reads its ``budget_penalty``,
     ``train_epochs`` and ``train_step``. The threshold is always
     calibrated, never configured."""

@@ -61,10 +61,10 @@ from .scheduler import (
     WINDOW_END_MINUTE,
     WINDOW_START_MINUTE,
     BudgetState,
-    ThresholdWalk,
     TimingHistory,
     features,
     fit,
+    row_key,
     uniform_fires,
 )
 from .stats import (
@@ -537,6 +537,7 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
     # a contact's (features, accepted, (pid, day_idx)): the budget term
     # counts per participant-day, the unit the allowance is set in
     timing_history = TimingHistory()
+    cohort_budget = replace(shape)  # model mode walks each day once, for all
 
     records: list[InterventionRecord] = []
 
@@ -566,35 +567,38 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
         return new_bundle
 
     for day_idx in range(days_total):
+        calendar_day = _calendar_day(day_idx)
         if model_mode:
             # nightly: refit from scratch on everything seen so far, before
             # the day that reads it (none after the last); the first day's
             # empty history is the cold start, whose untrained scorer's bar
-            # is set so it still delivers. Every participant shares the
-            # walk, so each run of ticks is scored once
-            timing_walk = ThresholdWalk(fit(timing_history, shape, scfg))
+            # is set so it still delivers. All budgets start the day alike, so
+            # the cohort walks it once and keys each fire's row once
+            walk, day_fires = fit(timing_history, shape, scfg), []
+            for now, x in walk.fires(calendar_day, cohort_budget):
+                cohort_budget.record_delivery(now)
+                day_fires.append((now, row_key(x)))
         if day_idx == phase2_first_day:
             bundle = reallocate_phase2()
         phase = 1 if day_idx < phase2_first_day else 2
         week = day_idx // 5 + 1
 
-        calendar_day = _calendar_day(day_idx)
         date_stamp = f"{STUDY_START + timedelta(calendar_day)}T"
         for pid in pids:
             st = states[pid]
             p = st.model
             if model_mode:
-                fires = timing_walk.fires(calendar_day, st.budget)
+                fires = day_fires
             else:
                 fires = zip(uniform_fires(calendar_day, st.budget, st.rng,
                                           scfg["trigger_rate"]), repeat(None))
-            for now, x in fires:
+            for now, key in fires:  # key: the fire's history key in model mode
                 st.budget.record_delivery(now)
                 minute = now % DAY_MINUTES
                 hour = minute // 60
                 engaged = accept(p, hour, st.rng, engagement=st.engagement)
                 if model_mode:
-                    timing_history.append((x, float(engaged), (pid, day_idx)))
+                    timing_history.add(key, engaged, (pid, day_idx))
                 # one contact: its record is filled in as the contact proceeds
                 rec = InterventionRecord(
                     seed=seed, pid=pid, group=st.group, phase=phase, week=week,
@@ -979,10 +983,9 @@ def timing_comparison(
 
         history = TimingHistory()
         walk(history_days, 0, uniform(3 / 84), history)
-        model = fit(history, shape, scfg)
-
-        # the trained policy walks the same runs for every participant
-        trained = ThresholdWalk(model)
+        # the trained policy walks the runs its calibration scored, the
+        # same for every participant
+        trained = fit(history, shape, scfg)
         t_acc, t_rate = walk(eval_days, history_days, lambda day, budget: (
             now for now, _ in trained.fires(day, budget)))
         trained_acc.append(t_acc)
@@ -1034,7 +1037,8 @@ def sweep(cfg: dict | str | Path, parameter: str, values: list) -> list[dict]:
         variant = copy.deepcopy(base)
         _set_path(variant, parameter, value)
         if parameter != "seed":
-            variant["seed"] = hash64(base["seed"], "sweep", parameter, repr(value))
+            variant["seed"] = hash64(base["seed"], "sweep", parameter,  # any key order
+                                     json.dumps(value, sort_keys=True))
         variants.append(load_config(variant))
 
     def mom(means):
@@ -1059,6 +1063,7 @@ def sweep(cfg: dict | str | Path, parameter: str, values: list) -> list[dict]:
 
 def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
     """The swept value is the user's own: it is written as given (empty for
-    None), never to 10 significant digits."""
+    None, an object or list as JSON), never to 10 significant digits."""
+    cell = {dict: json.dumps, list: json.dumps, type(None): lambda _: ""}
     _write_csv(path, SWEEP_COLUMNS,
-               [dict(r, value="" if r["value"] is None else str(r["value"])) for r in rows])
+               [dict(r, value=cell.get(type(r["value"]), str)(r["value"])) for r in rows])

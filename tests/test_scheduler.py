@@ -634,9 +634,12 @@ def test_unpacked_features_equal_a_fresh_stack_of_every_distinct_row(batches):
 
 
 def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step):
-    """Reference: ``train``'s epoch as its four plain expressions, with a
+    """Reference: ``train``'s epoch as its three plain expressions, with a
     fresh array for every intermediate of every epoch. The bias is the last
-    weight, on a column of ones."""
+    weight, on a column of ones; the step and the rows' weights ``2 counts
+    / n_rows`` scale the rows of the gradient product once, and the budget
+    term rides on them as ``ratio * pressure``, ``ratio = n_rows / (2
+    n_days)``."""
     X, y, counts, n_days = pcar.scheduler._unpack_history(history)
     n_rows = counts.sum()
     mean = counts @ X / n_rows
@@ -644,15 +647,15 @@ def _allocating_train(model, history, daily_budget, budget_penalty, epochs, step
     scale[scale < 1e-9] = 1.0
     Xa = np.column_stack([(X - mean) / scale, np.ones(len(X))])
     theta = np.append(model.weights, model.bias)
-    c2n = 2.0 * counts / n_rows
-    cd = counts / n_days
+    W = (Xa * (step * (2.0 * counts / n_rows))[:, None]).T
+    ratio = n_rows / (2 * n_days)
 
     for _ in range(epochs):
         p = 1.0 / (1.0 + np.exp((-Xa) @ theta))
-        pressure = 2.0 * budget_penalty * (
+        shift = ratio * 2 * budget_penalty * (
             float(np.add.reduce(counts * p)) / n_days - daily_budget)
-        g = ((p - y) * c2n + cd * pressure) * ((1.0 - p) * p)
-        theta = theta - step * (Xa.T @ g)
+        g = ((p - y) + shift) * ((1.0 - p) * p)
+        theta = theta - W @ g
     return replace(model, weights=theta[:-1], bias=float(theta[-1]),
                    feature_mean=mean, feature_scale=scale)
 
@@ -874,7 +877,7 @@ def test_calibrate_threshold_equals_uncached_bisection(weights, bias, standardiz
     m = _model(weights, bias, standardization)
     shape = BudgetState(max_per_day=daily_budget, min_gap_minutes=min_gap,
                         window_start_minute=window[0], window_end_minute=window[1])
-    got = calibrate_threshold(m, shape).threshold
+    got = calibrate_threshold(m, shape).model.threshold
     assert got == _uncached_threshold(m, daily_budget, min_gap, window)
 
 
@@ -888,7 +891,7 @@ def test_calibrate_threshold_equals_uncached_bisection(weights, bias, standardiz
      BudgetState(window_end_minute=8 * 60 + 30), 1e-9),
 ])
 def test_calibrate_threshold_ties_and_infeasible_allowance(model, shape, want):
-    got = calibrate_threshold(model, shape).threshold
+    got = calibrate_threshold(model, shape).model.threshold
     window = (shape.window_start_minute, shape.window_end_minute)
     assert got == want == _uncached_threshold(model, shape.max_per_day,
                                               shape.min_gap_minutes, window)
@@ -930,7 +933,7 @@ def test_calibration_walks_weekdays_in_order_and_stops_at_the_first_short_one(
 
     monkeypatch.setattr(pcar.scheduler.ThresholdWalk, "outcome", recording_outcome)
     shape = BudgetState()
-    got = calibrate_threshold(model, shape).threshold
+    got = calibrate_threshold(model, shape).model.threshold
     assert got == _uncached_threshold(model)
     known = {day: [] for day in range(5)}  # (below, above, fired the allowance)
     asked = {}  # theta -> the weekdays its pass has walked, with their answers
@@ -966,12 +969,12 @@ def test_fit_is_budget_init_train_calibrate(daily_budget):
     for shape in (BudgetState(max_per_day=daily_budget),
                   BudgetState(max_per_day=daily_budget, window_end_minute=13 * 60)):
         cold = TimingModel.budget_init(shape)
-        _same_model(fit(TimingHistory(), shape, block),
-                    calibrate_threshold(cold, shape))
+        _same_model(fit(TimingHistory(), shape, block).model,
+                    calibrate_threshold(cold, shape).model)
         trained = train(cold, history, daily_budget=daily_budget, budget_penalty=0.2,
                         epochs=7, step=0.03)
-        _same_model(fit(history, shape, block),
-                    calibrate_threshold(trained, shape))
+        _same_model(fit(history, shape, block).model,
+                    calibrate_threshold(trained, shape).model)
 
 
 def test_fit_on_an_empty_history_is_the_calibrated_budget_init():
@@ -980,11 +983,37 @@ def test_fit_on_an_empty_history_is_the_calibrated_budget_init():
     ``budget_init`` model."""
     shape = BudgetState()
     cold = TimingModel.budget_init(shape)
-    _same_model(fit(TimingHistory(), shape, DEFAULT_CONFIG["scheduler"]),
-                calibrate_threshold(cold, shape))
+    _same_model(fit(TimingHistory(), shape, DEFAULT_CONFIG["scheduler"]).model,
+                calibrate_threshold(cold, shape).model)
     with pytest.raises(ValueError, match="history is empty"):
         train(cold, TimingHistory(), daily_budget=3, budget_penalty=0.1, epochs=1,
               step=0.05)
+
+
+def test_fit_returns_a_walk_that_fires_as_a_fresh_walk_of_its_model():
+    """``fit`` returns its calibration's walk, runs already scored. Its fires
+    and their rows are those of a fresh walk of the calibrated model, on a
+    budget carried across two weeks and on a fresh one each day."""
+    for shape in (BudgetState(), BudgetState(max_per_day=2, min_gap_minutes=90,
+                                             window_start_minute=540,
+                                             window_end_minute=1200)):
+        for history in (TimingHistory(), _history(_duplicated_history())):
+            walk = fit(history, shape, DEFAULT_CONFIG["scheduler"])
+            assert walk._runs
+            fresh = ThresholdWalk(walk.model)
+            carried = [replace(shape), replace(shape)]
+            for day in range(MONDAY, MONDAY + 14):
+                for budgets in (carried, [replace(shape), replace(shape)]):
+                    got, want = ([(now, x.tobytes()) for now, x in _delivered(w, day, b)]
+                                 for w, b in zip((walk, fresh), budgets))
+                    assert got == want
+                    assert budgets[0] == budgets[1]
+
+
+def _delivered(walk, day, budget):
+    for now, x in walk.fires(day, budget):
+        budget.record_delivery(now)
+        yield now, x
 
 
 def test_run_memo_keeps_budget_states_and_shapes_apart():
@@ -1157,7 +1186,7 @@ def test_walks_with_a_history_build_rows_by_block_not_by_tick(
     shape = _shape(max_per_day, min_gap, window, MONDAY, last_evening, delivered=0)
     m = TimingModel(weights=np.linspace(-1.0, 1.0, N_FEATURES), bias=0.3,
                     feature_mean=np.full(N_FEATURES, 0.1))
-    model = calibrate_threshold(m, shape)
+    model = calibrate_threshold(m, shape).model
     walk = ThresholdWalk(model)
     rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
     a, b, ua, ub = (replace(shape) for _ in range(4))
@@ -1217,7 +1246,7 @@ def test_calibrate_threshold_hits_budget_on_decision_path():
     rng = np.random.default_rng(1)
     w = rng.normal(size=N_FEATURES) * 0.2
     m = TimingModel(weights=w, bias=0.0)
-    m2 = calibrate_threshold(m, BudgetState())
+    m2 = calibrate_threshold(m, BudgetState()).model
     b = BudgetState()
     b.start_day()
     fired = 0

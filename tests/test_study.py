@@ -14,6 +14,8 @@ import pcar.scheduler
 import pcar.study
 from pcar.agent import AgentBundle, ContextBucket, period_of_hour
 from pcar.scheduler import (
+    DAY_MINUTES,
+    BudgetState,
     TimingModel,
     composite_loss,
     fit,
@@ -498,6 +500,23 @@ def test_sweep_csv_writes_the_swept_value_as_given(tmp_path):
     ).encode()
 
 
+def test_sweep_keys_an_object_by_its_json_in_any_key_order(tmp_path):
+    """An allocation spelled in two key orders is one study, with one
+    sub-seed, and its CSV cell is JSON that reads back as the value. A
+    number keeps the sub-seed its ``repr`` gave, as JSON spells it alike."""
+    values = [{"random": 0.4, "pcar": 0.6}, {"pcar": 0.6, "random": 0.4}]
+    rows = sweep(dict(SMALL), "phase2_allocation", values)
+    assert len({r["seed"] for r in rows}) == 1
+    write_sweep_csv(rows, tmp_path / "sweep.csv")
+    with (tmp_path / "sweep.csv").open(newline="") as fh:
+        cells = [row["value"] for row in csv.DictReader(fh)]
+    assert cells and {json.dumps(v) for v in values} == set(cells)
+    assert all(json.loads(cell) in values for cell in cells)
+    numeric = sweep(dict(SMALL), "agent.lambda", [0.6])
+    assert {r["seed"] for r in numeric} == {
+        hash64(SMALL["seed"], "sweep", "agent.lambda", repr(0.6))}
+
+
 def test_sweep_checks_every_value_before_simulating(monkeypatch):
     runs = []
 
@@ -538,18 +557,18 @@ def test_model_mode_budget_term_counts_participant_days(monkeypatch, seed):
     ``accepted``, its day keys are the records' participant-days, and each
     of those gets exactly ``max_per_day`` contacts."""
     train, fits, appended = pcar.scheduler.train, [], {}
-    append = pcar.scheduler.TimingHistory.append
+    add = pcar.scheduler.TimingHistory.add  # every row, appended or keyed, goes in here
 
     def recording_train(model, history, **kwargs):
         fits.append(history)
         return train(model, history, **kwargs)
 
-    def recording_append(history, row):
-        appended.setdefault(row[2], []).append(row[1])
-        append(history, row)
+    def recording_add(history, key, y, day):
+        appended.setdefault(day, []).append(float(y))
+        add(history, key, y, day)
 
     monkeypatch.setattr(pcar.scheduler, "train", recording_train)
-    monkeypatch.setattr(pcar.scheduler.TimingHistory, "append", recording_append)
+    monkeypatch.setattr(pcar.scheduler.TimingHistory, "add", recording_add)
     log = run_study({"seed": seed, "scheduler": {"mode": "model"}})
     history = fits[-1]
     accepted = {}  # (pid, day key) -> accepted flags in time order
@@ -583,6 +602,50 @@ def test_model_mode_fits_once_before_each_study_day(monkeypatch):
     assert fitted == [sum(before[d] for d in range(1, day + 1))
                       for day in range(days_total)]
     assert fitted[0] == 0 and len(histories) == 1
+
+
+@pytest.mark.parametrize("seed, budget", [
+    (4, {}), (5, {}),
+    (4, {"max_per_day": 2, "min_gap_minutes": 90, "window_start": "09:00",
+         "window_end": "20:00"}),
+    # a contact after 19:00 leaves the next morning's first run a gap under
+    # the 780-minute cap, so a budget not carried overnight walks otherwise
+    (5, {"max_per_day": 2, "min_gap_minutes": 90})])
+def test_model_mode_contacts_are_each_participants_own_walk(seed, budget, monkeypatch):
+    """The cohort walks each model-mode day once. That holds because every
+    participant would fire alike: on each study day every participant's
+    contacts fall at the same minutes, those that the night's walk fires on
+    a budget of that participant's own, carried from day to day."""
+    walks = []
+
+    def recording_fit(history, shape, settings):
+        walks.append(fit(history, shape, settings))
+        return walks[-1]
+
+    monkeypatch.setattr(pcar.study, "fit", recording_fit)
+    log = run_study({"seed": seed, "budget": budget, "scheduler": {"mode": "model"}})
+    cfg = log.meta["config"]
+    minutes = {}  # (pid, study day) -> contact minutes of day
+    for r in log.records:
+        hour, minute = map(int, r.timestamp[11:16].split(":"))
+        minutes.setdefault((r.pid, r.day), []).append(hour * 60 + minute)
+    for pid in log.meta["phase2_groups"]:
+        own = BudgetState(
+            max_per_day=cfg["budget"]["max_per_day"],
+            min_gap_minutes=cfg["budget"]["min_gap_minutes"],
+            window_start_minute=pcar.study._parse_hhmm(cfg["budget"]["window_start"]),
+            window_end_minute=pcar.study._parse_hhmm(cfg["budget"]["window_end"]))
+        for day_idx, walk in enumerate(walks):
+            fired = []
+            for now, _ in walk.fires(pcar.study._calendar_day(day_idx), own):
+                own.record_delivery(now)
+                fired.append(now % DAY_MINUTES)
+            assert minutes.get((pid, day_idx + 1), []) == fired
+    per_day = {}
+    for (_, day), day_minutes in minutes.items():
+        per_day.setdefault(day, set()).add(tuple(day_minutes))
+    assert len(walks) == 20 and all(len(v) == 1 for v in per_day.values())
+    assert len(minutes) == 28 * 20
 
 
 @pytest.mark.parametrize("seed", [4, 5])
