@@ -1036,10 +1036,10 @@ def sweep(cfg: dict | str | Path, parameter: str, values: list) -> list[dict]:
     for value in values:
         variant = copy.deepcopy(base)
         _set_path(variant, parameter, value)
-        if parameter != "seed":
-            variant["seed"] = hash64(base["seed"], "sweep", parameter,  # any key order
-                                     json.dumps(value, sort_keys=True))
-        variants.append(load_config(variant))
+        variants.append(load_config(variant))  # checked before its JSON is hashed
+        if parameter != "seed":  # sorted keys: one value in any key order is one seed
+            variants[-1]["seed"] = hash64(base["seed"], "sweep", parameter,
+                                          json.dumps(value, sort_keys=True))
 
     def mom(means):
         return sum(means) / len(means) if means else float("nan")

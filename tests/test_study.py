@@ -7,6 +7,7 @@ from collections import Counter
 from datetime import datetime, time, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pcar.agent
@@ -526,7 +527,8 @@ def test_sweep_checks_every_value_before_simulating(monkeypatch):
 
     monkeypatch.setattr(pcar.study, "run_study", counting_run_study)
     for parameter, values in (("agent.lambda", [0.6, "x"]),
-                              ("cohort.fatigue_decay", [0.5, 1.5])):
+                              ("cohort.fatigue_decay", [0.5, 1.5]),
+                              ("agent.tau_max", [4, np.int64(3)])):  # not JSON either
         with pytest.raises(ConfigError, match=parameter):
             sweep(dict(SMALL), parameter, values)
     assert runs == []
