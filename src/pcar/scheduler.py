@@ -396,7 +396,14 @@ def train(
     ``(-Xa) @ theta`` is ``-(Xa @ theta)`` (rounding is symmetric in sign,
     ``exp`` erases the sign of a zero). ``W`` scales ``Xa``, not ``-Xa``: a
     sum of zeros does not negate exactly (``+0 + -0`` is +0), and with
-    ``step`` 0 that sign reaches the weights."""
+    ``step`` 0 that sign reaches the weights.
+
+    The 13 calls are ufuncs and the two matrices' ``ndarray.dot``, bound
+    once per call, each output passed positionally (in-place updates too):
+    no call goes through ``np.dot``'s ``__array_function__`` dispatcher or
+    parses an ``out=`` keyword, which on a history of a few dozen rows is a
+    visible share of every call. ``ndarray.dot`` is the C routine under
+    ``np.dot``, so every bit is the same."""
     X, y, counts, n_days = _unpack_history(history)
     n_rows = counts.sum()
     mean = counts @ X / n_rows
@@ -412,21 +419,25 @@ def train(
     # one buffer per intermediate, reused by every epoch
     p, g, tmp = (np.empty(len(X)) for _ in range(3))
     dtheta, shift = np.empty_like(theta), np.empty(1)
+    # bound once: no np.dot dispatcher, no out= keyword parsed per call
+    exp, add, subtract, multiply, divide = (
+        np.exp, np.add, np.subtract, np.multiply, np.divide)
+    total, xn_dot, w_dot = np.add.reduce, Xn.dot, W.dot
 
     for _ in range(epochs):
-        np.dot(Xn, theta, p)
-        np.exp(p, out=p)
-        np.add(ones, p, out=p)
-        np.divide(ones, p, out=p)
-        np.multiply(counts, p, out=tmp)
-        shift[0] = pull * (float(np.add.reduce(tmp)) / n_days - daily_budget)
-        np.subtract(p, y, out=g)
-        g += shift
-        np.subtract(ones, p, out=tmp)
-        tmp *= p
-        g *= tmp
-        np.dot(W, g, dtheta)
-        theta -= dtheta
+        xn_dot(theta, p)
+        exp(p, p)
+        add(ones, p, p)
+        divide(ones, p, p)
+        multiply(counts, p, tmp)
+        shift[0] = pull * (float(total(tmp)) / n_days - daily_budget)
+        subtract(p, y, g)
+        add(g, shift, g)
+        subtract(ones, p, tmp)
+        multiply(tmp, p, tmp)
+        multiply(g, tmp, g)
+        w_dot(g, dtheta)
+        subtract(theta, dtheta, theta)
     return replace(model, weights=theta[:-1], bias=float(theta[-1]),
                    feature_mean=mean, feature_scale=scale)
 

@@ -469,7 +469,7 @@ class _ParticipantState:
     group: str
     rng: np.random.Generator
     clocks: list[LsdState]
-    budget: BudgetState
+    budget: BudgetState | None  # uniform mode only; model mode walks the cohort's
     engagement: float = 1.0
     pending: tuple | None = None
     replay: dict = field(default_factory=dict)
@@ -508,7 +508,10 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
 
     prefs = draw_preference_map(np.random.default_rng(hash64(seed, "prefs")))
     bcfg = cfg["budget"]
-    # the study's budget rules; each participant walks a copy
+    scfg = cfg["scheduler"]
+    model_mode = scfg["mode"] == "model"
+    # the study's budget rules; in uniform mode each participant walks a
+    # copy, in model mode the cohort walks one
     shape = BudgetState(
         max_per_day=bcfg["max_per_day"],
         min_gap_minutes=bcfg["min_gap_minutes"],
@@ -527,13 +530,11 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             rng=np.random.default_rng(hash64(seed, pid, "sim")),
             clocks=[initial_state(len(vs), acfg["tau_max"])
                     for _, vs in schema.attributes],
-            budget=replace(shape),
+            budget=None if model_mode else replace(shape),
         )
 
     bundle: AgentBundle | None = None
 
-    scfg = cfg["scheduler"]
-    model_mode = scfg["mode"] == "model"
     # a contact's (features, accepted, (pid, day_idx)): the budget term
     # counts per participant-day, the unit the allowance is set in
     timing_history = TimingHistory()
@@ -593,12 +594,13 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 fires = zip(uniform_fires(calendar_day, st.budget, st.rng,
                                           scfg["trigger_rate"]), repeat(None))
             for now, key in fires:  # key: the fire's history key in model mode
-                st.budget.record_delivery(now)
                 minute = now % DAY_MINUTES
                 hour = minute // 60
                 engaged = accept(p, hour, st.rng, engagement=st.engagement)
                 if model_mode:
                     timing_history.add(key, engaged, (pid, day_idx))
+                else:  # before uniform_fires reads the budget for the next run
+                    st.budget.record_delivery(now)
                 # one contact: its record is filled in as the contact proceeds
                 rec = InterventionRecord(
                     seed=seed, pid=pid, group=st.group, phase=phase, week=week,
@@ -957,19 +959,15 @@ def timing_comparison(
         cohort = default_cohort(n_participants, rng,
                                 ccfg["mean_acceptance_intervention"], ccfg)
 
-        def walk(days, day0, fires, history=None):
+        def walk(days, fires, history=None):
             """(acceptance, contacts per participant-day) of a walk that
-            contacts at each tick that ``fires(day, budget)`` yields; with
-            ``history``, each contact is appended to it as a labeled row of
-            the features at its tick, read before the delivery."""
+            contacts every participant at the ``(tick, features)`` pairs
+            ``fires(d)`` yields for their ``d``th day; with ``history``, each
+            contact is appended to it as a labeled row of those features."""
             hits = n = 0
             for pi, participant in enumerate(cohort):
                 for d in range(days):
-                    budget = replace(shape)
-                    for now in fires(_calendar_day(day0 + d), budget):
-                        if history is not None:
-                            x = features(now, budget)
-                        budget.record_delivery(now)
+                    for now, x in fires(d):
                         ok = accept(participant, now % DAY_MINUTES // 60, rng)
                         hits += ok
                         n += 1
@@ -977,17 +975,33 @@ def timing_comparison(
                             history.append((x, 1.0 if ok else 0.0, (pi, d)))
             return (hits / n if n else 0.0), n / (days * len(cohort))
 
-        def uniform(q):
-            """Fire at each allowed tick where ``rng.random() < q``."""
-            return lambda day, budget: uniform_fires(day, budget, rng, q)
+        def uniform(day0, q, rows=False):
+            """Fire on day ``day0 + d`` from a fresh budget at each allowed
+            tick where ``rng.random() < q``; with ``rows``, each fire comes
+            with its tick's features, read before the delivery."""
+            def fires(d):
+                budget = replace(shape)
+                for now in uniform_fires(_calendar_day(day0 + d), budget, rng, q):
+                    yield now, features(now, budget) if rows else None
+                    budget.record_delivery(now)
+            return fires
+
+        def trained_day(d):
+            """The trained policy's fires on day ``history_days + d`` from a
+            fresh budget, walking the runs its calibration scored."""
+            budget, day_fires = replace(shape), []
+            for now, x in trained.fires(_calendar_day(history_days + d), budget):
+                budget.record_delivery(now)
+                day_fires.append((now, x))
+            return day_fires
 
         history = TimingHistory()
-        walk(history_days, 0, uniform(3 / 84), history)
-        # the trained policy walks the runs its calibration scored, the
-        # same for every participant
+        walk(history_days, uniform(0, 3 / 84, rows=True), history)
         trained = fit(history, shape, scfg)
-        t_acc, t_rate = walk(eval_days, history_days, lambda day, budget: (
-            now for now, _ in trained.fires(day, budget)))
+        # every participant starts each eval day alike, so each day is
+        # walked once and its fires are every participant's
+        trained_days = [trained_day(d) for d in range(eval_days)]
+        t_acc, t_rate = walk(eval_days, trained_days.__getitem__)
         trained_acc.append(t_acc)
         trained_daily.append(t_rate)
 
@@ -995,7 +1009,7 @@ def timing_comparison(
         # the 1.2 factor offsets truncation by the daily cap
         blocked = shape.min_gap_minutes / TICK_MINUTES
         q_matched = 1.2 * t_rate / max(len(SERVICE_TICKS) - blocked * t_rate, 1.0)
-        u_acc, u_rate = walk(eval_days, history_days + eval_days, uniform(q_matched))
+        u_acc, u_rate = walk(eval_days, uniform(history_days + eval_days, q_matched))
         uniform_acc.append(u_acc)
         uniform_daily.append(u_rate)
 

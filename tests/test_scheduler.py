@@ -30,7 +30,7 @@ from pcar.scheduler import (
     train,
     uniform_fires,
 )
-from pcar.study import DEFAULT_CONFIG
+from pcar.study import DEFAULT_CONFIG, run_study
 
 # calendar days; day 0 is a Monday
 MONDAY = 0
@@ -713,6 +713,26 @@ def test_train_is_bit_identical_to_the_allocating_loop_past_10000_rows():
 def _model_bytes(m):
     return (m.weights.tobytes(), np.float64(m.bias).tobytes(),
             m.feature_mean.tobytes(), m.feature_scale.tobytes())
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_train_is_bit_identical_to_the_allocating_loop_on_study_model_fits(
+        seed, monkeypatch):
+    """The nightly fits of the study-model benchmark's seeds: model mode at
+    the default config (28 participants, 2 weeks a phase) trains 19 times,
+    at the config's 500 epochs, on histories of a few to about a hundred
+    distinct rows. Each fit equals the allocating loop byte for byte."""
+    fitted = []
+
+    def checking_train(model, history, **kwargs):
+        got = train(model, history, **kwargs)
+        want = _allocating_train(model, history, **kwargs)
+        fitted.append((kwargs["epochs"], _model_bytes(got) == _model_bytes(want)))
+        return got
+
+    monkeypatch.setattr(pcar.scheduler, "train", checking_train)
+    run_study({"seed": seed, "scheduler": {"mode": "model"}})
+    assert fitted == [(DEFAULT_CONFIG["scheduler"]["train_epochs"], True)] * 19
 
 
 def test_train_depends_only_on_the_multiset_of_rows():

@@ -650,6 +650,34 @@ def test_model_mode_contacts_are_each_participants_own_walk(seed, budget, monkey
     assert len(minutes) == 28 * 20
 
 
+@pytest.mark.parametrize("mode", ["model", "uniform_random"])
+def test_only_uniform_mode_walks_a_budget_per_participant(mode, monkeypatch):
+    """Model mode walks each day once on the cohort's budget, so no
+    participant's own budget records a contact: it is absent or as fresh
+    as it started. In uniform mode each participant walks their own, which
+    ends at their last contact."""
+    made, state = [], pcar.study._ParticipantState
+
+    def recording_state(**kwargs):
+        made.append(state(**kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(pcar.study, "_ParticipantState", recording_state)
+    log = run_study(dict(SMALL, scheduler={"mode": mode}))
+    assert len(made) == SMALL["n_participants"] and log.records
+    budgets = [st.budget for st in made]
+    if mode == "model":
+        assert all(b is None or (b.delivered_today, b.last_delivery) == (0, None)
+                   for b in budgets)
+    else:  # states are made in pid order, and records sort by pid and time
+        last = {}
+        for r in log.records:
+            stamp = datetime.fromisoformat(r.timestamp)
+            last[r.pid] = ((stamp.date() - STUDY_START).days * DAY_MINUTES
+                           + stamp.hour * 60 + stamp.minute)
+        assert [b.last_delivery for b in budgets] == [last[pid] for pid in sorted(last)]
+
+
 @pytest.mark.parametrize("seed", [4, 5])
 def test_model_mode_calibrates_to_the_study_window(seed):
     """The timing model is fit and calibrated under the study's own budget
