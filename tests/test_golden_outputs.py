@@ -2,7 +2,8 @@
 file does not cover: the full record CSV of a uniform and of a model-mode
 study, of a study that advances clocks on declined content and of one
 whose learner starts without the phase-1 replay, the four per-seed lists
-of ``timing_comparison``, the other three ``report`` files of a default
+of ``timing_comparison``, the minutes of day at which its trained walk
+fires on each eval day, the other three ``report`` files of a default
 study, the CSV of a small sweep and the per-seed fractions of two short
 ``oracle_check`` runs (the episodic learner's greedy totals over the
 optimum): one the learner solves outright and one it does not, whose
@@ -26,6 +27,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from conftest import (acceptance_batch, default_oracle_check,
                       default_timing_comparison)
 from pcar.agent import PERIODS, AgentBundle, AttributeSchema, ContextBucket
 from pcar.lsd import advance, initial_state
+from pcar.scheduler import DAY_MINUTES, ThresholdWalk
 from pcar.study import (
     oracle_check,
     report,
@@ -60,6 +63,9 @@ STUDIES = {
 MODEL_WORKLOAD = [{"seed": seed, "n_participants": 28, "weeks_per_phase": 2,
                    "scheduler": {"mode": "model"}} for seed in (4, 5)]
 TIMING = dict(seeds=2, n_participants=4, history_days=5, eval_days=3)
+# TIMING's trained walk fires at 8:00, 10:00 and 12:00 every day; at this
+# size the eval days fall on every weekday, fire off the hour and differ
+FIRE_MINUTES = dict(seeds=2, eval_days=5)
 # a default study with Welch rows in both phases
 REPORT_STUDY = {"seed": 2000}
 REPORT_FILES = {"report_phase_deltas": "phase_deltas",
@@ -101,6 +107,24 @@ def _timing_digest() -> str:
              res.trained_daily, res.uniform_daily]
     # json writes floats with repr, which round-trips exactly
     return _sha256(json.dumps(lists))
+
+
+def _fire_minutes_digest() -> str:
+    """The minute of day of each fire ``ThresholdWalk.fires`` yields
+    during ``timing_comparison(**FIRE_MINUTES)``, one list per walked day:
+    ``accept`` reads only the hour, so no other pin sees a fire's minute."""
+    days, fires = [], ThresholdWalk.fires
+
+    def recording(walk, day, budget):
+        minutes = []
+        days.append(minutes)
+        for now, x in fires(walk, day, budget):
+            minutes.append(now % DAY_MINUTES)
+            yield now, x
+
+    with mock.patch.object(ThresholdWalk, "fires", recording):
+        timing_comparison(**FIRE_MINUTES)
+    return _sha256(json.dumps(days))
 
 
 def _report_digests() -> dict:
@@ -157,6 +181,7 @@ def _compute() -> dict:
     out = {name: _records_digest(name) for name in STUDIES}
     out["records_model_workload"] = _model_workload_digest()
     out["timing_comparison"] = _timing_digest()
+    out["timing_comparison_fire_minutes"] = _fire_minutes_digest()
     out.update(_report_digests())
     out["sweep_csv"] = _sweep_digest()
     out.update({name: _oracle_digest(name) for name in ORACLE})
@@ -183,6 +208,10 @@ def test_records_model_workload_matches_golden(golden):
 
 def test_timing_comparison_matches_golden(golden):
     assert _timing_digest() == golden["timing_comparison"]
+
+
+def test_timing_comparison_fire_minutes_match_golden(golden):
+    assert _fire_minutes_digest() == golden["timing_comparison_fire_minutes"]
 
 
 def test_report_files_match_golden(golden):
