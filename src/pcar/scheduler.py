@@ -8,18 +8,19 @@ allowed tick at or after a time in closed form, so a walk skips blocked
 ticks without looking at them. There is one way to walk a day: until the
 next delivery its allowed ticks are one run from ``next_eligible`` to the
 window end, and ``_day_runs`` steps from run to run, each starting after
-the delivery the caller recorded in the last. Both trigger policies walk
-on it: ``uniform_fires`` fires where a uniform random draw falls below a
-rate, drawing each run's uniforms in one block, and ``ThresholdWalk``
-where a small trained model's score clears a threshold. The model -- a
-linear scorer through a sigmoid -- estimates how likely a contact at the
-current 5-minute tick is to be engaged with. It is fit on the feedback
-of the contacts that went out, by full-batch gradient descent on a
-squared-error term plus a budget-pressure term that pulls the contacts'
-summed scores per day toward the allowance; the threshold is calibrated
-afterwards so that the model fires the allowance each day. ``fit``
-takes the pressure weight and the descent's epochs and step from a study
-config's ``scheduler`` block; the library holds no second copy of them.
+the fire recorded in the last. Both trigger policies walk on it and record
+a fire on the budget when the caller resumes them: ``uniform_fires``
+fires where a uniform random draw falls below a rate, drawing each run's
+uniforms in one block, and ``ThresholdWalk`` where a small trained
+model's score clears a threshold. The model -- a linear scorer through a
+sigmoid -- estimates how likely a contact at the current 5-minute tick
+is to be engaged with. It is fit on the feedback of the contacts that
+went out, by full-batch gradient descent on a squared-error term plus a
+budget-pressure term that pulls the contacts' summed scores per day
+toward the allowance; the threshold is calibrated afterwards so that the
+model fires the allowance each day. ``fit`` takes the pressure weight
+and the descent's epochs and step from a study config's ``scheduler``
+block; the library holds no second copy of them.
 
 Training counts identical (features, label) contact rows as one row
 (``TimingHistory``) and reads them sorted, summing 1-D products with
@@ -68,8 +69,8 @@ _ROW_BYTES = np.dtype((np.void, N_FEATURES * 8))  # one float64 feature row
 @dataclass
 class BudgetState:
     """Per-participant delivery budget; ``last_delivery`` is a study-minute.
-    ``delivered_today`` counts initiated contacts; call ``start_day`` at
-    each day boundary. ``eligible`` rejects weekends without a setting.
+    ``delivered_today`` counts initiated contacts; a walk of a day starts
+    it and records each fire. ``eligible`` rejects weekends without a setting.
     A window outside 08:00-21:00, or one not starting before it ends,
     raises ValueError: every tick the window allows is on the walks' grid."""
 
@@ -131,9 +132,9 @@ def next_eligible(budget: BudgetState, now: int) -> int | None:
 def _day_runs(day: int, budget: BudgetState) -> Iterator[tuple[int, int]]:
     """Start the budget's day and yield ``(start, n)`` for each run of
     calendar day ``day``: the ``n`` allowed ticks from ``start`` to the
-    window end while the budget's state holds. The caller records the
-    delivery at a tick of the run, if any; the next run starts at the
-    first allowed tick after it, and a run with no delivery ends the day."""
+    window end while the budget's state holds. The walk on it records the
+    fire at a tick of the run, if any, when resumed; the next run starts at
+    the first allowed tick after it, and a run with no fire ends the day."""
     budget.start_day()
     end = day * DAY_MINUTES + budget.window_end_minute
     now = next_eligible(budget, day * DAY_MINUTES)
@@ -150,7 +151,8 @@ def uniform_fires(day: int, budget: BudgetState, rng: np.random.Generator,
     """Start the budget's day and yield each tick of calendar day ``day``
     where a uniform trigger fires: the allowed ticks where ``rng.random()
     < rate``. The ticks and ``rng``'s stream are exactly those of drawing
-    one uniform per allowed tick; the caller records each delivery.
+    one uniform per allowed tick. Resuming the walk records the fire it
+    yielded on ``budget``, so at a yield it still reads the state before it.
 
     Each run of allowed ticks draws its uniforms in one block. When one
     fires, the state saved before the block is restored and only the draws
@@ -166,6 +168,7 @@ def uniform_fires(day: int, budget: BudgetState, rng: np.random.Generator,
             bit_generator.state = saved
             rng.random(k + 1)
             yield start + k * TICK_MINUTES
+            budget.record_delivery(start + k * TICK_MINUTES)
 
 
 def features(now: int, budget: BudgetState) -> np.ndarray:
@@ -480,18 +483,21 @@ class ThresholdWalk:
         each run of calendar day ``day`` at threshold ``theta``: the run
         from tick ``start`` fires at its tick ``i``, the first whose score
         is at least ``theta`` (``peaks`` never falls, so bisection finds
-        it), or not at all when ``i == len(xs)``, which ends the day. The
-        caller records the delivery at each fire; the budget is re-read
-        after each yield."""
+        it), or not at all when ``i == len(xs)``, which ends the day.
+        Resuming the walk records the fire on ``budget``, so at a yield it
+        still reads the state the run was walked under."""
         for start, n in _day_runs(day, budget):
             xs, peaks = self.run(start, n, budget)
-            yield start, xs, peaks, bisect_left(peaks, theta)
+            i = bisect_left(peaks, theta)
+            yield start, xs, peaks, i
+            if i < len(xs):
+                budget.record_delivery(start + i * TICK_MINUTES)
 
     def fires(self, day: int, budget: BudgetState) -> Iterator[tuple[int, np.ndarray]]:
         """Start the budget's day and yield ``(tick, features)`` at each
         tick of calendar day ``day`` where the model's score clears its
-        threshold, the fire's row taken from its run's block; the caller
-        records each delivery."""
+        threshold, the fire's row taken from its run's block; resuming the
+        walk records the fire on ``budget``, as in ``runs``."""
         for start, xs, _, i in self.runs(day, budget, self.model.threshold):
             if i < len(xs):
                 yield start + i * TICK_MINUTES, xs[i]
@@ -502,17 +508,15 @@ class ThresholdWalk:
         fresh copy of ``shape`` at threshold ``theta``: the number of fires,
         the highest score that did not fire and the lowest that did
         (-inf and inf when there is none)."""
-        total, below, above = 0, -math.inf, math.inf
+        below, above = -math.inf, math.inf
         budget = BudgetState(0, None, shape.max_per_day, shape.min_gap_minutes,
                              shape.window_start_minute, shape.window_end_minute)
-        for start, _, peaks, i in self.runs(day, budget, theta):
+        for _, _, peaks, i in self.runs(day, budget, theta):
             if i:
                 below = max(below, peaks[i - 1])
             if i < len(peaks):
                 above = min(above, peaks[i])
-                budget.record_delivery(start + i * TICK_MINUTES)
-                total += 1
-        return total, below, above
+        return budget.delivered_today, below, above
 
 
 def calibrate_threshold(model: TimingModel, shape: BudgetState) -> ThresholdWalk:

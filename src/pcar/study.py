@@ -575,10 +575,8 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
             # empty history is the cold start, whose untrained scorer's bar
             # is set so it still delivers. All budgets start the day alike, so
             # the cohort walks it once and keys each fire's row once
-            walk, day_fires = fit(timing_history, shape, scfg), []
-            for now, x in walk.fires(calendar_day, cohort_budget):
-                cohort_budget.record_delivery(now)
-                day_fires.append((now, row_key(x)))
+            walk = fit(timing_history, shape, scfg).fires(calendar_day, cohort_budget)
+            day_fires = [(now, row_key(x)) for now, x in walk]
         if day_idx == phase2_first_day:
             bundle = reallocate_phase2()
         phase = 1 if day_idx < phase2_first_day else 2
@@ -599,8 +597,6 @@ def run_study(cfg: dict | str | Path) -> StudyLog:
                 engaged = accept(p, hour, st.rng, engagement=st.engagement)
                 if model_mode:
                     timing_history.add(key, engaged, (pid, day_idx))
-                else:  # before uniform_fires reads the budget for the next run
-                    st.budget.record_delivery(now)
                 # one contact: its record is filled in as the contact proceeds
                 rec = InterventionRecord(
                     seed=seed, pid=pid, group=st.group, phase=phase, week=week,
@@ -978,29 +974,20 @@ def timing_comparison(
         def uniform(day0, q, rows=False):
             """Fire on day ``day0 + d`` from a fresh budget at each allowed
             tick where ``rng.random() < q``; with ``rows``, each fire comes
-            with its tick's features, read before the delivery."""
+            with its tick's features, read before the walk records it."""
             def fires(d):
                 budget = replace(shape)
                 for now in uniform_fires(_calendar_day(day0 + d), budget, rng, q):
                     yield now, features(now, budget) if rows else None
-                    budget.record_delivery(now)
             return fires
-
-        def trained_day(d):
-            """The trained policy's fires on day ``history_days + d`` from a
-            fresh budget, walking the runs its calibration scored."""
-            budget, day_fires = replace(shape), []
-            for now, x in trained.fires(_calendar_day(history_days + d), budget):
-                budget.record_delivery(now)
-                day_fires.append((now, x))
-            return day_fires
 
         history = TimingHistory()
         walk(history_days, uniform(0, 3 / 84, rows=True), history)
         trained = fit(history, shape, scfg)
         # every participant starts each eval day alike, so each day is
-        # walked once and its fires are every participant's
-        trained_days = [trained_day(d) for d in range(eval_days)]
+        # walked once, from a fresh budget, and its fires are every participant's
+        trained_days = [list(trained.fires(day, replace(shape))) for day in
+                        map(_calendar_day, range(history_days, history_days + eval_days))]
         t_acc, t_rate = walk(eval_days, trained_days.__getitem__)
         trained_acc.append(t_acc)
         trained_daily.append(t_rate)

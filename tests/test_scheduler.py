@@ -138,21 +138,20 @@ def test_next_eligible_is_the_first_eligible_grid_tick(
 
 
 def _plain_fires(day, budget, rng, rate):
-    """Reference trigger: one uniform per eligible tick of the plain walk."""
+    """Reference trigger: one uniform per eligible tick of the plain walk,
+    each fire recorded on ``budget`` when the walk is resumed."""
     for now in _plain_ticks(day, budget):
         if rng.random() < rate:
             yield now
+            budget.record_delivery(now)
 
 
-def _contacts(fires, budget, rng, pools):
-    """Drive a uniform trigger walk like a study does: deliver at every
-    fire, then draw ``rng.integers``, which buffers half of a 64-bit
-    output between calls, as ``catalog.resolve`` does."""
-    out = []
-    for i, now in enumerate(fires):
-        budget.record_delivery(now)
-        out.append((now, int(rng.integers(pools[i % len(pools)]))))
-    return out
+def _contacts(fires, rng, pools):
+    """Drive a uniform trigger walk like a study does: at every fire draw
+    ``rng.integers``, which buffers half of a 64-bit output between calls,
+    as ``catalog.resolve`` does."""
+    return [(now, int(rng.integers(pools[i % len(pools)])))
+            for i, now in enumerate(fires)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,8 +165,8 @@ def test_uniform_fires_matches_one_draw_per_eligible_tick(
     b = replace(a)
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
     for d in range(day, day + 3):  # the gap and the RNG carry across days
-        got = _contacts(uniform_fires(d, a, rng_a, rate), a, rng_a, pools)
-        want = _contacts(_plain_fires(d, b, rng_b, rate), b, rng_b, pools)
+        got = _contacts(uniform_fires(d, a, rng_a, rate), rng_a, pools)
+        want = _contacts(_plain_fires(d, b, rng_b, rate), rng_b, pools)
         assert got == want
         assert a == b
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -179,8 +178,8 @@ def test_uniform_fires_keeps_the_buffered_half_word():
         r.integers(3)  # leaves half of a 64-bit output buffered
     assert rng.bit_generator.state["has_uint32"] == 1
     a, b = BudgetState(), BudgetState()
-    got = _contacts(uniform_fires(TUESDAY, a, rng, 0.05), a, rng, [16])
-    want = _contacts(_plain_fires(TUESDAY, b, ref, 0.05), b, ref, [16])
+    got = _contacts(uniform_fires(TUESDAY, a, rng, 0.05), rng, [16])
+    want = _contacts(_plain_fires(TUESDAY, b, ref, 0.05), ref, [16])
     assert got == want and len(got) == 3
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -1024,16 +1023,10 @@ def test_fit_returns_a_walk_that_fires_as_a_fresh_walk_of_its_model():
             carried = [replace(shape), replace(shape)]
             for day in range(MONDAY, MONDAY + 14):
                 for budgets in (carried, [replace(shape), replace(shape)]):
-                    got, want = ([(now, x.tobytes()) for now, x in _delivered(w, day, b)]
+                    got, want = ([(now, x.tobytes()) for now, x in w.fires(day, b)]
                                  for w, b in zip((walk, fresh), budgets))
                     assert got == want
                     assert budgets[0] == budgets[1]
-
-
-def _delivered(walk, day, budget):
-    for now, x in walk.fires(day, budget):
-        budget.record_delivery(now)
-        yield now, x
 
 
 def test_run_memo_keeps_budget_states_and_shapes_apart():
@@ -1089,7 +1082,7 @@ def test_run_memo_shares_a_run_a_week_later():
 
     def fires_on(day):  # the minutes of day at which a fresh day fires
         b = BudgetState()
-        ticks = _contact_all(walk.fires(day, b), b, TimingHistory(), None)
+        ticks = _contact_all(walk.fires(day, b), TimingHistory(), None)
         return [t - day * 1440 for t in ticks]
 
     first = fires_on(TUESDAY)
@@ -1109,11 +1102,13 @@ def test_run_memo_shares_a_run_after_any_gap_at_or_past_the_cap():
 
 
 def _per_tick_fires(model, day, budget):
-    """Reference: score every tick of the plain walk in turn."""
+    """Reference: score every tick of the plain walk in turn, each fire
+    recorded on ``budget`` when the walk is resumed."""
     for now in _plain_ticks(day, budget):
         x = features(now, budget)
         if score(model, x) >= model.threshold:
             yield now, x
+            budget.record_delivery(now)
 
 
 def _per_tick_outcome(model, day, shape, theta):
@@ -1130,12 +1125,11 @@ def _per_tick_outcome(model, day, shape, theta):
     return total, below, above
 
 
-def _contact_all(fires, budget, history, key):
-    """Drive a threshold walk like a study does: deliver at every fire and
-    append its row, labeled, to ``history``."""
+def _contact_all(fires, history, key):
+    """Drive a threshold walk like a study does: append every fire's row,
+    labeled, to ``history``."""
     out = []
     for now, x in fires:
-        budget.record_delivery(now)
         history.append((x, float(now % 2), key))
         out.append(now)
     return out
@@ -1182,8 +1176,8 @@ def test_threshold_walk_equals_per_tick_scoring(max_per_day, min_gap, window, da
     got, want = TimingHistory(), TimingHistory()
     for d in days:  # the gap carries across days
         key = (0, d)
-        fired = _contact_all(walk.fires(d, a), a, got, key)
-        assert fired == _contact_all(_per_tick_fires(model, d, b), b, want, key)
+        fired = _contact_all(walk.fires(d, a), got, key)
+        assert fired == _contact_all(_per_tick_fires(model, d, b), want, key)
         assert a == b
     assert _history_rows(got) == _history_rows(want)
 
@@ -1213,15 +1207,60 @@ def test_walks_with_a_history_build_rows_by_block_not_by_tick(
     got, want = TimingHistory(), TimingHistory()
     for d in range(MONDAY, MONDAY + 7):
         key = (0, d)
-        fired = _contact_all(walk.fires(d, a), a, got, key)
-        assert fired == _contact_all(_per_tick_fires(model, d, b), b, want, key)
+        fired = _contact_all(walk.fires(d, a), got, key)
+        assert fired == _contact_all(_per_tick_fires(model, d, b), want, key)
         assert a == b
-        fired = _contacts(uniform_fires(d, ua, rng_a, 0.05), ua, rng_a, [16])
-        assert fired == _contacts(_plain_fires(d, ub, rng_b, 0.05), ub, rng_b, [16])
+        fired = _contacts(uniform_fires(d, ua, rng_a, 0.05), rng_a, [16])
+        assert fired == _contacts(_plain_fires(d, ub, rng_b, 0.05), rng_b, [16])
         assert ua == ub
     assert _history_rows(got) == _history_rows(want)
     assert len(got) > 0
     assert calls == []
+
+
+@pytest.mark.parametrize("max_per_day, min_gap, window, last_evening", [
+    (3, 120, (8 * 60, 21 * 60), None),
+    (2, 45, (9 * 60 + 30, 17 * 60), 20 * 60),
+    (5, 0, (8 * 60, 12 * 60), 23 * 60 + 55),
+])
+def test_walks_record_each_fire_on_resume_after_yielding_its_block_row(
+        max_per_day, min_gap, window, last_evening):
+    """``uniform_fires``, ``ThresholdWalk.fires`` and ``ThresholdWalk.runs``
+    record each fire on the budget themselves, when the caller resumes
+    them: at a yield the budget still reads the state before the fire, so
+    ``features`` there equals the fire's block row (and, for ``runs``,
+    every row of the run), and a day walked to its end leaves
+    ``delivered_today`` and ``last_delivery`` at that day's fires."""
+    shape = _shape(max_per_day, min_gap, window, MONDAY, last_evening, delivered=0)
+    m = TimingModel(weights=np.linspace(-1.0, 1.0, N_FEATURES), bias=0.3,
+                    feature_mean=np.full(N_FEATURES, 0.1))
+    walk = calibrate_threshold(m, shape)
+    rng = np.random.default_rng(7)
+
+    def uniform(day, budget):
+        return ((now, None) for now in uniform_fires(day, budget, rng, 0.2))
+
+    def runs(day, budget):
+        for start, xs, _, i in walk.runs(day, budget, walk.model.threshold):
+            assert all(features(start + j * 5, budget).tobytes() == x.tobytes()
+                       for j, x in enumerate(xs))
+            if i < len(xs):
+                yield start + i * 5, xs[i]
+
+    for walk_day in (uniform, walk.fires, runs):
+        budget, total = replace(shape), 0
+        for day in range(MONDAY, MONDAY + 7):  # the gap carries across days
+            fired, last = [], budget.last_delivery
+            for now, x in walk_day(day, budget):
+                assert budget.delivered_today == len(fired)
+                assert budget.last_delivery == (fired[-1] if fired else last)
+                if x is not None:
+                    assert features(now, budget).tobytes() == x.tobytes()
+                fired.append(now)
+            assert budget.delivered_today == len(fired)
+            assert budget.last_delivery == (fired[-1] if fired else last)
+            total += len(fired)
+        assert total > 5
 
 
 def test_train_empty_history_rejected():

@@ -638,10 +638,8 @@ def test_model_mode_contacts_are_each_participants_own_walk(seed, budget, monkey
             window_start_minute=pcar.study._parse_hhmm(cfg["budget"]["window_start"]),
             window_end_minute=pcar.study._parse_hhmm(cfg["budget"]["window_end"]))
         for day_idx, walk in enumerate(walks):
-            fired = []
-            for now, _ in walk.fires(pcar.study._calendar_day(day_idx), own):
-                own.record_delivery(now)
-                fired.append(now % DAY_MINUTES)
+            fired = [now % DAY_MINUTES for now, _ in
+                     walk.fires(pcar.study._calendar_day(day_idx), own)]
             assert minutes.get((pid, day_idx + 1), []) == fired
     per_day = {}
     for (_, day), day_minutes in minutes.items():
