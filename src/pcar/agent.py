@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -158,6 +158,11 @@ class Selection(NamedTuple):
     taus: tuple[int, ...]
 
 
+# Selection((bucket, value_indices, taus)), built in C: the NamedTuple's own
+# constructor is a Python-level __new__
+_selection = partial(tuple.__new__, Selection)
+
+
 class AgentBundle:
     """A team of independent per-attribute learners sharing one reward.
 
@@ -179,6 +184,8 @@ class AgentBundle:
     steps. They are read once, at construction. ``select_action`` records
     the table keys of the Selection it returns, for ``td_step``; it rejects
     a clock state capped above ``tau_max``, so every recorded key exists.
+    A one-attribute bundle (``train_on_instance``'s) picks without the
+    per-agent loop that a bundle of several attributes (the study's) runs.
 
     One trajectory is open at a time: its ``td_step``s share one trace per
     agent, and ``end_episode`` closes it before the next one starts, so no
@@ -271,7 +278,29 @@ class AgentBundle:
         streams stay aligned, then an integer when exploring. Clocks that
         are not one state per agent with one clock per value, a state capped
         above the bundle's ``tau_max``, or an unconfigured trait bucket
-        raise ValueError before any draw."""
+        raise ValueError before any draw. One state for a one-agent bundle
+        takes a branch that checks, draws and records as the per-agent loop
+        ``_select_each``, which serves every other call, does."""
+        if len(clocks) == 1 and len(self._arms) == 1:
+            state = clocks[0]
+            taus, n = state.taus, self._arms[0]
+            if len(taus) != n:
+                raise ValueError(f"clocks must give {self._arms} arms per agent")
+            if state.tau_max > self.tau_max:
+                raise ValueError(f"clock cap {state.tau_max} exceeds tau_max {self.tau_max}")
+            bucket, rng = ctx.index(self.n_trait_buckets), self.rng
+            if rng.random() < self.epsilon():
+                i = int(rng.integers(n))
+                k = self.models[0].keys[i, taus[i], bucket]
+            else:
+                i, k = self._greedy_index(0, state, bucket)
+            self._picked_keys = [k]
+            self._picked = picked = _selection((bucket, (i,), (taus[i],)))
+            return picked
+        return self._select_each(ctx, clocks)
+
+    def _select_each(self, ctx: ContextBucket, clocks: list[LsdState]) -> Selection:
+        """``select_action`` by one loop over the agents."""
         if [len(c.taus) for c in clocks] != self._arms:
             raise ValueError(f"clocks must give {self._arms} arms per agent")
         for c in clocks:  # a state's own cap bounds each of its clocks
@@ -289,7 +318,7 @@ class AgentBundle:
             idx.append(i)
             taus.append(state.taus[i])
             keys.append(k)
-        self._picked, self._picked_keys = Selection(bucket, tuple(idx), tuple(taus)), keys
+        self._picked, self._picked_keys = _selection((bucket, tuple(idx), tuple(taus))), keys
         return self._picked
 
     def greedy_action(self, ctx: ContextBucket) -> tuple[str, ...]:
@@ -305,11 +334,8 @@ class AgentBundle:
     ) -> Selection:
         """Record an action against the clocks it was chosen under."""
         idx = self.schema.validate_vector(action)
-        return Selection(
-            bucket=ctx.index(self.n_trait_buckets),
-            value_indices=idx,
-            taus=tuple(clocks[p].taus[i] for p, i in enumerate(idx)),
-        )
+        return _selection((ctx.index(self.n_trait_buckets), idx,
+                           tuple(clocks[p].taus[i] for p, i in enumerate(idx))))
 
     # -- learning ----------------------------------------------------------
 
@@ -530,7 +556,7 @@ def random_policy(schema: AttributeSchema, rng: np.random.Generator, bucket: int
     """The Selection of one uniform integer draw per attribute, in order,
     in context bucket ``bucket``, with the chosen values' clocks."""
     idx = tuple(int(rng.integers(len(values))) for _, values in schema.attributes)
-    return Selection(bucket, idx, tuple(c.taus[i] for c, i in zip(clocks, idx)))
+    return _selection((bucket, idx, tuple(c.taus[i] for c, i in zip(clocks, idx))))
 
 
 # -- planning oracle -----------------------------------------------------------

@@ -12,8 +12,8 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import add, itemgetter
 from typing import NamedTuple
 
 _BETACF_EPS = 1e-14
@@ -98,13 +98,20 @@ def student_t_quantile(q: float, df: float) -> float:
     return (lo + hi) / 2.0
 
 
+def left_sum(xs) -> float:
+    """The float sum of ``xs``, added left to right with one rounding per
+    term, on every Python: from 3.12 on builtin ``sum`` compensates a float
+    sum, which moves its last bits between interpreters."""
+    return reduce(add, xs, 0.0)
+
+
 def _mean(xs) -> float:
-    return sum(xs) / len(xs)
+    return left_sum(xs) / len(xs)
 
 
 def _sample_var(xs) -> float:
     m = _mean(xs)
-    return sum((x - m) ** 2 for x in xs) / (len(xs) - 1)
+    return left_sum((x - m) ** 2 for x in xs) / (len(xs) - 1)
 
 
 @dataclass(frozen=True)
@@ -140,11 +147,11 @@ def pearson(x, y) -> float:
     mx, my = _mean(x), _mean(y)
     dx = [v - mx for v in x]
     dy = [v - my for v in y]
-    sxx = sum(d * d for d in dx)
-    syy = sum(d * d for d in dy)
+    sxx = left_sum(d * d for d in dx)
+    syy = left_sum(d * d for d in dy)
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("correlation undefined for a constant sample")
-    r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
+    r = left_sum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 
 
@@ -236,7 +243,7 @@ def pss_trend(scores, indices=None) -> float:
         if len(indices) != len(scores):
             raise ValueError("one index per score")
     mx, my = _mean(indices), _mean(scores)
-    sxx = sum((i - mx) ** 2 for i in indices)
+    sxx = left_sum((i - mx) ** 2 for i in indices)
     if sxx == 0.0:
         raise ValueError("indices are all identical")
-    return sum((i - mx) * (s - my) for i, s in zip(indices, scores)) / sxx
+    return left_sum((i - mx) * (s - my) for i, s in zip(indices, scores)) / sxx

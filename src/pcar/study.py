@@ -69,6 +69,7 @@ from .scheduler import (
 )
 from .stats import (
     SummaryRow,
+    left_sum,
     mean_of_means,
     participant_means,
     table_cells,
@@ -1043,7 +1044,7 @@ def sweep(cfg: dict | str | Path, parameter: str, values: list) -> list[dict]:
                                           json.dumps(value, sort_keys=True))
 
     def mom(means):
-        return sum(means) / len(means) if means else float("nan")
+        return left_sum(means) / len(means) if means else float("nan")
 
     rows = []
     for value, variant in zip(values, variants):

@@ -1,5 +1,7 @@
 import json
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from pcar.agent import (
     AttributeSchema,
     ContextBucket,
     Selection,
+    _selection,
     ghost_audit,
     plan_oracle,
     random_policy,
@@ -394,6 +397,86 @@ def test_recorded_selection_keys_match_fresh_keys(steps, eps, seed):
 def test_selection_is_a_named_tuple_with_fixed_fields():
     assert Selection._fields == ("bucket", "value_indices", "taus")
     assert Selection(1, (0, 1), (6, -1)) == (1, (0, 1), (6, -1))
+
+
+def test_a_c_built_selection_is_the_named_tuple_it_names():
+    built, named = _selection((3, (1,), (-2,))), Selection(3, (1,), (-2,))
+    assert type(built) is type(named) is Selection
+    assert (built.bucket, built.value_indices, built.taus) == (3, (1,), (-2,))
+    assert repr(built) == repr(named) == "Selection(bucket=3, value_indices=(1,), taus=(-2,))"
+    assert built == named == (3, (1,), (-2,))
+    assert hash(built) == hash(named)
+    moved = built._replace(bucket=4)
+    assert type(moved) is Selection and moved == named._replace(bucket=4)
+    for sel in (built, named):
+        back = pickle.loads(pickle.dumps(sel))
+        assert type(back) is Selection and back == named
+
+
+def _one_attribute_twins(k, block, seed):
+    """Two same-seed bundles over one attribute of ``k`` values."""
+    schema = AttributeSchema((("arm", tuple(str(v) for v in range(k))),))
+    return [AgentBundle(schema, block, n_trait_buckets=2, seed=seed) for _ in range(2)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("eps", [(1.0, 1.0), (0.0, 0.0), (1.0, 0.0)],
+                         ids=["explore", "greedy", "decaying"])
+@pytest.mark.parametrize("q", ["ties", "drawn", "-inf", "nan"])
+def test_one_attribute_branch_matches_the_per_agent_loop(k, eps, q):
+    """A one-attribute bundle picks, draws and records through its one-agent
+    branch exactly as its twin does through the per-agent loop, with
+    ``td_step``s in between: equal Selections, recorded keys, generator
+    states and tables. Zero rewards on zero tables keep every value tied."""
+    block = agent_block(alpha=0.5, gamma=0.9, lam=0.8, tau_max=3,
+                        epsilon_start=eps[0], epsilon_end=eps[1], epsilon_decay_steps=40)
+    fast, loop = _one_attribute_twins(k, block, seed=11)
+    rng = np.random.default_rng(k)
+    fill = {"ties": 0.0, "drawn": rng.normal(size=fast.models[0].q.shape),
+            "-inf": -math.inf, "nan": math.nan}[q]
+    for b in (fast, loop):
+        b.models[0].q[:] = fill
+    start = state = initial_state(k, 3)
+    prev = None
+    for _ in range(80):
+        ctx = ContextBucket(PERIODS[int(rng.integers(3))], int(rng.integers(2)))
+        sel = fast.select_action(ctx, [state])
+        assert type(sel) is Selection
+        assert sel == loop._select_each(ctx, [state])
+        assert fast._picked_keys == loop._picked_keys
+        assert fast.rng.bit_generator.state == loop.rng.bit_generator.state
+        reward = 0.0 if q == "ties" else float(rng.normal())
+        if prev is not None:
+            for b in (fast, loop):
+                b.td_step(prev, reward, b._picked)
+        prev, state = sel, advance(state, sel.value_indices[0])
+        if rng.random() < 0.15:  # the trajectory ends here
+            for b in (fast, loop):
+                b.td_step(prev, reward, None)
+                b.end_episode()
+            prev, state = None, start
+        assert _tables(fast) == _tables(loop)
+    assert fast.rounds == loop.rounds > 0
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0], ids=["greedy", "explore"])
+@pytest.mark.parametrize(
+    "ctx, clocks",
+    [(CTX, [LsdState((6,) * 3, 6)]), (CTX, [LsdState((7, 7), 7)]), (CTX, []),
+     (CTX, [LsdState((6, 6), 6)] * 2), (ContextBucket("evening", 2), [LsdState((6, 6), 6)])],
+    ids=["arity", "cap", "no-clocks", "two-states", "unconfigured-bucket"],
+)
+def test_one_attribute_branch_raises_what_the_loop_raises(eps, ctx, clocks):
+    """Each bad input raises the per-agent loop's ValueError, message and
+    all, before either bundle draws."""
+    block = agent_block(epsilon_start=eps, epsilon_end=eps)
+    fast, loop = _one_attribute_twins(2, block, seed=3)
+    before = fast.rng.bit_generator.state
+    with pytest.raises(ValueError) as want:
+        loop._select_each(ctx, clocks)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        fast.select_action(ctx, clocks)
+    assert fast.rng.bit_generator.state == loop.rng.bit_generator.state == before
 
 
 def _dense_td_step(block, models, q, e, prev, reward, nxt):

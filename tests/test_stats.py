@@ -1,10 +1,14 @@
 import math
 import random
+import sys
 
 import mpmath
 import pytest
 
 from pcar.stats import (
+    _mean,
+    _sample_var,
+    left_sum,
     mean_of_means,
     participant_means,
     pearson,
@@ -217,12 +221,20 @@ def test_mean_of_means_invariant_to_duplicating_a_participant():
     assert doubled.ci_low == pytest.approx(base.ci_low)
 
 
+def _left_to_right(xs):
+    """The float sum in list order, one rounding per term."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _tuple_key_means(records, group_by):
     cells = {}
     for rec in records:
         key = tuple(rec[field] for field in group_by)
         cells.setdefault(key, {}).setdefault(rec["pid"], []).append(float(rec["value"]))
-    return {key: [sum(vals) / len(vals) for vals in per_pid.values()]
+    return {key: [_left_to_right(vals) / len(vals) for vals in per_pid.values()]
             for key, per_pid in cells.items()}
 
 
@@ -260,3 +272,48 @@ def test_pss_trend_edges():
         pss_trend([4.0])
     with pytest.raises(ValueError):
         pss_trend([1.0, 2.0], indices=[2, 2])
+
+
+def test_sums_run_left_to_right():
+    """1e16 + 1.0 rounds back to 1e16, so the left-to-right sum is 0.0; a
+    compensated sum (builtin ``sum`` from Python 3.12 on) gives 1.0."""
+    xs = [1e16, 1.0, -1e16]
+    assert left_sum(xs) == left_sum(iter(xs)) == 0.0
+    assert _mean(xs) == 0.0
+    assert math.fsum(xs) == 1.0
+
+
+def _drawn(seed, n=40):
+    rnd = random.Random(seed)
+    return [rnd.uniform(-1, 1) * 10.0 ** rnd.randrange(-3, 9) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_each_statistic_sums_its_terms_in_order(seed):
+    """Every sum behind the statistics equals the plain left-to-right loop,
+    bit for bit, on floats whose compensated sum differs."""
+    x, y = _drawn(seed), _drawn(seed + 100)
+    n = len(x)
+    mx, my = _left_to_right(x) / n, _left_to_right(y) / n
+    vx = _left_to_right((v - mx) ** 2 for v in x) / (n - 1)
+    vy = _left_to_right((v - my) ** 2 for v in y) / (n - 1)
+    assert (_mean(x), _sample_var(x)) == (mx, vx)
+    assert welch_t(x, y).t == (mx - my) / math.sqrt(vx / n + vy / n)
+    dx, dy = [v - mx for v in x], [v - my for v in y]
+    r = _left_to_right(a * b for a, b in zip(dx, dy)) / math.sqrt(
+        _left_to_right(d * d for d in dx) * _left_to_right(d * d for d in dy))
+    assert pearson(x, y) == max(-1.0, min(1.0, r))
+    mi = _left_to_right(range(n)) / n
+    slope = (_left_to_right((i - mi) * (s - my) for i, s in zip(range(n), y))
+             / _left_to_right((i - mi) ** 2 for i in range(n)))
+    assert pss_trend(y) == slope
+    assert any(math.fsum(xs) != _left_to_right(xs) for xs in (x, y, dx, dy))
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="builtin sum compensates float sums from Python 3.12 on")
+@pytest.mark.parametrize("seed", range(5))
+def test_left_sum_is_builtin_sum_before_python_3_12(seed):
+    xs = _drawn(seed)
+    assert left_sum(xs) == sum(xs)
+    assert left_sum(range(9)) == sum(range(9))
