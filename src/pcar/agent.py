@@ -278,9 +278,9 @@ class AgentBundle:
         streams stay aligned, then an integer when exploring. Clocks that
         are not one state per agent with one clock per value, a state capped
         above the bundle's ``tau_max``, or an unconfigured trait bucket
-        raise ValueError before any draw. One state for a one-agent bundle
-        takes a branch that checks, draws and records as the per-agent loop
-        ``_select_each``, which serves every other call, does."""
+        raise ValueError before any draw. A one-agent bundle given one state
+        skips the per-agent loop ``_select_each``, which serves every other
+        call; both check, draw and record alike."""
         if len(clocks) == 1 and len(self._arms) == 1:
             state = clocks[0]
             taus, n = state.taus, self._arms[0]
