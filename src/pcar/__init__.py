@@ -1,6 +1,6 @@
 """Switch-clock-aware micro-intervention recommender and study simulator.
 
-Subpackages:
+Modules:
   lsd        -- signed per-arm switch clocks and their transition
   agent      -- factorized SARSA(lambda) learner, baselines, planning oracle
   catalog    -- intervention content pool and attribute resolution

@@ -173,7 +173,8 @@ class AgentBundle:
     name-based methods that step them (``step``, ``update``,
     ``finish_episode``, ``greedy_action``, ``apply_action``,
     ``snapshot_selection``) serve only the tests and the benchmark's trace
-    table; they run on ``select_action`` and ``td_step``.
+    table; ``update``, ``step`` and ``finish_episode`` are one transition,
+    ``_learn``, on ``select_action`` and ``td_step``.
 
     ``settings`` is a study config's ``agent`` block (see
     ``study.DEFAULT_CONFIG``) with an integer ``epsilon_decay_steps``: it
@@ -393,57 +394,45 @@ class AgentBundle:
             raise self._no_entry(exc) from None
         return keys
 
-    def _advanced(self, value_indices: tuple[int, ...]) -> list[LsdState]:
-        """The internal clocks after each agent plays its chosen value."""
-        return [advance(c, i) for c, i in zip(self._clocks, value_indices)]
+    def _learn(self, ctx: ContextBucket, action: tuple[str, ...], reward: float,
+               follow) -> Selection | None:
+        """The transition ``update``, ``step`` and ``finish_episode`` share:
+        ``td_step`` from ``action`` in ``ctx`` to ``follow(advanced clocks)``
+        (None: terminal), then keep the advanced clocks. Returns the follow-up."""
+        prev = self.snapshot_selection(ctx, action, self._clocks)
+        advanced = [advance(c, i) for c, i in zip(self._clocks, prev.value_indices)]
+        nxt = None if follow is None else follow(advanced)
+        self.td_step(prev, reward, nxt)
+        self._clocks = advanced
+        return nxt
 
-    def update(
-        self,
-        ctx: ContextBucket,
-        action: tuple[str, ...],
-        reward: float,
-        next_ctx: ContextBucket,
-        next_action: tuple[str, ...],
-    ) -> None:
+    def update(self, ctx: ContextBucket, action: tuple[str, ...], reward: float,
+               next_ctx: ContextBucket, next_action: tuple[str, ...]) -> None:
         """Spec transition update over the bundle's internal clocks:
         learn from (ctx, action, reward, next_ctx, next_action), then
         advance each agent's clocks on its chosen value."""
-        prev = self.snapshot_selection(ctx, action, self._clocks)
-        advanced = self._advanced(prev.value_indices)
-        nxt = self.snapshot_selection(next_ctx, next_action, advanced)
-        self.td_step(prev, reward, nxt)
-        self._clocks = advanced
+        self._learn(ctx, action, reward,
+                    partial(self.snapshot_selection, next_ctx, next_action))
 
-    def step(
-        self,
-        ctx: ContextBucket,
-        action: tuple[str, ...],
-        reward: float,
-        next_ctx: ContextBucket,
-    ) -> tuple[str, ...]:
+    def step(self, ctx: ContextBucket, action: tuple[str, ...], reward: float,
+             next_ctx: ContextBucket) -> tuple[str, ...]:
         """On-policy helper: the ``update`` whose follow-up action
         is picked by ``select_action`` on the post-transition clocks, which
         advance once. Returns that action."""
-        prev = self.snapshot_selection(ctx, action, self._clocks)
-        advanced = self._advanced(prev.value_indices)
-        nxt = self.select_action(next_ctx, advanced)
-        self.td_step(prev, reward, nxt)
-        self._clocks = advanced
+        nxt = self._learn(ctx, action, reward, partial(self.select_action, next_ctx))
         return self.schema.value_names(nxt.value_indices)
 
-    def finish_episode(
-        self, ctx: ContextBucket, action: tuple[str, ...], reward: float
-    ) -> None:
+    def finish_episode(self, ctx: ContextBucket, action: tuple[str, ...],
+                       reward: float) -> None:
         """Terminal update (no bootstrap), advance clocks, close the
         trajectory."""
-        prev = self.snapshot_selection(ctx, action, self._clocks)
-        self.td_step(prev, reward, None)
-        self._clocks = self._advanced(prev.value_indices)
+        self._learn(ctx, action, reward, None)
         self.end_episode()
 
     def apply_action(self, action: tuple[str, ...]) -> None:
         """Advance internal clocks without learning (evaluation rollouts)."""
-        self._clocks = self._advanced(self.schema.validate_vector(action))
+        idx = self.schema.validate_vector(action)
+        self._clocks = [advance(c, i) for c, i in zip(self._clocks, idx)]
 
     def end_episode(self) -> None:
         """Close the open trajectory: clear every agent's trace."""

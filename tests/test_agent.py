@@ -595,6 +595,46 @@ def test_step_matches_a_caller_held_chain():
     assert _tables(inner) == _tables(outer)
 
 
+def test_episodes_match_a_caller_held_chain():
+    # finish_episode and apply_action against td_step(sel, reward, None),
+    # end_episode and advance over the caller's own clocks; a NaN reward at
+    # the terminal step raises and leaves the clocks and tables as they were
+    block = agent_block(epsilon_start=0.5, epsilon_end=0.1, alpha=0.5)
+    inner, outer = (AgentBundle(SCHEMA, block, n_trait_buckets=2, seed=12)
+                    for _ in range(2))
+    rng = np.random.default_rng(14)
+    clocks = [initial_state(3, 6), initial_state(2, 6)]
+    for _ in range(40):
+        ctx = ContextBucket(PERIODS[int(rng.integers(3))], int(rng.integers(2)))
+        sel = outer.select_action(ctx, clocks)
+        action = SCHEMA.value_names(inner.select_action(ctx, inner.clocks).value_indices)
+        for _ in range(int(rng.integers(4))):
+            nxt_ctx = ContextBucket(PERIODS[int(rng.integers(3))], int(rng.integers(2)))
+            reward = float(rng.normal())
+            action = inner.step(ctx, action, reward, nxt_ctx)
+            clocks = [advance(c, i) for c, i in zip(clocks, sel.value_indices)]
+            nxt = outer.select_action(nxt_ctx, clocks)
+            outer.td_step(sel, reward, nxt)
+            sel, ctx = nxt, nxt_ctx
+        assert action == SCHEMA.value_names(sel.value_indices)
+        before = inner.clocks, _tables(inner), inner.rounds
+        with pytest.raises(ValueError, match="finite"):
+            inner.finish_episode(ctx, action, math.nan)
+        assert (inner.clocks, _tables(inner), inner.rounds) == before
+        reward = float(rng.normal())
+        inner.finish_episode(ctx, action, reward)
+        clocks = [advance(c, i) for c, i in zip(clocks, sel.value_indices)]
+        outer.td_step(sel, reward, None)
+        outer.end_episode()
+        for _ in range(int(rng.integers(3))):  # an evaluation rollout between episodes
+            idx = [int(rng.integers(len(values))) for _, values in SCHEMA.attributes]
+            inner.apply_action(SCHEMA.value_names(idx))
+            clocks = [advance(c, i) for c, i in zip(clocks, idx)]
+        assert inner.clocks == tuple(clocks)
+        assert _tables(inner) == _tables(outer)
+        assert inner.rng.bit_generator.state == outer.rng.bit_generator.state
+
+
 def test_ghost_audit_catches_corrupted_lookup():
     b = make_bundle()
 

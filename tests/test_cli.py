@@ -82,6 +82,7 @@ def test_run_and_report_a_study_without_contacts(tmp_path, capsys):
 @pytest.mark.parametrize("damage", ["empty_meta", "no_reward_column", "word_flags",
                                     "word_stress", "short_record",
                                     "completed_declined", "declined_with_stress",
+                                    "accepted_without_pre_stress",
                                     "unfinished_with_reward", "wrong_reward",
                                     "value_outside_schema"])
 def test_report_on_malformed_log_prints_one_json_line(tmp_path, config_path,
@@ -104,6 +105,7 @@ def test_report_on_malformed_log_prints_one_json_line(tmp_path, config_path,
         i = next(i for i, r in enumerate(rows[1:], 1) if {
             "completed_declined": r[col["accepted"]] == "0",
             "declined_with_stress": r[col["accepted"]] == "0",
+            "accepted_without_pre_stress": r[col["accepted"]] == "1" and r[col["completed"]] == "0",
             "unfinished_with_reward": r[col["accepted"]] == "1" and r[col["completed"]] == "0",
             "wrong_reward": r[col["completed"]] == "1",
             "value_outside_schema": r[col["intervention_id"]] != "",
@@ -115,6 +117,9 @@ def test_report_on_malformed_log_prints_one_json_line(tmp_path, config_path,
         elif damage == "declined_with_stress":
             row[col["pre_stress"]] = "3"
             problem = "declined but has a stress, reward or intervention"
+        elif damage == "accepted_without_pre_stress":
+            row[col["pre_stress"]] = ""
+            problem = "accepted but has no pre_stress"
         elif damage == "unfinished_with_reward":
             row[col["reward"]] = "0"
             problem = "post_stress and reward must be set exactly when completed"

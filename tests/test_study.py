@@ -6,6 +6,7 @@ import json
 from collections import Counter
 from datetime import datetime, time, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pcar.agent import AgentBundle, ContextBucket, period_of_hour
 from pcar.scheduler import (
     DAY_MINUTES,
     BudgetState,
+    ThresholdWalk,
     TimingModel,
     composite_loss,
     fit,
@@ -695,6 +697,22 @@ def test_timing_comparison_enforces_its_daily_budget(daily_budget):
     res = timing_comparison(seeds=2, n_participants=4, history_days=5,
                             eval_days=3, daily_budget=daily_budget)
     assert max(res.trained_daily + res.uniform_daily) <= daily_budget
+
+
+def test_timing_comparison_walks_each_eval_weekday_once():
+    """Eval days ``d`` and ``d + 5`` fall on one weekday and start from a
+    fresh budget, so they fire alike: 10 eval days walk the trained policy
+    on 5 days per seed, one per weekday."""
+    days, fires = [], ThresholdWalk.fires
+
+    def recording(walk, day, budget):
+        days.append(day)
+        return fires(walk, day, budget)
+
+    with mock.patch.object(ThresholdWalk, "fires", recording):
+        timing_comparison(seeds=2, n_participants=4, history_days=5, eval_days=10)
+    assert len(days) == 10
+    assert sorted(day % 7 for day in days) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
 
 @pytest.mark.parametrize("name, value", [
