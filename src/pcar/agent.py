@@ -124,7 +124,7 @@ class QModel:
     scalar reads and writes go through it, so the table is updated in place
     and must not be rebound. ``trace`` maps the keys the open trajectory
     has set a trace on to their trace values; every other key's is +0.0.
-    """
+    ``rows`` memoizes ``row``."""
 
     def __init__(self, n_values: int, tau_max: int, tau_clip: int, n_buckets: int):
         self.n_values = n_values
@@ -139,6 +139,13 @@ class QModel:
             for b in range(n_buckets)
         }
         self.trace: dict[int, float] = {}
+        self.rows: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+
+    def row(self, taus: tuple[int, ...], bucket: int) -> tuple[int, ...]:
+        """The keys of every value at clocks ``taus`` in ``bucket``."""
+        if (row := self.rows.get(key := (taus, bucket))) is None:
+            row = self.rows[key] = tuple([self.keys[v, t, bucket] for v, t in enumerate(taus)])
+        return row
 
     def tau_index(self, tau: int) -> int:
         if tau == 0:
@@ -163,6 +170,24 @@ class Selection(NamedTuple):
 _selection = partial(tuple.__new__, Selection)
 
 
+def _greedy(q, row: tuple[int, ...]) -> int:
+    """The first position in ``row`` of its highest value in ``q``; 0 if none beats -inf."""
+    best, best_v = -math.inf, 0
+    for v, k in enumerate(row):
+        if (s := q[k]) > best:  # strict: ties keep the lowest index
+            best, best_v = s, v
+    return best_v
+
+
+def _credit(q, trace: dict[int, float], key: int, alpha_delta: float, decay: float):
+    """One SARSA(lambda) sweep with replacing traces: set ``key``'s trace to
+    1, add ``alpha_delta`` times each trace to its value, decay each trace."""
+    trace[key] = 1.0
+    for j, ej in trace.items():  # rebinding a key keeps the dict's size
+        q[j] += alpha_delta * ej
+        trace[j] = ej * decay
+
+
 class AgentBundle:
     """A team of independent per-attribute learners sharing one reward.
 
@@ -174,7 +199,8 @@ class AgentBundle:
     ``finish_episode``, ``greedy_action``, ``apply_action``,
     ``snapshot_selection``) serve only the tests and the benchmark's trace
     table; ``update``, ``step`` and ``finish_episode`` are one transition,
-    ``_learn``, on ``select_action`` and ``td_step``.
+    ``_learn``, on ``select_action`` and ``td_step``. ``learn_episode`` runs
+    a one-attribute bundle's whole on-policy episode (``train_on_instance``'s).
 
     ``settings`` is a study config's ``agent`` block (see
     ``study.DEFAULT_CONFIG``) with an integer ``epsilon_decay_steps``: it
@@ -185,8 +211,6 @@ class AgentBundle:
     steps. They are read once, at construction. ``select_action`` records
     the table keys of the Selection it returns, for ``td_step``; it rejects
     a clock state capped above ``tau_max``, so every recorded key exists.
-    A one-attribute bundle (``train_on_instance``'s) picks without the
-    per-agent loop that a bundle of several attributes (the study's) runs.
 
     One trajectory is open at a time: its ``td_step``s share one trace per
     agent, and ``end_episode`` closes it before the next one starts, so no
@@ -259,18 +283,14 @@ class AgentBundle:
 
     # -- action selection -------------------------------------------------
 
-    def _greedy_index(self, agent: int, state: LsdState,
-                      bucket: int) -> tuple[int, int]:
-        """The argmax value index and its table key."""
-        qm = self.models[agent]
-        q, keys, taus = qm.q_flat, qm.keys, state.taus
-        best, best_v, best_k = -math.inf, 0, None
-        for v in range(qm.n_values):
-            s = q[k := keys[v, taus[v], bucket]]
-            if s > best:  # strict: ties keep the lowest index
-                best, best_v, best_k = s, v, k
-        # no key only if no value beats -inf (every Q -inf or NaN): value 0
-        return best_v, keys[0, taus[0], bucket] if best_k is None else best_k
+    def _bucket(self, ctx: ContextBucket, clocks: list[LsdState]) -> int:
+        """``ctx``'s bucket index, once ``select_action``'s checks pass."""
+        if [len(c.taus) for c in clocks] != self._arms:
+            raise ValueError(f"clocks must give {self._arms} arms per agent")
+        for c in clocks:  # a state's own cap bounds each of its clocks
+            if c.tau_max > self.tau_max:
+                raise ValueError(f"clock cap {c.tau_max} exceeds tau_max {self.tau_max}")
+        return ctx.index(self.n_trait_buckets)
 
     def select_action(self, ctx: ContextBucket, clocks: list[LsdState]) -> Selection:
         """Epsilon-greedy choice per agent over the caller's clocks, as the
@@ -279,46 +299,15 @@ class AgentBundle:
         streams stay aligned, then an integer when exploring. Clocks that
         are not one state per agent with one clock per value, a state capped
         above the bundle's ``tau_max``, or an unconfigured trait bucket
-        raise ValueError before any draw. A one-agent bundle given one state
-        skips the per-agent loop ``_select_each``, which serves every other
-        call; both check, draw and record alike."""
-        if len(clocks) == 1 and len(self._arms) == 1:
-            state = clocks[0]
-            taus, n = state.taus, self._arms[0]
-            if len(taus) != n:
-                raise ValueError(f"clocks must give {self._arms} arms per agent")
-            if state.tau_max > self.tau_max:
-                raise ValueError(f"clock cap {state.tau_max} exceeds tau_max {self.tau_max}")
-            bucket, rng = ctx.index(self.n_trait_buckets), self.rng
-            if rng.random() < self.epsilon():
-                i = int(rng.integers(n))
-                k = self.models[0].keys[i, taus[i], bucket]
-            else:
-                i, k = self._greedy_index(0, state, bucket)
-            self._picked_keys = [k]
-            self._picked = picked = _selection((bucket, (i,), (taus[i],)))
-            return picked
-        return self._select_each(ctx, clocks)
-
-    def _select_each(self, ctx: ContextBucket, clocks: list[LsdState]) -> Selection:
-        """``select_action`` by one loop over the agents."""
-        if [len(c.taus) for c in clocks] != self._arms:
-            raise ValueError(f"clocks must give {self._arms} arms per agent")
-        for c in clocks:  # a state's own cap bounds each of its clocks
-            if c.tau_max > self.tau_max:
-                raise ValueError(f"clock cap {c.tau_max} exceeds tau_max {self.tau_max}")
-        bucket, eps, rng = ctx.index(self.n_trait_buckets), self.epsilon(), self.rng
+        raise ValueError before any draw."""
+        bucket, eps, rng = self._bucket(ctx, clocks), self.epsilon(), self.rng
         idx, taus, keys = [], [], []
-        for p, n in enumerate(self._arms):
-            state = clocks[p]
-            if rng.random() < eps:
-                i = int(rng.integers(n))
-                k = self.models[p].keys[i, state.taus[i], bucket]
-            else:
-                i, k = self._greedy_index(p, state, bucket)
+        for qm, state in zip(self.models, clocks):
+            row = qm.row(state.taus, bucket)
+            i = int(rng.integers(qm.n_values)) if rng.random() < eps else _greedy(qm.q_flat, row)
             idx.append(i)
             taus.append(state.taus[i])
-            keys.append(k)
+            keys.append(row[i])
         self._picked, self._picked_keys = _selection((bucket, tuple(idx), tuple(taus))), keys
         return self._picked
 
@@ -326,9 +315,8 @@ class AgentBundle:
         """Pure argmax choice over the internal clocks; consumes no
         randomness."""
         bucket = ctx.index(self.n_trait_buckets)
-        return self.schema.value_names(
-            [self._greedy_index(p, c, bucket)[0] for p, c in enumerate(self._clocks)]
-        )
+        return self.schema.value_names([_greedy(qm.q_flat, qm.row(c.taus, bucket))
+                                        for qm, c in zip(self.models, self._clocks)])
 
     def snapshot_selection(
         self, ctx: ContextBucket, action: tuple[str, ...], clocks: list[LsdState]
@@ -370,15 +358,45 @@ class AgentBundle:
         self._last_sel, self._last_keys = nxt, next_keys
         alpha, gamma, decay = self._alpha, self._gamma, self._decay
         for a, qm in enumerate(self.models):
-            q, trace = qm.q_flat, qm.trace
-            k = keys[a]
+            q, k = qm.q_flat, keys[a]
             target = reward if nxt is None else reward + gamma * q[next_keys[a]]
-            alpha_delta = alpha * (target - q[k])
-            trace[k] = 1.0
-            for j, ej in trace.items():  # rebinding a key keeps the dict's size
-                q[j] += alpha_delta * ej
-                trace[j] = ej * decay
+            _credit(q, qm.trace, k, alpha * (target - q[k]), decay)
         self.rounds += 1
+
+    def learn_episode(self, ctx: ContextBucket, start: LsdState, horizon: int,
+                      reward_fn) -> None:
+        """One on-policy episode of a one-attribute bundle from ``start``, with
+        the draws and updates of ``select_action(ctx, [state])``, then per
+        step ``reward_fn(arm, clock)``, ``advance``, the follow-up pick (none
+        at the last step) at the epsilon before ``rounds`` moves and
+        ``td_step``, then ``end_episode``; no recorded Selection is left. Bad
+        arguments raise ``select_action``'s ValueErrors (or ``horizon < 1``'s)
+        before any draw, and a non-finite reward ``td_step``'s before the next pick."""
+        bucket = self._bucket(ctx, [start])
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        self._picked = self._picked_keys = self._last_sel = self._last_keys = None
+        qm, random, integers = self.models[0], self.rng.random, self.rng.integers
+        q, trace, rows, row_of, n = qm.q_flat, qm.trace, qm.rows, qm.row, qm.n_values
+        eps0, span, end, steps = self._eps
+        alpha, gamma, decay = self._alpha, self._gamma, self._decay
+        rounds, state = self.rounds, start
+        for t in range(horizon):  # pick step t's arm, then learn step t - 1
+            taus = state.taus
+            row = rows.get((taus, bucket)) or row_of(taus, bucket)  # row's hit, inline
+            eps = end if steps <= 0 else eps0 + span * min(1.0, rounds / steps)
+            arm = int(integers(n)) if random() < eps else _greedy(q, row)
+            if t:
+                _credit(q, trace, key, alpha * (r + gamma * q[row[arm]] - q[key]), decay)
+                rounds += 1
+            key, r = row[arm], reward_fn(arm, taus[arm])
+            if not math.isfinite(r):
+                self.rounds = rounds
+                raise ValueError(f"reward must be finite, got {r}")
+            state = advance(state, arm)
+        _credit(q, trace, key, alpha * (r - q[key]), decay)
+        self.rounds = rounds + 1
+        trace.clear()
 
     def _keys_of(self, sel: Selection) -> list[int]:
         """Each agent's flat table key for a selection."""
@@ -398,8 +416,11 @@ class AgentBundle:
                follow) -> Selection | None:
         """The transition ``update``, ``step`` and ``finish_episode`` share:
         ``td_step`` from ``action`` in ``ctx`` to ``follow(advanced clocks)``
-        (None: terminal), then keep the advanced clocks. Returns the follow-up."""
+        (None: terminal), checking the action and reward before ``follow``
+        draws, then keep the advanced clocks. Returns the follow-up."""
         prev = self.snapshot_selection(ctx, action, self._clocks)
+        if not math.isfinite(reward):
+            raise ValueError(f"reward must be finite, got {reward}")
         advanced = [advance(c, i) for c, i in zip(self._clocks, prev.value_indices)]
         nxt = None if follow is None else follow(advanced)
         self.td_step(prev, reward, nxt)

@@ -843,10 +843,14 @@ def train_on_instance(
     seed: int,
     reward_fn,
 ) -> float:
-    """Train a single-attribute learner episodically on the instance and
-    return the greedy policy's total reward. Each episode walks its own
-    clocks from the all-rested start; the greedy rollout takes the first
-    arm of highest value and draws nothing."""
+    """Train a single-attribute learner, one ``AgentBundle.learn_episode``
+    from the all-rested start per episode, and return the total reward of
+    the greedy rollout, which takes the first arm of highest value and draws
+    nothing. A size below 1 raises ValueError before training."""
+    if min(k, tau_max, horizon) < 1:
+        raise ValueError("k, tau_max and horizon must all be >= 1")
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     schema = AttributeSchema((("arm", tuple(str(i) for i in range(k))),))
     # alpha, gamma and lambda come from the config; its clock clip would
     # merge clocks beyond +/-3, so this learner clips at the cap
@@ -857,17 +861,7 @@ def train_on_instance(
     ctx = ContextBucket(period="morning", trait_bucket=0)
     start = initial_state(k, tau_max)
     for _ in range(episodes):
-        state = start
-        sel = bundle.select_action(ctx, [state])
-        for t in range(horizon):
-            arm = sel.value_indices[0]
-            r = reward_fn(arm, sel.taus[0])
-            state = advance(state, arm)
-            # the follow-up is chosen before the update, at the old epsilon
-            nxt = bundle.select_action(ctx, [state]) if t < horizon - 1 else None
-            bundle.td_step(sel, r, nxt)
-            sel = nxt
-        bundle.end_episode()
+        bundle.learn_episode(ctx, start, horizon, reward_fn)
     state, total = start, 0.0
     for _ in range(horizon):
         arm = max(range(k), key=lambda v: bundle.action_value(0, state, v, ctx))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -419,64 +420,120 @@ def _one_attribute_twins(k, block, seed):
     return [AgentBundle(schema, block, n_trait_buckets=2, seed=seed) for _ in range(2)]
 
 
+def _chain_episode(b, ctx, start, horizon, reward_fn):
+    """The select_action/td_step chain ``learn_episode`` stands for. A
+    non-finite reward stops it before that step's follow-up draw."""
+    state, sel = start, b.select_action(ctx, [start])
+    for t in range(horizon):
+        arm = sel.value_indices[0]
+        r = reward_fn(arm, sel.taus[0])
+        if not math.isfinite(r):
+            return
+        state = advance(state, arm)
+        nxt = b.select_action(ctx, [state]) if t < horizon - 1 else None
+        b.td_step(sel, r, nxt)
+        sel = nxt
+    b.end_episode()
+
+
+def _learner_state(b):
+    return _tables(b), b.rounds, b.rng.bit_generator.state
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("eps", [(1.0, 1.0), (0.0, 0.0), (1.0, 0.0)],
                          ids=["explore", "greedy", "decaying"])
 @pytest.mark.parametrize("q", ["ties", "drawn", "-inf", "nan"])
 def test_one_attribute_branch_matches_the_per_agent_loop(k, eps, q):
-    """A one-attribute bundle picks, draws and records through its one-agent
-    branch exactly as its twin does through the per-agent loop, with
-    ``td_step``s in between: equal Selections, recorded keys, generator
-    states and tables. Zero rewards on zero tables keep every value tied."""
-    block = agent_block(alpha=0.5, gamma=0.9, lam=0.8, tau_max=3,
-                        epsilon_start=eps[0], epsilon_end=eps[1], epsilon_decay_steps=40)
-    fast, loop = _one_attribute_twins(k, block, seed=11)
-    rng = np.random.default_rng(k)
-    fill = {"ties": 0.0, "drawn": rng.normal(size=fast.models[0].q.shape),
-            "-inf": -math.inf, "nan": math.nan}[q]
-    for b in (fast, loop):
-        b.models[0].q[:] = fill
-    start = state = initial_state(k, 3)
-    prev = None
-    for _ in range(80):
-        ctx = ContextBucket(PERIODS[int(rng.integers(3))], int(rng.integers(2)))
-        sel = fast.select_action(ctx, [state])
-        assert type(sel) is Selection
-        assert sel == loop._select_each(ctx, [state])
-        assert fast._picked_keys == loop._picked_keys
-        assert fast.rng.bit_generator.state == loop.rng.bit_generator.state
-        reward = 0.0 if q == "ties" else float(rng.normal())
-        if prev is not None:
-            for b in (fast, loop):
-                b.td_step(prev, reward, b._picked)
-        prev, state = sel, advance(state, sel.value_indices[0])
-        if rng.random() < 0.15:  # the trajectory ends here
-            for b in (fast, loop):
-                b.td_step(prev, reward, None)
+    """A one-attribute bundle's episodes through ``learn_episode`` leave the
+    tables, traces, ``rounds`` and generator state that its twin's chain of
+    ``select_action`` and ``td_step`` calls leaves, and no recorded
+    Selection, at horizons 1, 2 and 10 and with the clocks clipped at or
+    below the cap. Zero rewards on zero tables keep every value tied."""
+    for horizon, clip in itertools.product([1, 2, 10], [None, 2]):
+        block = agent_block(alpha=0.5, gamma=0.9, lam=0.8, tau_max=3, q_tau_clip=clip,
+                            epsilon_start=eps[0], epsilon_end=eps[1],
+                            epsilon_decay_steps=40)
+        fast, chain = _one_attribute_twins(k, block, seed=11)
+        rng = np.random.default_rng(k)
+        fill = {"ties": 0.0, "drawn": rng.normal(size=fast.models[0].q.shape),
+                "-inf": -math.inf, "nan": math.nan}[q]
+        for b in (fast, chain):
+            b.models[0].q[:] = fill
+        rewards = {(a, tau): 0.0 if q == "ties" else float(rng.normal())
+                   for a in range(k) for tau in range(-3, 4) if tau}
+        for _ in range(12):
+            ctx = ContextBucket(PERIODS[int(rng.integers(3))], int(rng.integers(2)))
+            start = LsdState(tuple(int(rng.choice([-3, -1, 2, 3])) for _ in range(k)), 3)
+            for b in (fast, chain):  # records a Selection the episode must drop
+                sel = b.select_action(ctx, [start])
+                b.td_step(sel, 0.0, sel)
                 b.end_episode()
-            prev, state = None, start
-        assert _tables(fast) == _tables(loop)
-    assert fast.rounds == loop.rounds > 0
+            fast.learn_episode(ctx, start, horizon, lambda a, tau: rewards[a, tau])
+            _chain_episode(chain, ctx, start, horizon, lambda a, tau: rewards[a, tau])
+            assert _learner_state(fast) == _learner_state(chain)
+            assert fast._picked is fast._picked_keys is None
+            assert fast._last_sel is fast._last_keys is None
+        assert fast.rounds == 12 * (horizon + 1)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0], ids=["greedy", "explore"])
 @pytest.mark.parametrize(
-    "ctx, clocks",
-    [(CTX, [LsdState((6,) * 3, 6)]), (CTX, [LsdState((7, 7), 7)]), (CTX, []),
-     (CTX, [LsdState((6, 6), 6)] * 2), (ContextBucket("evening", 2), [LsdState((6, 6), 6)])],
+    "n_attributes, ctx, start",
+    [(1, CTX, LsdState((6,) * 3, 6)), (1, CTX, LsdState((7, 7), 7)),
+     (0, CTX, LsdState((6, 6), 6)), (2, CTX, LsdState((6, 6), 6)),
+     (1, ContextBucket("evening", 2), LsdState((6, 6), 6))],
     ids=["arity", "cap", "no-clocks", "two-states", "unconfigured-bucket"],
 )
-def test_one_attribute_branch_raises_what_the_loop_raises(eps, ctx, clocks):
-    """Each bad input raises the per-agent loop's ValueError, message and
-    all, before either bundle draws."""
-    block = agent_block(epsilon_start=eps, epsilon_end=eps)
-    fast, loop = _one_attribute_twins(2, block, seed=3)
-    before = fast.rng.bit_generator.state
+def test_one_attribute_branch_raises_what_the_loop_raises(eps, n_attributes, ctx, start):
+    """``learn_episode`` raises ``select_action``'s ValueError, message and
+    all, for a start state of the wrong arity or cap, a bundle without
+    exactly one attribute (no clocks, or two states to give) and an
+    unconfigured trait bucket, before it draws or learns."""
+    schema = AttributeSchema(tuple((f"a{i}", ("x", "y")) for i in range(n_attributes)))
+    b = AgentBundle(schema, agent_block(epsilon_start=eps, epsilon_end=eps),
+                    n_trait_buckets=2, seed=3)
+    before = _learner_state(b)
     with pytest.raises(ValueError) as want:
-        loop._select_each(ctx, clocks)
+        b.select_action(ctx, [start])
     with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-        fast.select_action(ctx, clocks)
-    assert fast.rng.bit_generator.state == loop.rng.bit_generator.state == before
+        b.learn_episode(ctx, start, 3, lambda a, tau: 1.0)
+    assert _learner_state(b) == before
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_learn_episode_rejects_a_horizon_below_one(horizon):
+    b = _one_attribute_twins(2, agent_block(epsilon_start=1.0), seed=3)[0]
+    before = _learner_state(b)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        b.learn_episode(CTX, initial_state(2, 6), horizon, lambda a, tau: 1.0)
+    assert _learner_state(b) == before
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1, 4])
+def test_learn_episode_stops_at_a_nonfinite_reward_before_its_follow_up(bad, at):
+    """A non-finite reward at step ``at`` raises ``td_step``'s error before
+    that step's follow-up draw: the earlier steps' updates, their open
+    trajectory and ``rounds`` stay, and no recorded Selection does."""
+    block = agent_block(alpha=0.5, gamma=0.9, lam=0.8, tau_max=3,
+                        epsilon_start=0.5, epsilon_end=0.5)
+    fast, chain = _one_attribute_twins(3, block, seed=5)
+    steps = []
+
+    def reward_fn(arm, tau):
+        steps.append(arm)
+        return bad if len(steps) == at + 1 else 0.1 * arm + tau
+
+    start = initial_state(3, 3)
+    with pytest.raises(ValueError, match="^reward must be finite"):
+        fast.learn_episode(CTX, start, 6, reward_fn)
+    steps.clear()
+    _chain_episode(chain, CTX, start, 6, reward_fn)
+    assert len(steps) == at + 1
+    assert _learner_state(fast) == _learner_state(chain)
+    assert fast.rounds == at
+    assert fast._picked is fast._picked_keys is fast._last_sel is None
 
 
 def _dense_td_step(block, models, q, e, prev, reward, nxt):
@@ -545,6 +602,20 @@ def test_nonfinite_reward_rejected():
         b.update(CTX, ("calm", "indoor"), float("nan"), CTX, ("calm", "indoor"))
     with pytest.raises(ValueError):
         b.update(CTX, ("calm", "indoor"), math.inf, CTX, ("calm", "indoor"))
+
+
+def test_a_rejected_step_draws_nothing():
+    """``step`` checks the action, then the reward, before it picks the
+    follow-up: the generator and ``select_action``'s record stay."""
+    b = make_bundle(block=agent_block(epsilon_start=0.5, epsilon_end=0.5), seed=3)
+    action = SCHEMA.value_names(b.select_action(CTX, b.clocks).value_indices)
+    before = b.rng.bit_generator.state, b._picked, b.clocks, _tables(b), b.rounds
+    with pytest.raises(ValueError, match="is not a value"):
+        b.step(CTX, ("bogus", "indoor"), math.nan, CTX)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="reward must be finite"):
+            b.step(CTX, action, bad, CTX)
+    assert (b.rng.bit_generator.state, b._picked, b.clocks, _tables(b), b.rounds) == before
 
 
 def test_ghost_audit_fresh_bundle_passes():

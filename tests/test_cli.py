@@ -282,8 +282,9 @@ def test_oracle_command_small_instance(capsys):
     (["--threshold", "0", "--seeds", "1", "--episodes", "1"], "threshold"),
     (["--threshold", "1.5", "--seeds", "1", "--episodes", "1"], "threshold"),
     (["--threshold", "nan", "--seeds", "1", "--episodes", "1"], "threshold"),
+    (["--horizon", "0", "--seeds", "1", "--episodes", "1"], "horizon"),
 ], ids=["required-0", "required-above-seeds", "seeds-0", "seeds-negative",
-        "episodes-0", "threshold-0", "threshold-above-1", "threshold-nan"])
+        "episodes-0", "threshold-0", "threshold-above-1", "threshold-nan", "horizon-0"])
 def test_oracle_command_rejects_meaningless_checks(capsys, args, name):
     code = main(["oracle", "--k", "2", "--tau-max", "2", "--horizon", "4", *args])
     assert code == 2

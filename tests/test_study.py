@@ -41,6 +41,7 @@ from pcar.study import (
     split_counts,
     sweep,
     timing_comparison,
+    train_on_instance,
     weekly_summary,
     write_sweep_csv,
 )
@@ -468,6 +469,19 @@ def test_oracle_check_single_arm_is_perfect():
 def test_oracle_check_guard_refusal():
     with pytest.raises(ValueError, match="guard"):
         oracle_check(k=10, tau_max=2, horizon=8, seeds=1, episodes=1)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"k": 0}, "k, tau_max and horizon"), ({"tau_max": 0}, "k, tau_max and horizon"),
+    ({"horizon": 0}, "k, tau_max and horizon"), ({"horizon": -3}, "k, tau_max and horizon"),
+    ({"episodes": 0}, "episodes must be >= 1"), ({"episodes": -1}, "episodes must be >= 1"),
+], ids=["k-0", "tau_max-0", "horizon-0", "horizon-negative", "episodes-0", "episodes-negative"])
+def test_train_on_instance_rejects_sizes_below_one_before_training(change, match):
+    args = dict(k=2, tau_max=2, horizon=4, episodes=3, seed=0,
+                reward_fn=benchmark_reward_fn()) | change
+    with mock.patch.object(pcar.study, "AgentBundle", side_effect=AssertionError):
+        with pytest.raises(ValueError, match=match):
+            train_on_instance(**args)
 
 
 def test_benchmark_reward_fn():
