@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import chain
+from operator import length_hint
 from typing import NamedTuple
 
 import numpy as np
@@ -123,8 +125,7 @@ class QModel:
     in the flat view ``q_flat``, which shares ``q``'s buffer: the learner's
     scalar reads and writes go through it, so the table is updated in place
     and must not be rebound. ``trace`` maps the keys the open trajectory
-    has set a trace on to their trace values; every other key's is +0.0.
-    ``rows`` memoizes ``row``."""
+    has set a trace on to their trace values; every other key's is +0.0."""
 
     def __init__(self, n_values: int, tau_max: int, tau_clip: int, n_buckets: int):
         self.n_values = n_values
@@ -139,13 +140,10 @@ class QModel:
             for b in range(n_buckets)
         }
         self.trace: dict[int, float] = {}
-        self.rows: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 
     def row(self, taus: tuple[int, ...], bucket: int) -> tuple[int, ...]:
         """The keys of every value at clocks ``taus`` in ``bucket``."""
-        if (row := self.rows.get(key := (taus, bucket))) is None:
-            row = self.rows[key] = tuple([self.keys[v, t, bucket] for v, t in enumerate(taus)])
-        return row
+        return tuple([self.keys[v, t, bucket] for v, t in enumerate(taus)])
 
     def tau_index(self, tau: int) -> int:
         if tau == 0:
@@ -188,6 +186,70 @@ def _credit(q, trace: dict[int, float], key: int, alpha_delta: float, decay: flo
         trace[j] = ej * decay
 
 
+# raw words that _ScalarDraws reads from its generator at a time
+_RAW_BLOCK = 1024
+
+
+class _ScalarDraws:
+    """A PCG64 ``Generator``'s scalar ``random()`` and ``integers(n)``
+    draws, bit for bit, replayed from blocks of its raw 64-bit words, with
+    none of the calls' argument handling.
+
+    ``random()`` is numpy's ``next_double``, one word's top 53 bits times
+    2**-53. ``integers(n)`` for 1 <= n <= 2**32 is numpy's bounded draw:
+    n == 1 draws nothing; otherwise 32-bit draws, each the low half of a new
+    word whose high half is held for the next (the generator's
+    ``has_uint32``/``uinteger``, which 64-bit draws never touch), scaled by
+    Lemire's multiply-shift and redrawn while the low product falls below
+    ``(2**32 - n) % n``. The generator runs ahead by up to a block; ``sync``
+    leaves it in the state those scalar calls would have left."""
+
+    def __init__(self, bit_generator):
+        self._bit_generator, self._start = bit_generator, bit_generator.state
+        self._has, self._high = self._start["has_uint32"], self._start["uinteger"]
+        self._read, self._block = 0, iter(())
+        self._word = chain.from_iterable(self._blocks()).__next__  # the next raw word
+
+    def _blocks(self):
+        while True:  # chain holds each block's iterator, so _block's length is what is left
+            words = self._bit_generator.random_raw(_RAW_BLOCK).tolist()
+            self._read, self._block = self._read + len(words), iter(words)
+            yield self._block
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2**-53
+
+    def _uint32(self) -> int:
+        if self._has:
+            self._has = 0  # uinteger keeps the spent half, as numpy's does
+            return self._high
+        w = self._word()
+        self._has, self._high = 1, w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = (2**32 - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def sync(self) -> None:
+        """End the replay: move the generator to where the replayed draws
+        leave it, the start state advanced by the words used, with the held
+        half."""
+        del self._word  # frees the chain now: its block source refers back to self
+        bg = self._bit_generator
+        bg.state = self._start
+        bg.advance(self._read - length_hint(self._block))
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = self._has, self._high
+        bg.state = state
+
+
 class AgentBundle:
     """A team of independent per-attribute learners sharing one reward.
 
@@ -199,8 +261,10 @@ class AgentBundle:
     ``finish_episode``, ``greedy_action``, ``apply_action``,
     ``snapshot_selection``) serve only the tests and the benchmark's trace
     table; ``update``, ``step`` and ``finish_episode`` are one transition,
-    ``_learn``, on ``select_action`` and ``td_step``. ``learn_episode`` runs
-    a one-attribute bundle's whole on-policy episode (``train_on_instance``'s).
+    ``_learn``, on ``select_action`` and ``td_step``. ``learn_episodes`` runs
+    a one-attribute bundle's on-policy episodes (``train_on_instance``'s) in
+    one call, with ``select_action``'s scalar draws replayed from the raw
+    words of ``rng``, a PCG64 generator (``_ScalarDraws``).
 
     ``settings`` is a study config's ``agent`` block (see
     ``study.DEFAULT_CONFIG``) with an integer ``epsilon_decay_steps``: it
@@ -363,40 +427,54 @@ class AgentBundle:
             _credit(q, qm.trace, k, alpha * (target - q[k]), decay)
         self.rounds += 1
 
-    def learn_episode(self, ctx: ContextBucket, start: LsdState, horizon: int,
-                      reward_fn) -> None:
-        """One on-policy episode of a one-attribute bundle from ``start``, with
-        the draws and updates of ``select_action(ctx, [state])``, then per
-        step ``reward_fn(arm, clock)``, ``advance``, the follow-up pick (none
-        at the last step) at the epsilon before ``rounds`` moves and
-        ``td_step``, then ``end_episode``; no recorded Selection is left. Bad
-        arguments raise ``select_action``'s ValueErrors (or ``horizon < 1``'s)
-        before any draw, and a non-finite reward ``td_step``'s before the next pick."""
+    def learn_episodes(self, ctx: ContextBucket, start: LsdState, horizon: int,
+                       reward_fn, episodes: int) -> None:
+        """``episodes`` on-policy episodes of a one-attribute bundle, each
+        from ``start``, with the draws and updates of ``select_action(ctx,
+        [state])``, then per step ``reward_fn(arm, clock)``, ``advance``, the
+        follow-up pick (none at the last step) at the epsilon before
+        ``rounds`` moves and ``td_step``, then ``end_episode``; no recorded
+        Selection is left. The draws are the generator's scalar ones,
+        replayed from its raw words (``_ScalarDraws``), and the generator
+        ends in the state those calls leave, on a raise too. Bad arguments
+        raise ``select_action``'s ValueErrors (or ``horizon < 1``'s or
+        ``episodes < 1``'s) before any draw, and a non-finite reward
+        ``td_step``'s before the next pick."""
         bucket = self._bucket(ctx, [start])
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
+        if episodes < 1:
+            raise ValueError(f"episodes must be >= 1, got {episodes}")
         self._picked = self._picked_keys = self._last_sel = self._last_keys = None
-        qm, random, integers = self.models[0], self.rng.random, self.rng.integers
-        q, trace, rows, row_of, n = qm.q_flat, qm.trace, qm.rows, qm.row, qm.n_values
+        qm, draws = self.models[0], _ScalarDraws(self.rng.bit_generator)
+        random, integers = draws.random, draws.integers
+        q, trace, n, rows = qm.q_flat, qm.trace, qm.n_values, {}  # clocks -> qm.row
         eps0, span, end, steps = self._eps
         alpha, gamma, decay = self._alpha, self._gamma, self._decay
-        rounds, state = self.rounds, start
-        for t in range(horizon):  # pick step t's arm, then learn step t - 1
-            taus = state.taus
-            row = rows.get((taus, bucket)) or row_of(taus, bucket)  # row's hit, inline
-            eps = end if steps <= 0 else eps0 + span * min(1.0, rounds / steps)
-            arm = int(integers(n)) if random() < eps else _greedy(q, row)
-            if t:
-                _credit(q, trace, key, alpha * (r + gamma * q[row[arm]] - q[key]), decay)
+        rounds = self.rounds
+        try:
+            for _ in range(episodes):
+                state = start
+                for t in range(horizon):  # pick step t's arm, then learn step t - 1
+                    taus = state.taus
+                    if (row := rows.get(taus)) is None:
+                        row = rows[taus] = qm.row(taus, bucket)
+                    eps = end if steps <= 0 else eps0 + span * min(1.0, rounds / steps)
+                    arm = integers(n) if random() < eps else _greedy(q, row)
+                    if t:
+                        _credit(q, trace, key, alpha * (r + gamma * q[row[arm]] - q[key]),
+                                decay)
+                        rounds += 1
+                    key, r = row[arm], reward_fn(arm, taus[arm])
+                    if not math.isfinite(r):
+                        raise ValueError(f"reward must be finite, got {r}")
+                    state = advance(state, arm)
+                _credit(q, trace, key, alpha * (r - q[key]), decay)
                 rounds += 1
-            key, r = row[arm], reward_fn(arm, taus[arm])
-            if not math.isfinite(r):
-                self.rounds = rounds
-                raise ValueError(f"reward must be finite, got {r}")
-            state = advance(state, arm)
-        _credit(q, trace, key, alpha * (r - q[key]), decay)
-        self.rounds = rounds + 1
-        trace.clear()
+                trace.clear()
+        finally:
+            self.rounds = rounds
+            draws.sync()
 
     def _keys_of(self, sel: Selection) -> list[int]:
         """Each agent's flat table key for a selection."""

@@ -843,9 +843,10 @@ def train_on_instance(
     seed: int,
     reward_fn,
 ) -> float:
-    """Train a single-attribute learner, one ``AgentBundle.learn_episode``
-    from the all-rested start per episode, and return the total reward of
-    the greedy rollout, which takes the first arm of highest value and draws
+    """Train a single-attribute learner in one ``AgentBundle.learn_episodes``
+    call, every episode from the all-rested start and its draws replayed
+    from the generator's raw words, and return the total reward of the
+    greedy rollout, which takes the first arm of highest value and draws
     nothing. A size below 1 raises ValueError before training."""
     if min(k, tau_max, horizon) < 1:
         raise ValueError("k, tau_max and horizon must all be >= 1")
@@ -860,8 +861,7 @@ def train_on_instance(
     bundle = AgentBundle(schema, settings, n_trait_buckets=1, seed=seed)
     ctx = ContextBucket(period="morning", trait_bucket=0)
     start = initial_state(k, tau_max)
-    for _ in range(episodes):
-        bundle.learn_episode(ctx, start, horizon, reward_fn)
+    bundle.learn_episodes(ctx, start, horizon, reward_fn, episodes)
     state, total = start, 0.0
     for _ in range(horizon):
         arm = max(range(k), key=lambda v: bundle.action_value(0, state, v, ctx))

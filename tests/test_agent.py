@@ -3,18 +3,21 @@ import json
 import math
 import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcar.agent as agent_module
 from pcar.agent import (
     PERIODS,
     AgentBundle,
     AttributeSchema,
     ContextBucket,
     Selection,
+    _ScalarDraws,
     _selection,
     ghost_audit,
     plan_oracle,
@@ -421,7 +424,7 @@ def _one_attribute_twins(k, block, seed):
 
 
 def _chain_episode(b, ctx, start, horizon, reward_fn):
-    """The select_action/td_step chain ``learn_episode`` stands for. A
+    """The select_action/td_step chain of one episode of ``learn_episodes``. A
     non-finite reward stops it before that step's follow-up draw."""
     state, sel = start, b.select_action(ctx, [start])
     for t in range(horizon):
@@ -444,13 +447,16 @@ def _learner_state(b):
 @pytest.mark.parametrize("eps", [(1.0, 1.0), (0.0, 0.0), (1.0, 0.0)],
                          ids=["explore", "greedy", "decaying"])
 @pytest.mark.parametrize("q", ["ties", "drawn", "-inf", "nan"])
-def test_one_attribute_branch_matches_the_per_agent_loop(k, eps, q):
-    """A one-attribute bundle's episodes through ``learn_episode`` leave the
-    tables, traces, ``rounds`` and generator state that its twin's chain of
-    ``select_action`` and ``td_step`` calls leaves, and no recorded
+def test_one_attribute_branch_matches_the_per_agent_loop(k, eps, q, monkeypatch):
+    """A one-attribute bundle's 12 episodes in one ``learn_episodes`` call
+    leave the tables, traces, ``rounds`` and generator state that its twin's
+    chain of ``select_action`` and ``td_step`` calls leaves, and no recorded
     Selection, at horizons 1, 2 and 10 and with the clocks clipped at or
-    below the cap. Zero rewards on zero tables keep every value tied."""
-    for horizon, clip in itertools.product([1, 2, 10], [None, 2]):
+    below the cap; then a second call from other clocks does too. With a
+    3-word block the draws cross block refills. Zero rewards on zero tables
+    keep every value tied."""
+    for horizon, clip, words in itertools.product([1, 2, 10], [None, 2], [1024, 3]):
+        monkeypatch.setattr(agent_module, "_RAW_BLOCK", words)
         block = agent_block(alpha=0.5, gamma=0.9, lam=0.8, tau_max=3, q_tau_clip=clip,
                             epsilon_start=eps[0], epsilon_end=eps[1],
                             epsilon_decay_steps=40)
@@ -462,19 +468,20 @@ def test_one_attribute_branch_matches_the_per_agent_loop(k, eps, q):
             b.models[0].q[:] = fill
         rewards = {(a, tau): 0.0 if q == "ties" else float(rng.normal())
                    for a in range(k) for tau in range(-3, 4) if tau}
-        for _ in range(12):
+        for _ in range(2):
             ctx = ContextBucket(PERIODS[int(rng.integers(3))], int(rng.integers(2)))
             start = LsdState(tuple(int(rng.choice([-3, -1, 2, 3])) for _ in range(k)), 3)
-            for b in (fast, chain):  # records a Selection the episode must drop
+            for b in (fast, chain):  # records a Selection the call must drop
                 sel = b.select_action(ctx, [start])
                 b.td_step(sel, 0.0, sel)
                 b.end_episode()
-            fast.learn_episode(ctx, start, horizon, lambda a, tau: rewards[a, tau])
-            _chain_episode(chain, ctx, start, horizon, lambda a, tau: rewards[a, tau])
+            fast.learn_episodes(ctx, start, horizon, lambda a, tau: rewards[a, tau], 12)
+            for _ in range(12):
+                _chain_episode(chain, ctx, start, horizon, lambda a, tau: rewards[a, tau])
             assert _learner_state(fast) == _learner_state(chain)
             assert fast._picked is fast._picked_keys is None
             assert fast._last_sel is fast._last_keys is None
-        assert fast.rounds == 12 * (horizon + 1)
+        assert fast.rounds == 2 * (1 + 12 * horizon)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0], ids=["greedy", "explore"])
@@ -486,7 +493,7 @@ def test_one_attribute_branch_matches_the_per_agent_loop(k, eps, q):
     ids=["arity", "cap", "no-clocks", "two-states", "unconfigured-bucket"],
 )
 def test_one_attribute_branch_raises_what_the_loop_raises(eps, n_attributes, ctx, start):
-    """``learn_episode`` raises ``select_action``'s ValueError, message and
+    """``learn_episodes`` raises ``select_action``'s ValueError, message and
     all, for a start state of the wrong arity or cap, a bundle without
     exactly one attribute (no clocks, or two states to give) and an
     unconfigured trait bucket, before it draws or learns."""
@@ -497,7 +504,7 @@ def test_one_attribute_branch_raises_what_the_loop_raises(eps, n_attributes, ctx
     with pytest.raises(ValueError) as want:
         b.select_action(ctx, [start])
     with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-        b.learn_episode(ctx, start, 3, lambda a, tau: 1.0)
+        b.learn_episodes(ctx, start, 3, lambda a, tau: 1.0, 2)
     assert _learner_state(b) == before
 
 
@@ -506,16 +513,29 @@ def test_learn_episode_rejects_a_horizon_below_one(horizon):
     b = _one_attribute_twins(2, agent_block(epsilon_start=1.0), seed=3)[0]
     before = _learner_state(b)
     with pytest.raises(ValueError, match="horizon must be >= 1"):
-        b.learn_episode(CTX, initial_state(2, 6), horizon, lambda a, tau: 1.0)
+        b.learn_episodes(CTX, initial_state(2, 6), horizon, lambda a, tau: 1.0, 1)
     assert _learner_state(b) == before
+
+
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_learn_episodes_rejects_episodes_below_one_before_any_draw(episodes):
+    b = _one_attribute_twins(2, agent_block(epsilon_start=1.0), seed=3)[0]
+    before, played = _learner_state(b), []
+    with pytest.raises(ValueError, match=f"^episodes must be >= 1, got {episodes}$"):
+        b.learn_episodes(CTX, initial_state(2, 6), 3,
+                         lambda a, tau: played.append(a) or 1.0, episodes)
+    assert _learner_state(b) == before
+    assert played == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("at", [0, 1, 4])
 def test_learn_episode_stops_at_a_nonfinite_reward_before_its_follow_up(bad, at):
-    """A non-finite reward at step ``at`` raises ``td_step``'s error before
-    that step's follow-up draw: the earlier steps' updates, their open
-    trajectory and ``rounds`` stay, and no recorded Selection does."""
+    """A non-finite reward at step ``at`` of a call's 3-step episodes
+    raises ``td_step``'s error before that step's follow-up draw: the
+    earlier steps' updates, their open trajectory and ``rounds`` stay, the
+    generator is where the chain's draws leave it, and no recorded
+    Selection is left."""
     block = agent_block(alpha=0.5, gamma=0.9, lam=0.8, tau_max=3,
                         epsilon_start=0.5, epsilon_end=0.5)
     fast, chain = _one_attribute_twins(3, block, seed=5)
@@ -527,13 +547,75 @@ def test_learn_episode_stops_at_a_nonfinite_reward_before_its_follow_up(bad, at)
 
     start = initial_state(3, 3)
     with pytest.raises(ValueError, match="^reward must be finite"):
-        fast.learn_episode(CTX, start, 6, reward_fn)
+        fast.learn_episodes(CTX, start, 3, reward_fn, 4)
     steps.clear()
-    _chain_episode(chain, CTX, start, 6, reward_fn)
+    while len(steps) <= at:
+        _chain_episode(chain, CTX, start, 3, reward_fn)
     assert len(steps) == at + 1
     assert _learner_state(fast) == _learner_state(chain)
     assert fast.rounds == at
     assert fast._picked is fast._picked_keys is fast._last_sel is None
+
+
+def _counting_uint32s(monkeypatch):
+    """Patch ``_ScalarDraws._uint32`` to log, per ``integers`` call, whether
+    each of its 32-bit draws made the replay read a new block."""
+    calls, uint32, integers = [], _ScalarDraws._uint32, _ScalarDraws.integers
+
+    def counted_uint32(self):
+        read = self._read
+        value = uint32(self)
+        calls[-1].append(self._read != read)
+        return value
+
+    def counted_integers(self, n):
+        calls.append([])
+        return integers(self, n)
+
+    monkeypatch.setattr(_ScalarDraws, "_uint32", counted_uint32)
+    monkeypatch.setattr(_ScalarDraws, "integers", counted_integers)
+    return calls
+
+
+# at 3 * 2**30 a quarter of the draws are rejected; a threshold of n would reject three quarters
+NS = [1, 2, 3, 5, 7, 12, 1000, 2**31 + 5, 3 * 2**30]
+
+
+@pytest.mark.parametrize("words", [1024, 3, 1])
+def test_scalar_draws_replay_numpy_random_and_integers(words, monkeypatch):
+    """``_ScalarDraws`` gives what ``Generator.random()`` and ``integers(n)``
+    give, interleaved, for n from 1 to 3 * 2**30, from a generator whose
+    half-word buffer is empty or set; with a block of 1 or 3 words the
+    draws cross refills, also inside a Lemire rejection loop (about half of
+    the draws at 2**31 + 5 are rejected). After ``sync`` the generator's
+    whole state and a following ``normal()`` are the scalar calls', and
+    the replay is freed as soon as it is dropped. The bundle's generator is
+    the PCG64 that this replays."""
+    monkeypatch.setattr(agent_module, "_RAW_BLOCK", words)
+    calls = _counting_uint32s(monkeypatch)
+    ops = np.random.default_rng(2024)
+    for seed, held in itertools.product(range(60), [False, True]):
+        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        if held:  # a 32-bit draw leaves the high half of its word buffered
+            assert want.integers(7) == got.integers(7)
+            assert want.bit_generator.state["has_uint32"] == 1
+        draws = _ScalarDraws(got.bit_generator)
+        for _ in range(30):
+            n = NS[int(ops.integers(len(NS)))] if ops.random() < 0.6 else None
+            if n is None:
+                assert draws.random() == want.random()
+            else:
+                assert draws.integers(n) == int(want.integers(n))
+        draws.sync()
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.normal() == want.normal()
+        freed = weakref.ref(draws)
+        del draws
+        assert freed() is None  # by reference count: sync left no cycle
+    if words == 1:  # a rejected draw's redraw had to read a new block
+        assert any(any(refills[1:]) for refills in calls)
+    schema = AttributeSchema((("arm", ("a", "b")),))
+    assert type(AgentBundle(schema, agent_block(), 1).rng.bit_generator) is np.random.PCG64
 
 
 def _dense_td_step(block, models, q, e, prev, reward, nxt):
